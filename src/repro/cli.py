@@ -68,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["separated", "cell", "co_clustered",
                               "packed"])
     imp.add_argument("--mc-alpha", type=int, default=None,
-                     help="build the MC index with this branching factor "
-                     "(not yet implemented; leave unset)")
+                     help="also build the MC index (Alg 4) with this "
+                     "branching factor, e.g. 2; unset skips it")
     imp.add_argument("--no-btp", action="store_true",
                      help="skip the BT_P (top-k) index")
 
@@ -306,7 +306,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                 "is not yet implemented in this repo (see ROADMAP.md for "
                 "the build order; storage, probability, obs, streams, "
                 "query, lahar, indexes, access, and core are available "
-                "today — rfid and the MC index are still to come)",
+                "today — rfid is still to come)",
                 file=sys.stderr,
             )
             return 2

@@ -14,21 +14,18 @@ twice, because the set is a deterministic function of the path.
 
 Two implementations share the compiled query machinery:
 
-* :class:`Reg` — the production kernel. The joint mass is a dense
-  NumPy matrix ``V[set, stream-state]`` in fixed full-space
-  coordinates; one timestep is ``V @ B`` (``B`` the CPT densified in
-  one chained-``fromiter`` scatter) followed by a regrouping of
-  destination columns into their successor sets — columns are classed
-  once, at construction, by *symbol mask* (which predicates each
-  stream state satisfies), so the per-step Python cost is
-  O(sets × distinct masks) plus one O(nnz) densification, not
-  O(sets × nnz). The reference pays O(nnz) dict arithmetic *per live
-  set*, so the kernel pulls ahead as queries grow links and loops
-  (more live sets) and as supports widen.
+* :class:`Reg` — the production kernel, in fixed product-space
+  coordinates. The DFA sets a query can ever occupy over a space are
+  few and known up front, so construction enumerates all ``R`` of
+  them once and precomputes, as flat ``bincount`` indices, where each
+  ``(set, stream state)`` cell's mass goes next. The joint mass is then
+  a dense ``R × n`` matrix ``V`` for the kernel's whole life, and one
+  timestep is ``V @ B`` (``B`` the CPT densified in one
+  chained-``fromiter`` scatter) plus one ``bincount`` — no per-step
+  classification, and Python cost independent of the query.
 * :class:`ReferenceReg` — a dict-of-dicts pure-Python implementation
-  of the same semantics, kept slow and obvious for property testing;
-  on narrow supports with single-link queries it is competitive, which
-  is why the benchmarks measure the kernel on wide-support streams.
+  of the same semantics, kept slow and obvious as the oracle for
+  property tests; it pays O(nnz) dict arithmetic per occupied set.
 
 Both support the span operations of Algorithms 4 & 5: collapsing over
 irrelevant gaps (only the start state and negated-loop states survive
@@ -39,7 +36,7 @@ loop spans, and the independence approximation.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -137,96 +134,75 @@ class QueryMachine:
 # Vectorized kernel
 # ----------------------------------------------------------------------
 class Reg:
-    """The NumPy-vectorized Reg kernel (the production implementation)."""
+    """The NumPy-vectorized Reg kernel (the production implementation).
+
+    Construction fixes the coordinates: row ``r`` of the mass matrix
+    ``V`` is the ``r``-th DFA set the query can occupy, column ``y`` a
+    stream state, and every update scatters ``R × n`` mass through a
+    precomputed flat successor index. A kernel that was never
+    initialized holds zero mass and emits 0.0."""
 
     def __init__(self, query: RegularQuery, space: StateSpace,
                  machine: Optional[QueryMachine] = None) -> None:
         self.query = query
         self.space = space
-        self._m = machine if machine is not None else \
+        self._m = m = machine if machine is not None else \
             QueryMachine(query, space)
         #: Number of update operations performed since construction.
         self.updates_performed = 0
-        self._n = len(space)
-        mask_arr = np.asarray(self._m.state_mask, dtype=np.int64)
-        #: Columns grouped by symbol mask — fixed for the machine's
-        #: life, so classification never touches per-state masks again.
-        self._groups: List[Tuple[int, np.ndarray]] = [
-            (int(mv), np.flatnonzero(mask_arr == mv))
-            for mv in np.unique(mask_arr)
-        ]
-        #: Per-column group index and flat column ids, for the scatter.
-        self._group_of = np.searchsorted(
-            np.asarray([mv for mv, _ in self._groups], dtype=np.int64),
-            mask_arr,
-        )
-        self._col_ids = np.arange(self._n, dtype=np.int64)
-        #: DFA set -> per-group destination signature (int64 array).
-        self._sig: Dict[int, np.ndarray] = {}
-        self._sets: List[int] = []
-        self._V = np.zeros((0, self._n))
+        self._n = n = len(space)
+        mask_arr = np.asarray(m.state_mask, dtype=np.int64)
+        masks, group_of = np.unique(mask_arr, return_inverse=True)
+        # Every DFA set the kernel can occupy: the closure of the start
+        # set under a step on each distinct symbol mask, the gap
+        # collapse, and the loop-span "kept" image collapse(s) | bit q.
+        sets = [m.start_set]
+        row_of = {m.start_set: 0}
+        for s in sets:  # grows while iterating: a breadth-first closure
+            mid = m.collapse(s)
+            images = [m.step(s, int(mv)) for mv in masks] + [mid] + [
+                mid | 1 << q for q in range(m.n) if s >> q & 1]
+            for t in images:
+                if t not in row_of:
+                    row_of[t] = len(sets)
+                    sets.append(t)
+        self._rows = len(sets)
+        cols = np.arange(n, dtype=np.int64)
+        dst = np.asarray([[row_of[m.step(s, int(mv))] for mv in masks]
+                          for s in sets], dtype=np.int64)
+        #: Flat bincount index of each cell's successor after one step.
+        self._succ = dst[:, group_of] * n + cols
+        collapse = np.asarray([row_of[m.collapse(s)] for s in sets],
+                              dtype=np.int64)
+        #: Flat index folding each row into its gap-collapsed row.
+        self._fold_flat = collapse[:, None] * n + cols
+        #: Successor index for mass that crossed a gap (collapse, step).
+        self._gap_succ = self._succ[collapse]
+        #: Per loop state q: the rows holding q, and the successor
+        #: index of their "kept" mass (collapsed set plus q).
+        self._loops: List[Tuple[np.ndarray, np.ndarray]] = []
+        for q in range(m.n):
+            rows = [r for r, s in enumerate(sets) if s >> q & 1]
+            kept = [row_of[m.collapse(sets[r]) | 1 << q] for r in rows]
+            self._loops.append((np.asarray(rows, dtype=np.int64),
+                                self._succ[np.asarray(kept, dtype=np.int64)]))
+        self._start = self._succ[row_of[m.start_set]]
+        self._accept = np.flatnonzero([m.is_accepting(s) for s in sets])
+        self._V = np.zeros((self._rows, n))
 
     # -- state helpers -------------------------------------------------
-    def _accept_mass(self) -> float:
-        total = 0.0
-        for i, s in enumerate(self._sets):
-            if self._m.is_accepting(s):
-                total += float(self._V[i].sum())
-        return total
+    def _bin(self, flat: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Sum the mass ``W`` into a fresh ``V`` at flat indices."""
+        return np.bincount(
+            flat.ravel(), weights=W.ravel(), minlength=self._rows * self._n,
+        ).reshape(self._rows, self._n)
 
-    def _signature(self, set_bits: int) -> np.ndarray:
-        """The per-group destination sets of one source set (cached)."""
-        sig = self._sig.get(set_bits)
-        if sig is None:
-            step = self._m.step
-            sig = self._sig[set_bits] = np.fromiter(
-                (step(set_bits, mb) for mb, _ in self._groups),
-                np.int64, len(self._groups),
-            )
-        return sig
-
-    def _classify(self, mids: Sequence[int], W: np.ndarray) -> None:
-        """Regroup the mass rows ``W`` (one per source set in ``mids``)
-        into the successor DFA states given by the destination symbols:
-        one ``bincount`` scatter over flat (destination set, column)
-        indices, so no per-set Python work beyond a signature lookup."""
-        if not mids:
-            self._sets = []
-            self._V = np.zeros((0, self._n))
-            return
-        D = np.vstack([self._signature(s) for s in mids])
-        dsts, inv = np.unique(D, return_inverse=True)
-        out_col = inv.reshape(D.shape)[:, self._group_of]
-        flat = out_col * self._n + self._col_ids
-        self._V = np.bincount(
-            flat.ravel(), weights=W.ravel(),
-            minlength=len(dsts) * self._n,
-        ).reshape(len(dsts), self._n)
-        self._sets = [int(s) for s in dsts]
-        self._prune()
-
-    def _prune(self) -> None:
-        """Drop exactly-empty rows (mass is nonnegative, so a zero sum
-        means identically zero)."""
-        if not self._sets:
-            return
-        live = np.flatnonzero(self._V.sum(axis=1) > 0.0)
-        if len(live) < len(self._sets):
-            self._sets = [self._sets[i] for i in live]
-            self._V = self._V[live]
-
-    def _collapse_rows(self) -> None:
+    def _fold(self) -> None:
         """Merge rows into their gap-collapsed DFA states."""
-        acc: Dict[int, np.ndarray] = {}
-        for i, s in enumerate(self._sets):
-            mid = self._m.collapse(s)
-            if mid in acc:
-                acc[mid] = acc[mid] + self._V[i]
-            else:
-                acc[mid] = self._V[i].copy()
-        self._sets = list(acc.keys())
-        self._V = np.vstack(list(acc.values())) if acc else \
-            np.zeros((0, self._n))
+        self._V = self._bin(self._fold_flat, self._V)
+
+    def _accept_mass(self) -> float:
+        return float(self._V[self._accept].sum())
 
     def _dense(self, cpt: CPT) -> np.ndarray:
         """The CPT as a dense (n, n) transition block: one chained
@@ -260,32 +236,21 @@ class Reg:
     def initialize(self, marginal: SparseDistribution) -> float:
         """Start a fresh run on the first timestep's marginal; returns
         the match probability at that timestep."""
-        self._classify([self._m.start_set],
-                       self._scatter(marginal).reshape(1, -1))
+        self._V = self._bin(self._start, self._scatter(marginal))
         return self._accept_mass()
 
     def update(self, cpt: CPT) -> float:
         """Consume one timestep via its incoming CPT; returns the match
         probability at the new timestep."""
         self.updates_performed += 1
-        if not self._sets:
-            return 0.0
-        self._classify(self._sets, self._V @ self._dense(cpt))
+        self._V = self._bin(self._succ, self._V @ self._dense(cpt))
         return self._accept_mass()
-
-    def update_batch(self, cpts: Sequence[CPT]) -> List[float]:
-        """Consume several consecutive timesteps in one pass (e.g. a
-        packed archive frame)."""
-        out: List[float] = []
-        for cpt in cpts:
-            out.append(self.update(cpt))
-        return out
 
     def update_span(self, cpt: CPT, span: int = 1) -> float:
         """Consume a span of ``span`` timesteps whose interior is
         irrelevant, via the composed CPT (Algorithm 4's gap jump)."""
         if span > 1:
-            self._collapse_rows()
+            self._fold()
         return self.update(cpt)
 
     def update_independent(self, marginal: SparseDistribution,
@@ -294,13 +259,11 @@ class Reg:
         approximation (Algorithm 5): each set's mass is redistributed
         by the new marginal."""
         self.updates_performed += 1
-        if not self._sets:
-            return 0.0
         if span > 1:
-            self._collapse_rows()
+            self._fold()
         totals = self._V.sum(axis=1)
-        probs = self._scatter(marginal)
-        self._classify(self._sets, np.outer(totals, probs))
+        self._V = self._bin(self._succ,
+                            np.outer(totals, self._scatter(marginal)))
         return self._accept_mass()
 
     def update_loop_span(self, loop_state: int, plain: CPT, cond: CPT,
@@ -310,25 +273,14 @@ class Reg:
         satisfied the loop predicate throughout (per the conditioned
         CPT) keeps the loop state; the rest collapses like a plain gap."""
         self.updates_performed += 1
-        if not self._sets:
-            return 0.0
-        m = self._m
-        qbit = 1 << loop_state
+        rows, kept_succ = self._loops[loop_state]
         B_plain = self._dense(plain)
         B_cond = B_plain if cond is plain else self._dense(cond)
-        mids: List[int] = []
-        rows: List[np.ndarray] = []
-        for i, s in enumerate(self._sets):
-            mid = m.collapse(s)
-            if s & qbit:
-                kept = self._V[i] @ B_cond
-                exited = np.maximum(self._V[i] @ B_plain - kept, 0.0)
-                mids.extend((mid | qbit, mid))
-                rows.extend((kept, exited))
-            else:
-                mids.append(mid)
-                rows.append(self._V[i] @ B_plain)
-        self._classify(mids, np.vstack(rows))
+        exited = self._V @ B_plain
+        kept = self._V[rows] @ B_cond
+        exited[rows] = np.maximum(exited[rows] - kept, 0.0)
+        self._V = self._bin(np.concatenate((self._gap_succ, kept_succ)),
+                            np.concatenate((exited, kept)))
         return self._accept_mass()
 
 
@@ -401,9 +353,6 @@ class ReferenceReg:
             [(s, self._apply(cpt, dist)) for s, dist in self._mass.items()]
         )
         return self._accept_mass()
-
-    def update_batch(self, cpts: Sequence[CPT]) -> List[float]:
-        return [self.update(cpt) for cpt in cpts]
 
     def update_span(self, cpt: CPT, span: int = 1) -> float:
         if span > 1:

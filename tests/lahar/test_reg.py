@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from repro.lahar import QueryMachine, ReferenceReg, Reg
 from repro.probability import CPT, SparseDistribution
-from repro.query import parse_query
-from repro.streams import MarkovianStream, single_attribute_space
+from repro.query import InSet, parse_query
+from repro.streams import (ENTERED_ROOM_QUERY, MarkovianStream,
+                           single_attribute_space)
+from repro.streams.synthetic import synthetic_space
 
 VALUES = ["A", "B", "C", "D", "E"]
 SPACE = single_attribute_space("location", VALUES)
@@ -107,10 +109,16 @@ def test_span_operations_match_reference(seed, text, opseed):
             a = ref.update_independent(marginal, span)
             b = vec.update_independent(marginal, span)
         else:
+            # Condition on a random predicate so the kept and exited
+            # branches both carry mass.
             cpt = stream.cpt_into(t)
-            loop_state = rng.randrange(max(1, len(query)))
-            a = ref.update_loop_span(loop_state, cpt, cpt, 1)
-            b = vec.update_loop_span(loop_state, cpt, cpt, 1)
+            values = rng.sample(VALUES, rng.randint(1, len(VALUES) - 1))
+            cond = cpt.mask_destinations(
+                InSet("location", values).matching_states(SPACE))
+            # State 0 is in every set, so only q >= 1 splits the mass.
+            loop_state = rng.randrange(1, len(query)) if len(query) > 1 else 0
+            a = ref.update_loop_span(loop_state, cpt, cond, 1)
+            b = vec.update_loop_span(loop_state, cpt, cond, 1)
             t += 1
         assert a == pytest.approx(b, abs=1e-9), f"{mode} diverged at t={t}"
     assert ref.updates_performed == vec.updates_performed
@@ -164,5 +172,52 @@ def test_empty_reg_stays_empty():
     # No initialize: updates on an empty kernel emit zero probability.
     assert reg.update(CPT({0: {0: 1.0}})) == 0.0
     assert reg.update_independent(SparseDistribution({0: 1.0})) == 0.0
+    assert reg.update_span(CPT({0: {0: 1.0}}), span=3) == 0.0
     assert reg.update_loop_span(1, CPT({0: {0: 1.0}}),
                                 CPT({0: {0: 1.0}})) == 0.0
+
+
+#: A multi-link query whose negated Kleene loops keep up to 8 DFA sets
+#: occupied, over the 42-state synthetic space.
+PATROL_QUERY = (
+    "location=C0 -> (!location=C5)* location=C1 -> "
+    "(!location=C6)* location=C2 -> location=Room"
+)
+
+
+@pytest.fixture(scope="module")
+def wide_stream():
+    """A 42-state stream whose every CPT row has full support, so each
+    timestep's mass covers the whole space."""
+    space = synthetic_space(40)
+    rng = random.Random(13)
+    n = len(space)
+
+    def dense_row():
+        weights = [rng.random() for _ in range(n)]
+        total = sum(weights)
+        return SparseDistribution(
+            {s: w / total for s, w in enumerate(weights)})
+
+    marginals = [SparseDistribution.uniform(range(n))]
+    cpts = []
+    for _ in range(199):
+        cpt = CPT({s: dense_row() for s in range(n)})
+        cpts.append(cpt)
+        marginals.append(cpt.apply(marginals[-1]))
+    return MarkovianStream("wide", space, marginals, cpts, validate=False)
+
+
+@pytest.mark.parametrize("text", [ENTERED_ROOM_QUERY, PATROL_QUERY],
+                         ids=["entered-room", "patrol"])
+def test_wide_stream_matches_reference(wide_stream, text):
+    query = parse_query(text)
+    ref = ReferenceReg(query, wide_stream.space)
+    vec = Reg(query, wide_stream.space)
+    pairs = [(ref.initialize(wide_stream.marginal(0)),
+              vec.initialize(wide_stream.marginal(0)))]
+    for t in range(1, len(wide_stream)):
+        cpt = wide_stream.cpt_into(t)
+        pairs.append((ref.update(cpt), vec.update(cpt)))
+    assert max(abs(a - b) for a, b in pairs) < 1e-9
+    assert max(a for a, _ in pairs) > 0.0

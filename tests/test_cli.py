@@ -15,8 +15,9 @@ def test_help_does_not_crash(capsys):
 
 
 def test_info_on_empty_database(tmp_path, capsys):
-    # Until PR 4 the engine layers were missing and this exited 2 with a
-    # "not yet implemented" diagnostic; now the whole stack imports.
+    # Every layer `info` needs (streams, indexes with the MC index,
+    # access, core) is implemented, so this must not exit 2 with the
+    # "not yet implemented" diagnostic.
     rc = main(["info", str(tmp_path / "db")])
     assert rc == 0
     assert "no streams archived" in capsys.readouterr().out

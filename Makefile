@@ -66,15 +66,15 @@ fsck:
 	@rm -rf "$$(cat .fsck_smoke_dir)" .fsck_smoke_dir
 
 figures:
-	$(PYTHON) -m benchmarks.run_all
+	PYTHONPATH=src $(PYTHON) -m benchmarks.run_all
 
 figures-full:
-	REPRO_BENCH_FULL=1 $(PYTHON) -m benchmarks.run_all
+	REPRO_BENCH_FULL=1 PYTHONPATH=src $(PYTHON) -m benchmarks.run_all
 
 examples:
 	@for ex in examples/*.py; do \
 		echo "== $$ex"; \
-		$(PYTHON) $$ex || exit 1; \
+		PYTHONPATH=src $(PYTHON) $$ex || exit 1; \
 	done
 
 clean:

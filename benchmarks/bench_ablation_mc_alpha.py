@@ -40,9 +40,8 @@ def generate():
             rows.append({
                 "alpha": alpha,
                 "wall_ms": round(m.wall_ms, 2),
-                "index_entries_fetched":
-                    result.stats.mc_lookups.index_entries,
-                "raw_cpts_fetched": result.stats.mc_lookups.raw_cpts,
+                "index_entries_fetched": result.stats.mc_lookups.lookups,
+                "raw_cpts_fetched": result.stats.mc_lookups.base_cpts_read,
                 "compositions": result.stats.mc_lookups.compositions,
                 "index_mb": round(mc_size / 2**20, 3),
             })
@@ -88,9 +87,7 @@ def test_ablation_mc_alpha_shape():
         finally:
             db.close()
     assert sizes[8] <= sizes[2]
-    pieces2 = results[2].index_entries + results[2].raw_cpts
-    pieces8 = results[8].index_entries + results[8].raw_cpts
-    assert pieces2 <= pieces8
+    assert results[2].pieces <= results[8].pieces
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ PLACEMENTS = 12
 
 
 def _setup():
-    db = synthetic_db(density=0.1, layouts=(Layout.SEPARATED,))
+    db = synthetic_db(density=0.1, layouts=(Layout.SEPARATED,), mc_alpha=2)
     reader = db.reader("syn_separated")
     mc = open_mc(db.env, "syn_separated", alpha=2, length=reader.length)
     return db, reader, mc
@@ -51,9 +51,9 @@ def _avg_lookup(mc, reader, span, min_level, use_index=True):
             for t in range(t1 + 2, t2 + 1):
                 cpt = cpt.compose(reader.cpt_into(t))
                 pieces += 1
-            stats.raw_cpts = pieces
+            stats.base_cpts_read = pieces
         total_time += time.perf_counter() - start
-        total_pieces += stats.index_entries + stats.raw_cpts
+        total_pieces += stats.pieces
         placements += 1
     return total_time / placements, total_pieces / placements
 

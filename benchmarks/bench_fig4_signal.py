@@ -18,25 +18,9 @@ import pytest
 from repro.obs import MetricsRegistry
 
 from .harness import finish_run, measure, print_table, save_report, start_run
-from .workloads import room_queries_for, routines_db
+from .workloads import ENTERED_ROOM_QUERY, TARGET_ROOM, routines_db
 
 STREAM = "person0"
-
-
-def pick_query(db):
-    """The low-density Entered-Room query with the sharpest peak — the
-    regime Figure 4 plots (one true entry, low false-positive bumps)."""
-    queries = room_queries_for(db, STREAM, count=22)
-    half = queries[len(queries) // 2:]  # lower-density half
-    best = None
-    best_peak = -1.0
-    for room, text in half:
-        result = db.query(STREAM, text, method="btree")
-        peak = result.peak()
-        if peak is not None and peak[1] > best_peak:
-            best_peak = peak[1]
-            best = (room, text)
-    return best if best is not None else queries[-1]
 
 
 def generate():
@@ -44,15 +28,14 @@ def generate():
     manifest, tracer = start_run("fig4", config={"stream": STREAM})
     db = routines_db()
     try:
-        room, text = pick_query(db)
         for method in ("naive", "btree"):
             with tracer.span(f"query/{method}", io=db.stats):
-                m = measure(db, STREAM, text, method, method)
+                m = measure(db, STREAM, ENTERED_ROOM_QUERY, method, method)
             registry.counter("cost.logical_reads",
                              method=method).inc(m.logical_reads)
             registry.counter("cost.reg_updates",
                              method=method).inc(m.extra["reg_updates"])
-        result = db.query(STREAM, text, method="btree")
+        result = db.query(STREAM, ENTERED_ROOM_QUERY, method="btree")
         signal = result.as_dict()
         rows = []
         peak = result.peak()
@@ -61,14 +44,14 @@ def generate():
                 rows.append({"t": t, "p": round(p, 4),
                              "is_peak": t == (peak[0] if peak else None)})
         header = [
-            {"room": room, "signal_points": len(result.signal),
+            {"room": TARGET_ROOM, "signal_points": len(result.signal),
              "nonzero_points": len(rows),
              "peak_t": peak[0] if peak else None,
              "peak_p": round(peak[1], 4) if peak else None},
         ]
         text_out = print_table("Figure 4: query metadata", header)
         text_out += print_table(
-            f"Figure 4: Entered-{room} signal (nonzero points)", rows,
+            f"Figure 4: Entered-{TARGET_ROOM} signal (nonzero points)", rows,
             columns=["t", "p", "is_peak"],
         )
         save_report("fig4", text_out, {"rows": rows, "meta": header[0]})
@@ -86,17 +69,16 @@ def db():
 
 
 def test_fig4_signal_query(benchmark, db):
-    _, text = pick_query(db)
     benchmark.pedantic(
-        lambda: db.query(STREAM, text, method="btree", cold=True),
+        lambda: db.query(STREAM, ENTERED_ROOM_QUERY, method="btree",
+                         cold=True),
         rounds=3, iterations=1,
     )
 
 
 def test_fig4_shape_peak_dominates(db):
     """The signal has a clear dominant peak (thresholdable, §2.2)."""
-    _, text = pick_query(db)
-    result = db.query(STREAM, text, method="btree")
+    result = db.query(STREAM, ENTERED_ROOM_QUERY, method="btree")
     probs = sorted((p for _, p in result.signal), reverse=True)
     assert probs, "the query matched nowhere"
     assert probs[0] > 0.01
@@ -104,9 +86,8 @@ def test_fig4_shape_peak_dominates(db):
 
 def test_fig4_naive_and_btree_agree(db):
     """Alg 1 and Alg 2 compute the same signal on emitted timesteps."""
-    _, text = pick_query(db)
-    naive = dict(db.query(STREAM, text, method="naive").signal)
-    btree = db.query(STREAM, text, method="btree").signal
+    naive = dict(db.query(STREAM, ENTERED_ROOM_QUERY, method="naive").signal)
+    btree = db.query(STREAM, ENTERED_ROOM_QUERY, method="btree").signal
     for t, p in btree:
         assert abs(naive.get(t, 0.0) - p) < 1e-9
 

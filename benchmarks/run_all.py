@@ -8,11 +8,11 @@ Usage::
 Writes one text + JSON report per figure under ``benchmarks/results/``;
 EXPERIMENTS.md summarizes them against the paper's claims.
 
-Figure modules are imported lazily: figures whose layers are not yet
-built (see ROADMAP.md) are reported as skipped instead of crashing the
-whole run. The run emits a ``results/run_all.manifest.json`` manifest
-— one span per figure — so two regeneration runs are diffable with
-``python -m repro.obs.report``.
+Figure 10 (the multi-link hallway-chain query table) is not
+reproduced: its queries need the paper's building floorplan, which the
+synthetic world does not have. The run emits a
+``results/run_all.manifest.json`` manifest — one span per figure — so
+two regeneration runs are diffable with ``python -m repro.obs.report``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ FIGURES = [
     ("fig9a", "bench_fig9a_variable"),
     ("fig9b", "bench_fig9b_real_variable"),
     ("fig9c", "bench_fig9c_accuracy"),
-    ("fig10", "bench_fig10_table"),
     ("fig11a", "bench_fig11a_mc_lookup"),
     ("fig11b", "bench_fig11b_mc_storage"),
     ("ablation_merge", "bench_ablation_merge"),
@@ -44,31 +43,15 @@ FIGURES = [
 ]
 
 
-def _load(module_name: str):
-    """The figure module, or the missing repro layer's name."""
-    try:
-        return importlib.import_module(f".{module_name}", __package__), None
-    except ModuleNotFoundError as exc:
-        name = exc.name or ""
-        if name == "repro" or name.startswith("repro."):
-            return None, ".".join(name.split(".")[:2])
-        raise
-
-
 def main(only=None) -> int:
     start = time.time()
     registry = MetricsRegistry()
     manifest, tracer = start_run("run_all", registry=registry)
-    done, skipped = [], []
+    done = []
     for name, module_name in FIGURES:
         if only and name not in only:
             continue
-        module, missing = _load(module_name)
-        if module is None:
-            print(f"[{name}] skipped: needs the {missing} layer "
-                  "(not yet implemented, see ROADMAP.md)")
-            skipped.append({"figure": name, "missing_layer": missing})
-            continue
+        module = importlib.import_module(f".{module_name}", __package__)
         print(f"\n##### {name} " + "#" * 40)
         t0 = time.time()
         with tracer.span("figure", figure=name):
@@ -77,10 +60,10 @@ def main(only=None) -> int:
         done.append(name)
     path = finish_run(
         manifest, tracer, registry=registry,
-        extra={"figures_done": done, "figures_skipped": skipped},
+        extra={"figures_done": done},
     )
-    print(f"\n{len(done)} figure(s) regenerated, {len(skipped)} skipped "
-          f"in {time.time() - start:.1f}s; reports in benchmarks/results/")
+    print(f"\n{len(done)} figure(s) regenerated in "
+          f"{time.time() - start:.1f}s; reports in benchmarks/results/")
     print(f"run manifest: {path}")
     return 0
 

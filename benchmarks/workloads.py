@@ -1,13 +1,10 @@
 """Workload construction and caching for the benchmark suite.
 
-Datasets mirror §4.1:
+Datasets mirror §4.1, built by :mod:`repro.streams.synthetic`:
 
 - **synthetic** (§4.1.1): snippet-concatenated streams with controlled
-  data density and query-match rate. When the RFID simulator
-  (:mod:`repro.rfid`) is available these live in the paper-scale
-  two-floor building (30,000 timesteps at full scale); until then the
-  streams-level generator (:mod:`repro.streams.synthetic`) provides the
-  same snippet construction over a small cell grid.
+  data density and query-match rate over a small cell grid with one
+  doorway and one target room.
 - **routines** (§4.1.2): simulated daily routines — the "real data"
   substitute with bimodal density.
 
@@ -22,23 +19,10 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core import Caldera
-from repro.streams import Layout
-
-try:  # The building/antenna simulator is a later PR.
-    from repro.rfid import (  # noqa: F401
-        RFIDSensorModel,
-        default_deployment,
-        routine_dataset,
-        synthesize_stream,
-        uw_building,
-    )
-
-    HAVE_RFID = True
-except ModuleNotFoundError:
-    HAVE_RFID = False
+from repro.streams import Layout, routine_stream, synthetic_stream
 
 CACHE_ROOT = os.environ.get(
     "REPRO_BENCH_CACHE",
@@ -54,41 +38,15 @@ ROUTINE_PEOPLE = 8 if FULL_SCALE else 4
 
 PAGE_SIZE = 8192
 
-if HAVE_RFID:
-    #: The synthetic target: an office off floor-0 corridor-0 segment 5.
-    TARGET_ROOM = "F0C0R5a"
-    TARGET_DOORWAY = "F0C0H5"
-else:
-    TARGET_ROOM = "Room"
-    TARGET_DOORWAY = "Door"
+#: The synthetic world's target room and the doorway into it.
+TARGET_ROOM = "Room"
+TARGET_DOORWAY = "Door"
 
 ENTERED_ROOM_QUERY = f"location={TARGET_DOORWAY} -> location={TARGET_ROOM}"
 ENTERED_ROOM_KLEENE = (
     f"location={TARGET_DOORWAY} -> "
     f"(!location={TARGET_ROOM})* location={TARGET_ROOM}"
 )
-
-_world_cache: Dict[str, object] = {}
-
-
-def world():
-    """The shared building, sensors, and state space (memoized).
-
-    Requires :mod:`repro.rfid`.
-    """
-    if not HAVE_RFID:
-        raise ModuleNotFoundError("repro.rfid is not implemented yet")
-    if not _world_cache:
-        plan = uw_building()
-        sensors = RFIDSensorModel(plan, default_deployment(plan))
-        _world_cache["plan"] = plan
-        _world_cache["sensors"] = sensors
-        _world_cache["space"] = plan.state_space()
-    return (
-        _world_cache["plan"],
-        _world_cache["sensors"],
-        _world_cache["space"],
-    )
 
 
 def _cache_dir(kind: str, params: Dict) -> Tuple[str, bool]:
@@ -123,7 +81,7 @@ def synthetic_db(
     """A Caldera DB holding one synthetic stream per requested layout.
 
     Stream names are ``syn_{layout.value}``. Indexed with BT_C and BT_P
-    (plus the MC index when ``mc_alpha`` is set — requires the MC PR).
+    (plus the MC index when ``mc_alpha`` is set).
     """
     num_snippets = num_snippets if num_snippets is not None else SYNTHETIC_SNIPPETS
     params = {
@@ -134,26 +92,15 @@ def synthetic_db(
         "seed": seed,
         "mc_alpha": mc_alpha,
         "target": TARGET_ROOM,
-        "rfid": HAVE_RFID,
     }
     path, built = _cache_dir("synthetic", params)
     db = Caldera(path, page_size=PAGE_SIZE)
     if built:
         return db
-    if HAVE_RFID:
-        plan, sensors, space = world()
-        stream = synthesize_stream(
-            plan, sensors, "syn", target_room=TARGET_ROOM,
-            num_snippets=num_snippets, density=density,
-            match_rate=match_rate, seed=seed, space=space, prune=1e-3,
-        )
-    else:
-        from repro.streams import synthetic_stream
-
-        stream = synthetic_stream(
-            "syn", num_snippets=num_snippets, density=density,
-            match_rate=match_rate, seed=seed,
-        )
+    stream = synthetic_stream(
+        "syn", num_snippets=num_snippets, density=density,
+        match_rate=match_rate, seed=seed,
+    )
     for layout in layouts:
         stream.name = f"syn_{layout.value}"
         db.archive(stream, layout=layout, mc_alpha=mc_alpha)
@@ -169,8 +116,7 @@ def routines_db(
     mc_alpha: Optional[int] = None,
 ) -> Caldera:
     """A Caldera DB holding the routine ("real data") streams
-    ``person0..personN`` (plus the LocationType dimension table when
-    the RFID simulator provides one)."""
+    ``person0..personN``."""
     num_people = num_people if num_people is not None else ROUTINE_PEOPLE
     duration = duration if duration is not None else ROUTINE_DURATION
     params = {
@@ -179,83 +125,17 @@ def routines_db(
         "seed": seed,
         "layout": layout.value,
         "mc_alpha": mc_alpha,
-        "rfid": HAVE_RFID,
     }
     path, built = _cache_dir("routines", params)
     db = Caldera(path, page_size=PAGE_SIZE)
     if built:
         return db
-    if HAVE_RFID:
-        plan, sensors, space = world()
-        db.register_dimension_table("LocationType", plan.dimension_table())
-        streams = routine_dataset(
-            plan, sensors, num_people=num_people, duration=duration,
-            seed=seed, space=space, prune=1e-3,
+    snippets = max(3, duration // 30)
+    for person in range(num_people):
+        stream = routine_stream(
+            f"person{person}", num_snippets=snippets, seed=seed + person,
         )
-        for stream in streams:
-            db.archive(stream, layout=layout, mc_alpha=mc_alpha,
-                       join_tables=("LocationType",))
-    else:
-        from repro.streams import routine_stream
-
-        snippets = max(3, duration // 30)
-        for person in range(num_people):
-            stream = routine_stream(
-                f"person{person}", num_snippets=snippets,
-                seed=seed + person,
-            )
-            db.archive(stream, layout=layout, mc_alpha=mc_alpha)
+        db.archive(stream, layout=layout, mc_alpha=mc_alpha)
     _mark_built(path, params)
     return db
 
-
-def room_queries_for(db: Caldera, stream_name: str, count: int = 22,
-                     variable: bool = False) -> List[Tuple[str, str]]:
-    """Entered-Room queries for rooms spanning the density spectrum.
-
-    Mirrors §4.2.2's 22 Entered-Room queries on one real stream: one
-    query per room (its doorway then the room), ordered by decreasing
-    data density, sampled across the spectrum. Returns (room, query
-    text) pairs. Without the RFID building there is a single room, so
-    the list collapses to one query.
-    """
-    if not HAVE_RFID:
-        text = ENTERED_ROOM_KLEENE if variable else ENTERED_ROOM_QUERY
-        return [(TARGET_ROOM, text)]
-    plan, _, space = world()
-    from repro.rfid import HALLWAY
-
-    reader = db.reader(stream_name)
-    # Room densities w.r.t. the stream (marginal support).
-    relevant_counts: Dict[str, int] = {}
-    room_doorway: Dict[str, str] = {}
-    rooms = [n for n in plan.names() if plan.kind_of(n) != HALLWAY]
-    for room in rooms:
-        halls = [n for n in plan.neighbors(room) if plan.kind_of(n) == HALLWAY]
-        room_doorway[room] = halls[0]
-        relevant_counts[room] = 0
-    room_states = {
-        room: space.states_with_value("location", room) for room in rooms
-    }
-    door_states = {
-        room: space.states_with_value("location", room_doorway[room])
-        for room in rooms
-    }
-    for _t, marginal in reader.scan_marginals():
-        for room in rooms:
-            if any(s in marginal for s in room_states[room]) or any(
-                s in marginal for s in door_states[room]
-            ):
-                relevant_counts[room] += 1
-    ranked = sorted(rooms, key=lambda r: -relevant_counts[r])
-    nonzero = [r for r in ranked if relevant_counts[r] > 0]
-    take = nonzero[: max(count, 1)]
-    queries = []
-    for room in take:
-        door = room_doorway[room]
-        if variable:
-            text = f"location={door} -> (!location={room})* location={room}"
-        else:
-            text = f"location={door} -> location={room}"
-        queries.append((room, text))
-    return queries

@@ -1,100 +1,42 @@
 """Quickstart: archive a Markovian stream and query it with Caldera.
 
-Walks the full pipeline of the paper's Figure 1 on a small building:
+Builds a synthetic Markovian stream (§4.1.1: a person wanders a
+corridor and now and then walks through a doorway into a room),
+archives it with the BT_C / BT_P / MC indexes, and runs the paper's
+Entered-Room query — fixed-length, then with a Kleene closure — under
+several access methods, printing each answer's peak and its cost.
 
-1. simulate a person (Bob) carrying an RFID tag through the building;
-2. smooth the noisy antenna readings into a Markovian stream (HMM
-   forward-backward smoothing);
-3. archive the stream with BT_C / BT_P / MC indexes;
-4. run an Entered-Room event query with several access methods and
-   compare their answers and costs.
-
-Run: ``python examples/quickstart.py``
+Run: ``PYTHONPATH=src python examples/quickstart.py``
 """
 
-import random
 import tempfile
 
 from repro.core import Caldera
-from repro.rfid import (
-    Antenna,
-    RFIDSensorModel,
-    demo_building,
-    simulate_tag,
-    smooth_trace,
-)
+from repro.streams import synthetic_stream
 
+ENTERED_ROOM = "location=Door -> location=Room"
+ENTERED_ROOM_KLEENE = "location=Door -> (!location=Room)* location=Room"
 
-def main() -> None:
-    # --- 1. the world: a small building with three corridor antennas ----
-    plan = demo_building()
-    sensors = RFIDSensorModel(
-        plan, [Antenna("A1", "H2"), Antenna("A2", "H4"), Antenna("A3", "H6")]
-    )
-    rng = random.Random(42)
+stream = synthetic_stream("bob", num_snippets=40, density=0.2, seed=7)
 
-    # Bob: office -> coffee room -> office (ground truth, one step/second).
-    path = (
-        ["O1"] * 10
-        + plan.shortest_path("O1", "Coffee")[1:]
-        + ["Coffee"] * 8
-        + plan.shortest_path("Coffee", "O1")[1:]
-        + ["O1"] * 10
-    )
-    trace = simulate_tag(sensors, "bob", path, rng)
-    detections = sum(1 for o in trace.observations if o)
-    print(f"simulated {len(path)} timesteps; antennas fired on "
-          f"{detections} of them")
+with tempfile.TemporaryDirectory() as tmp, Caldera(tmp) as db:
+    db.archive(stream, layout="separated", mc_alpha=2)
+    print(f"archived {stream.name!r}: {len(stream)} timesteps")
 
-    # --- 2. smooth into a Markovian stream ------------------------------
-    stream = smooth_trace(plan, sensors, trace)
-    t_mid = len(path) // 2
-    mode, p = stream.marginal(t_mid).max_state()
-    loc = stream.space.attribute_value(mode, "location")
-    print(f"smoothed marginal at t={t_mid}: most likely at {loc} (p={p:.2f}); "
-          f"ground truth {path[t_mid]}")
+    # Fixed-length: naive scan (Alg 1), B+Tree (Alg 2), top-k (Alg 3).
+    print(f"\nquery: {ENTERED_ROOM}")
+    for method, k in (("naive", None), ("btree", None), ("topk", 1)):
+        result = db.query("bob", ENTERED_ROOM, method=method, k=k)
+        t, p = result.peak()
+        print(f"  {method:>6}: peak p={p:.3f} at t={t} "
+              f"({result.stats.summary()})")
+    print(f"  planner chooses: {db.explain('bob', ENTERED_ROOM).name}")
 
-    # --- 3. archive with indexes ----------------------------------------
-    with tempfile.TemporaryDirectory() as tmp:
-        with Caldera(tmp) as db:
-            db.register_dimension_table("LocationType", plan.dimension_table())
-            db.archive(stream, layout="separated", mc_alpha=2,
-                       join_tables=("LocationType",))
-            print(f"archived {stream.name!r}: "
-                  f"{len(db.storage_report())} database files")
-
-            # --- 4. event queries ----------------------------------------
-            # Fixed-length: "when did Bob enter the coffee room?"
-            entered = "location=H3 -> location=Coffee"
-            print(f"\nquery: {entered}")
-            for method in ("naive", "btree"):
-                result = db.query("bob", entered, method=method)
-                peak = result.peak()
-                print(f"  {method:>6}: peak p={peak[1]:.3f} at t={peak[0]} "
-                      f"({result.stats.summary()})")
-
-            # Auto-planned (the planner picks the B+Tree method):
-            decision = db.explain("bob", entered)
-            print(f"  planner chooses: {decision.name} — {decision.reason}")
-
-            # Top-1 retrieval via the top-k B+Tree method:
-            top = db.query("bob", entered, k=1)
-            print(f"  top-1: {top.signal}")
-
-            # Variable-length with a dimension predicate: "Bob left the
-            # hallway and eventually reached ANY coffee room".
-            coffee_break = (
-                "dim(location,LocationType)=Hallway -> "
-                "(!dim(location,LocationType)=CoffeeRoom)* "
-                "dim(location,LocationType)=CoffeeRoom"
-            )
-            print(f"\nquery: {coffee_break}")
-            for method in ("naive", "mc", "semi"):
-                result = db.query("bob", coffee_break, method=method)
-                peak = result.peak()
-                print(f"  {method:>6}: peak p={peak[1]:.3f} at t={peak[0]} "
-                      f"({result.stats.summary()})")
-
-
-if __name__ == "__main__":
-    main()
+    # Variable-length: naive scan, MC index (Alg 4), semi-independent
+    # approximation (Alg 5).
+    print(f"\nquery: {ENTERED_ROOM_KLEENE}")
+    for method in ("naive", "mc", "semi"):
+        result = db.query("bob", ENTERED_ROOM_KLEENE, method=method)
+        t, p = result.peak()
+        print(f"  {method:>6}: peak p={p:.3f} at t={t} "
+              f"({result.stats.summary()})")

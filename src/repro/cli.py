@@ -24,10 +24,8 @@ from typing import List, Optional
 
 from .errors import ReproError
 
-# The engine (repro.core) pulls in every layer of the stack; while some
-# layers are still unbuilt, importing it at module scope would make even
-# ``python -m repro --help`` crash. Subcommands import it lazily and
-# main() turns a missing repro.* module into a clear diagnostic.
+# The engine (repro.core) pulls in every layer of the stack; subcommands
+# import it lazily so ``python -m repro --help`` stays cheap.
 
 
 def _engine():
@@ -297,20 +295,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out)
-    except ModuleNotFoundError as exc:
-        name = exc.name or ""
-        if name == "repro" or name.startswith("repro."):
-            layer = ".".join(name.split(".")[:2])
-            print(
-                f"error: {args.command!r} needs the {layer} layer, which "
-                "is not yet implemented in this repo (see ROADMAP.md for "
-                "the build order; storage, probability, obs, streams, "
-                "query, lahar, indexes, access, and core are available "
-                "today — rfid is still to come)",
-                file=sys.stderr,
-            )
-            return 2
-        raise
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -78,51 +78,39 @@ def detect_events(
         (default ``enter / 2``); hysteresis absorbs jitter around the
         threshold.
     max_gap:
-        Additionally merge events separated by at most this many
-        timesteps (useful when the access method emits sparse signals).
+        An open event survives up to this many consecutive timesteps
+        below ``exit``, so events separated by at most ``max_gap`` such
+        timesteps merge. A timestep missing from the signal counts as
+        below ``exit``, as an explicit zero does, so the sparse signals
+        of the index methods and the dense ones of the naive scan yield
+        the same events.
     """
     if not 0.0 < enter <= 1.0:
         raise QueryError(f"enter threshold out of (0, 1]: {enter}")
     exit = exit if exit is not None else enter / 2.0
     if not 0.0 <= exit <= enter:
         raise QueryError(f"exit threshold must lie in [0, enter]: {exit}")
-    signal = _signal(source)
 
     events: List[Event] = []
     open_start: Optional[int] = None
-    peak_t = 0
-    peak_p = -1.0
-    last_t: Optional[int] = None
-
-    def close(end_t: int) -> None:
-        events.append(Event(open_start, end_t, peak_t, peak_p))
-
-    for t, p in signal:
-        if open_start is None:
-            if p >= enter:
-                open_start = t
-                peak_t, peak_p = t, p
-                last_t = t
-        else:
-            # Sparse signals: a missing timestep means probability 0
-            # there, so a hole wider than max_gap closes the event.
-            if last_t is not None and t - last_t > max_gap + 1:
-                close(last_t)
+    last_t = peak_t = 0  # last timestep at or above exit; the peak
+    peak_p = 0.0
+    for t, p in _signal(source):
+        if open_start is not None:
+            # Consecutive timesteps below exit since last_t, through t.
+            below = t - last_t - 1 + (p < exit)
+            if below > max_gap:
+                events.append(Event(open_start, last_t, peak_t, peak_p))
                 open_start = None
-                if p >= enter:
-                    open_start = t
-                    peak_t, peak_p = t, p
-                    last_t = t
-                continue
-            if p < exit:
-                close(last_t if last_t is not None else t)
-                open_start = None
-            else:
+            elif p >= exit:
                 if p > peak_p:
                     peak_t, peak_p = t, p
                 last_t = t
-    if open_start is not None and last_t is not None:
-        close(last_t)
+        if open_start is None and p >= enter:
+            open_start = last_t = peak_t = t
+            peak_p = p
+    if open_start is not None:
+        events.append(Event(open_start, last_t, peak_t, peak_p))
     return events
 
 

@@ -65,4 +65,4 @@ class StreamError(ReproError):
 
 
 class InferenceError(ReproError):
-    """HMM smoothing / particle filtering failed (e.g., impossible evidence)."""
+    """HMM smoothing failed (e.g., impossible evidence)."""

@@ -2,25 +2,17 @@
 
 - :class:`HiddenMarkovModel`, :class:`TabularEmission` — model definition;
 - :func:`smooth` — exact forward-backward smoothing (default generator);
-- :func:`particle_filter`, :func:`particle_smooth` — sample-based
-  inference (the paper's Fig 2 narrative);
 - :func:`viterbi` — MAP decoding for sanity checks.
 """
 
 from .forward_backward import smooth
-from .learn import baum_welch, log_likelihood
 from .model import EmissionModel, HiddenMarkovModel, TabularEmission
-from .particle import particle_filter, particle_smooth
 from .viterbi import viterbi
 
 __all__ = [
     "EmissionModel",
     "HiddenMarkovModel",
     "TabularEmission",
-    "baum_welch",
-    "log_likelihood",
-    "particle_filter",
-    "particle_smooth",
     "smooth",
     "viterbi",
 ]

@@ -8,8 +8,8 @@ sequence of observations (e.g., RFID tag reads). It combines:
 - *statistical likelihoods* — the emission model scores each observation
   against each candidate state.
 
-Emission models are pluggable: the RFID layer supplies one driven by
-antenna geometry; tests use :class:`TabularEmission`.
+Emission models are pluggable (any :class:`EmissionModel`); the
+examples and tests use :class:`TabularEmission`.
 """
 
 from __future__ import annotations

@@ -150,28 +150,12 @@ class CPT:
     # ------------------------------------------------------------------
     # Derived operations
     # ------------------------------------------------------------------
-    def transpose(self) -> "CPT":
-        """Edges reversed: ``out(x|y) = C(y|x)`` (unnormalized — rows of
-        the result are likelihood columns, useful for backward passes)."""
-        out: Dict[int, Dict[int, float]] = {}
-        for x, row in self._rows.items():
-            for y, p in row.items():
-                out.setdefault(y, {})[x] = p
-        return CPT(out)
-
     def mask_destinations(self, accept: Iterable[int]) -> "CPT":
         """Zero every transition into a state outside ``accept``
         (sub-stochastic conditioning for positive Kleene loops)."""
         keep = accept if isinstance(accept, (set, frozenset)) else set(accept)
         return CPT(
             {src: row.restrict_to(keep) for src, row in self._rows.items()}
-        )
-
-    def mask_sources(self, accept: Iterable[int]) -> "CPT":
-        """Drop every row whose source is outside ``accept``."""
-        keep = accept if isinstance(accept, (set, frozenset)) else set(accept)
-        return CPT(
-            {src: row for src, row in self._rows.items() if src in keep}
         )
 
     # ------------------------------------------------------------------

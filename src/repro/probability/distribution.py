@@ -52,7 +52,7 @@ class SparseDistribution:
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, float]) -> "SparseDistribution":
-        """Normalized frequencies (e.g. particle counts)."""
+        """Normalized frequencies (e.g. sample counts)."""
         total = sum(counts.values())
         if total <= 0.0:
             raise StreamError("counts sum to zero")

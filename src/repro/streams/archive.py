@@ -12,16 +12,18 @@ Three physical layouts trade that cost off differently:
     Marginal-only consumers (index builds, BT_C aggregation) touch only
     the small marginal tree; Reg-driven scans pay two lookups per step.
 
-``cell``
-    One tree, ``{name}__data``, one entry per timestep holding the
-    marginal *and* the CPT arriving into it (the paper's co-clustered
-    layout). One lookup per timestep for the access methods' hot path.
-
 ``packed``
-    Like ``cell`` but K consecutive cells framed into one entry keyed by
-    the frame's first timestep. A sequential scan costs ~1/K the logical
-    reads of ``cell`` — one descent amortized over K timesteps — at the
-    price of decoding (and, for point access, discarding) K cells.
+    One tree, ``{name}__data``, whose cells hold a timestep's marginal
+    *and* the CPT arriving into it; K consecutive cells are framed into
+    one entry keyed by the frame's first timestep. A sequential scan
+    costs ~1/K the logical reads of K = 1 — one descent amortized over K
+    timesteps — at the price of decoding (and, for point access,
+    discarding) K cells.
+
+``cell``
+    ``packed`` with K = 1: one entry per timestep (the paper's
+    co-clustered layout), byte for byte. Only the metadata record's
+    layout name differs.
 
 All layouts store one metadata record under the reserved key ``(-1,)``
 (timesteps are non-negative, so it sorts before every data key) with
@@ -88,24 +90,6 @@ def data_tree_name(stream: str) -> str:
     return f"{stream}__data"
 
 
-# ----------------------------------------------------------------------
-# Cell encoding
-# ----------------------------------------------------------------------
-def _encode_cell(marginal: SparseDistribution, cpt: Optional[CPT]) -> bytes:
-    """One timestep's archive cell: marginal + CPT-into (empty chunk at
-    t = 0, which has no incoming correlation)."""
-    return pack_chunks(
-        [marginal.to_bytes(), b"" if cpt is None else cpt.to_bytes()]
-    )
-
-
-def _decode_cell(data: bytes) -> Tuple[bytes, bytes]:
-    chunks, _ = unpack_chunks(data)
-    if len(chunks) != 2:
-        raise StorageError(f"bad archive cell: {len(chunks)} chunks")
-    return chunks[0], chunks[1]
-
-
 def _meta_value(layout: Layout, length: int, pack: int) -> bytes:
     return json.dumps(
         {"layout": layout.value, "length": length, "pack": pack}
@@ -146,17 +130,9 @@ def write_stream(
         )
         marg.flush()
         cpt.flush()
-    elif layout is Layout.CELL:
-        data = env.open_tree(data_tree_name(stream.name))
-        data.bulk_load(
-            [(META_KEY, _meta_value(layout, length, 1))]
-            + [
-                (encode_key((t,)), _encode_cell(m, c))
-                for t, m, c in stream.iter_cells()
-            ]
-        )
-        data.flush()
-    elif layout is Layout.PACKED:
+    else:
+        if layout is Layout.CELL:
+            pack = 1
         if pack < 1:
             raise StreamError(f"pack factor must be >= 1, got {pack}")
         data = env.open_tree(data_tree_name(stream.name))
@@ -173,8 +149,6 @@ def write_stream(
             items.append((encode_key((start,)), pack_chunks(chunks)))
         data.bulk_load(items)
         data.flush()
-    else:  # pragma: no cover - exhaustive over Layout
-        raise StreamError(f"unsupported layout {layout!r}")
     return open_reader(env, stream.name, stream.space, length, layout,
                        pack=pack)
 
@@ -289,59 +263,18 @@ class SeparatedReader(StreamReader):
         return CPT.from_bytes(data)
 
 
-class _CombinedReader(StreamReader):
-    """Shared scan plumbing for the cell-holding layouts: per-kind scans
-    route through :meth:`scan_cells`, so a full scan touches each
-    entry/frame exactly once instead of twice."""
-
-    def scan_marginals(self, start=0, stop=None):
-        for t, marginal, _ in self.scan_cells(start, stop):
-            yield t, marginal
-
-    def scan_cpts(self, start=1, stop=None):
-        for t, _, cpt in self.scan_cells(max(1, start), stop):
-            yield t, cpt
-
-
-class CellReader(_CombinedReader):
-    layout = Layout.CELL
+class PackedReader(StreamReader):
+    """Reader over the combined layouts: ``packed(K)``, and ``cell`` as
+    K = 1. Per-kind scans route through :meth:`scan_cells`, so a full
+    scan touches each frame exactly once instead of twice."""
 
     def __init__(self, data: BTree, name: str, space: StateSpace,
-                 length: int) -> None:
-        super().__init__(name, space, length)
-        self._data = data
-
-    def _cell(self, t: int) -> Tuple[bytes, bytes]:
-        data = self._data.get(encode_key((t,)))
-        if data is None:
-            raise StorageError(f"missing archive cell at t={t}")
-        return _decode_cell(data)
-
-    def marginal(self, t: int) -> SparseDistribution:
-        self._check_time(t)
-        return SparseDistribution.from_bytes(self._cell(t)[0])
-
-    def cpt_into(self, t: int) -> CPT:
-        self._check_time(t, lo=1)
-        return CPT.from_bytes(self._cell(t)[1])
-
-    def scan_cells(self, start=0, stop=None):
-        start, stop = self._clamp(start, stop)
-        for t in range(start, stop):
-            marg_bytes, cpt_bytes = self._cell(t)
-            marginal = SparseDistribution.from_bytes(marg_bytes)
-            cpt = None if t == 0 else CPT.from_bytes(cpt_bytes)
-            yield t, marginal, cpt
-
-
-class PackedReader(_CombinedReader):
-    layout = Layout.PACKED
-
-    def __init__(self, data: BTree, name: str, space: StateSpace,
-                 length: int, pack: int) -> None:
+                 length: int, pack: int,
+                 layout: Layout = Layout.PACKED) -> None:
         super().__init__(name, space, length)
         self._data = data
         self.pack = pack
+        self.layout = layout
         # One-frame cache: point access inside the last-touched frame
         # (marginal(t) then cpt_into(t), short interval walks) decodes
         # and fetches the frame once.
@@ -378,6 +311,14 @@ class PackedReader(_CombinedReader):
     def cpt_into(self, t: int) -> CPT:
         self._check_time(t, lo=1)
         return CPT.from_bytes(self._cell_chunks(t)[1])
+
+    def scan_marginals(self, start=0, stop=None):
+        for t, marginal, _ in self.scan_cells(start, stop):
+            yield t, marginal
+
+    def scan_cpts(self, start=1, stop=None):
+        for t, _, cpt in self.scan_cells(max(1, start), stop):
+            yield t, cpt
 
     def scan_cells(self, start=0, stop=None):
         start, stop = self._clamp(start, stop)
@@ -425,12 +366,13 @@ def open_reader(
             name, space, length,
         )
     data = env.open_tree(data_tree_name(name), create=False)
-    if length is None or (layout is Layout.PACKED and pack is None):
+    if layout is Layout.CELL:
+        pack = 1
+    if length is None or pack is None:
         meta = _read_meta(data)
         if meta is None:
             raise CatalogError(f"stream {name!r} has no archive metadata")
         length = meta["length"] if length is None else length
         pack = meta.get("pack", DEFAULT_PACK) if pack is None else pack
-    if layout is Layout.CELL:
-        return CellReader(data, name, space, length)
-    return PackedReader(data, name, space, length, pack or DEFAULT_PACK)
+    return PackedReader(data, name, space, length, pack or DEFAULT_PACK,
+                        layout=layout)

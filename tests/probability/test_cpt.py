@@ -84,19 +84,6 @@ def test_mask_destinations_is_substochastic(chain):
     assert 2 not in masked.destinations()
 
 
-def test_mask_sources_drops_rows(chain):
-    masked = chain.mask_sources([0, 2])
-    assert masked.sources() == {0, 2}
-    assert masked.row(1) == SparseDistribution()
-
-
-def test_transpose_reverses_edges(chain):
-    t = chain.transpose()
-    assert t.row(0).prob(2) == pytest.approx(0.5)
-    assert t.row(1).prob(0) == pytest.approx(0.3)
-    assert t.transpose().approx_equal(chain)
-
-
 def test_validate_cpt(chain):
     validate_cpt(chain)
     with pytest.raises(StreamError, match="mass"):

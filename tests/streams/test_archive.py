@@ -1,6 +1,7 @@
 """Archive round-trip tests: every layout must reproduce the stream
 bit-exactly through its :class:`StreamReader`."""
 
+import json
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from repro.streams import (
     single_attribute_space,
     write_stream,
 )
+from repro.streams.archive import META_KEY, data_tree_name
 
 LAYOUTS = [Layout.SEPARATED, Layout.CELL, Layout.PACKED]
 
@@ -139,3 +141,27 @@ def test_pack_must_be_positive(tmp_path):
 
 def test_default_pack_is_sane():
     assert DEFAULT_PACK >= 2
+
+
+def test_cell_is_packed_with_k_one(tmp_path):
+    """``cell`` writes the same data entries as ``packed`` with K = 1;
+    only the metadata record names a different layout."""
+    stream = random_stream(3, 9, 4)
+    with StorageEnvironment(str(tmp_path)) as env:
+        entries = {}
+        for layout in (Layout.CELL, Layout.PACKED):
+            stream.name = f"s_{layout.value}"
+            write_stream(env, stream, layout=layout, pack=1)
+            entries[layout] = dict(
+                env.open_tree(data_tree_name(stream.name)).items())
+        cell_meta = entries[Layout.CELL].pop(META_KEY)
+        packed_meta = entries[Layout.PACKED].pop(META_KEY)
+        assert len(entries[Layout.CELL]) == 9
+        assert entries[Layout.CELL] == entries[Layout.PACKED]
+        assert json.loads(cell_meta) == {"layout": "cell", "length": 9,
+                                         "pack": 1}
+        assert json.loads(packed_meta)["layout"] == "packed"
+
+        reader = open_reader(env, "s_cell", stream.space)
+        assert reader.layout is Layout.CELL
+        assert reader.pack == 1

@@ -74,18 +74,24 @@ def test_marginal_point_access_costs_height(env):
         assert env.stats.logical_reads == marg_tree.height
 
 
-def test_packed_point_access_costs_height_once_per_frame(env):
+@pytest.mark.parametrize("layout,pack", [(Layout.CELL, 1),
+                                         (Layout.PACKED, PACK)],
+                         ids=["cell", "packed"])
+def test_packed_point_access_costs_height_once_per_frame(env, layout, pack):
     """Point access in packed decodes a whole frame but still costs one
-    descent; accesses within the cached frame cost zero page reads."""
-    reader = _reader(env, Layout.PACKED)
-    tree = env.open_tree(data_tree_name("s_packed"))
+    descent; accesses within the cached frame cost zero page reads.
+    ``cell`` is the K = 1 case: its frame is one timestep."""
+    reader = _reader(env, layout)
+    assert reader.pack == pack
+    tree = env.open_tree(data_tree_name(f"s_{layout.value}"))
+    t = 2 * pack + 1
     env.pool.evict_all()
     env.stats.reset()
-    reader.marginal(17)
+    reader.marginal(t)
     assert env.stats.logical_reads == tree.height
     before = env.stats.logical_reads
-    reader.cpt_into(17)  # same frame: served from the reader's cache
-    reader.marginal(16)
+    reader.cpt_into(t)  # same frame: served from the reader's cache
+    reader.marginal(t - t % pack)
     assert env.stats.logical_reads == before
 
 

@@ -1,4 +1,4 @@
-"""The CLI must work (or fail helpfully) while layers are unbuilt."""
+"""The CLI subcommands run end to end and report errors as exit codes."""
 
 import pytest
 
@@ -15,9 +15,6 @@ def test_help_does_not_crash(capsys):
 
 
 def test_info_on_empty_database(tmp_path, capsys):
-    # Every layer `info` needs (streams, indexes with the MC index,
-    # access, core) is implemented, so this must not exit 2 with the
-    # "not yet implemented" diagnostic.
     rc = main(["info", str(tmp_path / "db")])
     assert rc == 0
     assert "no streams archived" in capsys.readouterr().out

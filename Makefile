@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install lint test test-fast bench bench-storage bench-streams \
-	bench-fig8b crash-sweep fsck figures figures-full examples clean
+	bench-fig8b crash-sweep fsck figures figures-full examples loc clean
 
 lint:
 	ruff check src tests benchmarks examples
@@ -76,6 +76,10 @@ examples:
 		echo "== $$ex"; \
 		PYTHONPATH=src $(PYTHON) $$ex || exit 1; \
 	done
+
+# Size of the library source: the lines of every .py file under src/.
+loc:
+	@find src -name '*.py' | xargs cat | wc -l
 
 clean:
 	rm -rf benchmarks/.cache benchmarks/.cache-full .pytest_cache \

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import PlanningError
 from ..indexes.btc import BTCIndex, PredicateChronoCursor
 from ..indexes.btp import BTPIndex, PredicateProbCursor
 from ..indexes.mc import MCIndex, MCLookupStats
 from ..lahar.reg import Reg
+from ..probability import SparseDistribution
 from ..query.predicates import Predicate
 from ..query.regular import RegularQuery
 from ..storage.stats import IOStats
@@ -179,8 +180,48 @@ class QueryContext:
             lambda term: self.btp[term.indexed_attr], terms
         )
 
-    def new_reg(self) -> Reg:
-        return Reg(self.query, self.space)
+
+class RegRun:
+    """The one place where archive reads feed Reg and get counted.
+
+    Every access method steps a run instead of calling the reader and
+    :class:`Reg` itself: each method below makes one point read and
+    counts it in the run's :class:`AccessStats`. Gap jumps whose CPT
+    comes from the MC index call :attr:`reg` directly; the index counts
+    its own reads in ``stats.mc_lookups``.
+    """
+
+    def __init__(self, ctx: QueryContext, stats: AccessStats) -> None:
+        self.reader = ctx.reader
+        self.reg = Reg(ctx.query, ctx.space)
+        self.stats = stats
+
+    def marginal(self, t: int) -> SparseDistribution:
+        """The marginal at ``t`` (also top-k's line-9 bound probe)."""
+        self.stats.marginals_read += 1
+        return self.reader.marginal(t)
+
+    def start(self, t: int) -> float:
+        """Start a fresh run on the marginal at ``t``."""
+        self.stats.reg_initializations += 1
+        return self.reg.initialize(self.marginal(t))
+
+    def step(self, t: int) -> float:
+        """Advance the run into ``t`` by the CPT from ``t - 1``."""
+        self.stats.cpts_read += 1
+        return self.reg.update(self.reader.cpt_into(t))
+
+    def interval(self, s: int, e: int) -> Iterator[Tuple[int, float]]:
+        """Yield ``(t, p)`` for every ``t`` in ``[s, e]``, starting a
+        fresh run at ``s``."""
+        yield s, self.start(s)
+        for t in range(s + 1, e + 1):
+            yield t, self.step(t)
+
+    def independent(self, t: int, span: int) -> float:
+        """Jump ``span`` steps to ``t`` under the independence
+        approximation (Algorithm 5): only the marginal at ``t`` is read."""
+        return self.reg.update_independent(self.marginal(t), span=span)
 
 
 class AccessMethod:
@@ -191,13 +232,14 @@ class AccessMethod:
     def run(self, ctx: QueryContext) -> QueryResult:
         """Execute, timing the run and capturing the I/O delta."""
         stats = AccessStats()
-        io_source = self._io_stats(ctx)
-        snap = io_source.snapshot() if io_source is not None else None
+        io = ctx.reader.io
+        snap = io.snapshot()
         t0 = time.perf_counter()
-        signal, match_count = self._execute(ctx, stats)
+        run = RegRun(ctx, stats)
+        signal, match_count = self._execute(ctx, run)
         stats.wall_time = time.perf_counter() - t0
-        if snap is not None:
-            stats.io = io_source.delta(snap)
+        stats.io = io.delta(snap)
+        stats.reg_updates = run.reg.updates_performed
         return QueryResult(
             method=self.name,
             query_name=ctx.query.name,
@@ -207,15 +249,5 @@ class AccessMethod:
         )
 
     # ------------------------------------------------------------------
-    def _execute(self, ctx: QueryContext, stats: AccessStats):
+    def _execute(self, ctx: QueryContext, run: RegRun):
         raise NotImplementedError
-
-    @staticmethod
-    def _io_stats(ctx: QueryContext) -> Optional[IOStats]:
-        # All trees of one environment share a stats object; grab it from
-        # any tree the reader owns.
-        for attr in ("_cpt", "_marg", "_data"):
-            tree = getattr(ctx.reader, attr, None)
-            if tree is not None:
-                return tree.stats
-        return None

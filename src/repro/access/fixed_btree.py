@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..errors import PlanningError, QueryError
-from .base import AccessMethod, AccessStats, QueryContext
+from .base import AccessMethod, QueryContext, RegRun
 
 
 class FixedBTree(AccessMethod):
@@ -36,7 +36,7 @@ class FixedBTree(AccessMethod):
     def __init__(self, merge_overlapping: bool = True) -> None:
         self.merge_overlapping = merge_overlapping
 
-    def _execute(self, ctx: QueryContext, stats: AccessStats):
+    def _execute(self, ctx: QueryContext, run: RegRun):
         query = ctx.query
         if not query.is_fixed_length:
             raise QueryError(
@@ -57,28 +57,20 @@ class FixedBTree(AccessMethod):
             )
 
         anchors = self._intersect(cursors, n, ctx.start, ctx.stop)
-        stats.candidates_examined = len(anchors)
+        run.stats.candidates_examined = len(anchors)
         if self.merge_overlapping:
             intervals = merge_intervals(anchors, n)
         else:
             intervals = [(s, s + n - 1) for s in anchors]
 
-        reg = ctx.new_reg()
         emitted: dict = {}
         for start, end in intervals:
-            p = reg.initialize(ctx.reader.marginal(start))
-            stats.reg_initializations += 1
-            stats.marginals_read += 1
             # In unmerged mode overlapping intervals revisit timesteps; a
             # timestep's true probability is the best (complete-alignment)
             # value, so keep the max.
-            emitted[start] = max(p, emitted.get(start, 0.0))
-            for t, cpt in ctx.reader.scan_cpts(start + 1, end + 1):
-                p = reg.update(cpt)
-                stats.cpts_read += 1
-                stats.reg_updates += 1
+            for t, p in run.interval(start, end):
                 emitted[t] = max(p, emitted.get(t, 0.0))
-            stats.intervals_processed += 1
+            run.stats.intervals_processed += 1
         signal: List[Tuple[int, float]] = sorted(emitted.items())
         return signal, len(anchors)
 

@@ -25,7 +25,7 @@ import heapq
 from typing import List, Optional, Set, Tuple
 
 from ..errors import PlanningError, QueryError
-from .base import AccessMethod, AccessStats, QueryContext
+from .base import AccessMethod, QueryContext, RegRun
 
 
 class FixedTopK(AccessMethod):
@@ -62,7 +62,7 @@ class FixedTopK(AccessMethod):
         self.enhanced_pruning = enhanced_pruning
 
     # ------------------------------------------------------------------
-    def _execute(self, ctx: QueryContext, stats: AccessStats):
+    def _execute(self, ctx: QueryContext, run: RegRun):
         query = ctx.query
         if not query.is_fixed_length:
             raise QueryError(
@@ -87,7 +87,7 @@ class FixedTopK(AccessMethod):
         # best: min-heap of (p, t) holding the current top k.
         best: List[Tuple[float, int]] = []
         seen: Set[int] = set()
-        reg = ctx.new_reg()
+        stats = run.stats
 
         def kth_best() -> float:
             if self.threshold is not None:
@@ -124,9 +124,7 @@ class FixedTopK(AccessMethod):
             bounds: List[float] = []
             pruned = False
             for j in range(n):
-                marginal = ctx.reader.marginal(start + j)
-                stats.marginals_read += 1
-                mass = marginal.mass_on(phi_sets[j])
+                mass = run.marginal(start + j).mass_on(phi_sets[j])
                 if mass <= 0.0:
                     pruned = True
                     break
@@ -139,14 +137,7 @@ class FixedTopK(AccessMethod):
                 continue
 
             # Lines 10-12: evaluate the interval through Reg.
-            p = reg.initialize(ctx.reader.marginal(start))
-            stats.reg_initializations += 1
-            stats.marginals_read += 1
-            for _t, cpt in ctx.reader.scan_cpts(start + 1, start + n):
-                p = reg.update(cpt)
-                stats.cpts_read += 1
-                stats.reg_updates += 1
-            match_time = start + n - 1
+            match_time, p = list(run.interval(start, start + n - 1))[-1]
             if self.threshold is not None:
                 if p >= self.threshold:
                     heapq.heappush(best, (p, match_time))

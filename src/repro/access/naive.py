@@ -7,9 +7,7 @@ Reads one marginal and ``M - 1`` CPTs regardless of the query.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-from .base import AccessMethod, AccessStats, QueryContext
+from .base import AccessMethod, QueryContext, RegRun
 
 
 class NaiveScan(AccessMethod):
@@ -17,18 +15,5 @@ class NaiveScan(AccessMethod):
 
     name = "naive"
 
-    def _execute(self, ctx: QueryContext, stats: AccessStats):
-        reg = ctx.new_reg()
-        signal: List[Tuple[int, float]] = []
-
-        p = reg.initialize(ctx.reader.marginal(ctx.start))
-        stats.reg_initializations += 1
-        stats.marginals_read += 1
-        signal.append((ctx.start, p))
-
-        for t, cpt in ctx.reader.scan_cpts(ctx.start + 1, ctx.stop):
-            p = reg.update(cpt)
-            stats.cpts_read += 1
-            signal.append((t, p))
-        stats.reg_updates = reg.updates_performed
-        return signal, 0
+    def _execute(self, ctx: QueryContext, run: RegRun):
+        return list(run.interval(ctx.start, ctx.stop - 1)), 0

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .base import AccessMethod, AccessStats, QueryContext
+from .base import AccessMethod, QueryContext, RegRun
 from .variable_mc import collect_relevant_events
 
 
@@ -39,31 +39,20 @@ class SemiIndependent(AccessMethod):
 
     name = "semi"
 
-    def _execute(self, ctx: QueryContext, stats: AccessStats):
-        reader = ctx.reader
+    def _execute(self, ctx: QueryContext, run: RegRun):
         predicates = ctx.query.indexable_predicates()
         events = collect_relevant_events(ctx, predicates)
-        if not events:
-            return [], 0
-
-        reg = ctx.new_reg()
         signal: List[Tuple[int, float]] = []
         t_prev: Optional[int] = None
         for t, _matched in events:
             if t_prev is None:
-                p = reg.initialize(reader.marginal(t))
-                stats.reg_initializations += 1
-                stats.marginals_read += 1
+                p = run.start(t)
             elif t == t_prev + 1:
                 # Adjacent: the exact CPT is one access away (line 9).
-                p = reg.update(reader.cpt_into(t))
-                stats.cpts_read += 1
-                stats.reg_updates += 1
+                p = run.step(t)
             else:
                 # Distant: independence approximation (line 11).
-                p = reg.update_independent(reader.marginal(t), span=t - t_prev)
-                stats.marginals_read += 1
-                stats.reg_updates += 1
+                p = run.independent(t, span=t - t_prev)
             signal.append((t, p))
             t_prev = t
         return signal, 0

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import PlanningError
-from .base import AccessMethod, AccessStats, QueryContext
+from .base import AccessMethod, QueryContext, RegRun
 
 
 def collect_relevant_events(ctx: QueryContext, predicates):
@@ -58,9 +58,10 @@ class VariableMC(AccessMethod):
     def __init__(self, use_conditioned: bool = False) -> None:
         self.use_conditioned = use_conditioned
 
-    def _execute(self, ctx: QueryContext, stats: AccessStats):
+    def _execute(self, ctx: QueryContext, run: RegRun):
         query = ctx.query
         reader = ctx.reader
+        mc_stats = run.stats.mc_lookups
         if ctx.mc is None:
             raise PlanningError("the MC-index method needs the MC index")
         predicates = query.indexable_predicates()
@@ -93,7 +94,6 @@ class VariableMC(AccessMethod):
                     loop_pred_id = idx
                     break
 
-        reg = ctx.new_reg()
         signal: List[Tuple[int, float]] = []
         t_prev: Optional[int] = None
         skipped_loop_run = False
@@ -112,29 +112,26 @@ class VariableMC(AccessMethod):
                     continue
 
             if t_prev is None:
-                p = reg.initialize(reader.marginal(t))
-                stats.reg_initializations += 1
-                stats.marginals_read += 1
+                p = run.start(t)
+            elif t == t_prev + 1 and not skipped_loop_run:
+                p = run.step(t)
             else:
+                # Gap jump: the span CPT comes from the MC index, which
+                # counts its own reads in mc_stats.
                 gap = t - t_prev
-                if gap == 1 and not skipped_loop_run:
-                    p = reg.update(reader.cpt_into(t))
-                    stats.cpts_read += 1
-                    stats.reg_updates += 1
-                else:
-                    plain = ctx.mc.compute_cpt(
+                plain = ctx.mc.compute_cpt(
+                    t_prev, t, reader,
+                    min_level=ctx.mc_min_level, stats=mc_stats,
+                )
+                if skipped_loop_run:
+                    cond = conditioned.compute_conditioned_cpt(
                         t_prev, t, reader,
-                        min_level=ctx.mc_min_level, stats=stats.mc_lookups,
+                        min_level=ctx.mc_min_level, stats=mc_stats,
                     )
-                    if skipped_loop_run:
-                        cond = conditioned.compute_conditioned_cpt(
-                            t_prev, t, reader,
-                            min_level=ctx.mc_min_level, stats=stats.mc_lookups,
-                        )
-                        p = reg.update_loop_span(loop_state, plain, cond, span=gap)
-                    else:
-                        p = reg.update_span(plain, span=gap)
-                    stats.reg_updates += 1
+                    p = run.reg.update_loop_span(loop_state, plain, cond,
+                                                 span=gap)
+                else:
+                    p = run.reg.update_span(plain, span=gap)
             signal.append((t, p))
             t_prev = t
             skipped_loop_run = False

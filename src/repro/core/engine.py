@@ -360,7 +360,8 @@ class Caldera:
             reader = self.reader(stream_name)
             sets = query.relevant_state_sets(meta.space)
             union = frozenset().union(*sets) if sets else frozenset()
-            for t, marginal in reader.scan_marginals():
+            for t in range(meta.length):
+                marginal = reader.marginal(t)
                 if any(s in marginal for s in union):
                     relevant.add(t)
         return len(relevant) / meta.length if meta.length else 0.0

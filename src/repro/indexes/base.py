@@ -70,10 +70,6 @@ class IndexedAttribute:
         return cls(f"{attribute}{JOIN_SEPARATOR}{table_name}", value_of, codes)
 
     # ------------------------------------------------------------------
-    @property
-    def is_join(self) -> bool:
-        return JOIN_SEPARATOR in self.name
-
     def code(self, value) -> int:
         try:
             return self._codes[value]
@@ -84,10 +80,6 @@ class IndexedAttribute:
 
     def has_value(self, value) -> bool:
         return value in self._codes
-
-    def value_of_state(self, state_id: int):
-        """The indexed value for one state id (None = not indexed)."""
-        return self._value_of_state(state_id)
 
     def aggregate(self, marginal: SparseDistribution) -> Dict[object, float]:
         """Per indexed value, the summed marginal probability (§3.4.1:

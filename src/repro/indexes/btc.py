@@ -12,7 +12,7 @@ entries has zero mass on every query predicate).
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..errors import QueryError
 from ..storage import BTree, encode_key, prefix_upper_bound
@@ -44,30 +44,6 @@ class BTCIndex:
         self.tree.bulk_load(items)
         self.tree.flush()
         return len(items)
-
-    # ------------------------------------------------------------------
-    def lookup(self, value, t: int) -> Optional[float]:
-        """The indexed probability of ``value`` at ``t`` (None if zero)."""
-        if not self.indexed.has_value(value):
-            return None
-        data = self.tree.get(encode_key((self.indexed.code(value), t)))
-        if data is None:
-            return None
-        return _PROB.unpack(data)[0]
-
-    def scan_value(
-        self, value, start_time: int = 0
-    ) -> Iterator[Tuple[int, float]]:
-        """Yield ``(t, prob)`` chronologically for one attribute value."""
-        if not self.indexed.has_value(value):
-            return
-        code = self.indexed.code(value)
-        prefix = encode_key((code,))
-        lo = encode_key((code, start_time))
-        hi = prefix_upper_bound(prefix)
-        for key, data in self.tree.range_items(lo, hi):
-            t = decode_key(key)[1]
-            yield t, _PROB.unpack(data)[0]
 
 
 class ChronoCursor:

@@ -14,7 +14,7 @@ exact sorted access with a single cursor.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..errors import QueryError
 from ..storage import BTree, Desc, encode_key, prefix_upper_bound
@@ -40,16 +40,6 @@ class BTPIndex:
         self.tree.bulk_load(items)
         self.tree.flush()
         return len(items)
-
-    def scan_value(self, value) -> Iterator[Tuple[float, int]]:
-        """Yield ``(prob, t)`` in decreasing probability for one value."""
-        if not self.indexed.has_value(value):
-            return
-        code = self.indexed.code(value)
-        prefix = encode_key((code,))
-        for key, _ in self.tree.range_items(prefix, prefix_upper_bound(prefix)):
-            decoded = decode_key(key)
-            yield decoded[1], decoded[2]
 
 
 class ProbCursor:

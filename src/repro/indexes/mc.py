@@ -159,7 +159,8 @@ class MCIndex:
         if self.max_level >= 1:
             acc: Optional[CPT] = None
             start = 0
-            for t, cpt in reader.scan_cpts():
+            for t in range(1, reader.length):
+                cpt = reader.cpt_into(t)
                 if accept is not None:
                     cpt = cpt.mask_destinations(accept)
                 acc = cpt if acc is None else acc.compose(cpt)

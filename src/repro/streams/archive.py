@@ -10,15 +10,15 @@ Three physical layouts trade that cost off differently:
 ``separated``
     Two trees, ``{name}__marg`` and ``{name}__cpt``, keyed by timestep.
     Marginal-only consumers (index builds, BT_C aggregation) touch only
-    the small marginal tree; Reg-driven scans pay two lookups per step.
+    the small marginal tree; a Reg-driven scan reads only the CPT into
+    each step, so it too pays one lookup per step.
 
 ``packed``
     One tree, ``{name}__data``, whose cells hold a timestep's marginal
     *and* the CPT arriving into it; K consecutive cells are framed into
-    one entry keyed by the frame's first timestep. A sequential scan
-    costs ~1/K the logical reads of K = 1 — one descent amortized over K
-    timesteps — at the price of decoding (and, for point access,
-    discarding) K cells.
+    one entry keyed by the frame's first timestep. The reader caches the
+    last frame it fetched, so K consecutive point reads cost one descent:
+    a sequential walk costs ~1/K the logical reads of K = 1.
 
 ``cell``
     ``packed`` with K = 1: one entry per timestep (the paper's
@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import enum
 import json
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ..errors import CatalogError, StorageError, StreamError
 from ..probability import CPT, SparseDistribution
 from ..storage import BTree, StorageEnvironment, encode_key
 from ..storage.record import pack_chunks, unpack_chunks
+from ..storage.stats import IOStats
 from .markovian import MarkovianStream
 from .schema import StateSpace
 
@@ -159,19 +160,22 @@ def write_stream(
 class StreamReader:
     """Uniform read API over an archived stream, any layout.
 
-    Point access (``marginal(t)``, ``cpt_into(t)``) costs one tree
-    descent — O(height) logical page reads. Sequential scans issue one
-    keyed lookup per timestep (``separated``/``cell``) or per K-step
-    frame (``packed``); that lookup count *is* the layout experiment's
-    cost metric.
+    Reads are keyed point lookups: ``marginal(t)`` and ``cpt_into(t)``
+    each cost one tree descent — O(height) logical page reads — except
+    that ``packed`` serves every read inside its last-fetched frame from
+    a cache. That lookup count *is* the layout experiment's cost metric.
+    ``io`` is the environment's :class:`IOStats`, which every tree of
+    the archive shares.
     """
 
     layout: Layout
 
-    def __init__(self, name: str, space: StateSpace, length: int) -> None:
+    def __init__(self, name: str, space: StateSpace, length: int,
+                 io: IOStats) -> None:
         self.name = name
         self.space = space
         self.length = length
+        self.io = io
 
     # -- point access --------------------------------------------------
     def marginal(self, t: int) -> SparseDistribution:
@@ -188,44 +192,15 @@ class StreamReader:
                 f"of length {self.length}"
             )
 
-    def _clamp(self, start: int, stop: Optional[int],
-               lo: int = 0) -> Tuple[int, int]:
-        stop = self.length if stop is None else min(stop, self.length)
-        return max(lo, start), stop
-
-    # -- scans ---------------------------------------------------------
-    def scan_marginals(
-        self, start: int = 0, stop: Optional[int] = None
-    ) -> Iterator[Tuple[int, SparseDistribution]]:
-        start, stop = self._clamp(start, stop)
-        for t in range(start, stop):
-            yield t, self.marginal(t)
-
-    def scan_cpts(
-        self, start: int = 1, stop: Optional[int] = None
-    ) -> Iterator[Tuple[int, CPT]]:
-        """Yield ``(t, cpt_into_t)`` for ``t`` in ``[max(start, 1), stop)``."""
-        start, stop = self._clamp(start, stop, lo=1)
-        for t in range(start, stop):
-            yield t, self.cpt_into(t)
-
-    def scan_cells(
-        self, start: int = 0, stop: Optional[int] = None
-    ) -> Iterator[Tuple[int, SparseDistribution, Optional[CPT]]]:
-        """Yield ``(t, marginal_t, cpt_into_t)`` (CPT None at t = 0)."""
-        start, stop = self._clamp(start, stop)
-        for t in range(start, stop):
-            yield t, self.marginal(t), (None if t == 0 else self.cpt_into(t))
-
     # -- materialization ----------------------------------------------
     def materialize(self) -> MarkovianStream:
         """Read the whole archive back into memory."""
         marginals: List[SparseDistribution] = []
         cpts: List[CPT] = []
-        for t, marginal, cpt in self.scan_cells():
-            marginals.append(marginal)
+        for t in range(self.length):
+            marginals.append(self.marginal(t))
             if t > 0:
-                cpts.append(cpt)
+                cpts.append(self.cpt_into(t))
         return MarkovianStream(self.name, self.space, marginals, cpts,
                                validate=False)
 
@@ -244,7 +219,7 @@ class SeparatedReader(StreamReader):
 
     def __init__(self, marg: BTree, cpt: BTree, name: str,
                  space: StateSpace, length: int) -> None:
-        super().__init__(name, space, length)
+        super().__init__(name, space, length, marg.stats)
         self._marg = marg
         self._cpt = cpt
 
@@ -265,13 +240,12 @@ class SeparatedReader(StreamReader):
 
 class PackedReader(StreamReader):
     """Reader over the combined layouts: ``packed(K)``, and ``cell`` as
-    K = 1. Per-kind scans route through :meth:`scan_cells`, so a full
-    scan touches each frame exactly once instead of twice."""
+    K = 1."""
 
     def __init__(self, data: BTree, name: str, space: StateSpace,
                  length: int, pack: int,
                  layout: Layout = Layout.PACKED) -> None:
-        super().__init__(name, space, length)
+        super().__init__(name, space, length, data.stats)
         self._data = data
         self.pack = pack
         self.layout = layout
@@ -311,22 +285,6 @@ class PackedReader(StreamReader):
     def cpt_into(self, t: int) -> CPT:
         self._check_time(t, lo=1)
         return CPT.from_bytes(self._cell_chunks(t)[1])
-
-    def scan_marginals(self, start=0, stop=None):
-        for t, marginal, _ in self.scan_cells(start, stop):
-            yield t, marginal
-
-    def scan_cpts(self, start=1, stop=None):
-        for t, _, cpt in self.scan_cells(max(1, start), stop):
-            yield t, cpt
-
-    def scan_cells(self, start=0, stop=None):
-        start, stop = self._clamp(start, stop)
-        for t in range(start, stop):
-            marg_bytes, cpt_bytes = self._cell_chunks(t)
-            marginal = SparseDistribution.from_bytes(marg_bytes)
-            cpt = None if t == 0 else CPT.from_bytes(cpt_bytes)
-            yield t, marginal, cpt
 
 
 # ----------------------------------------------------------------------

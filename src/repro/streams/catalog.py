@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..errors import CatalogError
 from ..storage import StorageEnvironment, encode_key, prefix_upper_bound
-from .archive import DEFAULT_PACK, Layout
+from .archive import Layout
 from .schema import StateSpace
 
 CATALOG_TREE = "__catalog"
@@ -29,7 +29,6 @@ class StreamMeta:
     length: int
     layout: Layout
     space: StateSpace
-    pack: int = DEFAULT_PACK
     #: Built indexes: ``"btc:location"`` / ``"btp:location"`` /
     #: ``"mc"`` / ``"mcc:<signature>"`` -> parameters.
     indexes: Dict[str, Dict] = field(default_factory=dict)
@@ -40,7 +39,6 @@ class StreamMeta:
             "length": self.length,
             "layout": self.layout.value,
             "space": self.space.to_dict(),
-            "pack": self.pack,
             "indexes": self.indexes,
         }).encode("utf-8")
 
@@ -52,7 +50,6 @@ class StreamMeta:
             length=obj["length"],
             layout=Layout.parse(obj["layout"]),
             space=StateSpace.from_dict(obj["space"]),
-            pack=obj.get("pack", DEFAULT_PACK),
             indexes=obj.get("indexes", {}),
         )
 
@@ -136,9 +133,3 @@ class Catalog:
 
     def list_dimensions(self) -> List[str]:
         return self._names_with_prefix("dim")
-
-    def drop_dimension(self, name: str) -> None:
-        if self._tree.get(self._dim_key(name)) is None:
-            raise CatalogError(f"unknown dimension table {name!r}")
-        self._tree.delete(self._dim_key(name))
-        self._tree.flush()

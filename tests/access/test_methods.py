@@ -4,6 +4,13 @@ across every archive layout."""
 
 import pytest
 
+from repro.access import (
+    FixedBTree,
+    FixedTopK,
+    NaiveScan,
+    SemiIndependent,
+    VariableMC,
+)
 from repro.core import Caldera
 from repro.streams import ENTERED_ROOM_QUERY, Layout, synthetic_stream
 
@@ -100,3 +107,54 @@ def test_btree_reads_fewer_pages_than_naive(db):
         else:
             btree_reads = db.stats.logical_reads
     assert btree_reads * 2 < naive_reads
+
+
+CONDITIONED_QUERY = "location=Door -> (location=C1)* location=Room"
+#: (label, access method, query) — every method, conditioned MC included.
+COUNTED_RUNS = [
+    ("naive", NaiveScan(), ENTERED_ROOM_QUERY),
+    ("btree", FixedBTree(), ENTERED_ROOM_QUERY),
+    ("topk", FixedTopK(k=3), ENTERED_ROOM_QUERY),
+    ("mc", VariableMC(), KLEENE_QUERY),
+    ("semi", SemiIndependent(), KLEENE_QUERY),
+    ("mc_conditioned", VariableMC(use_conditioned=True), CONDITIONED_QUERY),
+]
+
+
+@pytest.fixture(scope="module")
+def mc_db(tmp_path_factory):
+    database = Caldera(str(tmp_path_factory.mktemp("mc_db")))
+    stream = synthetic_stream("syn", num_snippets=10, density=0.4,
+                              match_rate=0.6, seed=31)
+    query = database.parse(CONDITIONED_QUERY)
+    loop = next(link.loop for link in query.links if link.has_positive_loop)
+    for layout in LAYOUTS:
+        stream.name = f"syn_{layout.value}"
+        database.archive(stream, layout=layout, mc_alpha=2,
+                         conditioned_predicates=[loop])
+    yield database
+    database.close()
+
+
+@pytest.mark.parametrize("layout", [lo.value for lo in LAYOUTS])
+@pytest.mark.parametrize("label,method,text", COUNTED_RUNS,
+                         ids=[run[0] for run in COUNTED_RUNS])
+def test_every_read_is_counted_once(mc_db, layout, label, method, text):
+    """Each reader call an access method makes shows up exactly once in
+    its stats: marginals in ``marginals_read``, CPTs in ``cpts_read``
+    or, for the MC index's base steps, ``mc_lookups.base_cpts_read``."""
+    ctx = mc_db.context(f"syn_{layout}", text)
+    calls = {"marginal": 0, "cpt_into": 0}
+    for name in calls:
+        real = getattr(ctx.reader, name)
+
+        def counted(t, real=real, name=name):
+            calls[name] += 1
+            return real(t)
+
+        setattr(ctx.reader, name, counted)
+    stats = method.run(ctx).stats
+    assert calls["marginal"] + calls["cpt_into"] > 0
+    assert stats.marginals_read == calls["marginal"]
+    assert stats.cpts_read + stats.mc_lookups.base_cpts_read == \
+        calls["cpt_into"]

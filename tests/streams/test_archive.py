@@ -98,29 +98,25 @@ def test_open_reader_unknown_stream(tmp_path):
 
 
 def test_point_access_and_scans_agree(tmp_path):
+    """Point reads and the whole-archive read-back (``materialize``, a
+    walk of point reads) return the stored stream; reads outside the
+    stream raise."""
     stream = random_stream(7, 13, 5)
     with StorageEnvironment(str(tmp_path)) as env:
         for layout in LAYOUTS:
             stream.name = f"s_{layout.value}"
             reader = write_stream(env, stream, layout=layout)
-            assert [m for _, m in reader.scan_marginals()] == \
+            back = reader.materialize()
+            assert back.marginals == stream.marginals
+            assert len(back.cpts) == 12
+            assert [reader.marginal(t) for t in range(13)] == \
                 stream.marginals
-            assert [t for t, _ in reader.scan_cpts()] == \
-                list(range(1, 13))
-            assert reader.marginal(6) == stream.marginal(6)
+            assert dict(reader.cpt_into(12).rows()) == \
+                dict(stream.cpt_into(12).rows())
             with pytest.raises(StreamError):
                 reader.marginal(13)
             with pytest.raises(StreamError):
                 reader.cpt_into(0)
-
-
-def test_scan_window_clamps(tmp_path):
-    stream = random_stream(9, 10, 3)
-    with StorageEnvironment(str(tmp_path)) as env:
-        reader = write_stream(env, stream, layout=Layout.PACKED, pack=4)
-        window = list(reader.scan_marginals(3, 7))
-        assert [t for t, _ in window] == [3, 4, 5, 6]
-        assert list(reader.scan_cpts(0, 100))[0][0] == 1
 
 
 def test_layout_parse_aliases():

@@ -38,8 +38,7 @@ def _reader(env, layout):
 def _cold_scan_reads(env, reader):
     env.pool.evict_all()
     env.stats.reset()
-    for _ in reader.scan_cells():
-        pass
+    reader.materialize()
     return env.stats.logical_reads
 
 
@@ -101,7 +100,6 @@ def test_warm_pool_serves_logical_reads_without_physical(env):
     reader = _reader(env, Layout.CELL)
     cold = _cold_scan_reads(env, reader)
     env.stats.reset()
-    for _ in reader.scan_cells():
-        pass
+    reader.materialize()
     assert env.stats.logical_reads == cold
     assert env.stats.physical_reads == 0

@@ -3,7 +3,8 @@
 PYTHON ?= python
 
 .PHONY: install lint test test-fast bench bench-storage bench-streams \
-	bench-fig8b crash-sweep fsck figures figures-full examples loc clean
+	bench-fig8b perf-smoke crash-sweep fsck figures figures-full examples \
+	loc clean
 
 lint:
 	ruff check src tests benchmarks examples
@@ -45,6 +46,22 @@ bench-fig8b:
 	PYTHONPATH=src $(PYTHON) -m repro.obs.report \
 		benchmarks/baselines/fig8b.manifest.json \
 		benchmarks/results/fig8b.manifest.json --fail-on-change
+
+# Oracle-checked smoke run of the three perfbench workloads (2 s each).
+# perfbench/run.py always exits 0, so the gate reads its last line, a
+# JSON object: it must say "correct": true and "failed": 0.
+PERF_SMOKE_CHECK = import json, sys; r = json.loads(sys.stdin.read()); \
+	sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
+
+perf-smoke:
+	@for w in scan_dense index_sparse archive; do \
+		echo "== perfbench $$w"; \
+		out=$$($(PYTHON) perfbench/run.py --workload $$w --seed 1 \
+			--seconds 2 --trace 0) || exit 1; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | $(PYTHON) -c '$(PERF_SMOKE_CHECK)' \
+			|| { echo "perf-smoke: $$w is not correct"; exit 1; }; \
+	done
 
 # Deterministic crash-point sweep: every single-fault schedule must
 # recover to a committed state with a clean fsck. Bounded (~30s);

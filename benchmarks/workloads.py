@@ -22,6 +22,7 @@ import shutil
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core import Caldera
+from repro.probability.cpt import RECORD_VERSION
 from repro.streams import Layout, routine_stream, synthetic_stream
 
 CACHE_ROOT = os.environ.get(
@@ -50,8 +51,10 @@ ENTERED_ROOM_KLEENE = (
 
 
 def _cache_dir(kind: str, params: Dict) -> Tuple[str, bool]:
-    """Cache directory for one workload; returns (path, already_built)."""
-    key = json.dumps(params, sort_keys=True)
+    """Cache directory for one workload; returns (path, already_built).
+    The key holds the CPT record version, so a cache written in another
+    record format is never reopened."""
+    key = json.dumps({**params, "record": RECORD_VERSION}, sort_keys=True)
     import hashlib
 
     digest = hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]

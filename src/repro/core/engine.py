@@ -152,7 +152,7 @@ class Caldera:
 
         if mc_alpha is not None and len(stream) > 2:
             reader = open_reader(self.env, stream.name, stream.space,
-                                 len(stream), layout)
+                                 len(stream), layout, record=meta.record)
             build_mc(self.env, stream.name, reader, alpha=mc_alpha)
             meta.indexes["mc"] = {"alpha": mc_alpha}
             for predicate in conditioned_predicates:
@@ -199,7 +199,7 @@ class Caldera:
     def reader(self, name: str) -> StreamReader:
         meta = self.catalog.stream_meta(name)
         return open_reader(self.env, name, meta.space, meta.length,
-                           meta.layout)
+                           meta.layout, record=meta.record)
 
     def parse(self, text: str) -> RegularQuery:
         """Parse query text against this database's dimension tables."""

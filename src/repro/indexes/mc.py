@@ -18,7 +18,8 @@ level with at least one full span, so total storage is the geometric
 series ``sum_l (L - 1) / alpha**l  <  (L - 1) / (alpha - 1)`` records.
 A metadata record under the reserved key ``encode_key((-1,))`` (sorts
 before every data key) makes the index self-describing: alpha, stream
-length, level count, and the conditioning accept set.
+length, level count, the conditioning accept set, and the CPT record
+version (:func:`~repro.indexes.builder.open_mc` refuses any other).
 
 Gap traversal
 -------------
@@ -66,6 +67,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from ..errors import CatalogError, StreamError
 from ..obs.metrics import NullRegistry
 from ..probability import CPT
+from ..probability.cpt import RECORD_VERSION, check_record_version
 from ..storage import encode_key
 
 #: Reserved metadata key — level -1 sorts before every (level, start).
@@ -198,6 +200,7 @@ class MCIndex:
             "length": self.length,
             "max_level": self.max_level,
             "conditioned": self.is_conditioned,
+            "record": RECORD_VERSION,
         }
         if self.accept_states is not None:
             meta["accept_states"] = sorted(self.accept_states)
@@ -213,7 +216,9 @@ class MCIndex:
         metadata disagrees with how the index was opened."""
         meta = self.read_meta()
         if meta is None:
-            return  # not built yet (or pre-metadata index)
+            return  # not built yet
+        check_record_version(meta.get("record", 1),
+                             f"MC index {self.tree.name!r}")
         mismatches = []
         if meta.get("alpha") != self.alpha:
             mismatches.append(f"alpha {meta.get('alpha')} != {self.alpha}")

@@ -20,8 +20,9 @@ Two implementations share the compiled query machinery:
   them once and precomputes, as flat ``bincount`` indices, where each
   ``(set, stream state)`` cell's mass goes next. The joint mass is then
   a dense ``R × n`` matrix ``V`` for the kernel's whole life, and one
-  timestep is ``V @ B`` (``B`` the CPT densified in one
-  chained-``fromiter`` scatter) plus one ``bincount`` — no per-step
+  timestep is ``V @ B`` (``B`` the CPT's CSR arrays,
+  :meth:`~repro.probability.CPT.arrays`, densified in one scatter)
+  plus one ``bincount`` — no per-step
   classification, and Python cost independent of the query.
 * :class:`ReferenceReg` — a dict-of-dicts pure-Python implementation
   of the same semantics, kept slow and obvious as the oracle for
@@ -35,7 +36,6 @@ loop spans, and the independence approximation.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -205,25 +205,11 @@ class Reg:
         return float(self._V[self._accept].sum())
 
     def _dense(self, cpt: CPT) -> np.ndarray:
-        """The CPT as a dense (n, n) transition block: one chained
-        ``fromiter`` per coordinate stream plus one scatter, so every
-        per-entry step runs at C speed."""
+        """The CPT as a dense (n, n) transition block: one scatter of
+        its CSR arrays."""
+        src, lens, dst, val = cpt.arrays()
         B = np.zeros((self._n, self._n))
-        rows = list(cpt.rows())
-        if not rows:
-            return B
-        lens = np.fromiter((len(r) for _, r in rows), np.int64, len(rows))
-        nnz = int(lens.sum())
-        if not nnz:
-            return B
-        src = np.repeat(
-            np.fromiter((x for x, _ in rows), np.int64, len(rows)), lens)
-        dst = np.fromiter(
-            chain.from_iterable(r for _, r in rows), np.int64, nnz)
-        vals = np.fromiter(
-            chain.from_iterable(r.values() for _, r in rows),
-            np.float64, nnz)
-        B[src, dst] = vals
+        B[np.repeat(src, lens), dst] = val
         return B
 
     def _scatter(self, marginal: SparseDistribution) -> np.ndarray:

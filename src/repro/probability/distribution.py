@@ -51,6 +51,14 @@ class SparseDistribution:
         return cls({s: p for s in states})
 
     @classmethod
+    def wrap(cls, probs: Dict[int, float]) -> "SparseDistribution":
+        """Adopt a dict of positive float weights as-is: no copy and no
+        checks (the decoded-record fast path; callers own validity)."""
+        dist = cls.__new__(cls)
+        dist._probs = probs
+        return dist
+
+    @classmethod
     def from_counts(cls, counts: Mapping[int, float]) -> "SparseDistribution":
         """Normalized frequencies (e.g. sample counts)."""
         total = sum(counts.values())

@@ -27,8 +27,9 @@ Three physical layouts trade that cost off differently:
 
 All layouts store one metadata record under the reserved key ``(-1,)``
 (timesteps are non-negative, so it sorts before every data key) with
-the layout name, stream length, and pack factor — enough for
-:func:`open_reader` to reopen an archive from its trees alone.
+the layout name, stream length, pack factor and CPT record version —
+enough for :func:`open_reader` to reopen an archive from its trees
+alone, and to refuse one written in another record format.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import List, Optional, Tuple, Union
 
 from ..errors import CatalogError, StorageError, StreamError
 from ..probability import CPT, SparseDistribution
+from ..probability.cpt import RECORD_VERSION, check_record_version
 from ..storage import BTree, StorageEnvironment, encode_key
 from ..storage.record import pack_chunks, unpack_chunks
 from ..storage.stats import IOStats
@@ -93,7 +95,8 @@ def data_tree_name(stream: str) -> str:
 
 def _meta_value(layout: Layout, length: int, pack: int) -> bytes:
     return json.dumps(
-        {"layout": layout.value, "length": length, "pack": pack}
+        {"layout": layout.value, "length": length, "pack": pack,
+         "record": RECORD_VERSION}
     ).encode("utf-8")
 
 
@@ -151,7 +154,7 @@ def write_stream(
         data.bulk_load(items)
         data.flush()
     return open_reader(env, stream.name, stream.space, length, layout,
-                       pack=pack)
+                       pack=pack, record=RECORD_VERSION)
 
 
 # ----------------------------------------------------------------------
@@ -297,40 +300,40 @@ def open_reader(
     length: Optional[int] = None,
     layout: Optional[Union[Layout, str]] = None,
     pack: Optional[int] = None,
+    record: Optional[int] = None,
 ) -> StreamReader:
     """Open a reader over an archived stream.
 
-    ``length``/``layout``/``pack`` normally come from the catalog; any
-    left unspecified are recovered from the archive's metadata record.
+    ``length``/``layout``/``pack``/``record`` normally come from the
+    catalog; when any is left unspecified, all are recovered from the
+    archive's metadata record. A CPT record version other than
+    :data:`~repro.probability.cpt.RECORD_VERSION` raises
+    :class:`~repro.errors.CatalogError`.
     """
     layout = None if layout is None else Layout.parse(layout)
-    if layout is None:
-        if env.exists(data_tree_name(name)):
-            meta = _read_meta(env.open_tree(data_tree_name(name)))
-            if meta is None:
-                raise CatalogError(f"stream {name!r} has no archive metadata")
-            layout = Layout.parse(meta["layout"])
-        elif env.exists(marg_tree_name(name)):
-            layout = Layout.SEPARATED
-        else:
+    if layout is None and not env.exists(data_tree_name(name)):
+        if not env.exists(marg_tree_name(name)):
             raise CatalogError(f"no archived stream named {name!r}")
-    if layout is Layout.SEPARATED:
-        marg = env.open_tree(marg_tree_name(name), create=False)
-        if length is None:
-            meta = _read_meta(marg)
-            length = meta["length"] if meta else 0
-        return SeparatedReader(
-            marg, env.open_tree(cpt_tree_name(name), create=False),
-            name, space, length,
-        )
-    data = env.open_tree(data_tree_name(name), create=False)
-    if layout is Layout.CELL:
+        layout = Layout.SEPARATED
+    separated = layout is Layout.SEPARATED
+    if separated or layout is Layout.CELL:
         pack = 1
-    if length is None or pack is None:
-        meta = _read_meta(data)
+    tree = env.open_tree(
+        marg_tree_name(name) if separated else data_tree_name(name),
+        create=False)
+    if None in (layout, length, pack, record):
+        meta = _read_meta(tree)
         if meta is None:
             raise CatalogError(f"stream {name!r} has no archive metadata")
+        layout = layout or Layout.parse(meta["layout"])
         length = meta["length"] if length is None else length
         pack = meta.get("pack", DEFAULT_PACK) if pack is None else pack
-    return PackedReader(data, name, space, length, pack or DEFAULT_PACK,
+        record = meta.get("record", 1) if record is None else record
+    check_record_version(record, f"stream {name!r}")
+    if separated:
+        return SeparatedReader(
+            tree, env.open_tree(cpt_tree_name(name), create=False),
+            name, space, length,
+        )
+    return PackedReader(tree, name, space, length, pack or DEFAULT_PACK,
                         layout=layout)

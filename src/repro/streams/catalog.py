@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..errors import CatalogError
+from ..probability.cpt import RECORD_VERSION
 from ..storage import StorageEnvironment, encode_key, prefix_upper_bound
 from .archive import Layout
 from .schema import StateSpace
@@ -32,6 +33,8 @@ class StreamMeta:
     #: Built indexes: ``"btc:location"`` / ``"btp:location"`` /
     #: ``"mc"`` / ``"mcc:<signature>"`` -> parameters.
     indexes: Dict[str, Dict] = field(default_factory=dict)
+    #: CPT record format of the stream's archive and MC indexes.
+    record: int = RECORD_VERSION
 
     def to_json(self) -> bytes:
         return json.dumps({
@@ -40,6 +43,7 @@ class StreamMeta:
             "layout": self.layout.value,
             "space": self.space.to_dict(),
             "indexes": self.indexes,
+            "record": self.record,
         }).encode("utf-8")
 
     @classmethod
@@ -51,6 +55,7 @@ class StreamMeta:
             layout=Layout.parse(obj["layout"]),
             space=StateSpace.from_dict(obj["space"]),
             indexes=obj.get("indexes", {}),
+            record=obj.get("record", 1),
         )
 
 

@@ -1,15 +1,17 @@
 """Unit tests for the MC index (§4.2.2, Algorithm 4): record layout,
 metadata, greedy gap traversal, the conditioned variant, and misuse."""
 
+import json
 import random
 
 import pytest
 
 from repro.errors import CatalogError, StreamError
 from repro.indexes.builder import build_mc, open_mc
-from repro.indexes.mc import MCIndex, MCLookupStats, max_level_for
+from repro.indexes.mc import META_KEY, MCIndex, MCLookupStats, max_level_for
 from repro.obs.metrics import MetricsRegistry
 from repro.probability import CPT, SparseDistribution
+from repro.probability.cpt import RECORD_VERSION
 from repro.storage import StorageEnvironment
 from repro.streams import (
     Layout,
@@ -124,7 +126,8 @@ def test_meta_round_trip_and_verify(env, reader):
     index = build_mc(env, "s", reader, alpha=4)
     meta = index.read_meta()
     assert meta == {"alpha": 4, "length": LENGTH,
-                    "max_level": index.max_level, "conditioned": False}
+                    "max_level": index.max_level, "conditioned": False,
+                    "record": RECORD_VERSION}
     reopened = open_mc(env, "s", alpha=4, length=LENGTH)
     assert reopened.max_level == index.max_level
 
@@ -137,6 +140,17 @@ def test_meta_round_trip_and_verify(env, reader):
     with pytest.raises(CatalogError, match="conditioned"):
         MCIndex(env.open_tree("s__mc", create=False), alpha=4,
                 length=LENGTH, accept_states={0}).verify_meta()
+
+
+def test_open_refuses_an_index_of_another_record_format(env, reader):
+    """An index written before the CSR record format has no "record"
+    key: opening it names both versions instead of failing mid-query."""
+    index = build_mc(env, "s", reader, alpha=4)
+    meta = index.read_meta()
+    del meta["record"]
+    index.tree.put(META_KEY, json.dumps(meta).encode("utf-8"))
+    with pytest.raises(CatalogError, match="format 1, expected 2"):
+        open_mc(env, "s", alpha=4, length=LENGTH)
 
 
 def test_alpha_below_two_rejected(env):

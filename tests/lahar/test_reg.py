@@ -12,7 +12,7 @@ from repro.lahar import QueryMachine, ReferenceReg, Reg
 from repro.probability import CPT, SparseDistribution
 from repro.query import InSet, parse_query
 from repro.streams import (ENTERED_ROOM_QUERY, MarkovianStream,
-                           single_attribute_space)
+                           single_attribute_space, synthetic_stream)
 from repro.streams.synthetic import synthetic_space
 
 VALUES = ["A", "B", "C", "D", "E"]
@@ -221,3 +221,43 @@ def test_wide_stream_matches_reference(wide_stream, text):
         pairs.append((ref.update(cpt), vec.update(cpt)))
     assert max(abs(a - b) for a, b in pairs) < 1e-9
     assert max(a for a, _ in pairs) > 0.0
+
+
+def _round_trip(cpt: CPT) -> CPT:
+    return CPT.from_bytes(cpt.to_bytes())
+
+
+def _drive(stream, text: str, loop_value: str, origin):
+    """Reg's signal through ``update``, ``update_span`` (a composed
+    two-step CPT) and ``update_loop_span`` (plain plus masked CPTs),
+    with every CPT passed through ``origin`` first."""
+    reg = Reg(parse_query(text), stream.space)
+    accept = InSet("location", [loop_value]).matching_states(stream.space)
+    signal = [reg.initialize(stream.marginal(0))]
+    for t in range(1, len(stream) - 3, 4):
+        signal.append(reg.update(origin(stream.cpt_into(t))))
+        span = stream.cpt_into(t + 1).compose(stream.cpt_into(t + 2))
+        signal.append(reg.update_span(origin(span), 2))
+        plain = stream.cpt_into(t + 3)
+        signal.append(reg.update_loop_span(
+            1, origin(plain), origin(plain.mask_destinations(accept))))
+    return signal
+
+
+def test_both_cpt_origins_give_one_signal_on_the_10_state_stream():
+    """A CPT built from a mapping and its decoded record feed Reg the
+    same CSR entries, so the signals agree bit for bit."""
+    stream = synthetic_stream("syn", num_snippets=6, seed=3)
+    assert len(stream.space) == 10
+    text = "location=Door -> (location=C1)* location=Room"
+    built = _drive(stream, text, "C1", lambda c: c)
+    decoded = _drive(stream, text, "C1", _round_trip)
+    assert built == decoded
+    assert max(built) > 0.0
+
+
+def test_both_cpt_origins_give_one_signal_on_the_wide_stream(wide_stream):
+    built = _drive(wide_stream, PATROL_QUERY, "C5", lambda c: c)
+    decoded = _drive(wide_stream, PATROL_QUERY, "C5", _round_trip)
+    assert built == decoded
+    assert max(built) > 0.0

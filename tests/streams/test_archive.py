@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.errors import CatalogError, StreamError
 from repro.probability import CPT, SparseDistribution
+from repro.probability.cpt import RECORD_VERSION
 from repro.storage import StorageEnvironment
 from repro.streams import (
     DEFAULT_PACK,
@@ -19,7 +20,7 @@ from repro.streams import (
     single_attribute_space,
     write_stream,
 )
-from repro.streams.archive import META_KEY, data_tree_name
+from repro.streams.archive import META_KEY, data_tree_name, marg_tree_name
 
 LAYOUTS = [Layout.SEPARATED, Layout.CELL, Layout.PACKED]
 
@@ -90,6 +91,25 @@ def test_reopen_from_metadata_alone(tmp_path, layout):
         assert_streams_equal(reader.materialize(), stream)
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_open_refuses_an_archive_of_another_record_format(tmp_path, layout):
+    """An archive written before the CSR CPT record has no "record" key
+    in its metadata: opening it names both versions, whether the
+    version comes from the archive or from the catalog."""
+    stream = random_stream(5, 6, 3)
+    with StorageEnvironment(str(tmp_path)) as env:
+        write_stream(env, stream, layout=layout)
+        tree = env.open_tree(marg_tree_name("s") if layout is
+                             Layout.SEPARATED else data_tree_name("s"))
+        meta = json.loads(tree.get(META_KEY))
+        del meta["record"]
+        tree.put(META_KEY, json.dumps(meta).encode("utf-8"))
+        with pytest.raises(CatalogError, match="format 1, expected 2"):
+            open_reader(env, "s", stream.space)
+        with pytest.raises(CatalogError, match="format 1, expected 2"):
+            open_reader(env, "s", stream.space, 6, layout, pack=1, record=1)
+
+
 def test_open_reader_unknown_stream(tmp_path):
     with StorageEnvironment(str(tmp_path)) as env:
         with pytest.raises(CatalogError):
@@ -155,7 +175,7 @@ def test_cell_is_packed_with_k_one(tmp_path):
         assert len(entries[Layout.CELL]) == 9
         assert entries[Layout.CELL] == entries[Layout.PACKED]
         assert json.loads(cell_meta) == {"layout": "cell", "length": 9,
-                                         "pack": 1}
+                                         "pack": 1, "record": RECORD_VERSION}
         assert json.loads(packed_meta)["layout"] == "packed"
 
         reader = open_reader(env, "s_cell", stream.space)

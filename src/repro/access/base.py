@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import PlanningError
-from ..indexes.btc import BTCIndex, PredicateChronoCursor
-from ..indexes.btp import BTPIndex, PredicateProbCursor
+from ..indexes.base import ValueIndex
+from ..indexes.btc import PredicateChronoCursor
+from ..indexes.btp import PredicateProbCursor
 from ..indexes.mc import MCIndex, MCLookupStats
 from ..lahar.reg import Reg
 from ..probability import SparseDistribution
@@ -83,6 +84,9 @@ class QueryResult:
         return tops[0] if tops else None
 
 
+_KIND_LABELS = {"btc": "BT_C", "btp": "BT_P"}
+
+
 class QueryContext:
     """Everything an access method needs to run one query.
 
@@ -92,9 +96,10 @@ class QueryContext:
         The archived stream.
     query:
         The Regular query.
-    btc / btp:
-        Available secondary indexes, keyed by indexed-attribute name
-        (``location`` or ``location/LocationType``).
+    indexes:
+        Available secondary indexes by kind (``btc``/``btp``), each
+        keyed by indexed-attribute name (``location`` or
+        ``location/LocationType``).
     mc:
         The plain MC index, if built.
     mc_conditioned:
@@ -112,8 +117,7 @@ class QueryContext:
         self,
         reader: StreamReader,
         query: RegularQuery,
-        btc: Optional[Dict[str, BTCIndex]] = None,
-        btp: Optional[Dict[str, BTPIndex]] = None,
+        indexes: Optional[Dict[str, Dict[str, ValueIndex]]] = None,
         mc: Optional[MCIndex] = None,
         mc_conditioned: Optional[Dict[str, MCIndex]] = None,
         mc_min_level: int = 1,
@@ -123,8 +127,7 @@ class QueryContext:
         self.reader = reader
         self.query = query
         self.space = reader.space
-        self.btc = dict(btc or {})
-        self.btp = dict(btp or {})
+        self.indexes = dict(indexes or {})
         self.mc = mc
         self.mc_conditioned = dict(mc_conditioned or {})
         self.mc_min_level = mc_min_level
@@ -137,19 +140,14 @@ class QueryContext:
             )
 
     # ------------------------------------------------------------------
-    def btc_terms_for(self, predicate: Predicate):
-        """The BT_C index terms covering ``predicate``, resolved against
-        the available indexes (join index preferred, value-level
-        fallback); None when the predicate cannot be covered."""
-        return self._terms_for(predicate, self.btc)
-
-    def btp_terms_for(self, predicate: Predicate):
-        """Like :meth:`btc_terms_for` but over BT_P indexes."""
-        return self._terms_for(predicate, self.btp)
-
-    def _terms_for(self, predicate: Predicate, available: Dict):
+    def terms_for(self, kind: str, predicate: Predicate):
+        """The ``kind`` (``btc``/``btp``) index terms covering
+        ``predicate``, resolved against the available indexes (join
+        index preferred, value-level fallback); None when the predicate
+        cannot be covered."""
         if not predicate.indexable:
             return None
+        available = self.indexes.get(kind, {})
         terms = predicate.index_terms(self.space)
         if all(term.indexed_attr in available for term in terms):
             return terms
@@ -161,24 +159,21 @@ class QueryContext:
         return None
 
     def chrono_cursor(self, predicate: Predicate) -> PredicateChronoCursor:
-        terms = self.btc_terms_for(predicate)
-        if terms is None:
-            raise PlanningError(
-                f"no BT_C index covers predicate {predicate.signature()}"
-            )
-        return PredicateChronoCursor(
-            lambda term: self.btc[term.indexed_attr], terms
-        )
+        return PredicateChronoCursor(*self._covering("btc", predicate))
 
     def prob_cursor(self, predicate: Predicate) -> PredicateProbCursor:
-        terms = self.btp_terms_for(predicate)
+        return PredicateProbCursor(*self._covering("btp", predicate))
+
+    def _covering(self, kind: str, predicate: Predicate):
+        """``(index_for_term, terms)`` for a predicate cursor."""
+        terms = self.terms_for(kind, predicate)
         if terms is None:
             raise PlanningError(
-                f"no BT_P index covers predicate {predicate.signature()}"
+                f"no {_KIND_LABELS[kind]} index covers predicate "
+                f"{predicate.signature()}"
             )
-        return PredicateProbCursor(
-            lambda term: self.btp[term.indexed_attr], terms
-        )
+        available = self.indexes[kind]
+        return (lambda term: available[term.indexed_attr]), terms
 
 
 class RegRun:

@@ -47,8 +47,7 @@ class FixedBTree(AccessMethod):
 
         cursors = []  # (link offset, cursor)
         for i, predicate in enumerate(query.predicates()):
-            terms = ctx.btc_terms_for(predicate)
-            if terms is not None:
+            if ctx.terms_for("btc", predicate) is not None:
                 cursors.append((i, ctx.chrono_cursor(predicate)))
         if not cursors:
             raise PlanningError(

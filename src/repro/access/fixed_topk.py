@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Set, Tuple
 
-from ..errors import PlanningError, QueryError
+from ..errors import QueryError
 from .base import AccessMethod, QueryContext, RegRun
 
 
@@ -73,15 +73,8 @@ class FixedTopK(AccessMethod):
         predicates = query.predicates()
         phi_sets = [p.matching_states(ctx.space) for p in predicates]
 
-        cursors = []
-        for i, predicate in enumerate(predicates):
-            terms = ctx.btp_terms_for(predicate)
-            if terms is None:
-                raise PlanningError(
-                    "the top-k method requires BT_P coverage of every "
-                    f"link; missing for {predicate.signature()}"
-                )
-            cursors.append((i, ctx.prob_cursor(predicate)))
+        # Every link needs BT_P sorted access (PlanningError otherwise).
+        cursors = [(i, ctx.prob_cursor(p)) for i, p in enumerate(predicates)]
         bound_multiplier = max(c.bound_multiplier for _, c in cursors)
 
         # best: min-heap of (p, t) holding the current top k.

@@ -8,7 +8,6 @@ from .events import (
     detect_events,
     expected_count,
     find_peaks,
-    signal_correlation,
 )
 from .planner import PlanDecision, method_by_name, plan
 
@@ -23,5 +22,4 @@ __all__ = [
     "find_peaks",
     "method_by_name",
     "plan",
-    "signal_correlation",
 ]

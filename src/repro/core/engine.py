@@ -24,14 +24,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..access import QueryContext, QueryResult
 from ..errors import CatalogError, PlanningError
-from ..indexes import (
-    build_btc,
-    build_btp,
-    build_mc,
-    open_btc,
-    open_btp,
-    open_mc,
-)
+from ..indexes import build_mc, build_value_indexes, open_mc, open_value_index
 from ..query import RegularQuery, parse_query
 from ..query.predicates import Predicate
 from ..storage import DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES, StorageEnvironment
@@ -82,7 +75,11 @@ class Caldera:
     # -- dimension tables ----------------------------------------------------
     def register_dimension_table(self, name: str, mapping: Dict,
                                  replace: bool = False) -> None:
-        """Register a star-schema dimension table (§3.4.1)."""
+        """Register a star-schema dimension table (§3.4.1).
+
+        ``replace=True`` raises :class:`CatalogError` when an archived
+        stream's join indexes read the table and the mapping changes.
+        """
         self.catalog.register_dimension(name, mapping, replace=replace)
 
     def dimension_tables(self) -> Dict[str, Dict]:
@@ -128,8 +125,10 @@ class Caldera:
         meta = StreamMeta(stream.name, len(stream), layout, stream.space)
         dimensions = self.dimension_tables()
 
+        kinds = [kind for kind, wanted in (("btc", btc), ("btp", btp))
+                 if wanted]
         indexed_attrs: List[str] = []
-        if btc or btp:
+        if kinds:
             indexed_attrs.extend(stream.space.attributes)
             for table in join_tables:
                 if table not in dimensions:
@@ -141,14 +140,10 @@ class Caldera:
 
         pairs = [(t, stream.marginals[t]) for t in range(len(stream))]
         for attr in indexed_attrs:
-            if btc:
-                build_btc(self.env, stream.name, stream.space, attr, pairs,
-                          dimensions=dimensions)
-                meta.indexes[f"btc:{attr}"] = {}
-            if btp:
-                build_btp(self.env, stream.name, stream.space, attr, pairs,
-                          dimensions=dimensions)
-                meta.indexes[f"btp:{attr}"] = {}
+            build_value_indexes(self.env, stream.name, stream.space, attr,
+                                pairs, kinds, dimensions=dimensions)
+            for kind in kinds:
+                meta.indexes[f"{kind}:{attr}"] = {}
 
         if mc_alpha is not None and len(stream) > 2:
             reader = open_reader(self.env, stream.name, stream.space,
@@ -219,18 +214,15 @@ class Caldera:
         meta = self.catalog.stream_meta(stream_name)
         dimensions = self.dimension_tables()
         reader = self.reader(stream_name)
-        btc = {}
-        btp = {}
+        indexes: Dict[str, Dict] = {"btc": {}, "btp": {}}
         mc = None
         mc_conditioned = {}
         for key, params in meta.indexes.items():
             kind, _, detail = key.partition(":")
-            if kind == "btc":
-                btc[detail] = open_btc(self.env, stream_name, meta.space,
-                                       detail, dimensions=dimensions)
-            elif kind == "btp":
-                btp[detail] = open_btp(self.env, stream_name, meta.space,
-                                       detail, dimensions=dimensions)
+            if kind in indexes:
+                indexes[kind][detail] = open_value_index(
+                    self.env, stream_name, meta.space, kind, detail,
+                    dimensions=dimensions)
             elif kind == "mc":
                 mc = open_mc(self.env, stream_name,
                              alpha=params.get("alpha", 2), length=meta.length)
@@ -247,7 +239,7 @@ class Caldera:
                             space=meta.space,
                         )
         return QueryContext(
-            reader=reader, query=query, btc=btc, btp=btp, mc=mc,
+            reader=reader, query=query, indexes=indexes, mc=mc,
             mc_conditioned=mc_conditioned, mc_min_level=mc_min_level,
             start=start, stop=stop,
         )

@@ -199,28 +199,3 @@ def approximation_report(
         max_raw_error=max(raw_errors),
         mean_raw_error=sum(raw_errors) / len(raw_errors),
     )
-
-
-def signal_correlation(a: SignalLike, b: SignalLike) -> float:
-    """Pearson correlation of two signals over the union of timesteps.
-
-    Used to compare an approximate signal (semi-independent) against the
-    exact one; returns 1.0 for identical signals, 0.0 when either is
-    constant.
-    """
-    da = dict(_signal(a))
-    db = dict(_signal(b))
-    times = sorted(set(da) | set(db))
-    if not times:
-        return 0.0
-    xs = [da.get(t, 0.0) for t in times]
-    ys = [db.get(t, 0.0) for t in times]
-    n = len(times)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    vx = sum((x - mx) ** 2 for x in xs)
-    vy = sum((y - my) ** 2 for y in ys)
-    if vx <= 0.0 or vy <= 0.0:
-        return 0.0
-    return cov / (vx * vy) ** 0.5

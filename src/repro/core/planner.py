@@ -79,8 +79,8 @@ def plan(
 
     if query.is_fixed_length:
         predicates = query.predicates()
-        btp_full = all(ctx.btp_terms_for(p) is not None for p in predicates)
-        btc_any = any(ctx.btc_terms_for(p) is not None for p in predicates)
+        btp_full = all(ctx.terms_for("btp", p) is not None for p in predicates)
+        btc_any = any(ctx.terms_for("btc", p) is not None for p in predicates)
         if wants_topk and btp_full:
             return PlanDecision(
                 FixedTopK(k=k if k is not None else 1, threshold=threshold),
@@ -97,7 +97,7 @@ def plan(
     # Variable-length.
     covered = True
     for predicate in query.indexable_predicates():
-        if ctx.btc_terms_for(predicate) is None:
+        if ctx.terms_for("btc", predicate) is None:
             covered = False
             break
     if covered and ctx.mc is not None:

@@ -2,19 +2,18 @@
 
 from .base import (
     IndexedAttribute,
-    btc_tree_name,
-    btp_tree_name,
+    ValueCursor,
+    ValueIndex,
+    index_tree_name,
     mc_tree_name,
     resolve_indexed_attribute,
 )
-from .btc import BTCIndex, ChronoCursor, PredicateChronoCursor
-from .btp import BTPIndex, PredicateProbCursor, ProbCursor
-from .builder import build_btc, build_btp, build_mc, open_btc, open_btp, open_mc
+from .btc import ChronoCursor, PredicateChronoCursor
+from .btp import PredicateProbCursor, ProbCursor
+from .builder import build_mc, build_value_indexes, open_mc, open_value_index
 from .mc import MCIndex, MCLookupStats
 
 __all__ = [
-    "BTCIndex",
-    "BTPIndex",
     "ChronoCursor",
     "IndexedAttribute",
     "MCIndex",
@@ -22,14 +21,13 @@ __all__ = [
     "PredicateChronoCursor",
     "PredicateProbCursor",
     "ProbCursor",
-    "btc_tree_name",
-    "btp_tree_name",
-    "build_btc",
-    "build_btp",
+    "ValueCursor",
+    "ValueIndex",
     "build_mc",
+    "build_value_indexes",
+    "index_tree_name",
     "mc_tree_name",
-    "open_btc",
-    "open_btp",
     "open_mc",
+    "open_value_index",
     "resolve_indexed_attribute",
 ]

@@ -1,5 +1,10 @@
 """Shared machinery for secondary indexes.
 
+BT_C (§3.1) and BT_P (§3.2) hold one set of entries, ``(value, time,
+summed marginal probability)``, in two key orders: each order's
+``entry``/``decode`` pair lives in :mod:`.btc` / :mod:`.btp`, and both
+share :class:`ValueIndex` and the per-value :class:`ValueCursor` here.
+
 An *indexed attribute* is either a base stream attribute (``location``)
 or a star-schema join attribute (``location/LocationType`` — the
 attribute's value mapped through a dimension table, §3.4.1). Both kinds
@@ -8,16 +13,17 @@ value; a join index thereby materializes the paper's
 ``(D.a, M.time)`` / ``(D.a, M.prob)`` search keys without modifying the
 stream.
 
-Tree naming: ``{stream}__btc__{attr}`` and ``{stream}__btp__{attr}``
+Tree naming: ``{stream}__{kind}__{attr}`` (kind ``btc`` or ``btp``)
 with ``/`` sanitized to ``@`` for the filesystem.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from ..errors import CatalogError, QueryError
 from ..probability import SparseDistribution
+from ..storage import BTree, encode_key, prefix_upper_bound
 from ..streams.schema import StateSpace
 
 JOIN_SEPARATOR = "/"
@@ -114,19 +120,81 @@ def resolve_indexed_attribute(
     return IndexedAttribute.base(space, name)
 
 
+class ValueIndex:
+    """One BT_C or BT_P index: a B+ tree of one indexed attribute's
+    entries, in its kind's key order."""
+
+    def __init__(self, tree: BTree, indexed: IndexedAttribute) -> None:
+        self.tree = tree
+        self.indexed = indexed
+
+
+class ValueCursor:
+    """Forward cursor over one attribute value's entries in an index.
+
+    Every key starts with the value's code, so the value's entries are
+    one key range; subclasses supply ``decode(key, value) -> (time,
+    prob)`` for their key order. A value absent from the index never
+    becomes valid.
+    """
+
+    decode: Callable[[bytes, bytes], Tuple[int, float]]
+
+    def __init__(self, index: ValueIndex, value) -> None:
+        self._cursor = None
+        if index.indexed.has_value(value):
+            self._code = index.indexed.code(value)
+            self._hi = prefix_upper_bound(encode_key((self._code,)))
+            self._cursor = index.tree.cursor()
+        self._time: Optional[int] = None
+        self._prob = 0.0
+
+    @property
+    def valid(self) -> bool:
+        return self._time is not None
+
+    @property
+    def time(self) -> int:
+        if self._time is None:
+            raise QueryError("index cursor is exhausted")
+        return self._time
+
+    @property
+    def prob(self) -> float:
+        if self._time is None:
+            raise QueryError("index cursor is exhausted")
+        return self._prob
+
+    def seek(self, *rest) -> bool:
+        """Position on the value's first entry with key >= ``(code,
+        *rest)``; with no ``rest``, on its first entry."""
+        if self._cursor is None:
+            return False
+        return self._load(self._cursor.seek(encode_key((self._code, *rest))))
+
+    def next(self) -> bool:
+        if self._time is None:
+            return False
+        return self._load(self._cursor.next())
+
+    def _load(self, ok: bool) -> bool:
+        cursor = self._cursor
+        if not ok or cursor.key >= self._hi:
+            self._time = None
+            return False
+        self._time, self._prob = self.decode(cursor.key, cursor.value)
+        return True
+
+
 def sanitize(name: str) -> str:
     """Make an indexed-attribute name filesystem-safe."""
     return name.replace(JOIN_SEPARATOR, "@")
 
 
-def btc_tree_name(stream: str, indexed_attr: str) -> str:
-    """Storage-tree name of a stream's BT_C index over one attribute."""
-    return f"{stream}__btc__{sanitize(indexed_attr)}"
-
-
-def btp_tree_name(stream: str, indexed_attr: str) -> str:
-    """Storage-tree name of a stream's BT_P index over one attribute."""
-    return f"{stream}__btp__{sanitize(indexed_attr)}"
+def index_tree_name(stream: str, kind: str, indexed_attr: str) -> str:
+    """Storage-tree name of a stream's ``btc`` or ``btp`` index over one
+    attribute."""
+    return f"{stream}__{kind}__{sanitize(indexed_attr)}"
 
 
 def mc_tree_name(stream: str, predicate_signature: Optional[str] = None) -> str:

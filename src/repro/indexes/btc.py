@@ -12,92 +12,31 @@ entries has zero mass on every query predicate).
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import QueryError
-from ..storage import BTree, encode_key, prefix_upper_bound
+from ..storage import encode_key
 from ..storage.keyenc import decode_key
-from .base import IndexedAttribute
+from .base import ValueCursor
 
 _PROB = struct.Struct("<d")
 
 
-class BTCIndex:
-    """One BT_C index: a B+ tree over ``(value_code, time)`` keys."""
-
-    def __init__(self, tree: BTree, indexed: IndexedAttribute) -> None:
-        self.tree = tree
-        self.indexed = indexed
-
-    # ------------------------------------------------------------------
-    def build(self, marginals: Iterable[Tuple[int, "SparseDistribution"]]) -> int:
-        """Populate from ``(t, marginal)`` pairs; returns entry count.
-
-        Entries are accumulated and bulk-loaded sorted by key.
-        """
-        items: List[Tuple[bytes, bytes]] = []
-        for t, marginal in marginals:
-            for value, prob in self.indexed.aggregate(marginal).items():
-                key = encode_key((self.indexed.code(value), t))
-                items.append((key, _PROB.pack(prob)))
-        items.sort(key=lambda kv: kv[0])
-        self.tree.bulk_load(items)
-        self.tree.flush()
-        return len(items)
+def entry(code: int, t: int, p: float) -> Tuple[bytes, bytes]:
+    """The BT_C ``(key, value)`` of one aggregated entry."""
+    return encode_key((code, t)), _PROB.pack(p)
 
 
-class ChronoCursor:
-    """Cursor over one value's (time, prob) entries, with seek/advance."""
+def decode(key: bytes, value: bytes) -> Tuple[int, float]:
+    """``(time, prob)`` of one BT_C entry."""
+    return decode_key(key)[1], _PROB.unpack(value)[0]
 
-    def __init__(self, index: BTCIndex, value) -> None:
-        self._index = index
-        if not index.indexed.has_value(value):
-            self._cursor = None
-            self._code = None
-        else:
-            self._code = index.indexed.code(value)
-            self._cursor = index.tree.cursor()
-            self._hi = prefix_upper_bound(encode_key((self._code,)))
-        self._time: Optional[int] = None
-        self._prob = 0.0
-        self._done = self._cursor is None
 
-    @property
-    def valid(self) -> bool:
-        return not self._done and self._time is not None
+class ChronoCursor(ValueCursor):
+    """One value's entries in time order; ``seek(t)`` lands on the first
+    entry at or after ``t``."""
 
-    @property
-    def time(self) -> int:
-        if not self.valid:
-            raise QueryError("chrono cursor is exhausted")
-        return self._time
-
-    @property
-    def prob(self) -> float:
-        if not self.valid:
-            raise QueryError("chrono cursor is exhausted")
-        return self._prob
-
-    def seek(self, t: int) -> bool:
-        """Position on the first entry with time >= t."""
-        if self._cursor is None:
-            return False
-        ok = self._cursor.seek(encode_key((self._code, t)))
-        return self._load(ok)
-
-    def next(self) -> bool:
-        if self._cursor is None or self._done:
-            return False
-        return self._load(self._cursor.next())
-
-    def _load(self, ok: bool) -> bool:
-        if not ok or self._cursor.key >= self._hi:
-            self._done = True
-            self._time = None
-            return False
-        self._time = decode_key(self._cursor.key)[1]
-        self._prob = _PROB.unpack(self._cursor.value)[0]
-        return True
+    decode = staticmethod(decode)
 
 
 class PredicateChronoCursor:
@@ -109,7 +48,8 @@ class PredicateChronoCursor:
     """
 
     def __init__(self, index_for_term, terms) -> None:
-        """``index_for_term(term) -> BTCIndex`` resolves each term's index."""
+        """``index_for_term(term) -> ValueIndex`` resolves each term's
+        BT_C index."""
         self._cursors: List[ChronoCursor] = [
             ChronoCursor(index_for_term(term), term.value) for term in terms
         ]

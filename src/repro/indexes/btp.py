@@ -14,90 +14,30 @@ exact sorted access with a single cursor.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..errors import QueryError
-from ..storage import BTree, Desc, encode_key, prefix_upper_bound
+from ..storage import Desc, encode_key
 from ..storage.keyenc import decode_key
-from .base import IndexedAttribute
+from .base import ValueCursor
 
 
-class BTPIndex:
-    """One BT_P index: a B+ tree over ``(value_code, Desc(prob), time)``."""
-
-    def __init__(self, tree: BTree, indexed: IndexedAttribute) -> None:
-        self.tree = tree
-        self.indexed = indexed
-
-    def build(self, marginals: Iterable[Tuple[int, "SparseDistribution"]]) -> int:
-        """Populate from ``(t, marginal)`` pairs; returns entry count."""
-        items: List[Tuple[bytes, bytes]] = []
-        for t, marginal in marginals:
-            for value, prob in self.indexed.aggregate(marginal).items():
-                key = encode_key((self.indexed.code(value), Desc(prob), t))
-                items.append((key, b""))
-        items.sort(key=lambda kv: kv[0])
-        self.tree.bulk_load(items)
-        self.tree.flush()
-        return len(items)
+def entry(code: int, t: int, p: float) -> Tuple[bytes, bytes]:
+    """The BT_P ``(key, value)`` of one aggregated entry: the key holds
+    everything, the value is empty."""
+    return encode_key((code, Desc(p), t)), b""
 
 
-class ProbCursor:
-    """Descending-probability cursor for one attribute value."""
+def decode(key: bytes, value: bytes) -> Tuple[int, float]:
+    """``(time, prob)`` of one BT_P entry."""
+    _, prob, t = decode_key(key)
+    return t, prob
 
-    def __init__(self, index: BTPIndex, value) -> None:
-        if not index.indexed.has_value(value):
-            self._cursor = None
-        else:
-            code = index.indexed.code(value)
-            prefix = encode_key((code,))
-            self._lo = prefix
-            self._hi = prefix_upper_bound(prefix)
-            self._cursor = index.tree.cursor()
-        self._prob = 0.0
-        self._time: Optional[int] = None
-        self._done = self._cursor is None
-        self._started = False
 
-    @property
-    def valid(self) -> bool:
-        return not self._done and self._time is not None
+class ProbCursor(ValueCursor):
+    """One value's entries in decreasing probability; ``seek()`` lands
+    on the most probable."""
 
-    @property
-    def prob(self) -> float:
-        if not self.valid:
-            raise QueryError("probability cursor is exhausted")
-        return self._prob
-
-    @property
-    def time(self) -> int:
-        if not self.valid:
-            raise QueryError("probability cursor is exhausted")
-        return self._time
-
-    def first(self) -> bool:
-        """Position on the highest-probability entry."""
-        if self._cursor is None:
-            return False
-        self._started = True
-        return self._load(self._cursor.seek(self._lo))
-
-    def next(self) -> bool:
-        if self._cursor is None or self._done:
-            return False
-        if not self._started:
-            return self.first()
-        return self._load(self._cursor.next())
-
-    def _load(self, ok: bool) -> bool:
-        if not ok or self._cursor.key >= self._hi:
-            self._done = True
-            self._time = None
-            return False
-        decoded = decode_key(self._cursor.key)
-        self._prob = decoded[1]
-        self._time = decoded[2]
-        return True
+    decode = staticmethod(decode)
 
 
 class PredicateProbCursor:
@@ -125,7 +65,7 @@ class PredicateProbCursor:
     def _start(self) -> None:
         self._started = True
         for i, cursor in enumerate(self._cursors):
-            if cursor.first():
+            if cursor.seek():
                 heapq.heappush(self._heap, (-cursor.prob, cursor.time, i))
 
     def pop(self) -> Optional[Tuple[float, int]]:

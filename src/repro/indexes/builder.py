@@ -8,84 +8,75 @@ and benchmarks, which build indexes directly).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..errors import CatalogError
 from ..query.predicates import Predicate
 from ..storage import StorageEnvironment
 from ..streams.archive import StreamReader
 from ..streams.schema import StateSpace
+from . import btc, btp
 from .base import (
-    btc_tree_name,
-    btp_tree_name,
+    ValueIndex,
+    index_tree_name,
     mc_tree_name,
     resolve_indexed_attribute,
 )
-from .btc import BTCIndex
-from .btp import BTPIndex
 from .mc import MCIndex
 
+#: Each index kind's ``entry(code, t, p) -> (key, value)`` encoder.
+ENTRY_ENCODERS = {"btc": btc.entry, "btp": btp.entry}
 
-def build_btc(
+
+def build_value_indexes(
     env: StorageEnvironment,
     stream_name: str,
     space: StateSpace,
     indexed_attr: str,
     marginals: Iterable[Tuple[int, "SparseDistribution"]],
+    kinds: Sequence[str],
     dimensions: Optional[Dict[str, Dict]] = None,
-) -> BTCIndex:
-    """Build a BT_C index over the given indexed attribute."""
-    name = btc_tree_name(stream_name, indexed_attr)
-    if env.exists(name):
-        raise CatalogError(f"index {name!r} already exists")
+) -> Dict[str, ValueIndex]:
+    """Build the ``kinds`` (``btc``/``btp``) indexes over one indexed
+    attribute from one aggregation pass over the marginals.
+
+    Each kind bulk-loads the same ``(code, time, prob)`` entries, sorted
+    by its own key order.
+    """
+    names = {kind: index_tree_name(stream_name, kind, indexed_attr)
+             for kind in kinds}
+    for name in names.values():
+        if env.exists(name):
+            raise CatalogError(f"index {name!r} already exists")
     indexed = resolve_indexed_attribute(space, indexed_attr, dimensions)
-    index = BTCIndex(env.open_tree(name), indexed)
-    index.build(marginals)
-    return index
+    entries = [
+        (indexed.code(value), t, prob)
+        for t, marginal in marginals
+        for value, prob in indexed.aggregate(marginal).items()
+    ]
+    built = {}
+    for kind, name in names.items():
+        encode = ENTRY_ENCODERS[kind]
+        items = sorted((encode(*e) for e in entries), key=lambda kv: kv[0])
+        tree = env.open_tree(name)
+        tree.bulk_load(items)
+        tree.flush()
+        built[kind] = ValueIndex(tree, indexed)
+    return built
 
 
-def open_btc(
+def open_value_index(
     env: StorageEnvironment,
     stream_name: str,
     space: StateSpace,
+    kind: str,
     indexed_attr: str,
     dimensions: Optional[Dict[str, Dict]] = None,
-) -> BTCIndex:
-    """Open an existing BT_C index."""
-    name = btc_tree_name(stream_name, indexed_attr)
+) -> ValueIndex:
+    """Open an existing ``btc`` or ``btp`` index."""
+    name = index_tree_name(stream_name, kind, indexed_attr)
     indexed = resolve_indexed_attribute(space, indexed_attr, dimensions)
-    return BTCIndex(env.open_tree(name, create=False), indexed)
-
-
-def build_btp(
-    env: StorageEnvironment,
-    stream_name: str,
-    space: StateSpace,
-    indexed_attr: str,
-    marginals: Iterable[Tuple[int, "SparseDistribution"]],
-    dimensions: Optional[Dict[str, Dict]] = None,
-) -> BTPIndex:
-    """Build a BT_P index over the given indexed attribute."""
-    name = btp_tree_name(stream_name, indexed_attr)
-    if env.exists(name):
-        raise CatalogError(f"index {name!r} already exists")
-    indexed = resolve_indexed_attribute(space, indexed_attr, dimensions)
-    index = BTPIndex(env.open_tree(name), indexed)
-    index.build(marginals)
-    return index
-
-
-def open_btp(
-    env: StorageEnvironment,
-    stream_name: str,
-    space: StateSpace,
-    indexed_attr: str,
-    dimensions: Optional[Dict[str, Dict]] = None,
-) -> BTPIndex:
-    """Open an existing BT_P index."""
-    name = btp_tree_name(stream_name, indexed_attr)
-    indexed = resolve_indexed_attribute(space, indexed_attr, dimensions)
-    return BTPIndex(env.open_tree(name, create=False), indexed)
+    return ValueIndex(env.open_tree(name, create=False), indexed)
 
 
 def build_mc(

@@ -49,7 +49,7 @@ class Predicate:
         raise NotImplementedError
 
     # Subclasses may add value_level_terms(space) as a fallback when the
-    # preferred (join) index is absent; see QueryContext._terms_for.
+    # preferred (join) index is absent; see QueryContext.terms_for.
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Predicate) and \

@@ -645,26 +645,14 @@ class BTree:
         self,
         lo: Optional[bytes] = None,
         hi: Optional[bytes] = None,
-        reverse: bool = False,
     ) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield ``(key, value)`` with ``lo <= key < hi``; ``reverse``
-        walks the leaf chain backward (still within the same bounds)."""
+        """Yield ``(key, value)`` with ``lo <= key < hi`` in key order."""
         cur = self.cursor()
         try:
-            if not reverse:
-                ok = cur.first() if lo is None else cur.seek(lo)
-                while ok and (hi is None or cur.key < hi):
-                    yield cur.key, cur.value
-                    ok = cur.next()
-            else:
-                if hi is None:
-                    ok = cur.last()
-                else:
-                    ok = cur.seek(hi)
-                    ok = cur.prev() if ok else cur.last()
-                while ok and (lo is None or cur.key >= lo):
-                    yield cur.key, cur.value
-                    ok = cur.prev()
+            ok = cur.first() if lo is None else cur.seek(lo)
+            while ok and (hi is None or cur.key < hi):
+                yield cur.key, cur.value
+                ok = cur.next()
         finally:
             cur.close()
 
@@ -698,11 +686,11 @@ class BTree:
 
 
 class Cursor:
-    """A bidirectional cursor pinned to one leaf at a time.
+    """A forward cursor pinned to one leaf at a time.
 
     Positions on entries; ``seek`` lands on the first entry with
-    ``key >= target``. ``next``/``prev`` follow the leaf sibling links,
-    so a scan costs one logical page read per *leaf*, not per entry.
+    ``key >= target``. ``next`` follows the leaf sibling links, so a
+    scan costs one logical page read per *leaf*, not per entry.
     Mutating the tree invalidates open cursors (write-once archives
     never do).
     """
@@ -730,16 +718,6 @@ class Cursor:
                 return self._invalidate()
             leaf = self._tree.pool.get(self._tree, leaf.next)
             slot = 0
-        self._move_to(leaf)
-        self._slot = slot
-        return True
-
-    def _settle_backward(self, leaf: LeafNode, slot: int) -> bool:
-        while slot < 0:
-            if not leaf.prev:
-                return self._invalidate()
-            leaf = self._tree.pool.get(self._tree, leaf.prev)
-            slot = len(leaf.keys) - 1
         self._move_to(leaf)
         self._slot = slot
         return True
@@ -776,21 +754,11 @@ class Cursor:
         leaf = self._tree.pool.get(self._tree, self._tree._first_leaf)
         return self._settle_forward(leaf, 0)
 
-    def last(self) -> bool:
-        leaf = self._tree.pool.get(self._tree, self._tree._last_leaf)
-        return self._settle_backward(leaf, len(leaf.keys) - 1)
-
     def next(self) -> bool:
         if self._leaf is None:
             return False
         self._tree._m_cursor_steps.inc()
         return self._settle_forward(self._leaf, self._slot + 1)
-
-    def prev(self) -> bool:
-        if self._leaf is None:
-            return False
-        self._tree._m_cursor_steps.inc()
-        return self._settle_backward(self._leaf, self._slot - 1)
 
     def close(self) -> None:
         self._invalidate()

@@ -46,6 +46,11 @@ class StreamMeta:
             "record": self.record,
         }).encode("utf-8")
 
+    def joins(self, table: str) -> bool:
+        """Whether a BT_C/BT_P join index of this stream reads ``table``."""
+        return any(key.startswith(("btc:", "btp:"))
+                   and key.partition("/")[2] == table for key in self.indexes)
+
     @classmethod
     def from_json(cls, data: bytes) -> "StreamMeta":
         obj = json.loads(data.decode("utf-8"))
@@ -118,14 +123,25 @@ class Catalog:
     # -- dimension tables ----------------------------------------------
     def register_dimension(self, name: str, mapping: Dict,
                            replace: bool = False) -> None:
-        if not replace and self._tree.get(self._dim_key(name)) is not None:
-            raise CatalogError(
-                f"dimension table {name!r} is already registered"
-            )
         # Pairs, not an object: JSON objects force string keys.
         payload = json.dumps(
             [[k, v] for k, v in mapping.items()]
         ).encode("utf-8")
+        old = self._tree.get(self._dim_key(name))
+        if old is not None and not replace:
+            raise CatalogError(
+                f"dimension table {name!r} is already registered"
+            )
+        if old is not None and _mapping(old) != _mapping(payload):
+            # Join indexes (``btc:attr/name``) hold masses summed, and
+            # value codes numbered, under the old mapping.
+            readers = [s for s in self.list_streams()
+                       if self.stream_meta(s).joins(name)]
+            if readers:
+                raise CatalogError(
+                    f"dimension table {name!r} is read by the join indexes "
+                    f"of stream(s) {', '.join(readers)}; drop them first"
+                )
         self._tree.put(self._dim_key(name), payload)
         self._tree.flush()
 
@@ -133,8 +149,13 @@ class Catalog:
         data = self._tree.get(self._dim_key(name))
         if data is None:
             raise CatalogError(f"unknown dimension table {name!r}")
-        return {k if not isinstance(k, list) else tuple(k): v
-                for k, v in json.loads(data.decode("utf-8"))}
+        return _mapping(data)
 
     def list_dimensions(self) -> List[str]:
         return self._names_with_prefix("dim")
+
+
+def _mapping(payload: bytes) -> Dict:
+    """Decode a stored dimension table (list keys become tuples)."""
+    return {k if not isinstance(k, list) else tuple(k): v
+            for k, v in json.loads(payload.decode("utf-8"))}

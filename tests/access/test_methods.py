@@ -109,6 +109,38 @@ def test_btree_reads_fewer_pages_than_naive(db):
     assert btree_reads * 2 < naive_reads
 
 
+THREE_LINK_QUERY = "location=C1 -> location=Door -> location=Room"
+#: Sorted-access cost of Alg 3 on this module's ``db``: (logical reads,
+#: candidates examined, candidates pruned) per layout. The fig8a/fig8b
+#: baselines do not run top-k, so these pin BT_P's read path.
+TOPK_COSTS = {
+    (ENTERED_ROOM_QUERY, "k=3"): {"separated": (725, 90, 0),
+                                  "cell": (725, 90, 0),
+                                  "packed": (171, 90, 0)},
+    (ENTERED_ROOM_QUERY, "threshold=0.6"): {"separated": (725, 90, 0),
+                                            "cell": (725, 90, 0),
+                                            "packed": (171, 90, 0)},
+    (THREE_LINK_QUERY, "k=3"): {"separated": (752, 226, 224),
+                                "cell": (746, 226, 224),
+                                "packed": (474, 226, 224)},
+    (THREE_LINK_QUERY, "threshold=0.3"): {"separated": (415, 142, 140),
+                                          "cell": (411, 142, 140),
+                                          "packed": (289, 142, 140)},
+}
+
+
+@pytest.mark.parametrize("layout", [lo.value for lo in LAYOUTS])
+@pytest.mark.parametrize("text,mode", list(TOPK_COSTS))
+def test_topk_sorted_access_cost_is_pinned(db, layout, text, mode):
+    name, value = mode.split("=")
+    kwargs = {"k": int(value)} if name == "k" else {"threshold": float(value)}
+    result = db.query(f"syn_{layout}", text, method="topk", cold=True,
+                      **kwargs)
+    stats = result.stats
+    assert (stats.io.logical_reads, stats.candidates_examined,
+            stats.candidates_pruned) == TOPK_COSTS[text, mode][layout]
+
+
 CONDITIONED_QUERY = "location=Door -> (location=C1)* location=Room"
 #: (label, access method, query) — every method, conditioned MC included.
 COUNTED_RUNS = [

@@ -1,10 +1,12 @@
 """Caldera entry points documented in docs/QUERY_LANGUAGE.md:
-``build_conditioned_mc`` on an already-archived stream, and
-``query_all``'s fan-out over every archived stream."""
+``build_conditioned_mc`` on an already-archived stream,
+``query_all``'s fan-out over every archived stream, and
+``register_dimension_table(replace=True)`` under join indexes."""
 
 import pytest
 
 from repro.core import Caldera
+from repro.errors import CatalogError
 from repro.streams import ENTERED_ROOM_QUERY, synthetic_stream
 
 CONDITIONED_QUERY = "location=Door -> (location=C1)* location=Room"
@@ -62,3 +64,39 @@ def test_query_all_fans_out_per_stream(tmp_path):
         assert list(only_b) == ["b"]
         assert only_b["b"].signal == db.query("b", ENTERED_ROOM_QUERY,
                                               k=2).signal
+
+
+KIND = {"Door": "entry", "Room": "space"}
+JOIN_QUERY = "dim(location,Kind)=entry -> location=Room"
+
+
+def test_replacing_a_joined_dimension_table_is_refused(tmp_path):
+    """A join index stores masses summed, and value codes numbered,
+    under the table it was built from; changing the table under it would
+    make the planner's index-based answer silently wrong."""
+    with Caldera(str(tmp_path / "db")) as db:
+        db.register_dimension_table("Kind", KIND)
+        db.archive(synthetic_stream("syn", num_snippets=20),
+                   join_tables=("Kind",))
+        db.register_dimension_table("Other", {"Door": "x"})
+        db.archive(synthetic_stream("plain", num_snippets=2))
+        naive = db.query("syn", JOIN_QUERY, method="naive").signal
+        assert db.explain("syn", JOIN_QUERY).method.name == "btree"
+        with pytest.raises(CatalogError, match=r"'Kind'.*stream\(s\) syn;"):
+            db.register_dimension_table("Kind", {**KIND, "Lobby": "aaa"},
+                                        replace=True)
+        # An unchanged mapping, or a table no index reads, may be replaced.
+        db.register_dimension_table("Kind", dict(reversed(KIND.items())),
+                                    replace=True)
+        db.register_dimension_table("Other", {"Door": "y"}, replace=True)
+        assert db.dimension_tables()["Kind"] == KIND
+        btree = db.query("syn", JOIN_QUERY).signal
+        assert_signals_agree(dict(naive), btree)
+
+
+def assert_signals_agree(exact, other):
+    assert other
+    for t, p in other:
+        assert exact.get(t, 0.0) == pytest.approx(p, abs=1e-9)
+    emitted = {t for t, _ in other}
+    assert all(t in emitted for t, p in exact.items() if p > 1e-12)

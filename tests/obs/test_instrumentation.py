@@ -29,7 +29,7 @@ def _workload(env):
     extra.delete(encode_key((7,)))
     sum(1 for _ in tree.items())
     env.drop_caches()
-    sum(1 for _ in extra.range_items(reverse=True))
+    sum(1 for _ in extra.range_items())
     env.flush()
     return env.stats.snapshot()
 

@@ -94,8 +94,15 @@ examples:
 		PYTHONPATH=src $(PYTHON) $$ex || exit 1; \
 	done
 
-# Size of the library source: the lines of every .py file under src/.
+# Size of the library source: the lines of the .py files of each
+# src/repro package and of src/repro's own modules, then the total of
+# every .py file under src/ as the last line.
 loc:
+	@for d in src/repro/*/; do \
+		printf '%6d %s\n' "$$(find $$d -name '*.py' | xargs cat | wc -l)" \
+			"$${d%/}"; \
+	done
+	@printf '%6d %s\n' "$$(cat src/repro/*.py | wc -l)" "src/repro/*.py"
 	@find src -name '*.py' | xargs cat | wc -l
 
 clean:

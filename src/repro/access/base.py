@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import PlanningError
 from ..indexes.base import ValueIndex
@@ -158,6 +158,18 @@ class QueryContext:
                 return terms
         return None
 
+    def conditioned_loop(self) -> Optional[Tuple[int, MCIndex]]:
+        """``(q, index)`` when the query has exactly one positive Kleene
+        loop, at link ``q``, and its conditioned MC index is open: the
+        one case §3.3.2's conditioned skipping covers. None otherwise."""
+        loops = [q for q, link in enumerate(self.query.links)
+                 if link.has_positive_loop]
+        if len(loops) != 1:
+            return None
+        index = self.mc_conditioned.get(
+            self.query.links[loops[0]].loop.signature())
+        return None if index is None else (loops[0], index)
+
     def chrono_cursor(self, predicate: Predicate) -> PredicateChronoCursor:
         return PredicateChronoCursor(*self._covering("btc", predicate))
 
@@ -179,15 +191,19 @@ class QueryContext:
 class RegRun:
     """The one place where archive reads feed Reg and get counted.
 
-    Every access method steps a run instead of calling the reader and
-    :class:`Reg` itself: each method below makes one point read and
-    counts it in the run's :class:`AccessStats`. Gap jumps whose CPT
-    comes from the MC index call :attr:`reg` directly; the index counts
-    its own reads in ``stats.mc_lookups``.
+    Every access method walks a run (:meth:`walk`) instead of calling
+    the reader and :class:`Reg` itself, and every read lands once in the
+    run's :class:`AccessStats` (the MC index counts its own in
+    ``stats.mc_lookups``). Methods differ only in the timesteps they
+    walk and in the gap rule that crosses non-adjacent ones:
+    :meth:`span` (Algorithm 4), :meth:`loop_span` (§3.3.2) or
+    :meth:`independent` (Algorithm 5).
     """
 
     def __init__(self, ctx: QueryContext, stats: AccessStats) -> None:
         self.reader = ctx.reader
+        self.mc = ctx.mc
+        self.mc_min_level = ctx.mc_min_level
         self.reg = Reg(ctx.query, ctx.space)
         self.stats = stats
 
@@ -196,27 +212,50 @@ class RegRun:
         self.stats.marginals_read += 1
         return self.reader.marginal(t)
 
-    def start(self, t: int) -> float:
-        """Start a fresh run on the marginal at ``t``."""
-        self.stats.reg_initializations += 1
-        return self.reg.initialize(self.marginal(t))
+    def walk(self, times: Iterable[int],
+             jump: Optional[Callable[[int, int], float]] = None,
+             ) -> Iterator[Tuple[int, float]]:
+        """Yield ``(t, p)`` for each of the increasing ``times``: start a
+        fresh run at the first, step the CPT into each adjacent one and
+        call ``jump(prev, t)`` across each gap (a ``range`` has none)."""
+        prev = None
+        for t in times:
+            if prev is None:
+                self.stats.reg_initializations += 1
+                p = self.reg.initialize(self.marginal(t))
+            elif t == prev + 1:
+                self.stats.cpts_read += 1
+                p = self.reg.update(self.reader.cpt_into(t))
+            else:
+                p = jump(prev, t)
+            yield t, p
+            prev = t
 
-    def step(self, t: int) -> float:
-        """Advance the run into ``t`` by the CPT from ``t - 1``."""
-        self.stats.cpts_read += 1
-        return self.reg.update(self.reader.cpt_into(t))
+    def _plain(self, prev: int, t: int):
+        return self.mc.compute_cpt(prev, t, self.reader,
+                                   min_level=self.mc_min_level,
+                                   stats=self.stats.mc_lookups)
 
-    def interval(self, s: int, e: int) -> Iterator[Tuple[int, float]]:
-        """Yield ``(t, p)`` for every ``t`` in ``[s, e]``, starting a
-        fresh run at ``s``."""
-        yield s, self.start(s)
-        for t in range(s + 1, e + 1):
-            yield t, self.step(t)
+    def span(self, prev: int, t: int) -> float:
+        """Cross the gap by the MC index's composed CPT (Algorithm 4)."""
+        return self.reg.update_span(self._plain(prev, t), span=t - prev)
 
-    def independent(self, t: int, span: int) -> float:
-        """Jump ``span`` steps to ``t`` under the independence
-        approximation (Algorithm 5): only the marginal at ``t`` is read."""
-        return self.reg.update_independent(self.marginal(t), span=span)
+    def loop_span(self, loop: Tuple[int, MCIndex], prev: int,
+                  t: int) -> float:
+        """Cross a Kleene run of the loop at link ``q`` in one update,
+        by the plain and the conditioned MC CPT of
+        ``loop = (q, conditioned index)`` (§3.3.2)."""
+        q, index = loop
+        plain = self._plain(prev, t)
+        cond = index.compute_conditioned_cpt(
+            prev, t, self.reader, min_level=self.mc_min_level,
+            stats=self.stats.mc_lookups)
+        return self.reg.update_loop_span(q, plain, cond, span=t - prev)
+
+    def independent(self, prev: int, t: int) -> float:
+        """Cross the gap under the independence approximation
+        (Algorithm 5): only the marginal at ``t`` is read."""
+        return self.reg.update_independent(self.marginal(t), span=t - prev)
 
 
 class AccessMethod:

@@ -67,7 +67,7 @@ class FixedBTree(AccessMethod):
             # In unmerged mode overlapping intervals revisit timesteps; a
             # timestep's true probability is the best (complete-alignment)
             # value, so keep the max.
-            for t, p in run.interval(start, end):
+            for t, p in run.walk(range(start, end + 1)):
                 emitted[t] = max(p, emitted.get(t, 0.0))
             run.stats.intervals_processed += 1
         signal: List[Tuple[int, float]] = sorted(emitted.items())

@@ -16,7 +16,9 @@ prunes on the product of all link marginals (an ablation knob, not in
 the paper's pseudocode).
 
 Also supports *threshold* queries (return every match with probability
-``>= tau``) by fixing the termination bound at ``tau``.
+``>= tau``) by fixing the termination bound at ``tau``; a bound equal to
+``tau`` may still be met exactly, so only a bound below it stops or
+prunes.
 """
 
 from __future__ import annotations
@@ -82,12 +84,12 @@ class FixedTopK(AccessMethod):
         seen: Set[int] = set()
         stats = run.stats
 
-        def kth_best() -> float:
+        def beaten(bound: float) -> bool:
+            """No match bounded by ``bound`` can make the answer: it is
+            below tau, or no better than the current k-th best."""
             if self.threshold is not None:
-                return self.threshold
-            if len(best) < self.k:
-                return 0.0
-            return best[0][0]
+                return bound < self.threshold
+            return bound <= (best[0][0] if len(best) == self.k else 0.0)
 
         while True:
             # Globally highest remaining sorted-access entry.
@@ -100,7 +102,7 @@ class FixedTopK(AccessMethod):
                     top_i = i
             if top_i is None:
                 break  # all cursors exhausted
-            if top_prob * bound_multiplier <= kth_best():
+            if beaten(top_prob * bound_multiplier):
                 break  # TA termination (Alg 3, lines 5-6)
             i, cursor = next(c for c in cursors if c[0] == top_i)
             prob, t = cursor.pop()
@@ -123,14 +125,14 @@ class FixedTopK(AccessMethod):
                     break
                 bounds.append(mass)
             if not pruned and self.enhanced_pruning:
-                if min(bounds) <= kth_best():
+                if beaten(min(bounds)):
                     pruned = True
             if pruned:
                 stats.candidates_pruned += 1
                 continue
 
             # Lines 10-12: evaluate the interval through Reg.
-            match_time, p = list(run.interval(start, start + n - 1))[-1]
+            match_time, p = list(run.walk(range(start, start + n)))[-1]
             if self.threshold is not None:
                 if p >= self.threshold:
                     heapq.heappush(best, (p, match_time))

@@ -16,4 +16,4 @@ class NaiveScan(AccessMethod):
     name = "naive"
 
     def _execute(self, ctx: QueryContext, run: RegRun):
-        return list(run.interval(ctx.start, ctx.stop - 1)), 0
+        return list(run.walk(range(ctx.start, ctx.stop))), 0

@@ -28,8 +28,6 @@ Documented approximation bound (what *is* guaranteed, and what
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
 from .base import AccessMethod, QueryContext, RegRun
 from .variable_mc import collect_relevant_events
 
@@ -40,19 +38,9 @@ class SemiIndependent(AccessMethod):
     name = "semi"
 
     def _execute(self, ctx: QueryContext, run: RegRun):
-        predicates = ctx.query.indexable_predicates()
-        events = collect_relevant_events(ctx, predicates)
-        signal: List[Tuple[int, float]] = []
-        t_prev: Optional[int] = None
-        for t, _matched in events:
-            if t_prev is None:
-                p = run.start(t)
-            elif t == t_prev + 1:
-                # Adjacent: the exact CPT is one access away (line 9).
-                p = run.step(t)
-            else:
-                # Distant: independence approximation (line 11).
-                p = run.independent(t, span=t - t_prev)
-            signal.append((t, p))
-            t_prev = t
-        return signal, 0
+        # Adjacent relevant timesteps read their exact CPT (line 9);
+        # distant ones jump under the independence approximation
+        # (line 11).
+        events = collect_relevant_events(
+            ctx, ctx.query.indexable_predicates())
+        return list(run.walk((t for t, _ in events), run.independent)), 0

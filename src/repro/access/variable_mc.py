@@ -2,9 +2,11 @@
 
 One BT_C cursor per (indexable) query predicate is advanced in parallel;
 their union enumerates the *relevant* timesteps — the only inputs on
-which the query NFA can change state. Between consecutive relevant
-timesteps the method asks the MC index for the composed CPT spanning the
-gap and performs a single span update, so an arbitrarily long stretch of
+which the query NFA can change state. The method walks them with
+:meth:`~repro.access.base.RegRun.walk`, like Algorithm 5; it differs
+only in the gap rule. Adjacent relevant timesteps read their CPT, and a
+gap is crossed by :meth:`~repro.access.base.RegRun.span`: one update by
+the MC index's composed CPT, so an arbitrarily long stretch of
 irrelevant data costs ``O(log(gap))`` CPT multiplications instead of a
 scan.
 
@@ -20,14 +22,17 @@ Positive (non-negated) Kleene loops are handled two ways:
   truly irrelevant gaps — exact output at every relevant timestep;
 - conditioned mode (``use_conditioned=True``, §3.3.2): maximal runs of
   timesteps relevant *only* to the loop predicate are crossed in one
-  update using the predicate-conditioned MC index; the query signal is
-  then emitted at run boundaries only (the summarized interior is not
-  enumerated).
+  :meth:`~repro.access.base.RegRun.loop_span` update using the
+  predicate-conditioned MC index; the query signal is then emitted at
+  run boundaries only (the summarized interior is not enumerated). It
+  needs :meth:`~repro.access.base.QueryContext.conditioned_loop`: exactly
+  one positive loop, with its conditioned index open. The planner asks
+  the same question before it picks this mode.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set
 
 from ..errors import PlanningError
 from .base import AccessMethod, QueryContext, RegRun
@@ -60,79 +65,34 @@ class VariableMC(AccessMethod):
 
     def _execute(self, ctx: QueryContext, run: RegRun):
         query = ctx.query
-        reader = ctx.reader
-        mc_stats = run.stats.mc_lookups
         if ctx.mc is None:
             raise PlanningError("the MC-index method needs the MC index")
+        loop = ctx.conditioned_loop() if self.use_conditioned else None
+        if self.use_conditioned and loop is None and query.has_positive_loops:
+            raise PlanningError(
+                "conditioned skipping needs exactly one positive Kleene "
+                "loop with its conditioned MC index built; run the MC "
+                "method in exact mode instead"
+            )
         predicates = query.indexable_predicates()
         events = collect_relevant_events(ctx, predicates)
-        if not events:
-            return [], 0
+        if loop is None:
+            return list(run.walk((t for t, _ in events), run.span)), 0
 
-        # Positive-loop bookkeeping for conditioned mode.
-        loop_state: Optional[int] = None  # 0-based link index / NFA state q
-        loop_pred_id: Optional[int] = None
-        conditioned = None
-        if self.use_conditioned and query.has_positive_loops:
-            loop_links = [
-                q for q, link in enumerate(query.links) if link.has_positive_loop
-            ]
-            if len(loop_links) > 1:
-                raise PlanningError(
-                    "conditioned skipping supports a single positive Kleene "
-                    "loop; run the MC method in exact mode instead"
-                )
-            loop_state = loop_links[0]
-            loop_sig = query.links[loop_state].loop.signature()
-            conditioned = ctx.mc_conditioned.get(loop_sig)
-            if conditioned is None:
-                raise PlanningError(
-                    f"conditioned MC index for {loop_sig} is not built"
-                )
-            for idx, predicate in enumerate(predicates):
-                if predicate.signature() == loop_sig:
-                    loop_pred_id = idx
-                    break
+        # Defer pure loop-interior events: relevant only to the loop
+        # predicate, after the first event and adjacent to the next one.
+        # A deferred run therefore ends right before a walked event,
+        # whose gap jump crosses the whole run in one loop span.
+        sig = query.links[loop[0]].loop.signature()
+        loop_id = next((i for i, p in enumerate(predicates)
+                        if p.signature() == sig), None)
+        deferred = {t for pos, (t, matched) in enumerate(events[1:-1], 1)
+                    if matched == {loop_id} and events[pos + 1][0] == t + 1}
 
-        signal: List[Tuple[int, float]] = []
-        t_prev: Optional[int] = None
-        skipped_loop_run = False
+        def jump(prev: int, t: int) -> float:
+            if t - 1 in deferred:
+                return run.loop_span(loop, prev, t)
+            return run.span(prev, t)
 
-        for pos, (t, matched) in enumerate(events):
-            if self.use_conditioned and loop_pred_id is not None:
-                # Defer pure loop-interior events: relevant only to the
-                # loop predicate, adjacent on both sides to the run.
-                if (
-                    matched == {loop_pred_id}
-                    and pos + 1 < len(events)
-                    and events[pos + 1][0] == t + 1
-                    and t_prev is not None
-                ):
-                    skipped_loop_run = True
-                    continue
-
-            if t_prev is None:
-                p = run.start(t)
-            elif t == t_prev + 1 and not skipped_loop_run:
-                p = run.step(t)
-            else:
-                # Gap jump: the span CPT comes from the MC index, which
-                # counts its own reads in mc_stats.
-                gap = t - t_prev
-                plain = ctx.mc.compute_cpt(
-                    t_prev, t, reader,
-                    min_level=ctx.mc_min_level, stats=mc_stats,
-                )
-                if skipped_loop_run:
-                    cond = conditioned.compute_conditioned_cpt(
-                        t_prev, t, reader,
-                        min_level=ctx.mc_min_level, stats=mc_stats,
-                    )
-                    p = run.reg.update_loop_span(loop_state, plain, cond,
-                                                 span=gap)
-                else:
-                    p = run.reg.update_span(plain, span=gap)
-            signal.append((t, p))
-            t_prev = t
-            skipped_loop_run = False
-        return signal, 0
+        times = (t for t, _ in events if t not in deferred)
+        return list(run.walk(times, jump)), 0

@@ -119,6 +119,15 @@ class Caldera:
             indexes for (§3.3.2).
         """
         layout = Layout.parse(layout)
+        # Tree names are ``<stream>__<suffix>``: any other name could put
+        # one stream's ``<stream>__`` prefix on another's (or the
+        # catalog's) trees, and drop_stream would delete them.
+        if not stream.name or "__" in stream.name or \
+                stream.name.endswith("_"):
+            raise CatalogError(
+                f"stream name {stream.name!r} must be non-empty, contain no "
+                "'__' and not end in '_'"
+            )
         if self.catalog.has_stream(stream.name):
             raise CatalogError(f"stream {stream.name!r} is already archived")
         write_stream(self.env, stream, layout)

@@ -101,9 +101,9 @@ def plan(
             covered = False
             break
     if covered and ctx.mc is not None:
-        conditioned_ok = use_conditioned and _conditioned_available(ctx)
+        conditioned = use_conditioned and ctx.conditioned_loop() is not None
         return PlanDecision(
-            VariableMC(use_conditioned=conditioned_ok),
+            VariableMC(use_conditioned=conditioned),
             "variable-length query with full BT_C coverage and MC index",
         )
     if covered and approximate:
@@ -122,14 +122,6 @@ def plan(
         "variable-length query without full index coverage: full scan "
         "(§3.4.1)",
     )
-
-
-def _conditioned_available(ctx: QueryContext) -> bool:
-    for link in ctx.query.links:
-        if link.has_positive_loop:
-            if link.loop.signature() not in ctx.mc_conditioned:
-                return False
-    return ctx.query.has_positive_loops
 
 
 def method_by_name(

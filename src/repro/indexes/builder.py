@@ -91,8 +91,8 @@ def build_mc(
 
     The build runs under an ``mc.build`` span on the environment's
     tracer (wall time + page-write delta land in the environment
-    registry), and the index's ``mc.*`` counters are bound to the same
-    registry.
+    registry), and the records it writes are counted in that registry's
+    ``mc.records_built`` counter.
     """
     signature = predicate.signature() if predicate is not None else None
     name = mc_tree_name(stream_name, signature)
@@ -104,10 +104,11 @@ def build_mc(
             raise CatalogError("conditioned MC index needs the state space")
         accept = predicate.matching_states(space)
     index = MCIndex(env.open_tree(name), alpha, reader.length,
-                    accept_states=accept, registry=env.metrics)
+                    accept_states=accept)
     with env.tracer().span("mc.build", tree=name, alpha=alpha,
                            conditioned=predicate is not None):
-        index.build(reader)
+        records = index.build(reader)
+    env.metrics.counter("mc.records_built", tree=name).inc(records)
     return index
 
 
@@ -129,6 +130,6 @@ def open_mc(
             raise CatalogError("conditioned MC index needs the state space")
         accept = predicate.matching_states(space)
     index = MCIndex(env.open_tree(name, create=False), alpha, length,
-                    accept_states=accept, registry=env.metrics)
+                    accept_states=accept)
     index.verify_meta()
     return index

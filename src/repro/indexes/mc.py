@@ -33,6 +33,10 @@ Both sides of the canonical decomposition use at most ``alpha - 1``
 pieces per level, so the piece count is bounded by
 ``2 * (alpha - 1) * ceil(log_alpha g)`` and grows logarithmically in
 the gap; ``tests/indexes/test_mc_costs.py`` pins the exact constants.
+The index keeps no counters of its own: a traversal adds its lookups,
+raw base CPTs and compositions to the caller's :class:`MCLookupStats`
+(a query's ``AccessStats.mc_lookups``, filled by the gap rules of
+:class:`repro.access.base.RegRun`), so each cost is counted once.
 
 Conditioned variant (§3.3.2)
 ----------------------------
@@ -52,10 +56,7 @@ deliberately *sub*-stochastic: row mass is the probability of
 satisfying the predicate at every interior timestep, and the lost mass
 is exactly the probability of leaving the loop — what
 :meth:`repro.lahar.reg.Reg.update_loop_span` needs to split kept and
-exited mass in one update. Renormalizing the rows
-(``normalize=True``) yields §3.3.2's conditional distribution
-``P(x_end | x_start, predicate held throughout the interior)`` when
-that form is wanted.
+exited mass in one update (:meth:`repro.access.base.RegRun.loop_span`).
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import CatalogError, StreamError
-from ..obs.metrics import NullRegistry
 from ..probability import CPT
 from ..probability.cpt import RECORD_VERSION, check_record_version
 from ..storage import encode_key
@@ -84,11 +84,6 @@ class MCLookupStats:
     compositions: int = 0
     #: Raw per-timestep CPTs read because no span record covered them.
     base_cpts_read: int = 0
-
-    def merge(self, other: "MCLookupStats") -> None:
-        self.lookups += other.lookups
-        self.compositions += other.compositions
-        self.base_cpts_read += other.base_cpts_read
 
     @property
     def pieces(self) -> int:
@@ -112,8 +107,7 @@ class MCIndex:
     """The MC index over one archived stream (plain or conditioned)."""
 
     def __init__(self, tree, alpha: int, length: int,
-                 accept_states: Optional[FrozenSet[int]] = None,
-                 registry=None) -> None:
+                 accept_states: Optional[FrozenSet[int]] = None) -> None:
         if alpha < 2:
             raise ValueError(f"MC index alpha must be >= 2, got {alpha}")
         self.tree = tree
@@ -124,12 +118,6 @@ class MCIndex:
             None if accept_states is None else frozenset(accept_states)
         )
         self.max_level = max_level_for(alpha, length)
-        self._registry = registry if registry is not None else NullRegistry()
-        labels = {"tree": getattr(tree, "name", "mc")}
-        self._c_lookups = self._registry.counter("mc.lookups", **labels)
-        self._c_base = self._registry.counter("mc.base_cpts", **labels)
-        self._c_compose = self._registry.counter("mc.compositions", **labels)
-        self._c_records = self._registry.counter("mc.records_built", **labels)
 
     @property
     def is_conditioned(self) -> bool:
@@ -191,7 +179,6 @@ class MCIndex:
 
         self.tree.bulk_load(items)
         self.tree.flush()
-        self._c_records.inc(records)
         return records
 
     def _meta_value(self) -> bytes:
@@ -249,16 +236,14 @@ class MCIndex:
 
     def compute_conditioned_cpt(self, start: int, end: int, reader, *,
                                 min_level: int = 1,
-                                stats: Optional[MCLookupStats] = None,
-                                normalize: bool = False) -> CPT:
+                                stats: Optional[MCLookupStats] = None) -> CPT:
         """The CPT crossing one conditioned Kleene run ``start -> end``
         (§3.3.2): interior transitions (into ``start+1 .. end-1``)
         masked to the accept-state predicate, the final step into
         ``end`` unmasked (the boundary event's symbol is classified by
         Reg, so conditioning it away would drop loop exits). The result
-        is sub-stochastic — lost row mass = probability of leaving the
-        loop — unless ``normalize=True`` rescales each row to §3.3.2's
-        conditional distribution."""
+        is sub-stochastic: lost row mass = probability of leaving the
+        loop."""
         if not self.is_conditioned:
             raise CatalogError(
                 "this MC index is not conditioned; build it with a "
@@ -270,21 +255,15 @@ class MCIndex:
                 f"{self.length}"
             )
         final = reader.cpt_into(end)
+        if stats is not None:
+            stats.base_cpts_read += 1
         if end - start == 1:
-            result = final
-            if stats is not None:
-                stats.base_cpts_read += 1
-            self._c_base.inc()
-        else:
-            interior = self._compute(start, end - 1, reader, min_level,
-                                     stats, masked=True)
-            result = interior.compose(final)
-            if stats is not None:
-                stats.base_cpts_read += 1
-                stats.compositions += 1
-            self._c_base.inc()
-            self._c_compose.inc()
-        return result.normalize_rows() if normalize else result
+            return final
+        interior = self._compute(start, end - 1, reader, min_level, stats,
+                                 masked=True)
+        if stats is not None:
+            stats.compositions += 1
+        return interior.compose(final)
 
     def _compute(self, start: int, end: int, reader, min_level: int,
                  stats: Optional[MCLookupStats], masked: bool) -> CPT:
@@ -325,9 +304,6 @@ class MCIndex:
             stats.lookups += lookups
             stats.base_cpts_read += base
             stats.compositions += compositions
-        self._c_lookups.inc(lookups)
-        self._c_base.inc(base)
-        self._c_compose.inc(compositions)
         return result
 
     def _fetch(self, level: int, start: int) -> CPT:

@@ -12,7 +12,14 @@ from repro.access import (
     VariableMC,
 )
 from repro.core import Caldera
-from repro.streams import ENTERED_ROOM_QUERY, Layout, synthetic_stream
+from repro.probability import CPT, SparseDistribution
+from repro.streams import (
+    ENTERED_ROOM_QUERY,
+    Layout,
+    MarkovianStream,
+    StateSpace,
+    synthetic_stream,
+)
 
 LAYOUTS = (Layout.SEPARATED, Layout.CELL, Layout.PACKED)
 KLEENE_QUERY = "location=Door -> (!location=Room)* location=Room"
@@ -109,6 +116,26 @@ def test_btree_reads_fewer_pages_than_naive(db):
     assert btree_reads * 2 < naive_reads
 
 
+def test_threshold_keeps_matches_exactly_at_tau(tmp_path):
+    """A threshold query returns every match with ``p >= tau``: on a
+    deterministic stream whose matches all have probability 1.0, top-k's
+    bound equals tau and must not stop sorted access or prune."""
+    space = StateSpace(("location",), [("A",), ("Door",), ("Room",)])
+    path = [0, 1, 2, 0, 0, 1, 2, 0]
+    marginals = [SparseDistribution({s: 1.0}) for s in path]
+    cpts = [CPT({a: {b: 1.0}}) for a, b in zip(path, path[1:])]
+    want = [(2, 1.0), (6, 1.0)]
+    with Caldera(str(tmp_path)) as db:
+        db.archive(MarkovianStream("det", space, marginals, cpts))
+        for method in ("naive", "btree", "topk", "auto"):
+            got = db.query("det", ENTERED_ROOM_QUERY, method=method,
+                           threshold=1.0).signal
+            assert got == want, method
+        ctx = db.context("det", ENTERED_ROOM_QUERY)
+        enhanced = FixedTopK(threshold=1.0, enhanced_pruning=True)
+        assert enhanced.run(ctx).signal == want
+
+
 THREE_LINK_QUERY = "location=C1 -> location=Door -> location=Room"
 #: Sorted-access cost of Alg 3 on this module's ``db``: (logical reads,
 #: candidates examined, candidates pruned) per layout. The fig8a/fig8b
@@ -142,15 +169,31 @@ def test_topk_sorted_access_cost_is_pinned(db, layout, text, mode):
 
 
 CONDITIONED_QUERY = "location=Door -> (location=C1)* location=Room"
-#: (label, access method, query) — every method, conditioned MC included.
+#: (label, access method, query) — every method, threshold top-k and
+#: conditioned MC included.
 COUNTED_RUNS = [
     ("naive", NaiveScan(), ENTERED_ROOM_QUERY),
     ("btree", FixedBTree(), ENTERED_ROOM_QUERY),
     ("topk", FixedTopK(k=3), ENTERED_ROOM_QUERY),
+    ("threshold", FixedTopK(threshold=0.3), ENTERED_ROOM_QUERY),
     ("mc", VariableMC(), KLEENE_QUERY),
     ("semi", SemiIndependent(), KLEENE_QUERY),
     ("mc_conditioned", VariableMC(use_conditioned=True), CONDITIONED_QUERY),
 ]
+#: Each run's exact cost on ``mc_db``: logical reads per layout
+#: (separated, cell, packed), then (Reg initializations, Reg updates,
+#: marginals read, CPTs read, MC lookups, MC base CPTs, MC compositions,
+#: candidates examined, candidates pruned, intervals processed).
+COUNTED_COSTS = {
+    "naive": ((600, 600, 76), (1, 299, 1, 299, 0, 0, 0, 0, 0, 0)),
+    "btree": ((241, 241, 37), (3, 115, 3, 115, 0, 0, 0, 59, 0, 3)),
+    "topk": ((481, 481, 139), (59, 59, 179, 59, 0, 0, 0, 60, 1, 59)),
+    "threshold": ((481, 481, 139), (59, 59, 179, 59, 0, 0, 0, 60, 1, 59)),
+    "mc": ((253, 253, 47), (1, 118, 1, 117, 5, 1, 5, 0, 0, 0)),
+    "semi": ((243, 243, 37), (1, 118, 2, 117, 0, 0, 0, 0, 0, 0)),
+    "mc_conditioned": ((467, 455, 229),
+                       (1, 134, 1, 117, 67, 45, 83, 0, 0, 0)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +217,8 @@ def mc_db(tmp_path_factory):
 def test_every_read_is_counted_once(mc_db, layout, label, method, text):
     """Each reader call an access method makes shows up exactly once in
     its stats: marginals in ``marginals_read``, CPTs in ``cpts_read``
-    or, for the MC index's base steps, ``mc_lookups.base_cpts_read``."""
+    or, for the MC index's base steps, ``mc_lookups.base_cpts_read``.
+    Every counter then equals its ``COUNTED_COSTS`` pin."""
     ctx = mc_db.context(f"syn_{layout}", text)
     calls = {"marginal": 0, "cpt_into": 0}
     for name in calls:
@@ -190,3 +234,11 @@ def test_every_read_is_counted_once(mc_db, layout, label, method, text):
     assert stats.marginals_read == calls["marginal"]
     assert stats.cpts_read + stats.mc_lookups.base_cpts_read == \
         calls["cpt_into"]
+    reads, counters = COUNTED_COSTS[label]
+    mc = stats.mc_lookups
+    assert stats.io.logical_reads == \
+        dict(zip((lo.value for lo in LAYOUTS), reads))[layout]
+    assert (stats.reg_initializations, stats.reg_updates,
+            stats.marginals_read, stats.cpts_read, mc.lookups,
+            mc.base_cpts_read, mc.compositions, stats.candidates_examined,
+            stats.candidates_pruned, stats.intervals_processed) == counters

@@ -6,7 +6,7 @@
 import pytest
 
 from repro.core import Caldera
-from repro.errors import CatalogError
+from repro.errors import CatalogError, PlanningError
 from repro.streams import ENTERED_ROOM_QUERY, synthetic_stream
 
 CONDITIONED_QUERY = "location=Door -> (location=C1)* location=Room"
@@ -64,6 +64,44 @@ def test_query_all_fans_out_per_stream(tmp_path):
         assert list(only_b) == ["b"]
         assert only_b["b"].signal == db.query("b", ENTERED_ROOM_QUERY,
                                               k=2).signal
+
+
+TWO_LOOP_QUERY = ("location=Door -> (location=C1)* location=Room "
+                  "-> (location=Room)* location=Door")
+
+
+def test_conditioned_auto_query_with_two_loops_runs_exact_mc(tmp_path):
+    """Conditioned skipping covers exactly one positive loop. With two
+    loops (both conditioned indexes built) the planner picks the MC
+    method in exact mode, which agrees with the naive scan; asking for
+    conditioned mode explicitly is refused."""
+    with Caldera(str(tmp_path)) as db:
+        query = db.parse(TWO_LOOP_QUERY)
+        loops = [link.loop for link in query.links if link.has_positive_loop]
+        assert len(loops) == 2
+        db.archive(_stream(), mc_alpha=2, conditioned_predicates=loops)
+        naive = db.query("syn", TWO_LOOP_QUERY, method="naive").signal
+        auto = db.query("syn", TWO_LOOP_QUERY, use_conditioned=True)
+        assert auto.method == "mc"
+        assert_signals_agree(dict(naive), auto.signal)
+        with pytest.raises(PlanningError, match="exactly one positive"):
+            db.query("syn", TWO_LOOP_QUERY, method="mc",
+                     use_conditioned=True)
+
+
+@pytest.mark.parametrize("name", ["a__x", "a_", ""])
+def test_stream_names_cannot_overlap_tree_prefixes(tmp_path, name):
+    """Tree names are ``<stream>__<suffix>``: a stream name that contains
+    ``__``, ends in ``_`` or is empty would let dropping one stream
+    delete another stream's (or the catalog's) trees."""
+    with Caldera(str(tmp_path)) as db:
+        db.archive(_stream("a"), layout="packed")
+        with pytest.raises(CatalogError, match="stream name"):
+            db.archive(_stream(name), layout="packed")
+        db.archive(_stream("b"), layout="packed")
+        db.drop_stream("a")
+        assert db.stream_names() == ["b"]
+        assert db.query("b", ENTERED_ROOM_QUERY, method="btree").signal
 
 
 KIND = {"Door": "entry", "Room": "space"}

@@ -9,7 +9,6 @@ import pytest
 from repro.errors import CatalogError, StreamError
 from repro.indexes.builder import build_mc, open_mc
 from repro.indexes.mc import META_KEY, MCIndex, MCLookupStats, max_level_for
-from repro.obs.metrics import MetricsRegistry
 from repro.probability import CPT, SparseDistribution
 from repro.probability.cpt import RECORD_VERSION
 from repro.storage import StorageEnvironment
@@ -221,25 +220,17 @@ def test_out_of_range_span_raises(env, reader, start, end):
         index.compute_cpt(start, end, reader)
 
 
-def test_stats_merge_accumulates():
-    a = MCLookupStats(lookups=2, compositions=1, base_cpts_read=3)
-    a.merge(MCLookupStats(lookups=1, compositions=4, base_cpts_read=5))
-    assert (a.lookups, a.compositions, a.base_cpts_read) == (3, 5, 8)
-    assert a.pieces == 11
-
-
-def test_registry_counters_track_traversal(env, reader):
-    registry = MetricsRegistry()
-    index = MCIndex(env.open_tree("m__mc"), alpha=2, length=LENGTH,
-                    registry=registry)
-    index.build(reader)
-    stats = MCLookupStats()
-    index.compute_cpt(3, 37, reader, stats=stats)
-    counters = registry.snapshot()["counters"]
-    assert counters["mc.lookups{tree=m__mc}"] == stats.lookups
-    assert counters["mc.base_cpts{tree=m__mc}"] == stats.base_cpts_read
-    assert counters["mc.compositions{tree=m__mc}"] == stats.compositions
-    assert counters["mc.records_built{tree=m__mc}"] > 0
+def test_build_mc_counts_records_built(env, reader):
+    """``build_mc`` counts the span records it writes in the
+    environment's registry; traversal costs live in the caller's
+    :class:`MCLookupStats` only."""
+    index = build_mc(env, "s", reader, alpha=2)
+    stored = sum(1 for key, _ in index.tree.items() if key != META_KEY)
+    counters = env.metrics.snapshot()["counters"]
+    assert counters["mc.records_built{tree=s__mc}"] == stored > 0
+    assert not any(name.startswith(("mc.lookups", "mc.base_cpts",
+                                    "mc.compositions"))
+                   for name in counters)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +264,7 @@ def test_conditioned_cpt_masks_interior_only(env, reader, start, end):
                             tol=1e-12)
 
 
-def test_conditioned_cpt_is_substochastic_then_normalizes(env, reader):
+def test_conditioned_cpt_is_substochastic(env, reader):
     accept = {0, 1, 2}
     index = conditioned_index(env, reader, accept)
     raw = index.compute_conditioned_cpt(0, 8, reader)
@@ -281,8 +272,6 @@ def test_conditioned_cpt_is_substochastic_then_normalizes(env, reader):
     masses = [row.total_mass for _, row in raw.rows()]
     assert masses, "masked product collapsed to the empty CPT"
     assert any(m < 1.0 - 1e-9 for m in masses)
-    norm = index.compute_conditioned_cpt(0, 8, reader, normalize=True)
-    assert norm.is_stochastic(tol=1e-9)
 
 
 def test_conditioned_single_step_is_raw_cpt(env, reader):

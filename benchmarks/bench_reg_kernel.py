@@ -1,13 +1,21 @@
-"""Reg kernel microbenchmark: vectorized vs reference implementation.
+"""Reg kernel microbenchmark: vectorized vs reference implementation,
+and block vs per-step execution from stored records.
 
 The vectorized Reg (:class:`repro.lahar.reg.Reg`) enumerates the DFA
 sets a query can occupy once, at construction, and carries the joint
 (DFA-set x stream-state) mass as a fixed ``R x n`` NumPy matrix; one
 timestep is one matmul plus one ``bincount`` through a precomputed
-successor index. The reference (:class:`repro.lahar.reg.ReferenceReg`)
-walks dict-of-dicts in Python, paying O(nnz) dict arithmetic per
-occupied DFA set, so the gap widens with query complexity: the
-three-hop patrol query occupies more sets than Entered-Room.
+successor index. The reference (``ReferenceReg`` in
+``tests/reference_reg.py``) walks dict-of-dicts in Python, paying
+O(nnz) dict arithmetic per occupied DFA set, so the gap widens with
+query complexity: the three-hop patrol query occupies more sets than
+Entered-Room.
+
+The two ``records`` rows start from the stored CPT records, as an
+access method does: ``records-step`` decodes each with
+``CPT.from_bytes`` and calls ``Reg.update``; ``records-block`` decodes
+``Reg.block_steps`` records at a time with ``decode_block`` and calls
+``Reg.update_block`` (the path of ``RegRun.walk``).
 
 Writes ``results/reg_kernel.{txt,json,manifest.json,spans.jsonl}``;
 wall times live in the report and spans (machine-dependent), while the
@@ -23,12 +31,14 @@ import random
 import sys
 import time
 
-from repro.lahar import ReferenceReg, Reg
+from repro.lahar import Reg
 from repro.obs import MetricsRegistry
-from repro.probability import CPT, SparseDistribution
+from repro.probability import CPT, SparseDistribution, decode_block
 from repro.query import parse_query
 from repro.streams import ENTERED_ROOM_QUERY, MarkovianStream
 from repro.streams.synthetic import synthetic_space
+
+from tests.reference_reg import ReferenceReg
 
 from .harness import finish_run, print_table, save_report, start_run
 from .workloads import FULL_SCALE
@@ -40,7 +50,7 @@ from .workloads import FULL_SCALE
 #: from long smoothing windows and noisy deployments.)
 NUM_CELLS = 40
 LENGTH = 2000 if FULL_SCALE else 600
-REPEATS = 3
+REPEATS = 5
 
 #: The headline query: a three-hop patrol with negated Kleene loops
 #: between the hops. Each negated loop keeps extra DFA sets alive, so
@@ -80,13 +90,28 @@ def _run(reg, stream):
     return probs
 
 
-def _time(make_reg, stream):
+def _run_records(reg, stream, records):
+    probs = [reg.initialize(stream.marginal(0))]
+    for data in records:
+        probs.append(reg.update(CPT.from_bytes(data)))
+    return probs
+
+
+def _run_blocks(reg, stream, records):
+    probs = [reg.initialize(stream.marginal(0))]
+    for lo in range(0, len(records), reg.block_steps):
+        block = decode_block(records[lo:lo + reg.block_steps])
+        probs.extend(reg.update_block(block).tolist())
+    return probs
+
+
+def _time(make_reg, run):
     best = float("inf")
     probs = None
     for _ in range(REPEATS):
         reg = make_reg()
         t0 = time.perf_counter()
-        probs = _run(reg, stream)
+        probs = run(reg)
         best = min(best, time.perf_counter() - t0)
     return best * 1000.0, probs
 
@@ -99,32 +124,39 @@ def generate():
     )
     stream = _stream()
     space = stream.space
+    records = [cpt.to_bytes() for cpt in stream.cpts]
+    runs = (
+        ("reference", ReferenceReg, lambda reg: _run(reg, stream)),
+        ("vectorized", Reg, lambda reg: _run(reg, stream)),
+        ("records-step", Reg,
+         lambda reg: _run_records(reg, stream, records)),
+        ("records-block", Reg,
+         lambda reg: _run_blocks(reg, stream, records)),
+    )
     rows = []
     max_diff = 0.0
     for name, text in (("entered-room", ENTERED_ROOM_QUERY),
                        ("patrol", PATROL_QUERY)):
         query = parse_query(text)
-        with tracer.span(f"reference/{name}"):
-            ref_ms, ref_probs = _time(
-                lambda: ReferenceReg(query, space), stream)
-        with tracer.span(f"vectorized/{name}"):
-            vec_ms, vec_probs = _time(lambda: Reg(query, space), stream)
-        diff = max(abs(a - b) for a, b in zip(ref_probs, vec_probs))
-        max_diff = max(max_diff, diff)
-        rows.append({"query": name, "impl": "reference",
-                     "wall_ms": round(ref_ms, 2), "speedup": 1.0})
-        rows.append({
-            "query": name, "impl": "vectorized",
-            "wall_ms": round(vec_ms, 2),
-            "speedup": round(ref_ms / vec_ms, 2) if vec_ms
-            else float("inf"),
-        })
+        ref_ms = ref_probs = None
+        for impl, make, run in runs:
+            with tracer.span(f"{impl}/{name}"):
+                ms, probs = _time(lambda: make(query, space), run)
+            if ref_probs is None:
+                ref_ms, ref_probs = ms, probs
+            diff = max(abs(a - b) for a, b in zip(ref_probs, probs))
+            max_diff = max(max_diff, diff)
+            rows.append({
+                "query": name, "impl": impl, "wall_ms": round(ms, 2),
+                "us_per_step": round(ms * 1000.0 / len(stream), 2),
+                "speedup": round(ref_ms / ms, 2) if ms else float("inf"),
+            })
     registry.counter("reg.timesteps").inc(len(stream))
     registry.counter("reg.states").inc(len(space))
     text = print_table(
         f"Reg kernel: {len(stream)} timesteps x {len(space)} states "
         f"(max |diff| {max_diff:.2e})",
-        rows, columns=["query", "impl", "wall_ms", "speedup"],
+        rows, columns=["query", "impl", "wall_ms", "us_per_step", "speedup"],
     )
     save_report("reg_kernel", text,
                 {"rows": rows, "max_abs_diff": max_diff})

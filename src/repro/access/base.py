@@ -188,6 +188,11 @@ class QueryContext:
         return (lambda term: available[term.indexed_attr]), terms
 
 
+#: Fewest adjacent steps that ``RegRun.walk`` reads and steps as one
+#: block: below it, a block's fixed cost outweighs its per-step saving.
+_MIN_BLOCK = 5
+
+
 class RegRun:
     """The one place where archive reads feed Reg and get counted.
 
@@ -216,20 +221,27 @@ class RegRun:
              jump: Optional[Callable[[int, int], float]] = None,
              ) -> Iterator[Tuple[int, float]]:
         """Yield ``(t, p)`` for each of the increasing ``times``: start a
-        fresh run at the first, step the CPT into each adjacent one and
-        call ``jump(prev, t)`` across each gap (a ``range`` has none)."""
-        prev = None
-        for t in times:
+        fresh run at the first, call ``jump(prev, t)`` across each gap (a
+        ``range`` has none) and step the CPTs into each run of adjacent
+        ones in blocks of ``_MIN_BLOCK`` to ``reg.block_steps`` steps."""
+        reg, reader, prev = self.reg, self.reader, None
+        for first, stop in _runs(times):
             if prev is None:
                 self.stats.reg_initializations += 1
-                p = self.reg.initialize(self.marginal(t))
-            elif t == prev + 1:
-                self.stats.cpts_read += 1
-                p = self.reg.update(self.reader.cpt_into(t))
+                p = reg.initialize(self.marginal(first))
             else:
-                p = jump(prev, t)
-            yield t, p
-            prev = t
+                p = jump(prev, first)
+            yield first, p
+            for lo in range(first + 1, stop, reg.block_steps):
+                hi = min(lo + reg.block_steps, stop)
+                self.stats.cpts_read += hi - lo
+                if hi - lo < _MIN_BLOCK:
+                    for t in range(lo, hi):
+                        yield t, reg.update(reader.cpt_into(t))
+                else:
+                    probs = reg.update_block(reader.scan_cpts(lo, hi))
+                    yield from zip(range(lo, hi), probs.tolist())
+            prev = stop - 1
 
     def _plain(self, prev: int, t: int):
         return self.mc.compute_cpt(prev, t, self.reader,
@@ -256,6 +268,22 @@ class RegRun:
         """Cross the gap under the independence approximation
         (Algorithm 5): only the marginal at ``t`` is read."""
         return self.reg.update_independent(self.marginal(t), span=t - prev)
+
+
+def _runs(times: Iterable[int]) -> Iterator[Tuple[int, int]]:
+    """``(first, stop)`` of each maximal run ``first .. stop - 1`` of
+    adjacent timesteps in the increasing ``times``."""
+    times = iter(times)
+    t = next(times, None)
+    while t is not None:
+        first = last = t
+        for t in times:  # up to the first timestep of the next run
+            if t != last + 1:
+                break
+            last = t
+        else:
+            t = None
+        yield first, last + 1
 
 
 class AccessMethod:

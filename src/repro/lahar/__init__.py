@@ -1,12 +1,11 @@
 """Lahar query processing: the Reg operator and streaming queries (§3)."""
 
-from .reg import QueryMachine, ReferenceReg, Reg
+from .reg import QueryMachine, Reg
 from .streaming import Alert, StreamingQuery
 
 __all__ = [
     "Alert",
     "QueryMachine",
-    "ReferenceReg",
     "Reg",
     "StreamingQuery",
 ]

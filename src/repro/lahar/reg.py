@@ -12,26 +12,22 @@ joint mass through each timestep's CPT; the emitted probability is the
 total mass in sets containing the accept state. No path is counted
 twice, because the set is a deterministic function of the path.
 
-Two implementations share the compiled query machinery:
-
-* :class:`Reg` — the production kernel, in fixed product-space
-  coordinates. The DFA sets a query can ever occupy over a space are
-  few and known up front, so construction enumerates all ``R`` of
-  them once and precomputes, as flat ``bincount`` indices, where each
-  ``(set, stream state)`` cell's mass goes next. The joint mass is then
-  a dense ``R × n`` matrix ``V`` for the kernel's whole life, and one
-  timestep is ``V @ B`` (``B`` the CPT's CSR arrays,
-  :meth:`~repro.probability.CPT.arrays`, densified in one scatter)
-  plus one ``bincount`` — no per-step
-  classification, and Python cost independent of the query.
-* :class:`ReferenceReg` — a dict-of-dicts pure-Python implementation
-  of the same semantics, kept slow and obvious as the oracle for
-  property tests; it pays O(nnz) dict arithmetic per occupied set.
-
-Both support the span operations of Algorithms 4 & 5: collapsing over
-irrelevant gaps (only the start state and negated-loop states survive
-a timestep with zero mass on every indexable predicate), conditioned
-loop spans, and the independence approximation.
+:class:`Reg` is the kernel, in fixed product-space coordinates. The
+DFA sets a query can ever occupy over a space are few and known up
+front, so construction enumerates all ``R`` of them once and
+precomputes, as flat ``bincount`` indices, where each ``(set, stream
+state)`` cell's mass goes next. The joint mass is then a dense
+``R × n`` matrix ``V`` for the kernel's whole life, and one timestep is
+``V @ B`` (``B`` the CPT's CSR arrays,
+:meth:`~repro.probability.CPT.arrays`, densified in one scatter) plus
+one ``bincount`` — no per-step classification, and Python cost
+independent of the query. :meth:`Reg.update_block` takes K adjacent
+timesteps at once: one scatter densifies all K CPTs, and one product
+reduces the K accept masses. Reg also supports the span operations of
+Algorithms 4 & 5: collapsing over irrelevant gaps (only the start state
+and negated-loop states survive a timestep with zero mass on every
+indexable predicate), conditioned loop spans, and the independence
+approximation. Its pure-Python oracle is ``tests/reference_reg.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..probability import CPT, SparseDistribution
+from ..probability import CPT, CPTBlock, SparseDistribution
 from ..query.predicates import Not, Predicate
 from ..query.regular import RegularQuery
 from ..streams.schema import StateSpace
@@ -130,6 +126,11 @@ class QueryMachine:
         return bool(set_bits & self.accept_bit)
 
 
+#: Float budget of one block: K steps over ``n`` stream states densify
+#: ``K · n²`` floats, so K is at most ``BLOCK_FLOATS // n²`` (128 KiB).
+BLOCK_FLOATS = 1 << 14
+
+
 # ----------------------------------------------------------------------
 # Vectorized kernel
 # ----------------------------------------------------------------------
@@ -151,6 +152,10 @@ class Reg:
         #: Number of update operations performed since construction.
         self.updates_performed = 0
         self._n = n = len(space)
+        #: Most timesteps one :meth:`update_block` call may take.
+        self.block_steps = max(1, BLOCK_FLOATS // (n * n))
+        #: The dense transition stack of a block, reused by every block.
+        self._block = np.empty(self.block_steps * n * n)
         mask_arr = np.asarray(m.state_mask, dtype=np.int64)
         masks, group_of = np.unique(mask_arr, return_inverse=True)
         # Every DFA set the kernel can occupy: the closure of the start
@@ -187,22 +192,23 @@ class Reg:
             self._loops.append((np.asarray(rows, dtype=np.int64),
                                 self._succ[np.asarray(kept, dtype=np.int64)]))
         self._start = self._succ[row_of[m.start_set]]
-        self._accept = np.flatnonzero([m.is_accepting(s) for s in sets])
+        #: 1.0 on each cell of an accepting row (a dot product with V).
+        self._accept = np.repeat(
+            np.asarray([m.is_accepting(s) for s in sets], dtype=float), n)
         self._V = np.zeros((self._rows, n))
 
     # -- state helpers -------------------------------------------------
     def _bin(self, flat: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Sum the mass ``W`` into a fresh ``V`` at flat indices."""
-        return np.bincount(
-            flat.ravel(), weights=W.ravel(), minlength=self._rows * self._n,
-        ).reshape(self._rows, self._n)
+        return np.bincount(flat.ravel(), W.ravel(), self._rows * self._n
+                           ).reshape(self._rows, self._n)
 
     def _fold(self) -> None:
         """Merge rows into their gap-collapsed DFA states."""
         self._V = self._bin(self._fold_flat, self._V)
 
     def _accept_mass(self) -> float:
-        return float(self._V[self._accept].sum())
+        return float(self._V.ravel() @ self._accept)
 
     def _dense(self, cpt: CPT) -> np.ndarray:
         """The CPT as a dense (n, n) transition block: one scatter of
@@ -229,8 +235,28 @@ class Reg:
         """Consume one timestep via its incoming CPT; returns the match
         probability at the new timestep."""
         self.updates_performed += 1
-        self._V = self._bin(self._succ, self._V @ self._dense(cpt))
+        self._V = self._bin(self._succ, np.dot(self._V, self._dense(cpt)))
         return self._accept_mass()
+
+    def update_block(self, block: CPTBlock) -> np.ndarray:
+        """Consume ``block.steps`` consecutive timesteps (at most
+        :attr:`block_steps`) via their incoming CPTs; returns the match
+        probability at each, as that many :meth:`update` calls would."""
+        steps, n = block.steps, self._n
+        self.updates_performed += steps
+        B = self._block[:steps * n * n]
+        B.fill(0.0)
+        B[np.repeat((block.step * n + block.src) * n, block.row_len)
+          + block.dst] = block.val
+        V, succ, size = self._V, self._succ.ravel(), self._rows * n
+        W = np.empty_like(V)
+        W_flat, masses = W.ravel(), []
+        for B_k in B.reshape(steps, n, n):
+            np.dot(V, B_k, W)
+            V = np.bincount(succ, W_flat, size).reshape(-1, n)
+            masses.append(V)
+        self._V = V
+        return np.concatenate(masses).reshape(steps, -1) @ self._accept
 
     def update_span(self, cpt: CPT, span: int = 1) -> float:
         """Consume a span of ``span`` timesteps whose interior is
@@ -267,114 +293,4 @@ class Reg:
         exited[rows] = np.maximum(exited[rows] - kept, 0.0)
         self._V = self._bin(np.concatenate((self._gap_succ, kept_succ)),
                             np.concatenate((exited, kept)))
-        return self._accept_mass()
-
-
-# ----------------------------------------------------------------------
-# Pure-Python reference
-# ----------------------------------------------------------------------
-class ReferenceReg:
-    """Dict-based reference implementation of Reg — same semantics as
-    :class:`Reg`, no NumPy, kept for property testing."""
-
-    def __init__(self, query: RegularQuery, space: StateSpace,
-                 machine: Optional[QueryMachine] = None) -> None:
-        self.query = query
-        self.space = space
-        self._m = machine if machine is not None else \
-            QueryMachine(query, space)
-        self.updates_performed = 0
-        self._mass: Dict[int, Dict[int, float]] = {}
-
-    # -- helpers -------------------------------------------------------
-    def _accept_mass(self) -> float:
-        return sum(
-            sum(dist.values())
-            for s, dist in self._mass.items() if self._m.is_accepting(s)
-        )
-
-    @staticmethod
-    def _add(bucket: Dict[int, Dict[int, float]], s: int, x: int,
-             p: float) -> None:
-        row = bucket.setdefault(s, {})
-        row[x] = row.get(x, 0.0) + p
-
-    def _classify(self, propagated: List[Tuple[int, Dict[int, float]]]) \
-            -> None:
-        m = self._m
-        new: Dict[int, Dict[int, float]] = {}
-        for mid, dist in propagated:
-            for y, p in dist.items():
-                if p != 0.0:
-                    self._add(new, m.step(mid, m.mask_of(y)), y, p)
-        self._mass = new
-
-    def _collapse(self) -> None:
-        merged: Dict[int, Dict[int, float]] = {}
-        for s, dist in self._mass.items():
-            for x, p in dist.items():
-                self._add(merged, self._m.collapse(s), x, p)
-        self._mass = merged
-
-    @staticmethod
-    def _apply(cpt: CPT, dist: Dict[int, float]) -> Dict[int, float]:
-        out: Dict[int, float] = {}
-        for x, px in dist.items():
-            if x in cpt:
-                for y, pr in cpt.row(x).items():
-                    out[y] = out.get(y, 0.0) + px * pr
-        return out
-
-    # -- API -----------------------------------------------------------
-    def initialize(self, marginal: SparseDistribution) -> float:
-        m = self._m
-        self._mass = {}
-        for x, p in marginal.items():
-            self._add(self._mass, m.step(m.start_set, m.mask_of(x)), x, p)
-        return self._accept_mass()
-
-    def update(self, cpt: CPT) -> float:
-        self.updates_performed += 1
-        self._classify(
-            [(s, self._apply(cpt, dist)) for s, dist in self._mass.items()]
-        )
-        return self._accept_mass()
-
-    def update_span(self, cpt: CPT, span: int = 1) -> float:
-        if span > 1:
-            self._collapse()
-        return self.update(cpt)
-
-    def update_independent(self, marginal: SparseDistribution,
-                           span: int = 1) -> float:
-        self.updates_performed += 1
-        if span > 1:
-            self._collapse()
-        totals = {s: sum(d.values()) for s, d in self._mass.items()}
-        self._classify([
-            (s, {y: total * py for y, py in marginal.items()})
-            for s, total in totals.items()
-        ])
-        return self._accept_mass()
-
-    def update_loop_span(self, loop_state: int, plain: CPT, cond: CPT,
-                         span: int = 1) -> float:
-        self.updates_performed += 1
-        m = self._m
-        qbit = 1 << loop_state
-        propagated: List[Tuple[int, Dict[int, float]]] = []
-        for s, dist in self._mass.items():
-            mid = m.collapse(s)
-            if s & qbit:
-                kept = self._apply(cond, dist)
-                full = self._apply(plain, dist)
-                exited = {
-                    y: max(full.get(y, 0.0) - kept.get(y, 0.0), 0.0)
-                    for y in full
-                }
-                propagated.append((mid | qbit, kept))
-                propagated.append((mid, exited))
-            else:
-                propagated.append((mid, self._apply(plain, dist)))
-        self._classify(propagated)
         return self._accept_mass()

@@ -6,7 +6,8 @@ reduces to these two types and their product / propagate / compose
 operations.
 """
 
-from .cpt import CPT, validate_cpt
+from .cpt import CPT, CPTBlock, decode_block, validate_cpt
 from .distribution import SparseDistribution
 
-__all__ = ["CPT", "SparseDistribution", "validate_cpt"]
+__all__ = ["CPT", "CPTBlock", "SparseDistribution", "decode_block",
+           "validate_cpt"]

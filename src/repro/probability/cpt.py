@@ -25,14 +25,17 @@ id width is the smallest of 1, 2 or 4 bytes that holds the record's
 largest id or row length, so it comes from the data. Decoding is two
 ``np.frombuffer`` calls; the dict rows that :meth:`CPT.row`,
 :meth:`CPT.apply` and :meth:`CPT.compose` walk are built from them only
-on first use, while the Reg kernel reads :meth:`CPT.arrays` directly.
+on first use, while the Reg kernel reads :meth:`CPT.arrays` directly,
+or the :class:`CPTBlock` that :func:`decode_block` makes of K records.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from itertools import chain
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple, Union
+from typing import (Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -54,6 +57,12 @@ RECORD_VERSION = 2
 #: Per id-width code (width ``1 << code`` bytes): NumPy dtype, struct code.
 _ID_DTYPES = ("<u1", "<u2", "<u4")
 _ID_FORMATS = "BHI"
+
+
+#: The CPTs of ``steps`` consecutive timesteps as one CSR block: row
+#: ``i`` maps source ``src[i]`` of CPT ``step[i]`` to the next
+#: ``row_len[i]`` entries of ``dst`` and ``val``, rows in step order.
+CPTBlock = namedtuple("CPTBlock", "steps step src row_len dst val")
 
 
 def check_record_version(found, owner: str) -> None:
@@ -253,27 +262,63 @@ class CPT:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CPT":
-        head, pos = decode_uvarint(data)
-        count, code = head >> 2, head & 3
-        if code == 3:
-            raise StorageError("bad CPT record id width")
-        width = 1 << code
-        mid = pos + 2 * count * width
-        if mid > len(data):
-            raise StorageError("truncated CPT record")
-        nnz, rest = divmod(len(data) - mid, width + 8)
+        dtype, width, count, pos, nnz = _record_layout(data)
         # One widening copy of src | row_len | dst to intp, so the Reg
         # kernel's scatter indexes without a per-call cast.
-        ints = np.frombuffer(data, _ID_DTYPES[code], 2 * count + nnz,
+        ints = np.frombuffer(data, dtype, 2 * count + nnz,
                              pos).astype(np.intp)
         lens = ints[count:2 * count]
-        if rest or sum(lens.tolist()) != nnz:
+        if sum(lens.tolist()) != nnz:
             raise StorageError("bad CPT record length")
         cpt = cls.__new__(cls)
         cpt._rows = None
         cpt._arrays = (ints[:count], lens, ints[2 * count:],
-                       np.frombuffer(data, "<f8", nnz, mid + nnz * width))
+                       np.frombuffer(data, "<f8", nnz,
+                                     pos + len(ints) * width))
         return cpt
+
+
+def _record_layout(data: bytes) -> Tuple[str, int, int, int, int]:
+    """``(id dtype, id width, rows, offset of src, nnz)`` of one record,
+    checking its width code and that its length fits exactly."""
+    head, pos = ((data[0], 1) if data and data[0] < 0x80  # one byte
+                 else decode_uvarint(data))
+    count, code = head >> 2, head & 3
+    if code == 3:
+        raise StorageError("bad CPT record id width")
+    width = 1 << code
+    mid = pos + 2 * count * width
+    if mid > len(data):
+        raise StorageError("truncated CPT record")
+    nnz, rest = divmod(len(data) - mid, width + 8)
+    if rest:
+        raise StorageError("bad CPT record length")
+    return _ID_DTYPES[code], width, count, pos, nnz
+
+
+def decode_block(records: Sequence[bytes]) -> CPTBlock:
+    """Decode the CPT records of consecutive timesteps into one
+    :class:`CPTBlock`, with every check of :meth:`CPT.from_bytes`:
+    zero-copy views of each record's ``src | row_len``, ``dst`` and
+    ``val``, one concatenation per view of the block."""
+    heads, dsts, vals, counts, nnzs = [], [], [], [], []
+    for data in records:
+        dtype, width, count, pos, nnz = _record_layout(data)
+        mid = pos + 2 * count * width
+        heads.append(np.frombuffer(data, dtype, 2 * count, pos))
+        dsts.append(np.frombuffer(data, dtype, nnz, mid))
+        vals.append(np.frombuffer(data, "<f8", nnz, mid + nnz * width))
+        counts.append(count)
+        nnzs.append(nnz)
+    steps, heads, counts = len(records), np.concatenate(heads), np.array(counts)
+    step = np.repeat(np.arange(steps), counts)
+    # Row i's src is heads[at[i]], and its row_len its record's count on.
+    at = np.arange(len(step)) + np.repeat(np.cumsum(counts) - counts, counts)
+    row_len = heads[at + counts[step]]
+    if (np.bincount(step, row_len, steps) != nnzs).any():
+        raise StorageError("bad CPT record length")
+    return CPTBlock(steps, step, heads[at], row_len, np.concatenate(dsts),
+                    np.concatenate(vals))
 
 
 def validate_cpt(cpt: CPT, tol: float = 1e-6) -> None:

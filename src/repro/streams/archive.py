@@ -39,7 +39,7 @@ import json
 from typing import List, Optional, Tuple, Union
 
 from ..errors import CatalogError, StorageError, StreamError
-from ..probability import CPT, SparseDistribution
+from ..probability import CPT, CPTBlock, SparseDistribution, decode_block
 from ..probability.cpt import RECORD_VERSION, check_record_version
 from ..storage import BTree, StorageEnvironment, encode_key
 from ..storage.record import pack_chunks, unpack_chunks
@@ -166,9 +166,11 @@ class StreamReader:
     Reads are keyed point lookups: ``marginal(t)`` and ``cpt_into(t)``
     each cost one tree descent — O(height) logical page reads — except
     that ``packed`` serves every read inside its last-fetched frame from
-    a cache. That lookup count *is* the layout experiment's cost metric.
-    ``io`` is the environment's :class:`IOStats`, which every tree of
-    the archive shares.
+    a cache. That lookup count *is* the layout experiment's cost metric,
+    so ``scan_cpts`` makes exactly the lookups of a ``cpt_into`` per
+    step and only decodes the records as one block. ``io`` is the
+    environment's :class:`IOStats`, which every tree of the archive
+    shares.
     """
 
     layout: Layout
@@ -186,6 +188,17 @@ class StreamReader:
 
     def cpt_into(self, t: int) -> CPT:
         """The CPT from ``t - 1`` into ``t`` (t >= 1)."""
+        self._check_time(t, lo=1)
+        return CPT.from_bytes(self._cpt_record(t))
+
+    def scan_cpts(self, start: int, stop: int) -> CPTBlock:
+        """The CPTs into ``start .. stop - 1`` (1 <= start < stop)."""
+        self._check_time(start, lo=1)
+        self._check_time(stop - 1, lo=start)
+        return decode_block([self._cpt_record(t) for t in range(start, stop)])
+
+    def _cpt_record(self, t: int) -> bytes:
+        """The stored record of the CPT into ``t``."""
         raise NotImplementedError
 
     def _check_time(self, t: int, lo: int = 0) -> None:
@@ -233,12 +246,11 @@ class SeparatedReader(StreamReader):
             raise StorageError(f"missing marginal at t={t}")
         return SparseDistribution.from_bytes(data)
 
-    def cpt_into(self, t: int) -> CPT:
-        self._check_time(t, lo=1)
+    def _cpt_record(self, t: int) -> bytes:
         data = self._cpt.get(encode_key((t,)))
         if data is None:
             raise StorageError(f"missing CPT into t={t}")
-        return CPT.from_bytes(data)
+        return data
 
 
 class PackedReader(StreamReader):
@@ -285,9 +297,8 @@ class PackedReader(StreamReader):
         self._check_time(t)
         return SparseDistribution.from_bytes(self._cell_chunks(t)[0])
 
-    def cpt_into(self, t: int) -> CPT:
-        self._check_time(t, lo=1)
-        return CPT.from_bytes(self._cell_chunks(t)[1])
+    def _cpt_record(self, t: int) -> bytes:
+        return self._cell_chunks(t)[1]
 
 
 # ----------------------------------------------------------------------

@@ -216,9 +216,10 @@ def mc_db(tmp_path_factory):
                          ids=[run[0] for run in COUNTED_RUNS])
 def test_every_read_is_counted_once(mc_db, layout, label, method, text):
     """Each reader call an access method makes shows up exactly once in
-    its stats: marginals in ``marginals_read``, CPTs in ``cpts_read``
-    or, for the MC index's base steps, ``mc_lookups.base_cpts_read``.
-    Every counter then equals its ``COUNTED_COSTS`` pin."""
+    its stats: marginals in ``marginals_read``, CPTs (one per point read,
+    ``stop - start`` per block read) in ``cpts_read`` or, for the MC
+    index's base steps, ``mc_lookups.base_cpts_read``. Every counter
+    then equals its ``COUNTED_COSTS`` pin."""
     ctx = mc_db.context(f"syn_{layout}", text)
     calls = {"marginal": 0, "cpt_into": 0}
     for name in calls:
@@ -229,6 +230,13 @@ def test_every_read_is_counted_once(mc_db, layout, label, method, text):
             return real(t)
 
         setattr(ctx.reader, name, counted)
+    real_scan = ctx.reader.scan_cpts
+
+    def scanned(start, stop):
+        calls["cpt_into"] += stop - start
+        return real_scan(start, stop)
+
+    ctx.reader.scan_cpts = scanned
     stats = method.run(ctx).stats
     assert calls["marginal"] + calls["cpt_into"] > 0
     assert stats.marginals_read == calls["marginal"]

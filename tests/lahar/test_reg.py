@@ -1,6 +1,8 @@
 """Reg operator tests: the vectorized kernel is property-tested against
 the pure-Python reference on random streams and random queries, and
-both are pinned against hand-computed probabilities on a tiny stream."""
+both are pinned against hand-computed probabilities on a tiny stream.
+The block step is tested against one update per step and the reference,
+directly and through an access method's walk over an archive."""
 
 import random
 
@@ -8,10 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lahar import QueryMachine, ReferenceReg, Reg
-from repro.probability import CPT, SparseDistribution
+from reference_reg import ReferenceReg
+from repro.access import NaiveScan
+from repro.access.base import AccessStats, QueryContext, RegRun
+from repro.lahar import QueryMachine, Reg
+from repro.probability import CPT, SparseDistribution, decode_block
 from repro.query import InSet, parse_query
-from repro.streams import (ENTERED_ROOM_QUERY, MarkovianStream,
+from repro.storage import StorageEnvironment
+from repro.streams import (ENTERED_ROOM_QUERY, Layout, MarkovianStream,
+                           write_stream,
                            single_attribute_space, synthetic_stream)
 from repro.streams.synthetic import synthetic_space
 
@@ -261,3 +268,81 @@ def test_both_cpt_origins_give_one_signal_on_the_wide_stream(wide_stream):
     decoded = _drive(wide_stream, PATROL_QUERY, "C5", _round_trip)
     assert built == decoded
     assert max(built) > 0.0
+
+
+def _variant(cpt: CPT, rng: random.Random) -> CPT:
+    """The CPT itself, a sub-stochastic masked copy, or a copy missing
+    some source rows (their mass is dropped)."""
+    mode = rng.randrange(3)
+    if mode == 1:
+        return cpt.mask_destinations(rng.sample(range(len(SPACE)), 2))
+    if mode == 2:
+        return CPT({s: row for s, row in cpt.rows() if rng.random() < 0.5})
+    return cpt
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), length=st.integers(2, 15),
+       text=query_texts(), data=st.data())
+def test_update_block_matches_stepwise_and_reference(seed, length, text,
+                                                     data):
+    """Cutting the steps into blocks of any sizes (K = 1 included) gives
+    the signal of one ``update`` per step and of the reference, on
+    stochastic, sub-stochastic and row-missing CPTs alike."""
+    stream = random_stream(seed, length)
+    rng = random.Random(seed)
+    cpts = [_variant(stream.cpt_into(t), rng) for t in range(1, length)]
+    query = parse_query(text)
+    ref, step, block = (ReferenceReg(query, SPACE), Reg(query, SPACE),
+                        Reg(query, SPACE))
+    for reg in (ref, step, block):
+        reg.initialize(stream.marginal(0))
+    want_ref = [ref.update(cpt) for cpt in cpts]
+    want = [step.update(cpt) for cpt in cpts]
+    got = []
+    while len(got) < len(cpts):
+        k = data.draw(st.integers(1, len(cpts) - len(got)))
+        records = [cpt.to_bytes() for cpt in cpts[len(got):len(got) + k]]
+        probs = block.update_block(decode_block(records))
+        assert probs.shape == (k,)
+        got.extend(probs.tolist())
+    for t, (a, b, c) in enumerate(zip(want_ref, want, got), start=1):
+        assert c == pytest.approx(b, abs=1e-9), f"diverged at t={t}"
+        assert c == pytest.approx(a, abs=1e-9), f"diverged at t={t}"
+    assert block.updates_performed == step.updates_performed == length - 1
+
+
+@pytest.mark.parametrize("layout", [Layout.SEPARATED, Layout.CELL,
+                                    Layout.PACKED], ids=lambda lo: lo.value)
+def test_walk_splits_long_runs_into_capped_blocks(wide_stream, tmp_path,
+                                                  layout):
+    """A scan of the 42-state stream walks one run of 199 adjacent steps:
+    blocks of at most ``block_steps`` (9 at 42 states), then a lone
+    step by point read. Walks of 4 and 5 adjacent steps read by point
+    reads and by one block. Every signal is the reference's."""
+    query = parse_query(PATROL_QUERY)
+    ref = ReferenceReg(query, wide_stream.space)
+    want = [ref.initialize(wide_stream.marginal(0))] + [
+        ref.update(wide_stream.cpt_into(t)) for t in range(1, len(wide_stream))]
+    with StorageEnvironment(str(tmp_path)) as env:
+        reader = write_stream(env, wide_stream, layout=layout)
+        blocks = []
+        real_scan = reader.scan_cpts
+
+        def scan(start, stop):
+            blocks.append(stop - start)
+            return real_scan(start, stop)
+
+        reader.scan_cpts = scan
+        ctx = QueryContext(reader, query)
+        result = NaiveScan().run(ctx)
+        cap = Reg(query, wide_stream.space).block_steps
+        assert cap == 9
+        assert blocks == [cap] * 22
+        short = [list(RegRun(ctx, AccessStats()).walk(range(0, stop)))
+                 for stop in (5, 6)]
+        assert blocks == [cap] * 22 + [5]
+    assert result.stats.cpts_read == result.stats.reg_updates == 199
+    assert [t for t, _ in result.signal] == list(range(len(wide_stream)))
+    for signal in [result.signal] + short:
+        assert max(abs(a - p) for a, (_, p) in zip(want, signal)) < 1e-9

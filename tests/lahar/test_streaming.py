@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.lahar import Alert, ReferenceReg, StreamingQuery
+from reference_reg import ReferenceReg
+from repro.lahar import Alert, StreamingQuery
 from repro.query import parse_query
 from repro.streams import routine_stream
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError, StreamError
-from repro.probability import CPT, SparseDistribution, validate_cpt
+from repro.probability import (CPT, SparseDistribution, decode_block,
+                               validate_cpt)
 
 
 @pytest.fixture
@@ -139,10 +140,62 @@ def test_bad_width_code_raises_storage_error():
 @settings(max_examples=200, deadline=None)
 @given(data=st.binary(max_size=64))
 def test_arbitrary_bytes_decode_or_raise_storage_error(data):
-    try:
-        CPT.from_bytes(data)
-    except StorageError:
-        pass
+    for decode in (CPT.from_bytes, lambda d: decode_block([d])):
+        try:
+            decode(data)
+        except StorageError:
+            pass
+
+
+def _block_arrays(block, k):
+    """The ``(src, row_len, dst, val)`` of the ``k``-th CPT of a block."""
+    rows = block.step == k
+    lo = int(block.row_len[block.step < k].sum())
+    hi = lo + int(block.row_len[rows].sum())
+    return (block.src[rows], block.row_len[rows], block.dst[lo:hi],
+            block.val[lo:hi])
+
+
+@pytest.mark.parametrize("picks", [[0], [1], [2], [3], [1, 1, 0, 1],
+                                   [2, 2], [3, 3], [1, 2, 3, 0, 2, 1]],
+                         ids=["empty", "width-1", "width-2", "width-4",
+                              "width-1-and-empty", "width-2x2", "width-4x2",
+                              "mixed"])
+def test_decode_block_equals_per_record_decode(picks):
+    """A block of records of 1-, 2- and 4-byte ids (one width or mixed)
+    holds, per step, exactly the arrays ``CPT.from_bytes`` decodes."""
+    records = [_records()[i] for i in picks]
+    block = decode_block(records)
+    assert block.steps == len(records)
+    for k, data in enumerate(records):
+        want = CPT.from_bytes(data).arrays()
+        for got, expect in zip(_block_arrays(block, k), want):
+            assert got.tolist() == expect.tolist()
+
+
+def _corrupt_records():
+    good = CPT({0: {0: 0.7, 1: 0.3}, 1: {1: 1.0}}).to_bytes()
+    lens_at = 1 + 2  # header, then two 1-byte source ids
+    return {
+        "width": bytes([good[0] | 3]) + good[1:],
+        "truncated": good[:3],
+        "trailing": good + b"\x00",
+        "row-lengths": good[:lens_at] + bytes([2, 2]) + good[lens_at + 2:],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_corrupt_records()))
+def test_decode_block_raises_on_every_corrupt_record(case):
+    """Each check of ``CPT.from_bytes`` (width code, truncation, trailing
+    bytes, row lengths that miss the entry count) runs on every record
+    of a block, wherever the bad record sits."""
+    bad = _corrupt_records()[case]
+    with pytest.raises(StorageError):
+        CPT.from_bytes(bad)
+    good = _records()[1]
+    for records in ([bad], [good, bad], [bad, good, good]):
+        with pytest.raises(StorageError):
+            decode_block(records)
 
 
 _IDS = st.one_of(st.integers(0, 300), st.integers(65_530, 65_540),

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lahar.reg import ReferenceReg, Reg
+from reference_reg import ReferenceReg
+from repro.lahar.reg import Reg
 from repro.probability import CPT, SparseDistribution
 from repro.query import parse_query
 from repro.streams import MarkovianStream, single_attribute_space

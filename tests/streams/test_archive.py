@@ -118,9 +118,9 @@ def test_open_reader_unknown_stream(tmp_path):
 
 
 def test_point_access_and_scans_agree(tmp_path):
-    """Point reads and the whole-archive read-back (``materialize``, a
-    walk of point reads) return the stored stream; reads outside the
-    stream raise."""
+    """Point reads, block reads and the whole-archive read-back
+    (``materialize``, a walk of point reads) return the stored stream;
+    reads outside the stream raise."""
     stream = random_stream(7, 13, 5)
     with StorageEnvironment(str(tmp_path)) as env:
         for layout in LAYOUTS:
@@ -137,6 +137,20 @@ def test_point_access_and_scans_agree(tmp_path):
                 reader.marginal(13)
             with pytest.raises(StreamError):
                 reader.cpt_into(0)
+            block = reader.scan_cpts(3, 13)
+            assert block.steps == 10
+            entries = list(zip(block.step.tolist(), block.src.tolist(),
+                               block.row_len.tolist()))
+            assert entries == [
+                (k, s, len(row)) for k in range(10)
+                for s, row in sorted(stream.cpt_into(3 + k).rows())]
+            assert block.val.tolist() == [
+                p for t in range(3, 13)
+                for _, row in sorted(stream.cpt_into(t).rows())
+                for _, p in sorted(row.items())]
+            for start, stop in ((0, 5), (5, 14), (5, 5)):
+                with pytest.raises(StreamError):
+                    reader.scan_cpts(start, stop)
 
 
 def test_layout_parse_aliases():

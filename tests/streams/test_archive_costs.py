@@ -7,7 +7,8 @@ import pytest
 
 from repro.storage import StorageEnvironment
 from repro.streams import Layout, write_stream
-from repro.streams.archive import data_tree_name, marg_tree_name
+from repro.streams.archive import (cpt_tree_name, data_tree_name,
+                                   marg_tree_name)
 
 from test_archive import random_stream
 
@@ -59,6 +60,28 @@ def test_packed_scan_costs_one_kth_of_cell(env):
     # The headline ratio: ~1/K fewer logical reads, modulo one level of
     # height difference between the two trees.
     assert packed_reads * (PACK // 2) <= cell_reads
+
+
+@pytest.mark.parametrize("layout", [Layout.SEPARATED, Layout.CELL,
+                                    Layout.PACKED], ids=lambda lo: lo.value)
+def test_block_read_costs_the_point_reads_it_replaces(env, layout):
+    """``scan_cpts`` over the whole stream makes the lookups of one
+    ``cpt_into`` per step, so it costs exactly their logical reads:
+    L - 1 descents of the CPT tree for ``separated`` and ``cell``, one
+    per frame for ``packed`` (fig8a's L·height metric)."""
+    def cold(read):
+        reader = _reader(env, layout)
+        env.pool.evict_all()
+        env.stats.reset()
+        read(reader)
+        return env.stats.logical_reads
+
+    per_step = cold(lambda r: [r.cpt_into(t) for t in range(1, LENGTH)])
+    block = cold(lambda r: r.scan_cpts(1, LENGTH))
+    tree = cpt_tree_name if layout is Layout.SEPARATED else data_tree_name
+    height = env.open_tree(tree(f"s_{layout.value}")).height
+    steps = -(-LENGTH // PACK) if layout is Layout.PACKED else LENGTH - 1
+    assert block == per_step == steps * height
 
 
 def test_marginal_point_access_costs_height(env):

@@ -3,8 +3,8 @@
 PYTHON ?= python
 
 .PHONY: install lint test test-fast bench bench-storage bench-streams \
-	bench-fig8b perf-smoke crash-sweep fsck figures figures-full examples \
-	loc clean
+	bench-fig8b bench-planner perf-smoke crash-sweep fsck figures \
+	figures-full examples loc clean
 
 lint:
 	ruff check src tests benchmarks examples
@@ -46,6 +46,17 @@ bench-fig8b:
 	PYTHONPATH=src $(PYTHON) -m repro.obs.report \
 		benchmarks/baselines/fig8b.manifest.json \
 		benchmarks/results/fig8b.manifest.json --fail-on-change
+
+# Planner regression guard: perfbench-shaped query mixes at densities
+# 1.0 and 0.05 under auto and under every legal candidate pinned. Ends
+# by diffing the deterministic counters (choice, predicted and actual
+# logical reads per op) against the committed baseline; CPU times are
+# reported only and never fail the guard.
+bench-planner:
+	PYTHONPATH=src $(PYTHON) -m benchmarks.bench_planner
+	PYTHONPATH=src $(PYTHON) -m repro.obs.report \
+		benchmarks/baselines/planner.manifest.json \
+		benchmarks/results/planner.manifest.json --fail-on-change
 
 # Oracle-checked smoke run of the three perfbench workloads (2 s each).
 # perfbench/run.py always exits 0, so the gate reads its last line, a

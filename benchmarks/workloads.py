@@ -80,11 +80,13 @@ def synthetic_db(
     layouts: Sequence[Layout] = (Layout.SEPARATED,),
     seed: int = 7,
     mc_alpha: Optional[int] = None,
+    conditioned_query: Optional[str] = None,
 ) -> Caldera:
     """A Caldera DB holding one synthetic stream per requested layout.
 
     Stream names are ``syn_{layout.value}``. Indexed with BT_C and BT_P
-    (plus the MC index when ``mc_alpha`` is set).
+    (plus the MC index when ``mc_alpha`` is set, and a conditioned MC
+    index per positive loop of ``conditioned_query``).
     """
     num_snippets = num_snippets if num_snippets is not None else SYNTHETIC_SNIPPETS
     params = {
@@ -96,6 +98,8 @@ def synthetic_db(
         "mc_alpha": mc_alpha,
         "target": TARGET_ROOM,
     }
+    if conditioned_query is not None:
+        params["conditioned_query"] = conditioned_query
     path, built = _cache_dir("synthetic", params)
     db = Caldera(path, page_size=PAGE_SIZE)
     if built:
@@ -104,9 +108,13 @@ def synthetic_db(
         "syn", num_snippets=num_snippets, density=density,
         match_rate=match_rate, seed=seed,
     )
+    loops = [] if conditioned_query is None else [
+        link.loop for link in db.parse(conditioned_query).links
+        if link.has_positive_loop]
     for layout in layouts:
         stream.name = f"syn_{layout.value}"
-        db.archive(stream, layout=layout, mc_alpha=mc_alpha)
+        db.archive(stream, layout=layout, mc_alpha=mc_alpha,
+                   conditioned_predicates=loops)
     _mark_built(path, params)
     return db
 

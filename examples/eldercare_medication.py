@@ -150,7 +150,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         with Caldera(tmp) as db:
             db.archive(stream, mc_alpha=2)
-            result = db.query("margot", medication_query)  # planner: mc
+            # A short stream: the planner predicts fewer page reads for
+            # the scan than for the MC method.
+            result = db.query("margot", medication_query)
             print(f"\n[archive] planner used the {result.method!r} method; "
                   f"{result.stats.summary()}")
             events = detect_events(result, enter=0.15)

@@ -13,6 +13,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import PlanningError
 from ..indexes.base import ValueIndex
 from ..indexes.btc import PredicateChronoCursor
@@ -138,6 +140,47 @@ class QueryContext:
                 f"empty query window [{start}, {stop}) for stream of "
                 f"length {reader.length}"
             )
+        self._probes: Dict[str, object] = {}
+        #: Logical page reads spent by :meth:`probe` so far.
+        self.probe_reads = 0
+
+    # ------------------------------------------------------------------
+    def probe(self, key: str, compute: Callable[[], object]):
+        """``compute()``'s result, computed once per context: the index
+        probes (Alg 2's anchors, Alg 4/5's relevant events) that the
+        planner may run before it chooses, and the chosen method then
+        reuses instead of reading the cursors again."""
+        if key not in self._probes:
+            snap = self.reader.io.snapshot()
+            self._probes[key] = compute()
+            self.probe_reads += self.reader.io.delta(snap).logical_reads
+        return self._probes[key]
+
+    def relevant_predicates(self) -> List[Predicate]:
+        """The predicates whose BT_C entries are the query's relevant
+        events (Algorithms 4 and 5): its indexable predicates.
+
+        Skipping the timesteps no index lists is sound only when every
+        link predicate is indexable, so anything else raises
+        :class:`PlanningError`: a link predicate that is negated or
+        ``true`` (a negated *loop* is fine — a skipped timestep
+        satisfies it), a non-indexable positive loop, or a predicate no
+        BT_C index covers (§3.4.1).
+        """
+        for link in self.query.links:
+            loop = link.loop if link.has_positive_loop else None
+            for predicate in (link.predicate, loop):
+                if predicate is not None and not predicate.indexable:
+                    raise PlanningError(
+                        f"predicate {predicate.signature()!r} of link "
+                        f"{link.signature()!r} is not indexable, so the "
+                        "relevant events would miss timesteps; use the "
+                        "naive scan"
+                    )
+        predicates = self.query.indexable_predicates()
+        for predicate in predicates:
+            self._covering("btc", predicate)  # raises if uncovered
+        return predicates
 
     # ------------------------------------------------------------------
     def terms_for(self, kind: str, predicate: Predicate):
@@ -286,13 +329,116 @@ def _runs(times: Iterable[int]) -> Iterator[Tuple[int, int]]:
         yield first, last + 1
 
 
+class DryRun(RegRun):
+    """A :class:`RegRun` that reads nothing: it walks the same timesteps
+    through the same gap rules and counts, in :attr:`reads`, the logical
+    page reads the real run would make (index probes aside: the method
+    takes those from :meth:`QueryContext.probe`). ``stats`` fills as in
+    a real run. The planner predicts an index method's reads with it."""
+
+    def __init__(self, ctx: QueryContext, stats: AccessStats) -> None:
+        self.reader = ctx.reader.dry()
+        self.mc = None if ctx.mc is None else DryMC(ctx.mc)
+        self.mc_min_level = ctx.mc_min_level
+        self.reg = _NullReg(ctx.reader.length)
+        self.stats = stats
+        self.steps = 0
+
+    @property
+    def reads(self) -> int:
+        return self.reader.reads
+
+    def loop_span(self, loop: Tuple[int, MCIndex], prev: int,
+                  t: int) -> float:
+        q, index = loop
+        return super().loop_span((q, DryMC(index)), prev, t)
+
+
+class DryMC:
+    """An :class:`MCIndex`'s gap traversal, reading nothing: each record
+    lookup adds the index tree's height to the dry reader's ``reads``,
+    each raw step is a dry ``cpt_into``."""
+
+    def __init__(self, index: MCIndex) -> None:
+        self.index = index
+
+    def compute_cpt(self, start: int, end: int, reader, *,
+                    min_level: int = 1,
+                    stats: MCLookupStats) -> None:
+        lookups = base = 0
+        for level, at in self.index.pieces(start, end, min_level):
+            if level:
+                lookups += 1
+            else:
+                reader.cpt_into(at + 1)
+                base += 1
+        reader.reads += lookups * self.index.tree.height
+        stats.lookups += lookups
+        stats.base_cpts_read += base
+        stats.compositions += lookups + base - 1
+
+    def compute_conditioned_cpt(self, start: int, end: int, reader, *,
+                                min_level: int = 1,
+                                stats: MCLookupStats) -> None:
+        # The structure of MCIndex.compute_conditioned_cpt: the raw final
+        # step, then the masked interior composed onto it.
+        reader.cpt_into(end)
+        stats.base_cpts_read += 1
+        if end - start > 1:
+            self.compute_cpt(start, end - 1, reader, min_level=min_level,
+                             stats=stats)
+            stats.compositions += 1
+
+
+class _NullReg:
+    """Reg's interface for :class:`DryRun`: every probability is 0."""
+
+    updates_performed = 0
+
+    def __init__(self, length: int) -> None:
+        self.block_steps = max(1, length)
+
+    def initialize(self, marginal) -> float:
+        return 0.0
+
+    def update(self, cpt) -> float:
+        return 0.0
+
+    def update_block(self, block) -> np.ndarray:
+        return np.zeros(len(block))
+
+    def update_span(self, cpt, span: int = 1) -> float:
+        return 0.0
+
+    def update_loop_span(self, loop_state, plain, cond,
+                         span: int = 1) -> float:
+        return 0.0
+
+    def update_independent(self, marginal, span: int = 1) -> float:
+        return 0.0
+
+
 class AccessMethod:
     """Base class: a physical implementation of the Ex operator."""
 
     name = "abstract"
 
+    def check(self, ctx: QueryContext) -> None:
+        """Raise :class:`PlanningError` (or :class:`QueryError`) unless
+        the method can answer ``ctx`` exactly as documented: the one
+        legality rule that both :meth:`run` and the planner apply."""
+
+    def dry_run(self, ctx: QueryContext) -> DryRun:
+        """Execute without reading the stream (see :class:`DryRun`);
+        the run's ``steps`` is the number of timesteps it emitted."""
+        self.check(ctx)
+        run = DryRun(ctx, AccessStats())
+        run.steps = len(self._execute(ctx, run)[0])
+        return run
+
     def run(self, ctx: QueryContext) -> QueryResult:
         """Execute, timing the run and capturing the I/O delta."""
+        self.check(ctx)
         stats = AccessStats()
         io = ctx.reader.io
         snap = io.snapshot()

@@ -36,26 +36,23 @@ class FixedBTree(AccessMethod):
     def __init__(self, merge_overlapping: bool = True) -> None:
         self.merge_overlapping = merge_overlapping
 
-    def _execute(self, ctx: QueryContext, run: RegRun):
+    def check(self, ctx: QueryContext) -> None:
         query = ctx.query
         if not query.is_fixed_length:
             raise QueryError(
                 "the B+Tree method handles fixed-length queries only; "
                 f"{query.name!r} has Kleene loops"
             )
-        n = len(query)
-
-        cursors = []  # (link offset, cursor)
-        for i, predicate in enumerate(query.predicates()):
-            if ctx.terms_for("btc", predicate) is not None:
-                cursors.append((i, ctx.chrono_cursor(predicate)))
-        if not cursors:
+        if not any(ctx.terms_for("btc", p) is not None
+                   for p in query.predicates()):
             raise PlanningError(
                 "no link of the query is covered by a BT_C index; "
                 "use the naive scan"
             )
 
-        anchors = self._intersect(cursors, n, ctx.start, ctx.stop)
+    def _execute(self, ctx: QueryContext, run: RegRun):
+        n = len(ctx.query)
+        anchors = ctx.probe("anchors", lambda: self.anchors(ctx))
         run.stats.candidates_examined = len(anchors)
         if self.merge_overlapping:
             intervals = merge_intervals(anchors, n)
@@ -75,12 +72,16 @@ class FixedBTree(AccessMethod):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _intersect(cursors, n: int, start: int, stop: int) -> List[int]:
+    def anchors(ctx: QueryContext) -> List[int]:
         """Anchor timesteps ``s`` such that every indexed link ``i`` has
-        an entry at ``s + i`` (the cursors' intersection, §3.1), with the
-        interval ``[s, s+n-1]`` inside the ``[start, stop)`` window."""
+        an entry at ``s + i`` (the BT_C cursors' intersection, §3.1),
+        with the interval ``[s, s+n-1]`` inside the query window."""
+        cursors = [(i, ctx.chrono_cursor(predicate))
+                   for i, predicate in enumerate(ctx.query.predicates())
+                   if ctx.terms_for("btc", predicate) is not None]
+        n, stop = len(ctx.query), ctx.stop
         anchors: List[int] = []
-        s = start
+        s = ctx.start
         while s + n <= stop:
             aligned = True
             new_s = s

@@ -64,18 +64,20 @@ class FixedTopK(AccessMethod):
         self.enhanced_pruning = enhanced_pruning
 
     # ------------------------------------------------------------------
-    def _execute(self, ctx: QueryContext, run: RegRun):
+    def check(self, ctx: QueryContext) -> None:
         query = ctx.query
         if not query.is_fixed_length:
             raise QueryError(
                 "the top-k B+Tree method handles fixed-length queries "
                 f"only; {query.name!r} has Kleene loops"
             )
-        n = len(query)
-        predicates = query.predicates()
-        phi_sets = [p.matching_states(ctx.space) for p in predicates]
+        for predicate in query.predicates():
+            ctx.prob_cursor(predicate)  # every link needs BT_P access
 
-        # Every link needs BT_P sorted access (PlanningError otherwise).
+    def _execute(self, ctx: QueryContext, run: RegRun):
+        n = len(ctx.query)
+        predicates = ctx.query.predicates()
+        phi_sets = [p.matching_states(ctx.space) for p in predicates]
         cursors = [(i, ctx.prob_cursor(p)) for i, p in enumerate(predicates)]
         bound_multiplier = max(c.bound_multiplier for _, c in cursors)
 

@@ -29,7 +29,7 @@ Documented approximation bound (what *is* guaranteed, and what
 from __future__ import annotations
 
 from .base import AccessMethod, QueryContext, RegRun
-from .variable_mc import collect_relevant_events
+from .variable_mc import relevant_events
 
 
 class SemiIndependent(AccessMethod):
@@ -37,10 +37,12 @@ class SemiIndependent(AccessMethod):
 
     name = "semi"
 
+    def check(self, ctx: QueryContext) -> None:
+        ctx.relevant_predicates()
+
     def _execute(self, ctx: QueryContext, run: RegRun):
         # Adjacent relevant timesteps read their exact CPT (line 9);
         # distant ones jump under the independence approximation
         # (line 11).
-        events = collect_relevant_events(
-            ctx, ctx.query.indexable_predicates())
+        events = relevant_events(ctx)
         return list(run.walk((t for t, _ in events), run.independent)), 0

@@ -11,9 +11,10 @@ irrelevant data costs ``O(log(gap))`` CPT multiplications instead of a
 scan.
 
 Per §3.4.1, this method requires index coverage of *all* attributes
-involved in the query's predicates (otherwise relevant timesteps could
-be missed and correctness lost) — the planner falls back to a naive scan
-when coverage is missing.
+involved in the query's predicates, and every link predicate must be
+indexable (otherwise relevant timesteps could be missed and correctness
+lost): :meth:`~repro.access.base.QueryContext.relevant_predicates`
+enforces both, for this method, Algorithm 5 and the planner alike.
 
 Positive (non-negated) Kleene loops are handled two ways:
 
@@ -55,6 +56,14 @@ def collect_relevant_events(ctx: QueryContext, predicates):
     return sorted(events.items())
 
 
+def relevant_events(ctx: QueryContext):
+    """The query's relevant events (:func:`collect_relevant_events` of
+    its :meth:`~repro.access.base.QueryContext.relevant_predicates`),
+    read once per context."""
+    return ctx.probe("events", lambda: collect_relevant_events(
+        ctx, ctx.relevant_predicates()))
+
+
 class VariableMC(AccessMethod):
     """The MC-index access method (Algorithm 4)."""
 
@@ -63,19 +72,21 @@ class VariableMC(AccessMethod):
     def __init__(self, use_conditioned: bool = False) -> None:
         self.use_conditioned = use_conditioned
 
-    def _execute(self, ctx: QueryContext, run: RegRun):
-        query = ctx.query
+    def check(self, ctx: QueryContext) -> None:
+        ctx.relevant_predicates()
         if ctx.mc is None:
             raise PlanningError("the MC-index method needs the MC index")
-        loop = ctx.conditioned_loop() if self.use_conditioned else None
-        if self.use_conditioned and loop is None and query.has_positive_loops:
+        if self.use_conditioned and ctx.conditioned_loop() is None and \
+                ctx.query.has_positive_loops:
             raise PlanningError(
                 "conditioned skipping needs exactly one positive Kleene "
                 "loop with its conditioned MC index built; run the MC "
                 "method in exact mode instead"
             )
-        predicates = query.indexable_predicates()
-        events = collect_relevant_events(ctx, predicates)
+
+    def _execute(self, ctx: QueryContext, run: RegRun):
+        events = relevant_events(ctx)
+        loop = ctx.conditioned_loop() if self.use_conditioned else None
         if loop is None:
             return list(run.walk((t for t, _ in events), run.span)), 0
 
@@ -83,7 +94,8 @@ class VariableMC(AccessMethod):
         # predicate, after the first event and adjacent to the next one.
         # A deferred run therefore ends right before a walked event,
         # whose gap jump crosses the whole run in one loop span.
-        sig = query.links[loop[0]].loop.signature()
+        predicates = ctx.relevant_predicates()
+        sig = ctx.query.links[loop[0]].loop.signature()
         loop_id = next((i for i, p in enumerate(predicates)
                         if p.signature() == sig), None)
         deferred = {t for pos, (t, matched) in enumerate(events[1:-1], 1)

@@ -8,7 +8,7 @@
     python -m repro import DB S.json   import a JSON stream and index it
     python -m repro export DB NAME out.json
     python -m repro query DB NAME "location=H1 -> location=O300" [options]
-    python -m repro plan DB NAME QUERY     show the planner's choice
+    python -m repro plan DB NAME QUERY     show the planner's candidates and choice
     python -m repro density DB NAME QUERY  data density w.r.t. a query
     python -m repro fsck DB            verify checksums and tree structure
 
@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     drop.add_argument("db")
     drop.add_argument("stream")
 
-    plan_cmd = sub.add_parser("plan", help="show the planner's decision")
+    plan_cmd = sub.add_parser("plan", help="show the planner's candidate "
+                              "table and decision")
     plan_cmd.add_argument("db")
     plan_cmd.add_argument("stream")
     plan_cmd.add_argument("query")
@@ -241,6 +242,7 @@ def cmd_plan(args, out) -> int:
     with _engine()(args.db) as db:
         decision = db.explain(args.stream, args.query, k=args.k)
         print(f"{decision.name}: {decision.reason}", file=out)
+        print(decision.table(), file=out)
     return 0
 
 

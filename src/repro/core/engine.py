@@ -3,8 +3,9 @@
 One :class:`Caldera` instance manages a storage environment containing
 archived Markovian streams, their secondary indexes, dimension tables,
 and the catalog — and executes Regular event queries through the access
-methods of :mod:`repro.access`, either auto-planned (Fig 5b) or pinned
-explicitly.
+methods of :mod:`repro.access`, either auto-planned (the legal method
+with the fewest predicted page reads, :mod:`repro.core.planner`) or
+pinned explicitly.
 
 Typical use::
 
@@ -13,8 +14,8 @@ Typical use::
         db.archive(stream, layout="separated", mc_alpha=None,
                    join_tables=("LocationType",))
         q = db.parse("location=H1 -> location=O300")
-        result = db.query(stream.name, q)            # planner picks Alg 2
-        topk = db.query(stream.name, q, k=3)         # Alg 3
+        result = db.query(stream.name, q)            # planner's choice
+        topk = db.query(stream.name, q, k=3)         # top-k, or X + Sort
         print(result.top(1), result.stats.summary())
 """
 
@@ -24,7 +25,13 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..access import QueryContext, QueryResult
 from ..errors import CatalogError, PlanningError
-from ..indexes import build_mc, build_value_indexes, open_mc, open_value_index
+from ..indexes import (
+    ValueStats,
+    build_mc,
+    build_value_indexes,
+    open_mc,
+    open_value_index,
+)
 from ..query import RegularQuery, parse_query
 from ..query.predicates import Predicate
 from ..storage import DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES, StorageEnvironment
@@ -130,7 +137,7 @@ class Caldera:
             )
         if self.catalog.has_stream(stream.name):
             raise CatalogError(f"stream {stream.name!r} is already archived")
-        write_stream(self.env, stream, layout)
+        pack = write_stream(self.env, stream, layout).pack
         meta = StreamMeta(stream.name, len(stream), layout, stream.space)
         dimensions = self.dimension_tables()
 
@@ -149,10 +156,11 @@ class Caldera:
 
         pairs = [(t, stream.marginals[t]) for t in range(len(stream))]
         for attr in indexed_attrs:
-            build_value_indexes(self.env, stream.name, stream.space, attr,
-                                pairs, kinds, dimensions=dimensions)
-            for kind in kinds:
-                meta.indexes[f"{kind}:{attr}"] = {}
+            built = build_value_indexes(self.env, stream.name, stream.space,
+                                        attr, pairs, kinds,
+                                        dimensions=dimensions, pack=pack)
+            for kind, index in built.items():
+                meta.indexes[f"{kind}:{attr}"] = index.stats.to_dict()
 
         if mc_alpha is not None and len(stream) > 2:
             reader = open_reader(self.env, stream.name, stream.space,
@@ -226,12 +234,20 @@ class Caldera:
         indexes: Dict[str, Dict] = {"btc": {}, "btp": {}}
         mc = None
         mc_conditioned = {}
+        derived = False
         for key, params in meta.indexes.items():
             kind, _, detail = key.partition(":")
             if kind in indexes:
-                indexes[kind][detail] = open_value_index(
+                index = indexes[kind][detail] = open_value_index(
                     self.env, stream_name, meta.space, kind, detail,
-                    dimensions=dimensions)
+                    dimensions=dimensions,
+                    stats=ValueStats.from_dict(params))
+                if index.stats is None:
+                    # Archived before the catalog kept the statistics:
+                    # count them once from the leaves, then record them.
+                    index.stats = ValueStats.scan(index, reader.pack)
+                    params.update(index.stats.to_dict())
+                    derived = True
             elif kind == "mc":
                 mc = open_mc(self.env, stream_name,
                              alpha=params.get("alpha", 2), length=meta.length)
@@ -247,6 +263,8 @@ class Caldera:
                             length=meta.length, predicate=link.loop,
                             space=meta.space,
                         )
+        if derived:
+            self.catalog.update_stream(meta)
         return QueryContext(
             reader=reader, query=query, indexes=indexes, mc=mc,
             mc_conditioned=mc_conditioned, mc_min_level=mc_min_level,
@@ -262,7 +280,9 @@ class Caldera:
         approximate: bool = False,
         use_conditioned: bool = False,
     ) -> PlanDecision:
-        """The planner's decision for a query, without executing it."""
+        """The planner's decision for a query, without executing it: the
+        chosen method, why, and every candidate's predicted reads (or
+        why it is illegal). Planning may probe the BT_C cursors."""
         ctx = self.context(stream_name, query)
         return plan(ctx, k=k, threshold=threshold, approximate=approximate,
                     use_conditioned=use_conditioned,
@@ -287,7 +307,9 @@ class Caldera:
         Parameters
         ----------
         method:
-            ``auto`` (planner, Fig 5b) or one of
+            ``auto`` (the planner; its probe's reads count in the
+            result's I/O, and ``planner.cost_error`` records predicted /
+            actual reads) or one of
             ``naive``/``btree``/``topk``/``mc``/``semi``.
         k / threshold:
             Top-k or threshold retrieval. With a non-top-k method the
@@ -295,6 +317,9 @@ class Caldera:
             applied afterwards (the Sort operator of Fig 5a).
         approximate:
             Allow the planner to choose the semi-independent method.
+        use_conditioned:
+            Allow conditioned MC skipping (§3.3.2): a planner
+            candidate, or the mode of a pinned ``mc``.
         cold:
             Drop all buffer-pool caches first, so the run measures
             physical I/O from a cold start.
@@ -304,19 +329,26 @@ class Caldera:
         """
         ctx = self.context(stream_name, query, mc_min_level=mc_min_level,
                            start=start, stop=stop)
-        if method == "auto":
+        if cold:
+            self.drop_caches()
+        if method != "auto":
+            access = method_by_name(name=method, k=k, threshold=threshold,
+                                    use_conditioned=use_conditioned)
+            result = access.run(ctx)
+        else:
+            snap = self.env.stats.snapshot()
             decision = plan(ctx, k=k, threshold=threshold,
                             approximate=approximate,
                             use_conditioned=use_conditioned,
                             registry=self.env.metrics,
                             tracer=self.env.tracer())
             access = decision.method
-        else:
-            access = method_by_name(name=method, k=k, threshold=threshold,
-                                    use_conditioned=use_conditioned)
-        if cold:
-            self.drop_caches()
-        result = access.run(ctx)
+            result = access.run(ctx)
+            # The planner's probe is part of the query's reads.
+            result.stats.io = self.env.stats.delta(snap)
+            self.env.metrics.histogram(
+                "planner.cost_error", method=access.name).observe(
+                    decision.predicted / max(1, result.stats.io.logical_reads))
         if access.name != "topk":
             # Apply the Sort/Top operator downstream of Ex when requested.
             if threshold is not None:

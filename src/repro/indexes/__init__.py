@@ -4,6 +4,7 @@ from .base import (
     IndexedAttribute,
     ValueCursor,
     ValueIndex,
+    ValueStats,
     index_tree_name,
     mc_tree_name,
     resolve_indexed_attribute,
@@ -23,6 +24,7 @@ __all__ = [
     "ProbCursor",
     "ValueCursor",
     "ValueIndex",
+    "ValueStats",
     "build_mc",
     "build_value_indexes",
     "index_tree_name",

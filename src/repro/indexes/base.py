@@ -19,11 +19,13 @@ with ``/`` sanitized to ``@`` for the filesystem.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import CatalogError, QueryError
 from ..probability import SparseDistribution
 from ..storage import BTree, encode_key, prefix_upper_bound
+from ..storage.keyenc import decode_key
 from ..streams.schema import StateSpace
 
 JOIN_SEPARATOR = "/"
@@ -87,6 +89,10 @@ class IndexedAttribute:
     def has_value(self, value) -> bool:
         return value in self._codes
 
+    def codes(self) -> int:
+        """One more than the largest value code."""
+        return max(self._codes.values(), default=-1) + 1
+
     def aggregate(self, marginal: SparseDistribution) -> Dict[object, float]:
         """Per indexed value, the summed marginal probability (§3.4.1:
         tuples at one timestep are disjoint, so summation is exact)."""
@@ -120,13 +126,64 @@ def resolve_indexed_attribute(
     return IndexedAttribute.base(space, name)
 
 
+@dataclass
+class ValueStats:
+    """The shape of one indexed attribute's entries, per value code:
+    how many timesteps hold an entry, in how many *runs* (maximal
+    stretches of consecutive timesteps), and in how many *frames*
+    (distinct ``t // pack`` blocks, ``pack`` being the archive's frame
+    size). The planner's cost model reads them; the catalog stores them
+    with the stream's BT_C entry."""
+
+    entries: List[int]
+    runs: List[int]
+    frames: List[int]
+
+    @classmethod
+    def count(cls, pairs: Iterable[Tuple[int, int]], codes: int,
+              pack: int) -> "ValueStats":
+        """Count ``(code, t)`` pairs whose times increase per code."""
+        stats = cls([0] * codes, [0] * codes, [0] * codes)
+        last = [-2] * codes
+        for code, t in pairs:
+            stats.entries[code] += 1
+            stats.runs[code] += t != last[code] + 1
+            stats.frames[code] += last[code] < 0 or \
+                t // pack != last[code] // pack
+            last[code] = t
+        return stats
+
+    @classmethod
+    def scan(cls, index: "ValueIndex", pack: int) -> "ValueStats":
+        """Count a built index's entries from its leaves (for archives
+        written before the catalog recorded the statistics). Either key
+        order starts with the code and ends with the time."""
+        pairs = sorted((parts[0], parts[-1]) for parts in
+                       (decode_key(key) for key, _ in index.tree.items()))
+        return cls.count(pairs, index.indexed.codes(), pack)
+
+    def to_dict(self) -> Dict[str, List[int]]:
+        return {"entries": self.entries, "runs": self.runs,
+                "frames": self.frames}
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> Optional["ValueStats"]:
+        """The recorded statistics, or None when ``data`` has none."""
+        if "entries" not in data:
+            return None
+        return cls(data["entries"], data["runs"], data["frames"])
+
+
 class ValueIndex:
     """One BT_C or BT_P index: a B+ tree of one indexed attribute's
-    entries, in its kind's key order."""
+    entries, in its kind's key order, with the entries' statistics when
+    known."""
 
-    def __init__(self, tree: BTree, indexed: IndexedAttribute) -> None:
+    def __init__(self, tree: BTree, indexed: IndexedAttribute,
+                 stats: Optional[ValueStats] = None) -> None:
         self.tree = tree
         self.indexed = indexed
+        self.stats = stats
 
 
 class ValueCursor:

@@ -18,6 +18,7 @@ from ..streams.schema import StateSpace
 from . import btc, btp
 from .base import (
     ValueIndex,
+    ValueStats,
     index_tree_name,
     mc_tree_name,
     resolve_indexed_attribute,
@@ -36,12 +37,15 @@ def build_value_indexes(
     marginals: Iterable[Tuple[int, "SparseDistribution"]],
     kinds: Sequence[str],
     dimensions: Optional[Dict[str, Dict]] = None,
+    pack: int = 1,
 ) -> Dict[str, ValueIndex]:
     """Build the ``kinds`` (``btc``/``btp``) indexes over one indexed
     attribute from one aggregation pass over the marginals.
 
     Each kind bulk-loads the same ``(code, time, prob)`` entries, sorted
-    by its own key order.
+    by its own key order, and every built index carries the entries'
+    :class:`ValueStats` (``pack`` is the archive's frame size), counted
+    from the same pass.
     """
     names = {kind: index_tree_name(stream_name, kind, indexed_attr)
              for kind in kinds}
@@ -54,6 +58,8 @@ def build_value_indexes(
         for t, marginal in marginals
         for value, prob in indexed.aggregate(marginal).items()
     ]
+    stats = ValueStats.count(((code, t) for code, t, _ in entries),
+                             indexed.codes(), pack)
     built = {}
     for kind, name in names.items():
         encode = ENTRY_ENCODERS[kind]
@@ -61,7 +67,7 @@ def build_value_indexes(
         tree = env.open_tree(name)
         tree.bulk_load(items)
         tree.flush()
-        built[kind] = ValueIndex(tree, indexed)
+        built[kind] = ValueIndex(tree, indexed, stats)
     return built
 
 
@@ -72,11 +78,13 @@ def open_value_index(
     kind: str,
     indexed_attr: str,
     dimensions: Optional[Dict[str, Dict]] = None,
+    stats: Optional[ValueStats] = None,
 ) -> ValueIndex:
-    """Open an existing ``btc`` or ``btp`` index."""
+    """Open an existing ``btc`` or ``btp`` index (``stats`` as recorded
+    at build time, if known)."""
     name = index_tree_name(stream_name, kind, indexed_attr)
     indexed = resolve_indexed_attribute(space, indexed_attr, dimensions)
-    return ValueIndex(env.open_tree(name, create=False), indexed)
+    return ValueIndex(env.open_tree(name, create=False), indexed, stats)
 
 
 def build_mc(

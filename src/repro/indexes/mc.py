@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..errors import CatalogError, StreamError
 from ..probability import CPT
@@ -265,45 +265,49 @@ class MCIndex:
             stats.compositions += 1
         return interior.compose(final)
 
-    def _compute(self, start: int, end: int, reader, min_level: int,
-                 stats: Optional[MCLookupStats], masked: bool) -> CPT:
+    def pieces(self, start: int, end: int,
+               min_level: int = 1) -> Iterator[Tuple[int, int]]:
+        """The greedy descent covering ``start -> end``: ``(level, at)``
+        per piece, the stored record ``(level, at)`` or, for level 0, the
+        raw CPT into ``at + 1``. Reads nothing."""
         if not 0 <= start < end <= self.length - 1:
             raise StreamError(
                 f"MC span [{start}, {end}] outside stream of length "
                 f"{self.length}"
             )
         min_level = max(1, min_level)
-        result: Optional[CPT] = None
-        lookups = base = compositions = 0
         cur = start
         while cur < end:
-            piece = None
             level = self.max_level
             span = self.alpha ** level
-            while level >= min_level:
-                if cur % span == 0 and cur + span <= end:
-                    piece = self._fetch(level, cur)
-                    lookups += 1
-                    cur += span
-                    break
+            while level >= min_level and not (cur % span == 0
+                                              and cur + span <= end):
                 span //= self.alpha
                 level -= 1
-            if piece is None:
+            if level < min_level:
                 # Only levels below min_level (or none) fit: raw step.
-                piece = reader.cpt_into(cur + 1)
+                level, span = 0, 1
+            yield level, cur
+            cur += span
+
+    def _compute(self, start: int, end: int, reader, min_level: int,
+                 stats: Optional[MCLookupStats], masked: bool) -> CPT:
+        result: Optional[CPT] = None
+        lookups = base = 0
+        for level, at in self.pieces(start, end, min_level):
+            if level:
+                piece = self._fetch(level, at)
+                lookups += 1
+            else:
+                piece = reader.cpt_into(at + 1)
                 if masked:
                     piece = piece.mask_destinations(self.accept_states)
                 base += 1
-                cur += 1
-            if result is None:
-                result = piece
-            else:
-                result = result.compose(piece)
-                compositions += 1
+            result = piece if result is None else result.compose(piece)
         if stats is not None:
             stats.lookups += lookups
             stats.base_cpts_read += base
-            stats.compositions += compositions
+            stats.compositions += lookups + base - 1
         return result
 
     def _fetch(self, level: int, start: int) -> CPT:

@@ -174,6 +174,8 @@ class StreamReader:
     """
 
     layout: Layout
+    #: Timesteps per stored frame (only ``packed`` frames more than one).
+    pack = 1
 
     def __init__(self, name: str, space: StateSpace, length: int,
                  io: IOStats) -> None:
@@ -199,6 +201,12 @@ class StreamReader:
 
     def _cpt_record(self, t: int) -> bytes:
         """The stored record of the CPT into ``t``."""
+        raise NotImplementedError
+
+    def dry(self) -> "DryReader":
+        """A reader that reads nothing and counts, in ``reads``, the
+        logical page reads this reader would make for the same calls
+        (records assumed inline, as the cost pins assume)."""
         raise NotImplementedError
 
     def _check_time(self, t: int, lo: int = 0) -> None:
@@ -252,6 +260,9 @@ class SeparatedReader(StreamReader):
             raise StorageError(f"missing CPT into t={t}")
         return data
 
+    def dry(self) -> "DryReader":
+        return DryReader(self, self._marg.height, self._cpt.height)
+
 
 class PackedReader(StreamReader):
     """Reader over the combined layouts: ``packed(K)``, and ``cell`` as
@@ -299,6 +310,47 @@ class PackedReader(StreamReader):
 
     def _cpt_record(self, t: int) -> bytes:
         return self._cell_chunks(t)[1]
+
+    def dry(self) -> "DryReader":
+        height = self._data.height
+        return DryReader(self, height, height, self._cached_start)
+
+
+class DryReader:
+    """The read API of a :class:`StreamReader`, reading nothing: each
+    call adds its logical page reads to ``reads``. A point read costs
+    its tree's height, except inside the frame a packed reader has
+    cached. Reads return None; ``scan_cpts`` returns the range."""
+
+    def __init__(self, reader: StreamReader, marginal_cost: int,
+                 cpt_cost: int, cached_start: Optional[int] = None) -> None:
+        self.pack = reader.pack
+        self.marginal_cost = marginal_cost
+        self.cpt_cost = cpt_cost
+        self.reads = 0
+        #: The cached frame's index (-1: none yet); None: no frame cache.
+        self._cached = None if cached_start is None else \
+            max(-1, cached_start // self.pack)
+
+    def marginal(self, t: int) -> None:
+        self._read(t, t + 1, self.marginal_cost)
+
+    def cpt_into(self, t: int) -> None:
+        self._read(t, t + 1, self.cpt_cost)
+
+    def scan_cpts(self, start: int, stop: int) -> range:
+        self._read(start, stop, self.cpt_cost)
+        return range(start, stop)
+
+    def _read(self, start: int, stop: int, cost: int) -> None:
+        if stop <= start:
+            return
+        if self._cached is None:
+            self.reads += (stop - start) * cost
+            return
+        first, last = start // self.pack, (stop - 1) // self.pack
+        self.reads += (last - first + 1 - (first == self._cached)) * cost
+        self._cached = last
 
 
 # ----------------------------------------------------------------------

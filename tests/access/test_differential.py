@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Caldera
+from repro.errors import PlanningError
 from repro.streams import Layout, synthetic_stream
 
 LAYOUTS = (Layout.SEPARATED, Layout.CELL, Layout.PACKED)
@@ -155,6 +156,52 @@ def test_conditioned_mode_agrees_at_run_boundaries(db):
                 assert exact[t] == pytest.approx(p, abs=TOL)
     finally:
         shutil.rmtree(db2_path)
+
+
+# ---------------------------------------------------------------------------
+# Link predicates no index can list
+# ---------------------------------------------------------------------------
+
+#: Variable-length queries whose *link* predicates are negated: their
+#: relevant events are not what the BT_C index lists, so skipping is
+#: unsound and only the scan may answer them.
+NEGATED_LINK_QUERIES = [
+    "!location=Door -> (!location=C1)* !location=Room",
+    "!location=Door -> (location=C1)* !location=Room",
+]
+
+
+@pytest.fixture(scope="module")
+def dense_db(tmp_path_factory):
+    database = Caldera(str(tmp_path_factory.mktemp("dense_db")))
+    stream = synthetic_stream("syn", num_snippets=10, density=1.0,
+                              match_rate=0.5, seed=23)
+    for layout in LAYOUTS:
+        stream.name = f"syn_{layout.value}"
+        database.archive(stream, layout=layout, mc_alpha=2)
+    yield database
+    database.close()
+
+
+@pytest.mark.parametrize("layout", [lo.value for lo in LAYOUTS])
+@pytest.mark.parametrize("qtext", NEGATED_LINK_QUERIES)
+def test_negated_link_queries_plan_the_scan(dense_db, layout, qtext):
+    stream = f"syn_{layout}"
+    naive = dict(dense_db.query(stream, qtext, method="naive").signal)
+    auto = dense_db.query(stream, qtext)
+    assert auto.method == "naive"
+    assert_signals_agree(naive, auto.signal)
+    assert len(auto.signal) == len(naive)
+
+
+@pytest.mark.parametrize("method", ["mc", "semi"])
+def test_event_methods_refuse_negated_links(dense_db, method):
+    """A negated loop is fine (the Kleene queries above); a negated
+    link is not, so a pinned Alg 4 or 5 raises instead of answering
+    with an empty signal."""
+    for qtext in NEGATED_LINK_QUERIES + ["!location=Door -> !location=Room"]:
+        with pytest.raises(PlanningError, match="not indexable"):
+            dense_db.query("syn_separated", qtext, method=method)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ the Caldera facade: the exact methods agree on every emitted timestep,
 across every archive layout."""
 
 import pytest
+from candidates import assert_fewest
 
 from repro.access import (
     FixedBTree,
@@ -250,3 +251,51 @@ def test_every_read_is_counted_once(mc_db, layout, label, method, text):
             stats.marginals_read, stats.cpts_read, mc.lookups,
             mc.base_cpts_read, mc.compositions, stats.candidates_examined,
             stats.candidates_pruned, stats.intervals_processed) == counters
+
+
+#: (query, planner options) that auto-plans on ``mc_db``.
+PLANNED = [
+    (ENTERED_ROOM_QUERY, {}),
+    (ENTERED_ROOM_QUERY, {"k": 3}),
+    (ENTERED_ROOM_QUERY, {"threshold": 0.3}),
+    (KLEENE_QUERY, {}),
+    (KLEENE_QUERY, {"approximate": True}),
+    (CONDITIONED_QUERY, {"use_conditioned": True}),
+]
+
+
+@pytest.mark.parametrize("layout", [lo.value for lo in LAYOUTS])
+def test_naive_prediction_is_its_counted_cost(mc_db, layout):
+    """The scan's predicted reads are exactly its ``COUNTED_COSTS`` pin:
+    a marginal and a CPT read per step, a frame read per packed frame."""
+    pins = dict(zip((lo.value for lo in LAYOUTS), COUNTED_COSTS["naive"][0]))
+    for text, kwargs in PLANNED:
+        decision = mc_db.explain(f"syn_{layout}", text, **kwargs)
+        naive = decision.candidates[0]
+        assert naive.label.startswith("naive")
+        assert naive.low == naive.high == pins[layout] + decision.probe_reads
+
+
+@pytest.mark.parametrize("layout", [lo.value for lo in LAYOUTS])
+@pytest.mark.parametrize("text,kwargs", PLANNED,
+                         ids=[f"{t}|{k}" for t, k in PLANNED])
+def test_auto_picks_the_fewest_reads_candidate(mc_db, layout, text, kwargs):
+    assert_fewest(mc_db, f"syn_{layout}", text, **kwargs)
+
+
+def test_auto_choices_on_mc_db(mc_db):
+    """Entered-Room runs Alg 2 (241 / 241 / 37 reads, not the scan's
+    600 / 600 / 76). For the conditioned query, the scan (76 reads)
+    beats conditioned MC (229) on ``packed``, and exact MC reads the
+    fewest on the other layouts."""
+    for layout, reads in zip(LAYOUTS, COUNTED_COSTS["btree"][0]):
+        result = mc_db.query(f"syn_{layout.value}", ENTERED_ROOM_QUERY)
+        assert (result.method, result.stats.io.logical_reads) == \
+            ("btree", reads)
+    chosen, reads = assert_fewest(mc_db, "syn_packed", CONDITIONED_QUERY,
+                                  use_conditioned=True)
+    assert chosen == "naive"
+    assert (reads["naive"], reads["mc conditioned"]) == (76, 229)
+    for layout in ("separated", "cell"):
+        assert assert_fewest(mc_db, f"syn_{layout}", CONDITIONED_QUERY,
+                             use_conditioned=True)[0] == "mc"

@@ -4,6 +4,7 @@
 ``register_dimension_table(replace=True)`` under join indexes."""
 
 import pytest
+from candidates import assert_fewest
 
 from repro.core import Caldera
 from repro.errors import CatalogError, PlanningError
@@ -72,15 +73,21 @@ TWO_LOOP_QUERY = ("location=Door -> (location=C1)* location=Room "
 
 def test_conditioned_auto_query_with_two_loops_runs_exact_mc(tmp_path):
     """Conditioned skipping covers exactly one positive loop. With two
-    loops (both conditioned indexes built) the planner picks the MC
-    method in exact mode, which agrees with the naive scan; asking for
-    conditioned mode explicitly is refused."""
+    loops (both conditioned indexes built) the conditioned candidate is
+    illegal, so the planner weighs exact MC against the scan; here exact
+    MC reads fewer pages, runs, and agrees with the naive scan. Asking
+    for conditioned mode explicitly is refused."""
     with Caldera(str(tmp_path)) as db:
         query = db.parse(TWO_LOOP_QUERY)
         loops = [link.loop for link in query.links if link.has_positive_loop]
         assert len(loops) == 2
         db.archive(_stream(), mc_alpha=2, conditioned_predicates=loops)
         naive = db.query("syn", TWO_LOOP_QUERY, method="naive").signal
+        decision = db.explain("syn", TWO_LOOP_QUERY, use_conditioned=True)
+        illegal = {c.label: c.illegal for c in decision.candidates}
+        assert "exactly one positive" in illegal["mc conditioned"]
+        assert assert_fewest(db, "syn", TWO_LOOP_QUERY,
+                             use_conditioned=True)[0] == "mc"
         auto = db.query("syn", TWO_LOOP_QUERY, use_conditioned=True)
         assert auto.method == "mc"
         assert_signals_agree(dict(naive), auto.signal)
@@ -119,7 +126,8 @@ def test_replacing_a_joined_dimension_table_is_refused(tmp_path):
         db.register_dimension_table("Other", {"Door": "x"})
         db.archive(synthetic_stream("plain", num_snippets=2))
         naive = db.query("syn", JOIN_QUERY, method="naive").signal
-        assert db.explain("syn", JOIN_QUERY).method.name == "btree"
+        # The join index serves the query, and reads the fewest pages.
+        assert assert_fewest(db, "syn", JOIN_QUERY)[0] == "btree"
         with pytest.raises(CatalogError, match=r"'Kind'.*stream\(s\) syn;"):
             db.register_dimension_table("Kind", {**KIND, "Lobby": "aaa"},
                                         replace=True)

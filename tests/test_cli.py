@@ -79,3 +79,19 @@ def test_fsck_flags_corruption(tmp_path, capsys):
 def test_fsck_missing_directory(tmp_path, capsys):
     assert main(["fsck", str(tmp_path / "nope")]) == 2
     assert "no such database" in capsys.readouterr().err
+
+
+def test_plan_prints_the_candidate_table(tmp_path, capsys):
+    db = str(tmp_path / "db")
+    assert main(["demo", db, "--people", "1", "--snippets", "4"]) == 0
+    capsys.readouterr()
+    rc = main(["plan", db, "person0", "location=Door -> location=Room",
+               "--k", "3"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    first, *rows = out.splitlines()
+    assert "fewest predicted page reads" in first
+    labels = [row[2:].split()[0] for row in rows]
+    assert labels == ["naive", "btree", "topk"]
+    assert sum(row.startswith("* ") for row in rows) == 1
+    assert all("reads" in row for row in rows)

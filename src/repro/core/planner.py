@@ -80,7 +80,6 @@ from ..access import (
     SemiIndependent,
     VariableMC,
 )
-from ..access.variable_mc import relevant_events
 from ..errors import PlanningError, QueryError
 
 
@@ -167,9 +166,7 @@ def plan(
     best = min(legal, key=lambda c: (c.high, c.steps))
     # Probe when the statistics cannot separate the candidates, or when
     # the winner reads the events anyway (its prediction becomes exact).
-    if best.uses_events and best.low < best.high or any(
-            c.uses_events and c.low < best.high for c in legal
-            if c is not best):
+    if any(c.uses_events and c.low < best.high for c in legal):
         best = _probe(ctx, legal)
 
     reason = f"fewest predicted page reads ({best.high:,})"
@@ -212,9 +209,8 @@ def _candidates(ctx: QueryContext, k, threshold, approximate: bool,
 
 
 def _probe(ctx: QueryContext, legal: List[Candidate]) -> Candidate:
-    """Read the relevant events, make every event-based prediction
-    exact by a dry run, and choose again."""
-    relevant_events(ctx)
+    """Make every event-based prediction exact by a dry run (the first
+    reads the relevant events), and choose again."""
     for c in legal:
         if c.uses_events:
             run = c.method.dry_run(ctx)

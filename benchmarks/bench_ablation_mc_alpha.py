@@ -3,7 +3,7 @@ end-to-end on queries rather than isolated lookups).
 
 Builds the same stream with alpha in {2, 4, 8} and runs the Kleene
 Entered-Room query through the MC method. Lower alpha stores more
-precomputed CPTs (more disk) and needs fewer compositions per gap.
+precomputed CPTs (more disk) and needs fewer pieces per gap.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ def generate():
                 "wall_ms": round(m.wall_ms, 2),
                 "index_entries_fetched": result.stats.mc_lookups.lookups,
                 "raw_cpts_fetched": result.stats.mc_lookups.base_cpts_read,
-                "compositions": result.stats.mc_lookups.compositions,
                 "index_mb": round(mc_size / 2**20, 3),
             })
         finally:
@@ -50,7 +49,7 @@ def generate():
     text = print_table(
         "Ablation: MC index alpha vs query latency and storage", rows,
         columns=["alpha", "wall_ms", "index_entries_fetched",
-                 "raw_cpts_fetched", "compositions", "index_mb"],
+                 "raw_cpts_fetched", "index_mb"],
     )
     save_report("ablation_mc_alpha", text, {"rows": rows})
     return rows

@@ -231,11 +231,6 @@ class QueryContext:
         return (lambda term: available[term.indexed_attr]), terms
 
 
-#: Fewest adjacent steps that ``RegRun.walk`` reads and steps as one
-#: block: below it, a block's fixed cost outweighs its per-step saving.
-_MIN_BLOCK = 5
-
-
 class RegRun:
     """The one place where archive reads feed Reg and get counted.
 
@@ -266,7 +261,7 @@ class RegRun:
         """Yield ``(t, p)`` for each of the increasing ``times``: start a
         fresh run at the first, call ``jump(prev, t)`` across each gap (a
         ``range`` has none) and step the CPTs into each run of adjacent
-        ones in blocks of ``_MIN_BLOCK`` to ``reg.block_steps`` steps."""
+        ones in blocks of at most ``reg.block_steps`` steps."""
         reg, reader, prev = self.reg, self.reader, None
         for first, stop in _runs(times):
             if prev is None:
@@ -278,12 +273,8 @@ class RegRun:
             for lo in range(first + 1, stop, reg.block_steps):
                 hi = min(lo + reg.block_steps, stop)
                 self.stats.cpts_read += hi - lo
-                if hi - lo < _MIN_BLOCK:
-                    for t in range(lo, hi):
-                        yield t, reg.update(reader.cpt_into(t))
-                else:
-                    probs = reg.update_block(reader.scan_cpts(lo, hi))
-                    yield from zip(range(lo, hi), probs.tolist())
+                probs = reg.update_block(reader.scan_cpts(lo, hi))
+                yield from zip(range(lo, hi), probs.tolist())
             prev = stop - 1
 
     def _plain(self, prev: int, t: int):
@@ -292,13 +283,13 @@ class RegRun:
                                    stats=self.stats.mc_lookups)
 
     def span(self, prev: int, t: int) -> float:
-        """Cross the gap by the MC index's composed CPT (Algorithm 4)."""
+        """Cross the gap by the MC index's pieces (Algorithm 4)."""
         return self.reg.update_span(self._plain(prev, t), span=t - prev)
 
     def loop_span(self, loop: Tuple[int, MCIndex], prev: int,
                   t: int) -> float:
         """Cross a Kleene run of the loop at link ``q`` in one update,
-        by the plain and the conditioned MC CPT of
+        by the plain and the conditioned MC pieces of
         ``loop = (q, conditioned index)`` (§3.3.2)."""
         q, index = loop
         plain = self._plain(prev, t)
@@ -357,7 +348,7 @@ class DryRun(RegRun):
 class DryMC:
     """An :class:`MCIndex`'s gap traversal, reading nothing: each record
     lookup adds the index tree's height to the dry reader's ``reads``,
-    each raw step is a dry ``cpt_into``."""
+    each raw step is a dry ``cpt_record``."""
 
     def __init__(self, index: MCIndex) -> None:
         self.index = index
@@ -365,29 +356,24 @@ class DryMC:
     def compute_cpt(self, start: int, end: int, reader, *,
                     min_level: int = 1,
                     stats: MCLookupStats) -> None:
-        lookups = base = 0
         for level, at in self.index.pieces(start, end, min_level):
             if level:
-                lookups += 1
+                reader.reads += self.index.tree.height
+                stats.lookups += 1
             else:
-                reader.cpt_into(at + 1)
-                base += 1
-        reader.reads += lookups * self.index.tree.height
-        stats.lookups += lookups
-        stats.base_cpts_read += base
-        stats.compositions += lookups + base - 1
+                reader.cpt_record(at + 1)
+                stats.base_cpts_read += 1
 
     def compute_conditioned_cpt(self, start: int, end: int, reader, *,
                                 min_level: int = 1,
                                 stats: MCLookupStats) -> None:
-        # The structure of MCIndex.compute_conditioned_cpt: the raw final
-        # step, then the masked interior composed onto it.
-        reader.cpt_into(end)
+        # MCIndex.compute_conditioned_cpt's reads in its order (a packed
+        # reader's frame cache prices order): the final step first.
+        reader.cpt_record(end)
         stats.base_cpts_read += 1
         if end - start > 1:
             self.compute_cpt(start, end - 1, reader, min_level=min_level,
                              stats=stats)
-            stats.compositions += 1
 
 
 class _NullReg:
@@ -401,13 +387,10 @@ class _NullReg:
     def initialize(self, marginal) -> float:
         return 0.0
 
-    def update(self, cpt) -> float:
-        return 0.0
-
     def update_block(self, block) -> np.ndarray:
         return np.zeros(len(block))
 
-    def update_span(self, cpt, span: int = 1) -> float:
+    def update_span(self, block, span: int = 1) -> float:
         return 0.0
 
     def update_loop_span(self, loop_state, plain, cond,

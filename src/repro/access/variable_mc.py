@@ -6,9 +6,8 @@ which the query NFA can change state. The method walks them with
 :meth:`~repro.access.base.RegRun.walk`, like Algorithm 5; it differs
 only in the gap rule. Adjacent relevant timesteps read their CPT, and a
 gap is crossed by :meth:`~repro.access.base.RegRun.span`: one update by
-the MC index's composed CPT, so an arbitrarily long stretch of
-irrelevant data costs ``O(log(gap))`` CPT multiplications instead of a
-scan.
+the MC index's pieces, applied in order, so an arbitrarily long stretch
+of irrelevant data costs ``O(log(gap))`` products instead of a scan.
 
 Per §3.4.1, this method requires index coverage of *all* attributes
 involved in the query's predicates, and every link predicate must be

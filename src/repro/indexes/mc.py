@@ -26,17 +26,19 @@ Gap traversal
 :meth:`MCIndex.compute_cpt` covers an arbitrary ``[start, end)`` span
 by greedy descent: at each position it takes the *largest* stored span
 that is aligned at the position and still fits before ``end``, falling
-back to a raw per-timestep CPT read from the archive when only levels
+back to a raw per-timestep CPT record from the archive when only levels
 below ``min_level`` would fit (``min_level`` reproduces Fig 11(a)'s
 level-omission experiment; raw level-0 steps always remain available).
 Both sides of the canonical decomposition use at most ``alpha - 1``
 pieces per level, so the piece count is bounded by
 ``2 * (alpha - 1) * ceil(log_alpha g)`` and grows logarithmically in
 the gap; ``tests/indexes/test_mc_costs.py`` pins the exact constants.
-The index keeps no counters of its own: a traversal adds its lookups,
-raw base CPTs and compositions to the caller's :class:`MCLookupStats`
-(a query's ``AccessStats.mc_lookups``, filled by the gap rules of
-:class:`repro.access.base.RegRun`), so each cost is counted once.
+The pieces come back in order as one decoded
+:class:`~repro.probability.CPTBlock`; Reg applies them one after
+another, so only :meth:`MCIndex.build` composes. The index keeps no
+counters of its own: a traversal adds its lookups and raw base CPTs to
+the caller's :class:`MCLookupStats` (a query's
+``AccessStats.mc_lookups``), so each cost is counted once.
 
 Conditioned variant (§3.3.2)
 ----------------------------
@@ -45,18 +47,18 @@ predicate: every base CPT is first masked to destinations inside the
 predicate's accept set (``CPT.mask_destinations``), then composed.
 Masking commutes with composition — masking the destination of one
 piece masks the interior state of the concatenation — so span records
-store the fully-masked product and arbitrary spans compose exactly.
-:meth:`MCIndex.compute_conditioned_cpt` assembles the CPT that crosses
-one maximal Kleene run ``start -> end``: masked records over the run's
-*interior* (``start+1 .. end-1``) plus the raw, unmasked final step
-into ``end`` — the boundary timestep is a real query event whose
+store the fully-masked product and arbitrary spans chain exactly.
+:meth:`MCIndex.compute_conditioned_cpt` returns the pieces that cross
+one maximal Kleene run ``start -> end``: the masked pieces of the run's
+*interior* (``start+1 .. end-1``) followed by the raw, unmasked final
+step into ``end`` — the boundary timestep is a real query event whose
 symbol the Reg operator classifies (loop continues, link advances, or
-match dies), so it must not be conditioned away. The result is
-deliberately *sub*-stochastic: row mass is the probability of
-satisfying the predicate at every interior timestep, and the lost mass
-is exactly the probability of leaving the loop — what
+match dies), so it must not be conditioned away. Masking is
+idempotent, so the whole interior is masked at once. The product is
+deliberately *sub*-stochastic: the lost row mass is exactly the
+probability of leaving the loop — what
 :meth:`repro.lahar.reg.Reg.update_loop_span` needs to split kept and
-exited mass in one update (:meth:`repro.access.base.RegRun.loop_span`).
+exited mass in one update.
 """
 
 from __future__ import annotations
@@ -65,13 +67,18 @@ import json
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import CatalogError, StreamError
-from ..probability import CPT
+from ..probability import CPT, CPTBlock, decode_block
 from ..probability.cpt import RECORD_VERSION, check_record_version
 from ..storage import encode_key
 
 #: Reserved metadata key — level -1 sorts before every (level, start).
 META_KEY = encode_key((-1,))
+
+#: Base CPTs :meth:`MCIndex.build` decodes per block (bounds its memory).
+BUILD_BLOCK_STEPS = 1024
 
 
 @dataclass
@@ -80,14 +87,12 @@ class MCLookupStats:
 
     #: Stored span-CPT records fetched from the index.
     lookups: int = 0
-    #: CPT compositions performed to cover a gap.
-    compositions: int = 0
     #: Raw per-timestep CPTs read because no span record covered them.
     base_cpts_read: int = 0
 
     @property
     def pieces(self) -> int:
-        """Total pieces composed to cover the gaps (index + raw)."""
+        """Total pieces that covered the gaps (index + raw)."""
         return self.lookups + self.base_cpts_read
 
 
@@ -129,9 +134,9 @@ class MCIndex:
     def build(self, reader) -> int:
         """Bulk-load every span record from the archived stream.
 
-        Level 1 is composed in one streaming pass over the base CPTs;
-        each higher level composes ``alpha`` records of the level below
-        (never re-reading the archive). Returns the number of span
+        Level 1 is composed in one pass over the base CPTs, read as
+        blocks; each higher level composes ``alpha`` records of the level
+        below (never re-reading the archive). Returns the number of span
         records written.
         """
         if reader.length != self.length:
@@ -149,15 +154,16 @@ class MCIndex:
         if self.max_level >= 1:
             acc: Optional[CPT] = None
             start = 0
-            for t in range(1, reader.length):
-                cpt = reader.cpt_into(t)
-                if accept is not None:
-                    cpt = cpt.mask_destinations(accept)
-                acc = cpt if acc is None else acc.compose(cpt)
-                if t == start + span:
-                    level_cpts[start] = acc
-                    acc = None
-                    start = t
+            for lo in range(1, reader.length, BUILD_BLOCK_STEPS):
+                hi = min(lo + BUILD_BLOCK_STEPS, reader.length)
+                for t, cpt in enumerate(reader.scan_cpts(lo, hi).cpts(), lo):
+                    if accept is not None:
+                        cpt = cpt.mask_destinations(accept)
+                    acc = cpt if acc is None else acc.compose(cpt)
+                    if t == start + span:
+                        level_cpts[start] = acc
+                        acc = None
+                        start = t
             for s in sorted(level_cpts):
                 items.append((encode_key((1, s)), level_cpts[s].to_bytes()))
             records += len(level_cpts)
@@ -224,26 +230,24 @@ class MCIndex:
     # ------------------------------------------------------------------
     def compute_cpt(self, start: int, end: int, reader, *,
                     min_level: int = 1,
-                    stats: Optional[MCLookupStats] = None) -> CPT:
-        """Compose the CPT spanning ``start -> end`` from index records
-        (plus raw CPT reads below ``min_level``)."""
+                    stats: Optional[MCLookupStats] = None) -> CPTBlock:
+        """The pieces spanning ``start -> end``, in order, as one block:
+        index records, plus raw CPT records below ``min_level``."""
         if self.is_conditioned:
             raise CatalogError(
                 "this MC index is conditioned; use compute_conditioned_cpt"
             )
-        return self._compute(start, end, reader, min_level, stats,
-                             masked=False)
+        return decode_block(self._records(start, end, reader, min_level,
+                                          stats))
 
     def compute_conditioned_cpt(self, start: int, end: int, reader, *,
                                 min_level: int = 1,
-                                stats: Optional[MCLookupStats] = None) -> CPT:
-        """The CPT crossing one conditioned Kleene run ``start -> end``
-        (§3.3.2): interior transitions (into ``start+1 .. end-1``)
-        masked to the accept-state predicate, the final step into
-        ``end`` unmasked (the boundary event's symbol is classified by
-        Reg, so conditioning it away would drop loop exits). The result
-        is sub-stochastic: lost row mass = probability of leaving the
-        loop."""
+                                stats: Optional[MCLookupStats] = None,
+                                ) -> CPTBlock:
+        """The pieces crossing one conditioned Kleene run ``start ->
+        end`` (§3.3.2) as one block: the interior's (into ``start+1 ..
+        end-1``) masked to the accept states, then the final step into
+        ``end`` unmasked (Reg classifies the boundary event's symbol)."""
         if not self.is_conditioned:
             raise CatalogError(
                 "this MC index is not conditioned; build it with a "
@@ -254,16 +258,20 @@ class MCIndex:
                 f"MC span [{start}, {end}] outside stream of length "
                 f"{self.length}"
             )
-        final = reader.cpt_into(end)
+        # Read before the interior: a packed frame cache prices order.
+        final = reader.cpt_record(end)
         if stats is not None:
             stats.base_cpts_read += 1
         if end - start == 1:
-            return final
-        interior = self._compute(start, end - 1, reader, min_level, stats,
-                                 masked=True)
-        if stats is not None:
-            stats.compositions += 1
-        return interior.compose(final)
+            return decode_block([final])
+        block = decode_block(self._records(start, end - 1, reader,
+                                           min_level, stats) + [final])
+        interior = int(block.row_len[block.step < block.steps - 1].sum())
+        val = block.val.copy()
+        keep = np.zeros(max(self.accept_states, default=-1) + 2, bool)
+        keep[list(self.accept_states)] = True  # larger ids clip to keep[-1]
+        val[:interior] *= keep[np.minimum(block.dst[:interior], len(keep) - 1)]
+        return block._replace(val=val)
 
     def pieces(self, start: int, end: int,
                min_level: int = 1) -> Iterator[Tuple[int, int]]:
@@ -290,31 +298,23 @@ class MCIndex:
             yield level, cur
             cur += span
 
-    def _compute(self, start: int, end: int, reader, min_level: int,
-                 stats: Optional[MCLookupStats], masked: bool) -> CPT:
-        result: Optional[CPT] = None
-        lookups = base = 0
+    def _records(self, start: int, end: int, reader, min_level: int,
+                 stats: Optional[MCLookupStats]) -> List[bytes]:
+        """The stored records of :meth:`pieces`, in order."""
+        records, lookups = [], 0
         for level, at in self.pieces(start, end, min_level):
             if level:
-                piece = self._fetch(level, at)
                 lookups += 1
+                data = self.tree.get(encode_key((level, at)))
+                if data is None:
+                    raise CatalogError(
+                        f"MC index {self.tree.name!r} is missing record "
+                        f"(level={level}, start={at}); was it built?"
+                    )
             else:
-                piece = reader.cpt_into(at + 1)
-                if masked:
-                    piece = piece.mask_destinations(self.accept_states)
-                base += 1
-            result = piece if result is None else result.compose(piece)
+                data = reader.cpt_record(at + 1)
+            records.append(data)
         if stats is not None:
             stats.lookups += lookups
-            stats.base_cpts_read += base
-            stats.compositions += lookups + base - 1
-        return result
-
-    def _fetch(self, level: int, start: int) -> CPT:
-        data = self.tree.get(encode_key((level, start)))
-        if data is None:
-            raise CatalogError(
-                f"MC index {self.tree.name!r} is missing record "
-                f"(level={level}, start={start}); was it built?"
-            )
-        return CPT.from_bytes(data)
+            stats.base_cpts_read += len(records) - lookups
+        return records

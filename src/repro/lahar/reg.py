@@ -18,21 +18,22 @@ front, so construction enumerates all ``R`` of them once and
 precomputes, as flat ``bincount`` indices, where each ``(set, stream
 state)`` cell's mass goes next. The joint mass is then a dense
 ``R × n`` matrix ``V`` for the kernel's whole life, and one timestep is
-``V @ B`` (``B`` the CPT's CSR arrays,
-:meth:`~repro.probability.CPT.arrays`, densified in one scatter) plus
-one ``bincount`` — no per-step classification, and Python cost
-independent of the query. :meth:`Reg.update_block` takes K adjacent
-timesteps at once: one scatter densifies all K CPTs, and one product
-reduces the K accept masses. Reg also supports the span operations of
+``V @ B`` plus one ``bincount`` — no per-step classification, and
+Python cost independent of the query. Every CPT input is a
+:class:`~repro.probability.CPTBlock`, densified by one scatter into a
+reused ``(K, n, n)`` stack. Reg also supports the span operations of
 Algorithms 4 & 5: collapsing over irrelevant gaps (only the start state
 and negated-loop states survive a timestep with zero mass on every
-indexable predicate), conditioned loop spans, and the independence
-approximation. Its pure-Python oracle is ``tests/reference_reg.py``.
+indexable predicate) by applying the MC pieces in order,
+``V·(B₁…B_p) = ((V·B₁)·B₂)…·B_p``, conditioned loop spans, and the
+independence approximation. Its pure-Python oracle is
+``tests/reference_reg.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import reduce
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -152,9 +153,9 @@ class Reg:
         #: Number of update operations performed since construction.
         self.updates_performed = 0
         self._n = n = len(space)
-        #: Most timesteps one :meth:`update_block` call may take.
+        #: Most steps one scatter densifies: the walk's block size.
         self.block_steps = max(1, BLOCK_FLOATS // (n * n))
-        #: The dense transition stack of a block, reused by every block.
+        #: The dense transition stack, reused by every scatter.
         self._block = np.empty(self.block_steps * n * n)
         mask_arr = np.asarray(m.state_mask, dtype=np.int64)
         masks, group_of = np.unique(mask_arr, return_inverse=True)
@@ -210,13 +211,21 @@ class Reg:
     def _accept_mass(self) -> float:
         return float(self._V.ravel() @ self._accept)
 
-    def _dense(self, cpt: CPT) -> np.ndarray:
-        """The CPT as a dense (n, n) transition block: one scatter of
-        its CSR arrays."""
-        src, lens, dst, val = cpt.arrays()
-        B = np.zeros((self._n, self._n))
-        B[np.repeat(src, lens), dst] = val
-        return B
+    def _densify(self, block: CPTBlock) -> Iterator[np.ndarray]:
+        """The steps in order as dense ``(n, n)`` views of the stack, one
+        scatter per :attr:`block_steps` steps (a view lives until the next)."""
+        n, cap = self._n, self.block_steps
+        size = n * n
+        at = np.repeat((block.step * n + block.src) * n,
+                       block.row_len) + block.dst
+        # Entries are in step order: each chunk of ``cap`` steps is a slice.
+        cuts = [0, len(at)] if block.steps <= cap else np.searchsorted(
+            at // size, np.arange(0, block.steps + cap, cap)).tolist()
+        for first, lo, hi in zip(range(0, block.steps, cap), cuts, cuts[1:]):
+            B = self._block[:min(cap, block.steps - first) * size]
+            B.fill(0.0)
+            B[at[lo:hi] - first * size] = block.val[lo:hi]
+            yield from B.reshape(-1, n, n)
 
     def _scatter(self, marginal: SparseDistribution) -> np.ndarray:
         ids, vals = marginal.as_arrays()
@@ -234,36 +243,34 @@ class Reg:
     def update(self, cpt: CPT) -> float:
         """Consume one timestep via its incoming CPT; returns the match
         probability at the new timestep."""
-        self.updates_performed += 1
-        self._V = self._bin(self._succ, np.dot(self._V, self._dense(cpt)))
-        return self._accept_mass()
+        src, lens, dst, val = cpt.arrays()
+        block = CPTBlock(1, np.zeros(len(src), np.intp), src, lens, dst, val)
+        return float(self.update_block(block)[0])
 
     def update_block(self, block: CPTBlock) -> np.ndarray:
-        """Consume ``block.steps`` consecutive timesteps (at most
-        :attr:`block_steps`) via their incoming CPTs; returns the match
-        probability at each, as that many :meth:`update` calls would."""
-        steps, n = block.steps, self._n
-        self.updates_performed += steps
-        B = self._block[:steps * n * n]
-        B.fill(0.0)
-        B[np.repeat((block.step * n + block.src) * n, block.row_len)
-          + block.dst] = block.val
+        """Consume ``block.steps`` consecutive timesteps via their
+        incoming CPTs; returns the match probability at each."""
+        n = self._n
+        self.updates_performed += block.steps
         V, succ, size = self._V, self._succ.ravel(), self._rows * n
         W = np.empty_like(V)
         W_flat, masses = W.ravel(), []
-        for B_k in B.reshape(steps, n, n):
-            np.dot(V, B_k, W)
+        for B in self._densify(block):
+            np.dot(V, B, W)
             V = np.bincount(succ, W_flat, size).reshape(-1, n)
             masses.append(V)
         self._V = V
-        return np.concatenate(masses).reshape(steps, -1) @ self._accept
+        return np.concatenate(masses).reshape(block.steps, -1) @ self._accept
 
-    def update_span(self, cpt: CPT, span: int = 1) -> float:
-        """Consume a span of ``span`` timesteps whose interior is
-        irrelevant, via the composed CPT (Algorithm 4's gap jump)."""
+    def update_span(self, block: CPTBlock, span: int = 1) -> float:
+        """Consume ``span`` timesteps whose interior is irrelevant
+        (Algorithm 4's gap jump): fold, then apply the MC pieces."""
+        self.updates_performed += 1
         if span > 1:
             self._fold()
-        return self.update(cpt)
+        V = reduce(np.matmul, self._densify(block), self._V)
+        self._V = self._bin(self._succ, V)
+        return self._accept_mass()
 
     def update_independent(self, marginal: SparseDistribution,
                            span: int = 1) -> float:
@@ -278,18 +285,16 @@ class Reg:
                             np.outer(totals, self._scatter(marginal)))
         return self._accept_mass()
 
-    def update_loop_span(self, loop_state: int, plain: CPT, cond: CPT,
-                         span: int = 1) -> float:
+    def update_loop_span(self, loop_state: int, plain: CPTBlock,
+                         cond: CPTBlock, span: int = 1) -> float:
         """Cross a run of timesteps relevant only to a positive Kleene
-        loop at NFA state ``loop_state`` (§3.3.2): mass whose paths
-        satisfied the loop predicate throughout (per the conditioned
-        CPT) keeps the loop state; the rest collapses like a plain gap."""
+        loop at NFA state ``loop_state`` (§3.3.2): mass that satisfied
+        the loop predicate throughout (the ``cond`` pieces) keeps the
+        loop state; the rest (``plain``) collapses like a plain gap."""
         self.updates_performed += 1
         rows, kept_succ = self._loops[loop_state]
-        B_plain = self._dense(plain)
-        B_cond = B_plain if cond is plain else self._dense(cond)
-        exited = self._V @ B_plain
-        kept = self._V[rows] @ B_cond
+        exited = reduce(np.matmul, self._densify(plain), self._V)
+        kept = reduce(np.matmul, self._densify(cond), self._V[rows])
         exited[rows] = np.maximum(exited[rows] - kept, 0.0)
         self._V = self._bin(np.concatenate((self._gap_succ, kept_succ)),
                             np.concatenate((exited, kept)))

@@ -2,14 +2,10 @@
 
 A CPT maps each source state to a sparse row distribution over
 destination states — the ``C_t(x_{t+1} | x_t)`` objects a Markovian
-stream stores between timesteps (§2.1). Everything the access methods
-do reduces to two operations:
-
-- :meth:`CPT.apply` — propagate a vector one step (the Reg operator's
-  inner loop);
-- :meth:`CPT.compose` — the chain rule
-  ``p(t_j | t_i) = Σ_k p(t_j | t_k) · p(t_k | t_i)`` (what the MC index
-  precomputes so irrelevant gaps cost ``O(log gap)`` multiplications).
+stream stores between timesteps (§2.1). :meth:`CPT.apply` propagates a
+vector one step, and :meth:`CPT.compose` is the chain rule
+``p(t_j | t_i) = Σ_k p(t_j | t_k) · p(t_k | t_i)``, which only the MC
+index's build uses: a query applies a gap's pieces in order instead.
 
 Rows of a stream CPT are stochastic (sum to 1); masked variants
 (:meth:`mask_destinations`, for predicate-conditioned Kleene loops,
@@ -22,17 +18,18 @@ A stored CPT is raw CSR: one uvarint header ``rows << 2 | code``, then
 ``src[rows]``, ``row_len[rows]`` and ``dst[nnz]`` as little-endian
 unsigned ints of ``1 << code`` bytes, then ``val[nnz]`` as ``<f8``. The
 id width is the smallest of 1, 2 or 4 bytes that holds the record's
-largest id or row length, so it comes from the data. Decoding is two
-``np.frombuffer`` calls; the dict rows that :meth:`CPT.row`,
-:meth:`CPT.apply` and :meth:`CPT.compose` walk are built from them only
-on first use, while the Reg kernel reads :meth:`CPT.arrays` directly,
-or the :class:`CPTBlock` that :func:`decode_block` makes of K records.
+largest id or row length, so it comes from the data. One decoder,
+:func:`decode_block`, turns K records into a :class:`CPTBlock`, the
+Reg kernel's one input; :meth:`CPT.from_bytes` is a block of one, and
+the dict rows that :meth:`CPT.row`, :meth:`CPT.apply` and
+:meth:`CPT.compose` walk are built from its arrays only on first use.
 """
 
 from __future__ import annotations
 
 import struct
 from collections import namedtuple
+from functools import reduce
 from itertools import chain
 from typing import (Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence,
                     Tuple, Union)
@@ -59,10 +56,38 @@ _ID_DTYPES = ("<u1", "<u2", "<u4")
 _ID_FORMATS = "BHI"
 
 
-#: The CPTs of ``steps`` consecutive timesteps as one CSR block: row
-#: ``i`` maps source ``src[i]`` of CPT ``step[i]`` to the next
-#: ``row_len[i]`` entries of ``dst`` and ``val``, rows in step order.
-CPTBlock = namedtuple("CPTBlock", "steps step src row_len dst val")
+class CPTBlock(namedtuple("CPTBlock", "steps step src row_len dst val")):
+    """``steps`` CPTs applied in order (adjacent timesteps, or an MC
+    gap's pieces) as one CSR block: row ``i`` maps source ``src[i]`` of
+    CPT ``step[i]`` to the next ``row_len[i]`` entries of ``dst`` and
+    ``val``, rows in step order."""
+
+    __slots__ = ()
+
+    def cpts(self) -> Iterator["CPT"]:
+        """Each step in order, as a :class:`CPT` viewing the arrays."""
+        rows = np.searchsorted(self.step, np.arange(self.steps + 1))
+        ends = np.concatenate(([0], self.row_len.cumsum(dtype=np.intp)))
+        rows, ends = rows.tolist(), ends[rows].tolist()
+        for r0, r1, e0, e1 in zip(rows, rows[1:], ends, ends[1:]):
+            cpt = CPT.__new__(CPT)
+            cpt._rows = None
+            cpt._arrays = (self.src[r0:r1], self.row_len[r0:r1],
+                           self.dst[e0:e1], self.val[e0:e1])
+            yield cpt
+
+    def approx_equal(self, other: "CPT", tol: float = 1e-9) -> bool:
+        """Whether the dense product of the steps, in order, equals
+        ``other`` entry-wise within ``tol`` (an oracle's check)."""
+        src, lens, dst, val = other.arrays()
+        n = 1 + max(int(ids.max(initial=0))
+                    for ids in (self.src, self.dst, src, dst))
+        stack = np.zeros((self.steps + 1, n, n))
+        stack[np.repeat(self.step, self.row_len),
+              np.repeat(self.src, self.row_len), self.dst] = self.val
+        stack[-1, np.repeat(src, lens), dst] = val
+        got = reduce(np.matmul, stack[:-1])
+        return bool(np.abs(got - stack[-1]).max() <= tol)
 
 
 def check_record_version(found, owner: str) -> None:
@@ -124,7 +149,7 @@ class CPT:
     def arrays(self) -> CSRArrays:
         """The rows as CSR arrays ``(src, row_len, dst, val)``: row ``i``
         maps ``src[i]`` to the next ``row_len[i]`` entries of ``dst`` and
-        ``val``. Read-only; the Reg kernel's one input."""
+        ``val``. Read-only."""
         arrays = self._arrays
         if arrays is None:
             rows = self._rows
@@ -262,20 +287,7 @@ class CPT:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CPT":
-        dtype, width, count, pos, nnz = _record_layout(data)
-        # One widening copy of src | row_len | dst to intp, so the Reg
-        # kernel's scatter indexes without a per-call cast.
-        ints = np.frombuffer(data, dtype, 2 * count + nnz,
-                             pos).astype(np.intp)
-        lens = ints[count:2 * count]
-        if sum(lens.tolist()) != nnz:
-            raise StorageError("bad CPT record length")
-        cpt = cls.__new__(cls)
-        cpt._rows = None
-        cpt._arrays = (ints[:count], lens, ints[2 * count:],
-                       np.frombuffer(data, "<f8", nnz,
-                                     pos + len(ints) * width))
-        return cpt
+        return next(decode_block([data]).cpts())
 
 
 def _record_layout(data: bytes) -> Tuple[str, int, int, int, int]:
@@ -311,11 +323,11 @@ def decode_block(records: Sequence[bytes]) -> CPTBlock:
         counts.append(count)
         nnzs.append(nnz)
     steps, heads, counts = len(records), np.concatenate(heads), np.array(counts)
-    step = np.repeat(np.arange(steps), counts)
+    step = np.arange(steps).repeat(counts)
     # Row i's src is heads[at[i]], and its row_len its record's count on.
-    at = np.arange(len(step)) + np.repeat(np.cumsum(counts) - counts, counts)
+    at = np.arange(len(step)) + (counts.cumsum() - counts).repeat(counts)
     row_len = heads[at + counts[step]]
-    if (np.bincount(step, row_len, steps) != nnzs).any():
+    if np.bincount(step, row_len, steps).tolist() != nnzs:
         raise StorageError("bad CPT record length")
     return CPTBlock(steps, step, heads[at], row_len, np.concatenate(dsts),
                     np.concatenate(vals))

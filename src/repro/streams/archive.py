@@ -163,14 +163,14 @@ def write_stream(
 class StreamReader:
     """Uniform read API over an archived stream, any layout.
 
-    Reads are keyed point lookups: ``marginal(t)`` and ``cpt_into(t)``
+    Reads are keyed point lookups: ``marginal(t)`` and ``cpt_record(t)``
     each cost one tree descent — O(height) logical page reads — except
     that ``packed`` serves every read inside its last-fetched frame from
     a cache. That lookup count *is* the layout experiment's cost metric,
-    so ``scan_cpts`` makes exactly the lookups of a ``cpt_into`` per
-    step and only decodes the records as one block. ``io`` is the
-    environment's :class:`IOStats`, which every tree of the archive
-    shares.
+    so every CPT read (``cpt_into``, ``scan_cpts``, an MC gap's raw
+    steps) goes through ``cpt_record``; ``scan_cpts`` only decodes the
+    records as one block. ``io`` is the environment's :class:`IOStats`,
+    which every tree of the archive shares.
     """
 
     layout: Layout
@@ -188,20 +188,18 @@ class StreamReader:
     def marginal(self, t: int) -> SparseDistribution:
         raise NotImplementedError
 
+    def cpt_record(self, t: int) -> bytes:
+        """The stored record of the CPT into ``t`` (t >= 1)."""
+        raise NotImplementedError
+
     def cpt_into(self, t: int) -> CPT:
         """The CPT from ``t - 1`` into ``t`` (t >= 1)."""
-        self._check_time(t, lo=1)
-        return CPT.from_bytes(self._cpt_record(t))
+        return CPT.from_bytes(self.cpt_record(t))
 
     def scan_cpts(self, start: int, stop: int) -> CPTBlock:
         """The CPTs into ``start .. stop - 1`` (1 <= start < stop)."""
-        self._check_time(start, lo=1)
         self._check_time(stop - 1, lo=start)
-        return decode_block([self._cpt_record(t) for t in range(start, stop)])
-
-    def _cpt_record(self, t: int) -> bytes:
-        """The stored record of the CPT into ``t``."""
-        raise NotImplementedError
+        return decode_block([self.cpt_record(t) for t in range(start, stop)])
 
     def dry(self) -> "DryReader":
         """A reader that reads nothing and counts, in ``reads``, the
@@ -254,7 +252,8 @@ class SeparatedReader(StreamReader):
             raise StorageError(f"missing marginal at t={t}")
         return SparseDistribution.from_bytes(data)
 
-    def _cpt_record(self, t: int) -> bytes:
+    def cpt_record(self, t: int) -> bytes:
+        self._check_time(t, lo=1)
         data = self._cpt.get(encode_key((t,)))
         if data is None:
             raise StorageError(f"missing CPT into t={t}")
@@ -276,7 +275,7 @@ class PackedReader(StreamReader):
         self.pack = pack
         self.layout = layout
         # One-frame cache: point access inside the last-touched frame
-        # (marginal(t) then cpt_into(t), short interval walks) decodes
+        # (marginal(t) then cpt_record(t), short interval walks) decodes
         # and fetches the frame once.
         self._cached_start = -1
         self._cached_chunks: List[bytes] = []
@@ -308,7 +307,8 @@ class PackedReader(StreamReader):
         self._check_time(t)
         return SparseDistribution.from_bytes(self._cell_chunks(t)[0])
 
-    def _cpt_record(self, t: int) -> bytes:
+    def cpt_record(self, t: int) -> bytes:
+        self._check_time(t, lo=1)
         return self._cell_chunks(t)[1]
 
     def dry(self) -> "DryReader":
@@ -335,7 +335,7 @@ class DryReader:
     def marginal(self, t: int) -> None:
         self._read(t, t + 1, self.marginal_cost)
 
-    def cpt_into(self, t: int) -> None:
+    def cpt_record(self, t: int) -> None:
         self._read(t, t + 1, self.cpt_cost)
 
     def scan_cpts(self, start: int, stop: int) -> range:

@@ -4,14 +4,16 @@ metadata, greedy gap traversal, the conditioned variant, and misuse."""
 import json
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import CatalogError, StreamError
 from repro.indexes.builder import build_mc, open_mc
+from repro.indexes import mc as mc_module
 from repro.indexes.mc import META_KEY, MCIndex, MCLookupStats, max_level_for
 from repro.probability import CPT, SparseDistribution
 from repro.probability.cpt import RECORD_VERSION
-from repro.storage import StorageEnvironment
+from repro.storage import StorageEnvironment, encode_key
 from repro.streams import (
     Layout,
     MarkovianStream,
@@ -110,9 +112,20 @@ def test_every_record_matches_stepwise_compose(env, reader):
     for level in range(1, index.max_level + 1):
         span = 2 ** level
         for start in range(0, LENGTH - 1 - span + 1, span):
-            record = index._fetch(level, start)
+            record = CPT.from_bytes(index.tree.get(encode_key((level,
+                                                               start))))
             want = stepwise(reader, start, start + span)
             assert record.approx_equal(want, tol=1e-12), (level, start)
+
+
+def test_build_in_short_blocks_writes_the_same_records(env, reader,
+                                                       monkeypatch):
+    """Reading the base CPTs 7 at a time (no span's multiple) builds
+    byte-identical records to reading them as one block."""
+    whole = build_index(env, reader, alpha=2)
+    monkeypatch.setattr(mc_module, "BUILD_BLOCK_STEPS", 7)
+    blocks = build_mc(env, "blocks", reader, alpha=2)
+    assert list(blocks.tree.items()) == list(whole.tree.items())
 
 
 def test_build_rejects_length_mismatch(env, reader):
@@ -160,7 +173,7 @@ def test_alpha_below_two_rejected(env):
 def test_missing_record_raises(env, reader):
     index = MCIndex(env.open_tree("empty__mc"), alpha=2, length=LENGTH)
     with pytest.raises(CatalogError, match="missing record"):
-        index._fetch(1, 0)
+        index.compute_cpt(0, 2, reader)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +193,8 @@ def test_compute_cpt_equals_stepwise(env, reader, alpha, start, end):
 def test_aligned_power_span_is_one_lookup(env, reader):
     index = build_index(env, reader, alpha=2)
     stats = MCLookupStats()
-    index.compute_cpt(0, 32, reader, stats=stats)
-    assert (stats.lookups, stats.base_cpts_read,
-            stats.compositions) == (1, 0, 0)
+    got = index.compute_cpt(0, 32, reader, stats=stats)
+    assert (stats.lookups, stats.base_cpts_read, got.steps) == (1, 0, 1)
 
 
 def test_single_step_gap_reads_one_base_cpt(env, reader):
@@ -200,16 +212,17 @@ def test_min_level_above_max_forces_raw_steps(env, reader):
     stats = MCLookupStats()
     got = index.compute_cpt(4, 20, reader,
                             min_level=index.max_level + 1, stats=stats)
-    assert (stats.lookups, stats.base_cpts_read) == (0, 16)
-    assert stats.compositions == 15
+    assert (stats.lookups, stats.base_cpts_read, got.steps) == (0, 16, 16)
     assert got.approx_equal(stepwise(reader, 4, 20), tol=1e-12)
 
 
-def test_compositions_are_pieces_minus_one(env, reader):
+def test_block_holds_one_step_per_piece(env, reader):
+    """The gap's pieces come back uncomposed, in order: one block step
+    per stored record or raw CPT."""
     index = build_index(env, reader, alpha=2)
     stats = MCLookupStats()
-    index.compute_cpt(3, 37, reader, stats=stats)
-    assert stats.compositions == stats.pieces - 1
+    got = index.compute_cpt(3, 37, reader, stats=stats)
+    assert got.steps == stats.pieces
     assert stats.lookups > 0 and stats.base_cpts_read > 0
 
 
@@ -228,8 +241,7 @@ def test_build_mc_counts_records_built(env, reader):
     stored = sum(1 for key, _ in index.tree.items() if key != META_KEY)
     counters = env.metrics.snapshot()["counters"]
     assert counters["mc.records_built{tree=s__mc}"] == stored > 0
-    assert not any(name.startswith(("mc.lookups", "mc.base_cpts",
-                                    "mc.compositions"))
+    assert not any(name.startswith(("mc.lookups", "mc.base_cpts"))
                    for name in counters)
 
 
@@ -255,11 +267,21 @@ def masked_stepwise(reader, start, end, accept):
     return acc
 
 
+@pytest.mark.parametrize("raw", [False, True], ids=["records", "raw"])
 @pytest.mark.parametrize("start,end", [(0, 39), (3, 29), (7, 8), (0, 1)])
-def test_conditioned_cpt_masks_interior_only(env, reader, start, end):
+def test_conditioned_cpt_masks_interior_only(env, reader, start, end, raw):
+    """Stored (already masked) records and raw interior steps (every
+    piece raw once ``min_level`` is above ``max_level``) are masked
+    alike; the final step is not."""
     accept = {0, 2}
     index = conditioned_index(env, reader, accept)
-    got = index.compute_conditioned_cpt(start, end, reader)
+    min_level = index.max_level + 1 if raw else 1
+    stats = MCLookupStats()
+    got = index.compute_conditioned_cpt(start, end, reader,
+                                        min_level=min_level, stats=stats)
+    if raw:
+        assert (stats.lookups, stats.base_cpts_read) == (0, end - start)
+    assert got.steps == stats.pieces
     assert got.approx_equal(masked_stepwise(reader, start, end, accept),
                             tol=1e-12)
 
@@ -269,9 +291,16 @@ def test_conditioned_cpt_is_substochastic(env, reader):
     index = conditioned_index(env, reader, accept)
     raw = index.compute_conditioned_cpt(0, 8, reader)
     # Lost row mass = probability of leaving the loop: sub-stochastic.
-    masses = [row.total_mass for _, row in raw.rows()]
-    assert masses, "masked product collapsed to the empty CPT"
-    assert any(m < 1.0 - 1e-9 for m in masses)
+    product = np.eye(NUM_STATES)
+    for cpt in raw.cpts():
+        dense = np.zeros((NUM_STATES, NUM_STATES))
+        src, lens, dst, val = cpt.arrays()
+        dense[np.repeat(src, lens), dst] = val
+        product = product @ dense
+    masses = product.sum(axis=1)
+    masses = masses[masses > 0.0]
+    assert masses.size, "masked product collapsed to zero"
+    assert (masses < 1.0 - 1e-9).any()
 
 
 def test_conditioned_single_step_is_raw_cpt(env, reader):

@@ -2,9 +2,12 @@
 the pure-Python reference on random streams and random queries, and
 both are pinned against hand-computed probabilities on a tiny stream.
 The block step is tested against one update per step and the reference,
-directly and through an access method's walk over an archive."""
+directly and through an access method's walk over an archive; the gap
+rules, which apply a block of pieces in order, against the reference
+on the pieces' composed CPT."""
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from reference_reg import ReferenceReg
 from repro.access import NaiveScan
 from repro.access.base import AccessStats, QueryContext, RegRun
 from repro.lahar import QueryMachine, Reg
-from repro.probability import CPT, SparseDistribution, decode_block
+from repro.probability import CPT, CPTBlock, SparseDistribution, decode_block
 from repro.query import InSet, parse_query
 from repro.storage import StorageEnvironment
 from repro.streams import (ENTERED_ROOM_QUERY, Layout, MarkovianStream,
@@ -81,12 +84,31 @@ def test_vectorized_matches_reference(seed, length, text):
     assert ref.updates_performed == vec.updates_performed == length - 1
 
 
+def pieces_block(cpts) -> CPTBlock:
+    """The CPTs as one decoded block, in order: a gap's pieces."""
+    return decode_block([cpt.to_bytes() for cpt in cpts])
+
+
+def compose_all(cpts) -> CPT:
+    """The stepwise product of the CPTs: the oracle of a gap block."""
+    return reduce(CPT.compose, cpts)
+
+
+def loop_pieces(cpts, accept):
+    """The plain and the conditioned pieces crossing a Kleene run: every
+    step but the last masked to ``accept`` in the conditioned ones."""
+    return cpts, [cpt.mask_destinations(accept) for cpt in cpts[:-1]] + [
+        cpts[-1]]
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), text=query_texts(),
        opseed=st.integers(0, 10_000))
 def test_span_operations_match_reference(seed, text, opseed):
     """The Algorithm 4/5 entry points (gap spans, independence jumps,
-    conditioned loop spans) agree between implementations too."""
+    conditioned loop spans) agree between implementations too: Reg
+    applies a gap's pieces as one block in order, the reference steps
+    once through their composed CPT."""
     length = 14
     stream = random_stream(seed, length)
     query = parse_query(text)
@@ -98,19 +120,18 @@ def test_span_operations_match_reference(seed, text, opseed):
     t = 1
     while t < length - 3:
         mode = rng.choice(["update", "span", "indep", "loopspan"])
+        span = rng.randint(1, 3)
+        cpts = [stream.cpt_into(t + k) for k in range(span)]
         if mode == "update":
             cpt = stream.cpt_into(t)
             a, b = ref.update(cpt), vec.update(cpt)
             t += 1
         elif mode == "span":
-            span = rng.randint(2, 3)
-            cpt = stream.cpt_into(t)
-            for k in range(1, span):
-                cpt = cpt.compose(stream.cpt_into(t + k))
-            a, b = ref.update_span(cpt, span), vec.update_span(cpt, span)
+            a = ref.update_span(compose_all(cpts), span)
+            b = vec.update_span(pieces_block(cpts), span)
             t += span
         elif mode == "indep":
-            span = rng.randint(2, 3)
+            span += 1
             t += span
             marginal = stream.marginal(t - 1)
             a = ref.update_independent(marginal, span)
@@ -118,15 +139,16 @@ def test_span_operations_match_reference(seed, text, opseed):
         else:
             # Condition on a random predicate so the kept and exited
             # branches both carry mass.
-            cpt = stream.cpt_into(t)
             values = rng.sample(VALUES, rng.randint(1, len(VALUES) - 1))
-            cond = cpt.mask_destinations(
-                InSet("location", values).matching_states(SPACE))
+            plain, cond = loop_pieces(
+                cpts, InSet("location", values).matching_states(SPACE))
             # State 0 is in every set, so only q >= 1 splits the mass.
             loop_state = rng.randrange(1, len(query)) if len(query) > 1 else 0
-            a = ref.update_loop_span(loop_state, cpt, cond, 1)
-            b = vec.update_loop_span(loop_state, cpt, cond, 1)
-            t += 1
+            a = ref.update_loop_span(loop_state, compose_all(plain),
+                                     compose_all(cond), span)
+            b = vec.update_loop_span(loop_state, pieces_block(plain),
+                                     pieces_block(cond), span)
+            t += span
         assert a == pytest.approx(b, abs=1e-9), f"{mode} diverged at t={t}"
     assert ref.updates_performed == vec.updates_performed
 
@@ -179,9 +201,9 @@ def test_empty_reg_stays_empty():
     # No initialize: updates on an empty kernel emit zero probability.
     assert reg.update(CPT({0: {0: 1.0}})) == 0.0
     assert reg.update_independent(SparseDistribution({0: 1.0})) == 0.0
-    assert reg.update_span(CPT({0: {0: 1.0}}), span=3) == 0.0
-    assert reg.update_loop_span(1, CPT({0: {0: 1.0}}),
-                                CPT({0: {0: 1.0}})) == 0.0
+    stay = pieces_block([CPT({0: {0: 1.0}})] * 2)
+    assert reg.update_span(stay, span=3) == 0.0
+    assert reg.update_loop_span(1, stay, stay, span=3) == 0.0
 
 
 #: A multi-link query whose negated Kleene loops keep up to 8 DFA sets
@@ -235,19 +257,20 @@ def _round_trip(cpt: CPT) -> CPT:
 
 
 def _drive(stream, text: str, loop_value: str, origin):
-    """Reg's signal through ``update``, ``update_span`` (a composed
-    two-step CPT) and ``update_loop_span`` (plain plus masked CPTs),
-    with every CPT passed through ``origin`` first."""
+    """Reg's signal through ``update`` with every CPT passed through
+    ``origin`` first, between two-piece ``update_span`` and
+    ``update_loop_span`` gaps (plain plus masked pieces)."""
     reg = Reg(parse_query(text), stream.space)
     accept = InSet("location", [loop_value]).matching_states(stream.space)
     signal = [reg.initialize(stream.marginal(0))]
-    for t in range(1, len(stream) - 3, 4):
+    for t in range(1, len(stream) - 4, 5):
         signal.append(reg.update(origin(stream.cpt_into(t))))
-        span = stream.cpt_into(t + 1).compose(stream.cpt_into(t + 2))
-        signal.append(reg.update_span(origin(span), 2))
-        plain = stream.cpt_into(t + 3)
+        gap = [stream.cpt_into(t + 1), stream.cpt_into(t + 2)]
+        signal.append(reg.update_span(pieces_block(gap), 2))
+        gap = [stream.cpt_into(t + 3), stream.cpt_into(t + 4)]
+        plain, cond = loop_pieces(gap, accept)
         signal.append(reg.update_loop_span(
-            1, origin(plain), origin(plain.mask_destinations(accept))))
+            1, pieces_block(plain), pieces_block(cond), 2))
     return signal
 
 
@@ -312,14 +335,49 @@ def test_update_block_matches_stepwise_and_reference(seed, length, text,
     assert block.updates_performed == step.updates_performed == length - 1
 
 
+@pytest.mark.parametrize("text", [ENTERED_ROOM_QUERY, PATROL_QUERY],
+                         ids=["entered-room", "patrol"])
+def test_wide_gap_longer_than_a_block_matches_reference(wide_stream, text):
+    """A gap of 20 pieces on the 42-state stream is more than
+    ``block_steps`` (9): Reg densifies and chains it 9 pieces at a time,
+    and both gap rules still agree with the reference stepping through
+    the composed CPT."""
+    query = parse_query(text)
+    space = wide_stream.space
+    plain, cond = loop_pieces(
+        [wide_stream.cpt_into(t) for t in range(2, 22)],
+        InSet("location", ["C0", "C5", "C6"]).matching_states(space))
+    rows = []
+    for gap in ("span", "loop"):
+        ref, vec = ReferenceReg(query, space), Reg(query, space)
+        assert len(plain) > vec.block_steps == 9
+        for reg in (ref, vec):
+            reg.initialize(wide_stream.marginal(0))
+            reg.update(wide_stream.cpt_into(1))
+        if gap == "span":
+            want = ref.update_span(compose_all(plain), 20)
+            got = vec.update_span(pieces_block(plain), 20)
+        else:
+            want = ref.update_loop_span(1, compose_all(plain),
+                                        compose_all(cond), 20)
+            got = vec.update_loop_span(1, pieces_block(plain),
+                                       pieces_block(cond), 20)
+        cpt = wide_stream.cpt_into(22)
+        rows.append((want, got, ref.update(cpt), vec.update(cpt)))
+    assert max(max(row) for row in rows) > 0.0
+    for want, got, want_next, got_next in rows:
+        assert got == pytest.approx(want, abs=1e-9)
+        assert got_next == pytest.approx(want_next, abs=1e-9)
+
+
 @pytest.mark.parametrize("layout", [Layout.SEPARATED, Layout.CELL,
                                     Layout.PACKED], ids=lambda lo: lo.value)
 def test_walk_splits_long_runs_into_capped_blocks(wide_stream, tmp_path,
                                                   layout):
     """A scan of the 42-state stream walks one run of 199 adjacent steps:
-    blocks of at most ``block_steps`` (9 at 42 states), then a lone
-    step by point read. Walks of 4 and 5 adjacent steps read by point
-    reads and by one block. Every signal is the reference's."""
+    blocks of at most ``block_steps`` (9 at 42 states), then the lone
+    tail step as a block of one. Walks of 4 and 5 adjacent steps are one
+    block each. Every signal is the reference's."""
     query = parse_query(PATROL_QUERY)
     ref = ReferenceReg(query, wide_stream.space)
     want = [ref.initialize(wide_stream.marginal(0))] + [
@@ -338,10 +396,10 @@ def test_walk_splits_long_runs_into_capped_blocks(wide_stream, tmp_path,
         result = NaiveScan().run(ctx)
         cap = Reg(query, wide_stream.space).block_steps
         assert cap == 9
-        assert blocks == [cap] * 22
+        assert blocks == [cap] * 22 + [1]
         short = [list(RegRun(ctx, AccessStats()).walk(range(0, stop)))
                  for stop in (5, 6)]
-        assert blocks == [cap] * 22 + [5]
+        assert blocks == [cap] * 22 + [1, 4, 5]
     assert result.stats.cpts_read == result.stats.reg_updates == 199
     assert [t for t, _ in result.signal] == list(range(len(wide_stream)))
     for signal in [result.signal] + short:

@@ -104,14 +104,19 @@ def test_serialization_roundtrip(chain):
 # bare NumPy ValueError or a garbage CPT
 # ----------------------------------------------------------------------
 
+def _cpts():
+    """CPTs whose records have every id width (1, 2 and 4 bytes)."""
+    return [
+        CPT(),
+        CPT({0: {0: 0.7, 1: 0.3}, 1: {1: 1.0}}),
+        CPT({300: {2: 0.5, 65_535: 0.5}}),
+        CPT({0: {70_000: 1.0}, 70_001: {0: 0.25, 1: 0.75}}),
+    ]
+
+
 def _records():
     """Valid records of every id width (1, 2 and 4 bytes)."""
-    return [
-        CPT().to_bytes(),
-        CPT({0: {0: 0.7, 1: 0.3}, 1: {1: 1.0}}).to_bytes(),
-        CPT({300: {2: 0.5, 65_535: 0.5}}).to_bytes(),
-        CPT({0: {70_000: 1.0}, 70_001: {0: 0.25, 1: 0.75}}).to_bytes(),
-    ]
+    return [cpt.to_bytes() for cpt in _cpts()]
 
 
 @pytest.mark.parametrize("data", _records())
@@ -163,14 +168,18 @@ def _block_arrays(block, k):
                               "mixed"])
 def test_decode_block_equals_per_record_decode(picks):
     """A block of records of 1-, 2- and 4-byte ids (one width or mixed)
-    holds, per step, exactly the arrays ``CPT.from_bytes`` decodes."""
-    records = [_records()[i] for i in picks]
-    block = decode_block(records)
-    assert block.steps == len(records)
-    for k, data in enumerate(records):
-        want = CPT.from_bytes(data).arrays()
-        for got, expect in zip(_block_arrays(block, k), want):
-            assert got.tolist() == expect.tolist()
+    holds, per step, exactly the rows of the CPT that record was
+    written from: the mapping is the oracle, not another decoder."""
+    cpts = [_cpts()[i] for i in picks]
+    block = decode_block([cpt.to_bytes() for cpt in cpts])
+    assert block.steps == len(cpts)
+    for k, cpt in enumerate(cpts):
+        src, lens, dst, val = _block_arrays(block, k)
+        assert dict(zip(src.tolist(), lens.tolist())) == \
+            {s: len(row) for s, row in cpt.rows()}
+        got = zip(np.repeat(src, lens).tolist(), dst.tolist(), val.tolist())
+        assert sorted(got) == sorted(
+            (s, d, p) for s, row in cpt.rows() for d, p in row.items())
 
 
 def _corrupt_records():

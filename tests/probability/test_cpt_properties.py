@@ -4,13 +4,15 @@ any grouping equal the step-by-step product, destination masking
 commutes with composition, and the conditioned span update matches the
 reference Reg operator stepping through a conditioned loop."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_reg import ReferenceReg
 from repro.lahar.reg import Reg
-from repro.probability import CPT, SparseDistribution
+from repro.probability import CPT, SparseDistribution, decode_block
 from repro.query import parse_query
 from repro.streams import MarkovianStream, single_attribute_space
 
@@ -186,13 +188,15 @@ def test_conditioned_span_update_matches_stepwise(interior, reg_cls):
 
     spanner = reg_cls(query, stream.space)
     spanner.initialize(stream.marginal(0))
-    plain = stream.cpt_into(1)
-    for t in range(2, end + 1):
-        plain = plain.compose(stream.cpt_into(t))
-    cond = stream.cpt_into(1).mask_destinations(accept)
-    for t in range(2, end):
-        cond = cond.compose(stream.cpt_into(t).mask_destinations(accept))
-    cond = cond.compose(stream.cpt_into(end))
+    plain = [stream.cpt_into(t) for t in range(1, end + 1)]
+    cond = [cpt.mask_destinations(accept) for cpt in plain[:-1]] + [
+        plain[-1]]
+    if reg_cls is Reg:  # the pieces, applied in order
+        plain, cond = (decode_block([cpt.to_bytes() for cpt in pieces])
+                       for pieces in (plain, cond))
+    else:  # the composed CPTs
+        plain, cond = (functools.reduce(CPT.compose, pieces)
+                       for pieces in (plain, cond))
     got = spanner.update_loop_span(loop_state, plain, cond, span=end)
     assert got == pytest.approx(want, abs=1e-12)
 

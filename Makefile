@@ -3,8 +3,8 @@
 PYTHON ?= python
 
 .PHONY: install lint test test-fast bench bench-storage bench-streams \
-	bench-fig8b bench-planner perf-smoke crash-sweep fsck figures \
-	figures-full examples loc clean
+	bench-fig8b bench-fig11b bench-planner perf-smoke crash-sweep fsck \
+	figures figures-full examples loc clean
 
 lint:
 	ruff check src tests benchmarks examples
@@ -46,6 +46,15 @@ bench-fig8b:
 	PYTHONPATH=src $(PYTHON) -m repro.obs.report \
 		benchmarks/baselines/fig8b.manifest.json \
 		benchmarks/results/fig8b.manifest.json --fail-on-change
+
+# Fig 11b MC storage guard: index entries and index/stream file bytes
+# per (stream length, alpha), diffed against the committed baseline.
+# The MC build and the record codec must leave every count unchanged.
+bench-fig11b:
+	PYTHONPATH=src $(PYTHON) -m benchmarks.bench_fig11b_mc_storage
+	PYTHONPATH=src $(PYTHON) -m repro.obs.report \
+		benchmarks/baselines/fig11b.manifest.json \
+		benchmarks/results/fig11b.manifest.json --fail-on-change
 
 # Planner regression guard: perfbench-shaped query mixes at densities
 # 1.0 and 0.05 under auto and under every legal candidate pinned. Ends

@@ -5,6 +5,12 @@ length and reports index size (bytes and entries) against raw stream
 size. Expected shape: storage grows linearly with stream length; alpha=2
 roughly doubles the stream's storage (sum over levels of M/alpha^i ~=
 M/(alpha-1)); larger alpha shrinks the index quickly.
+
+The run writes ``results/fig11b.manifest.json`` whose registry holds
+only deterministic counters (``mc.index_entries`` and ``bytes.index`` /
+``bytes.stream``, the index's span records and the index and stream
+file sizes) — CI diffs it against the committed baseline with
+``repro.obs.report --fail-on-change``.
 """
 
 from __future__ import annotations
@@ -15,10 +21,11 @@ import shutil
 import pytest
 
 from repro.indexes import build_mc
+from repro.obs import MetricsRegistry
 from repro.storage import StorageEnvironment
 from repro.streams import Layout, open_reader, synthetic_stream, write_stream
 
-from .harness import print_table, save_report
+from .harness import finish_run, print_table, save_report, start_run
 from .workloads import CACHE_ROOT
 
 ALPHAS = [2, 4, 8, 16]
@@ -37,6 +44,13 @@ def _index_size(env, index):
 
 
 def generate():
+    registry = MetricsRegistry()
+    manifest, tracer = start_run(
+        "fig11b",
+        config={"alphas": ALPHAS, "length_snippets": LENGTH_SNIPPETS,
+                "density": 0.2, "layout": Layout.SEPARATED.value},
+        stream_spans=False,
+    )
     rows = []
     scratch = os.path.join(CACHE_ROOT, "fig11b-scratch")
     if os.path.exists(scratch):
@@ -55,6 +69,10 @@ def generate():
                     env.file_size(stream.name + "__marg")
                     + env.file_size(stream.name + "__cpt")
                 )
+                labels = {"timesteps": len(stream), "alpha": alpha}
+                registry.counter("mc.index_entries", **labels).inc(entries)
+                registry.counter("bytes.index", **labels).inc(index_bytes)
+                registry.counter("bytes.stream", **labels).inc(stream_bytes)
                 rows.append({
                     "timesteps": len(stream),
                     "alpha": alpha,
@@ -70,6 +88,7 @@ def generate():
                  "stream_mb", "overhead_ratio"],
     )
     save_report("fig11b", text, {"rows": rows})
+    finish_run(manifest, tracer, registry, extra={"rows": rows})
     shutil.rmtree(scratch, ignore_errors=True)
     return rows
 

@@ -21,6 +21,17 @@ before every data key) makes the index self-describing: alpha, stream
 length, level count, the conditioning accept set, and the CPT record
 version (:func:`~repro.indexes.builder.open_mc` refuses any other).
 
+Build
+-----
+:meth:`MCIndex.build` makes every level the same way, from the encoded
+records of the level below — level 0 is the base CPT records, read in
+timestep order. Per chunk of a multiple of ``alpha`` records (sized by
+:data:`~repro.probability.cpt.BLOCK_FLOATS`) it decodes them as one
+block, densifies it into a ``(chunk, n, n)`` stack, multiplies each run
+of ``alpha`` in one batched product
+``stack[0::alpha] @ stack[1::alpha] @ …``, and encodes the nonzero
+entries back into records, a chunk at a time.
+
 Gap traversal
 -------------
 :meth:`MCIndex.compute_cpt` covers an arbitrary ``[start, end)`` span
@@ -35,7 +46,7 @@ pieces per level, so the piece count is bounded by
 the gap; ``tests/indexes/test_mc_costs.py`` pins the exact constants.
 The pieces come back in order as one decoded
 :class:`~repro.probability.CPTBlock`; Reg applies them one after
-another, so only :meth:`MCIndex.build` composes. The index keeps no
+another, so only :meth:`MCIndex.build` multiplies. The index keeps no
 counters of its own: a traversal adds its lookups and raw base CPTs to
 the caller's :class:`MCLookupStats` (a query's
 ``AccessStats.mc_lookups``), so each cost is counted once.
@@ -44,7 +55,8 @@ Conditioned variant (§3.3.2)
 ----------------------------
 A conditioned MC index is built for one positive Kleene-loop
 predicate: every base CPT is first masked to destinations inside the
-predicate's accept set (``CPT.mask_destinations``), then composed.
+predicate's accept set (level 1's dense stack times a 0/1 destination
+mask), then multiplied.
 Masking commutes with composition — masking the destination of one
 piece masks the interior state of the concatenation — so span records
 store the fully-masked product and arbitrary spans chain exactly.
@@ -65,20 +77,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from functools import reduce
+from itertools import islice
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import CatalogError, StreamError
-from ..probability import CPT, CPTBlock, decode_block
-from ..probability.cpt import RECORD_VERSION, check_record_version
+from ..probability import CPTBlock, decode_block, encode_block
+from ..probability.cpt import (BLOCK_FLOATS, RECORD_VERSION,
+                               check_record_version, densify, sparsify)
 from ..storage import encode_key
 
 #: Reserved metadata key — level -1 sorts before every (level, start).
 META_KEY = encode_key((-1,))
-
-#: Base CPTs :meth:`MCIndex.build` decodes per block (bounds its memory).
-BUILD_BLOCK_STEPS = 1024
 
 
 @dataclass
@@ -134,58 +146,34 @@ class MCIndex:
     def build(self, reader) -> int:
         """Bulk-load every span record from the archived stream.
 
-        Level 1 is composed in one pass over the base CPTs, read as
-        blocks; each higher level composes ``alpha`` records of the level
-        below (never re-reading the archive). Returns the number of span
-        records written.
+        Each level's records are the products of ``alpha`` consecutive
+        records of the level below; level 0 is the base CPT records, so
+        the archive is read once. Returns the number of span records
+        written.
         """
         if reader.length != self.length:
             raise CatalogError(
                 f"MC index built for length {self.length} over a reader "
                 f"of length {reader.length}"
             )
-        accept = self.accept_states
+        n = len(reader.space)
         items: List[Tuple[bytes, bytes]] = [(META_KEY, self._meta_value())]
-        records = 0
-
-        # Level 1: stream the base CPTs, emit one record per alpha steps.
-        span = self.alpha
-        level_cpts: Dict[int, CPT] = {}
-        if self.max_level >= 1:
-            acc: Optional[CPT] = None
-            start = 0
-            for lo in range(1, reader.length, BUILD_BLOCK_STEPS):
-                hi = min(lo + BUILD_BLOCK_STEPS, reader.length)
-                for t, cpt in enumerate(reader.scan_cpts(lo, hi).cpts(), lo):
-                    if accept is not None:
-                        cpt = cpt.mask_destinations(accept)
-                    acc = cpt if acc is None else acc.compose(cpt)
-                    if t == start + span:
-                        level_cpts[start] = acc
-                        acc = None
-                        start = t
-            for s in sorted(level_cpts):
-                items.append((encode_key((1, s)), level_cpts[s].to_bytes()))
-            records += len(level_cpts)
-
-        # Levels 2 .. max_level: compose alpha spans of the level below.
-        for level in range(2, self.max_level + 1):
-            below = span
+        below: Iterable[bytes] = (reader.cpt_record(t)
+                                  for t in range(1, self.length))
+        keep = None
+        if self.accept_states is not None:
+            keep = np.zeros(n)
+            keep[[s for s in self.accept_states if s < n]] = 1.0
+        span = 1
+        for level in range(1, self.max_level + 1):
             span *= self.alpha
-            higher: Dict[int, CPT] = {}
-            for start in range(0, self.length - span, span):
-                acc = level_cpts[start]
-                for i in range(1, self.alpha):
-                    acc = acc.compose(level_cpts[start + i * below])
-                higher[start] = acc
-            for s in sorted(higher):
-                items.append((encode_key((level, s)), higher[s].to_bytes()))
-            records += len(higher)
-            level_cpts = higher
-
+            below = list(_products(below, self.alpha, n,
+                                   keep if level == 1 else None))
+            items.extend((encode_key((level, i * span)), data)
+                         for i, data in enumerate(below))
         self.tree.bulk_load(items)
         self.tree.flush()
-        return records
+        return len(items) - 1
 
     def _meta_value(self) -> bytes:
         meta = {
@@ -318,3 +306,24 @@ class MCIndex:
             stats.lookups += lookups
             stats.base_cpts_read += len(records) - lookups
         return records
+
+
+def _products(records: Iterable[bytes], alpha: int, n: int,
+              keep: Optional[np.ndarray]) -> Iterator[bytes]:
+    """The record of the product of each run of ``alpha`` consecutive
+    ``records``, destinations first masked by ``keep`` when given; a
+    short run at the end is read and dropped."""
+    chunk = max(1, BLOCK_FLOATS // (n * n) // alpha) * alpha
+    buf = np.empty(chunk * n * n)
+    records = iter(records)
+    while True:
+        batch = list(islice(records, chunk))
+        runs = len(batch) // alpha
+        if runs:
+            (stack,) = densify(decode_block(batch[:runs * alpha]), n, buf)
+            if keep is not None:
+                stack *= keep
+            stack = stack.reshape(runs, alpha, n, n).swapaxes(0, 1)
+            yield from encode_block(sparsify(reduce(np.matmul, stack)))
+        if len(batch) < chunk:
+            return

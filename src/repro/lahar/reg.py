@@ -21,7 +21,8 @@ state)`` cell's mass goes next. The joint mass is then a dense
 ``V @ B`` plus one ``bincount`` — no per-step classification, and
 Python cost independent of the query. Every CPT input is a
 :class:`~repro.probability.CPTBlock`, densified by one scatter into a
-reused ``(K, n, n)`` stack. Reg also supports the span operations of
+reused ``(K, n, n)`` stack (:func:`~repro.probability.cpt.densify`, the
+one the MC index build uses too). Reg also supports the span operations of
 Algorithms 4 & 5: collapsing over irrelevant gaps (only the start state
 and negated-loop states survive a timestep with zero mass on every
 indexable predicate) by applying the MC pieces in order,
@@ -33,11 +34,12 @@ independence approximation. Its pure-Python oracle is
 from __future__ import annotations
 
 from functools import reduce
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..probability import CPT, CPTBlock, SparseDistribution
+from ..probability.cpt import BLOCK_FLOATS, densify
 from ..query.predicates import Not, Predicate
 from ..query.regular import RegularQuery
 from ..streams.schema import StateSpace
@@ -127,11 +129,6 @@ class QueryMachine:
         return bool(set_bits & self.accept_bit)
 
 
-#: Float budget of one block: K steps over ``n`` stream states densify
-#: ``K · n²`` floats, so K is at most ``BLOCK_FLOATS // n²`` (128 KiB).
-BLOCK_FLOATS = 1 << 14
-
-
 # ----------------------------------------------------------------------
 # Vectorized kernel
 # ----------------------------------------------------------------------
@@ -211,21 +208,11 @@ class Reg:
     def _accept_mass(self) -> float:
         return float(self._V.ravel() @ self._accept)
 
-    def _densify(self, block: CPTBlock) -> Iterator[np.ndarray]:
-        """The steps in order as dense ``(n, n)`` views of the stack, one
-        scatter per :attr:`block_steps` steps (a view lives until the next)."""
-        n, cap = self._n, self.block_steps
-        size = n * n
-        at = np.repeat((block.step * n + block.src) * n,
-                       block.row_len) + block.dst
-        # Entries are in step order: each chunk of ``cap`` steps is a slice.
-        cuts = [0, len(at)] if block.steps <= cap else np.searchsorted(
-            at // size, np.arange(0, block.steps + cap, cap)).tolist()
-        for first, lo, hi in zip(range(0, block.steps, cap), cuts, cuts[1:]):
-            B = self._block[:min(cap, block.steps - first) * size]
-            B.fill(0.0)
-            B[at[lo:hi] - first * size] = block.val[lo:hi]
-            yield from B.reshape(-1, n, n)
+    def _through(self, V: np.ndarray, block: CPTBlock) -> np.ndarray:
+        """``V`` times the steps' matrices in order, ``V·B₁·…·B_p``."""
+        for stack in densify(block, self._n, self._block):
+            V = reduce(np.matmul, stack, V)
+        return V
 
     def _scatter(self, marginal: SparseDistribution) -> np.ndarray:
         ids, vals = marginal.as_arrays()
@@ -255,10 +242,11 @@ class Reg:
         V, succ, size = self._V, self._succ.ravel(), self._rows * n
         W = np.empty_like(V)
         W_flat, masses = W.ravel(), []
-        for B in self._densify(block):
-            np.dot(V, B, W)
-            V = np.bincount(succ, W_flat, size).reshape(-1, n)
-            masses.append(V)
+        for stack in densify(block, n, self._block):
+            for B in stack:
+                np.dot(V, B, W)
+                V = np.bincount(succ, W_flat, size).reshape(-1, n)
+                masses.append(V)
         self._V = V
         return np.concatenate(masses).reshape(block.steps, -1) @ self._accept
 
@@ -268,8 +256,7 @@ class Reg:
         self.updates_performed += 1
         if span > 1:
             self._fold()
-        V = reduce(np.matmul, self._densify(block), self._V)
-        self._V = self._bin(self._succ, V)
+        self._V = self._bin(self._succ, self._through(self._V, block))
         return self._accept_mass()
 
     def update_independent(self, marginal: SparseDistribution,
@@ -293,8 +280,8 @@ class Reg:
         loop state; the rest (``plain``) collapses like a plain gap."""
         self.updates_performed += 1
         rows, kept_succ = self._loops[loop_state]
-        exited = reduce(np.matmul, self._densify(plain), self._V)
-        kept = reduce(np.matmul, self._densify(cond), self._V[rows])
+        exited = self._through(self._V, plain)
+        kept = self._through(self._V[rows], cond)
         exited[rows] = np.maximum(exited[rows] - kept, 0.0)
         self._V = self._bin(np.concatenate((self._gap_succ, kept_succ)),
                             np.concatenate((exited, kept)))

@@ -3,40 +3,43 @@
 A CPT maps each source state to a sparse row distribution over
 destination states — the ``C_t(x_{t+1} | x_t)`` objects a Markovian
 stream stores between timesteps (§2.1). :meth:`CPT.apply` propagates a
-vector one step, and :meth:`CPT.compose` is the chain rule
-``p(t_j | t_i) = Σ_k p(t_j | t_k) · p(t_k | t_i)``, which only the MC
-index's build uses: a query applies a gap's pieces in order instead.
-
-Rows of a stream CPT are stochastic (sum to 1); masked variants
-(:meth:`mask_destinations`, for predicate-conditioned Kleene loops,
-§3.3.2) are deliberately *sub*-stochastic — the lost mass is exactly
-the probability of leaving the loop.
+vector one step. :meth:`CPT.compose` (the chain rule
+``p(t_j | t_i) = Σ_k p(t_j | t_k) · p(t_k | t_i)``) and
+:meth:`CPT.mask_destinations` (sub-stochastic conditioning for
+predicate-conditioned Kleene loops, §3.3.2: the lost mass is exactly
+the probability of leaving the loop) stay on dict rows only as the
+stepwise oracles of the tests and of perfbench: the library multiplies
+dense stacks.
 
 Record layout
 -------------
 A stored CPT is raw CSR: one uvarint header ``rows << 2 | code``, then
 ``src[rows]``, ``row_len[rows]`` and ``dst[nnz]`` as little-endian
-unsigned ints of ``1 << code`` bytes, then ``val[nnz]`` as ``<f8``. The
-id width is the smallest of 1, 2 or 4 bytes that holds the record's
-largest id or row length, so it comes from the data. One decoder,
-:func:`decode_block`, turns K records into a :class:`CPTBlock`, the
-Reg kernel's one input; :meth:`CPT.from_bytes` is a block of one, and
-the dict rows that :meth:`CPT.row`, :meth:`CPT.apply` and
-:meth:`CPT.compose` walk are built from its arrays only on first use.
+unsigned ints of ``1 << code`` bytes, then ``val[nnz]`` as ``<f8``, rows
+by source and each row's entries by destination. The id width is the
+smallest of 1, 2 or 4 bytes that holds the record's largest id or row
+length, so it comes from the data. Records move in blocks: a
+:class:`CPTBlock` holds K CPTs in one set of CSR arrays.
+:func:`decode_block` turns K records into a block, :func:`encode_block`
+(its inverse) a block into K records, and :meth:`CPTBlock.of` gathers
+dict rows into a block. The Reg kernel and the MC index build compute
+on a block as dense ``(K, n, n)`` stacks (:func:`densify`, and
+:func:`sparsify` back). :meth:`CPT.from_bytes` and
+:meth:`CPT.to_bytes` are blocks of one, and a decoded CPT builds the
+dict rows that :meth:`CPT.row` and :meth:`CPT.apply` walk only on first
+use.
 """
 
 from __future__ import annotations
 
-import struct
 from collections import namedtuple
 from functools import reduce
-from itertools import chain
-from typing import (Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence,
-                    Tuple, Union)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
-from ..errors import CatalogError, StorageError, StreamError
+from ..errors import CatalogError, StorageError
 from ..storage.record import decode_uvarint, encode_uvarint
 from .distribution import SparseDistribution
 
@@ -51,9 +54,12 @@ CSRArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 #: write it into their metadata and refuse to open any other.
 RECORD_VERSION = 2
 
-#: Per id-width code (width ``1 << code`` bytes): NumPy dtype, struct code.
+#: Per id-width code (width ``1 << code`` bytes): the ids' NumPy dtype.
 _ID_DTYPES = ("<u1", "<u2", "<u4")
-_ID_FORMATS = "BHI"
+
+#: Float budget of one dense stack: K steps over ``n`` states densify
+#: ``K · n²`` floats, so K is at most ``BLOCK_FLOATS // n²`` (128 KiB).
+BLOCK_FLOATS = 1 << 14
 
 
 class CPTBlock(namedtuple("CPTBlock", "steps step src row_len dst val")):
@@ -64,30 +70,65 @@ class CPTBlock(namedtuple("CPTBlock", "steps step src row_len dst val")):
 
     __slots__ = ()
 
-    def cpts(self) -> Iterator["CPT"]:
-        """Each step in order, as a :class:`CPT` viewing the arrays."""
-        rows = np.searchsorted(self.step, np.arange(self.steps + 1))
-        ends = np.concatenate(([0], self.row_len.cumsum(dtype=np.intp)))
-        rows, ends = rows.tolist(), ends[rows].tolist()
-        for r0, r1, e0, e1 in zip(rows, rows[1:], ends, ends[1:]):
-            cpt = CPT.__new__(CPT)
-            cpt._rows = None
-            cpt._arrays = (self.src[r0:r1], self.row_len[r0:r1],
-                           self.dst[e0:e1], self.val[e0:e1])
-            yield cpt
+    @classmethod
+    def of(cls, cpts: Sequence["CPT"]) -> "CPTBlock":
+        """The dict rows of ``cpts``, in order, gathered into one block:
+        each CPT's rows by source, each row's entries by destination."""
+        counts, srcs, lens, dsts, vals = [], [], [], [], []
+        for cpt in cpts:
+            rows = cpt._row_map()
+            counts.append(len(rows))
+            for src in sorted(rows):
+                items = sorted(rows[src].items())
+                srcs.append(src)
+                lens.append(len(items))
+                for dst, p in items:
+                    dsts.append(dst)
+                    vals.append(p)
+        return cls(len(counts), np.arange(len(counts)).repeat(counts),
+                   np.array(srcs, np.int64), np.array(lens, np.int64),
+                   np.array(dsts, np.int64), np.array(vals, np.float64))
 
     def approx_equal(self, other: "CPT", tol: float = 1e-9) -> bool:
         """Whether the dense product of the steps, in order, equals
-        ``other`` entry-wise within ``tol`` (an oracle's check)."""
-        src, lens, dst, val = other.arrays()
+        ``other`` entry-wise within ``tol`` (the tests' and perfbench's
+        oracle check; nothing in the library calls it)."""
+        want = CPTBlock.of([other])
         n = 1 + max(int(ids.max(initial=0))
-                    for ids in (self.src, self.dst, src, dst))
-        stack = np.zeros((self.steps + 1, n, n))
-        stack[np.repeat(self.step, self.row_len),
-              np.repeat(self.src, self.row_len), self.dst] = self.val
-        stack[-1, np.repeat(src, lens), dst] = val
-        got = reduce(np.matmul, stack[:-1])
-        return bool(np.abs(got - stack[-1]).max() <= tol)
+                    for ids in (self.src, self.dst, want.src, want.dst))
+        (stack,) = densify(self, n, np.empty(self.steps * n * n))
+        got = reduce(np.matmul, stack)
+        (stack,) = densify(want, n, np.empty(n * n))
+        return bool(np.abs(got - stack[0]).max() <= tol)
+
+
+def densify(block: CPTBlock, n: int, buf: np.ndarray) -> Iterator[np.ndarray]:
+    """The steps in order as dense ``(k, n, n)`` stacks over states
+    ``0 .. n - 1``, written into ``buf`` (1-D, at least ``n²`` floats):
+    one zero fill and one scatter per ``buf.size // n²`` steps. Each
+    stack is a view of ``buf`` that lives until the next."""
+    size = n * n
+    cap = buf.size // size
+    at = np.repeat((block.step * n + block.src) * n, block.row_len) + block.dst
+    # Entries are in step order: each chunk of ``cap`` steps is a slice.
+    cuts = [0, len(at)] if block.steps <= cap else np.searchsorted(
+        at // size, np.arange(0, block.steps + cap, cap)).tolist()
+    for first, lo, hi in zip(range(0, block.steps, cap), cuts, cuts[1:]):
+        stack = buf[:min(cap, block.steps - first) * size]
+        stack.fill(0.0)
+        stack[at[lo:hi] - first * size] = block.val[lo:hi]
+        yield stack.reshape(-1, n, n)
+
+
+def sparsify(stack: np.ndarray) -> CPTBlock:
+    """The nonzero entries of a ``(k, n, n)`` stack as a block, rows by
+    source and entries by destination (the inverse of :func:`densify`)."""
+    step, src, dst = np.nonzero(stack)
+    row = step * stack.shape[1] + src
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    return CPTBlock(len(stack), step[first], src[first],
+                    np.diff(first, append=len(row)), dst,
+                    stack[step, src, dst])
 
 
 def check_record_version(found, owner: str) -> None:
@@ -121,14 +162,6 @@ class CPT:
         self._arrays = None
 
     # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def identity(cls, states: Iterable[int]) -> "CPT":
-        """Each state maps to itself with probability 1."""
-        return cls({s: {s: 1.0} for s in states})
-
-    # ------------------------------------------------------------------
     # The two views
     # ------------------------------------------------------------------
     def _row_map(self) -> Dict[int, SparseDistribution]:
@@ -150,20 +183,9 @@ class CPT:
         """The rows as CSR arrays ``(src, row_len, dst, val)``: row ``i``
         maps ``src[i]`` to the next ``row_len[i]`` entries of ``dst`` and
         ``val``. Read-only."""
-        arrays = self._arrays
-        if arrays is None:
-            rows = self._rows
-            lens = np.fromiter(map(len, rows.values()), np.int64, len(rows))
-            nnz = int(lens.sum())
-            arrays = self._arrays = (
-                np.fromiter(rows, np.int64, len(rows)),
-                lens,
-                np.fromiter(chain.from_iterable(rows.values()), np.int64,
-                            nnz),
-                np.fromiter(chain.from_iterable(
-                    r.values() for r in rows.values()), np.float64, nnz),
-            )
-        return arrays
+        if self._arrays is None:
+            self._arrays = CPTBlock.of([self])[2:]
+        return self._arrays
 
     # ------------------------------------------------------------------
     # Row access
@@ -177,12 +199,6 @@ class CPT:
 
     def sources(self) -> FrozenSet[int]:
         return frozenset(self._row_map())
-
-    def destinations(self) -> FrozenSet[int]:
-        out = set()
-        for row in self._row_map().values():
-            out.update(row.support())
-        return frozenset(out)
 
     def __contains__(self, src: int) -> bool:
         return src in self._row_map()
@@ -209,6 +225,8 @@ class CPT:
         return f"CPT({len(self)} rows, {self.num_entries()} entries)"
 
     def approx_equal(self, other: "CPT", tol: float = 1e-9) -> bool:
+        """Entry-wise agreement within ``tol`` (the tests' and
+        perfbench's oracle check; nothing in the library calls it)."""
         for src in self.sources() | other.sources():
             if not self.row(src).approx_equal(other.row(src), tol=tol):
                 return False
@@ -224,10 +242,6 @@ class CPT:
             abs(row.total_mass - 1.0) <= tol
             for row in self._row_map().values()
         )
-
-    def normalize_rows(self) -> "CPT":
-        """Each nonempty row rescaled to unit mass."""
-        return CPT({src: row.normalize() for src, row in self.rows()})
 
     # ------------------------------------------------------------------
     # The two core operations
@@ -252,7 +266,10 @@ class CPT:
     def compose(self, later: "CPT") -> "CPT":
         """Chain this CPT with one applied *after* it: if ``self`` spans
         ``t_i → t_k`` and ``later`` spans ``t_k → t_j``, the result
-        spans ``t_i → t_j`` by the chain rule."""
+        spans ``t_i → t_j`` by the chain rule. The stepwise oracle of
+        the tests and of perfbench's ``archive`` check: the library
+        multiplies dense stacks instead (:meth:`MCIndex.build
+        <repro.indexes.mc.MCIndex.build>`) or applies pieces in order."""
         return CPT({src: later.apply(row) for src, row in self.rows()})
 
     # ------------------------------------------------------------------
@@ -260,7 +277,8 @@ class CPT:
     # ------------------------------------------------------------------
     def mask_destinations(self, accept: Iterable[int]) -> "CPT":
         """Zero every transition into a state outside ``accept``
-        (sub-stochastic conditioning for positive Kleene loops)."""
+        (sub-stochastic conditioning for positive Kleene loops). Kept
+        for the tests' stepwise oracles: the library masks dense stacks."""
         keep = accept if isinstance(accept, (set, frozenset)) else set(accept)
         return CPT({src: row.restrict_to(keep) for src, row in self.rows()})
 
@@ -268,26 +286,16 @@ class CPT:
     # Serialization (storage record format; see the module docstring)
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        rows = self._row_map()
-        srcs = sorted(rows)
-        lens = [len(rows[s]) for s in srcs]
-        dsts, vals = [], []
-        for s in srcs:
-            for d, p in sorted(rows[s].items()):
-                dsts.append(d)
-                vals.append(p)
-        top = max(srcs[-1], max(lens), max(dsts)) if srcs else 0
-        if top >= 1 << 32:
-            raise StorageError(f"CPT id {top} does not fit a record")
-        code = 0 if top < 1 << 8 else 1 if top < 1 << 16 else 2
-        ints = 2 * len(srcs) + len(dsts)
-        return encode_uvarint(len(srcs) << 2 | code) + struct.pack(
-            f"<{ints}{_ID_FORMATS[code]}{len(vals)}d",
-            *srcs, *lens, *dsts, *vals)
+        """This CPT's record (a block of one: batch many CPTs through
+        :func:`encode_block` instead)."""
+        return encode_block(CPTBlock.of([self]))[0]
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CPT":
-        return next(decode_block([data]).cpts())
+        cpt = cls.__new__(cls)
+        cpt._rows = None
+        cpt._arrays = decode_block([data])[2:]
+        return cpt
 
 
 def _record_layout(data: bytes) -> Tuple[str, int, int, int, int]:
@@ -333,12 +341,30 @@ def decode_block(records: Sequence[bytes]) -> CPTBlock:
                     np.concatenate(vals))
 
 
-def validate_cpt(cpt: CPT, tol: float = 1e-6) -> None:
-    """Raise :class:`~repro.errors.StreamError` unless every row is a
-    probability distribution."""
-    for src, row in cpt.rows():
-        mass = row.total_mass
-        if abs(mass - 1.0) > tol:
-            raise StreamError(
-                f"CPT row for source {src} has mass {mass:.9f}, expected 1"
-            )
+def encode_block(block: CPTBlock) -> List[bytes]:
+    """The record of each step of ``block``, in order: the inverse of
+    :func:`decode_block`, and the only record encoder. Each record's id
+    width is the smallest that holds its largest id or row length. The
+    fixed cost is per call, so encode many CPTs at once."""
+    steps, step, src, lens, dst, val = block
+    top = np.zeros(steps, np.int64)
+    np.maximum.at(top, step, np.maximum(src, lens))
+    np.maximum.at(top, np.repeat(step, lens), dst)
+    if steps and top.max() >= 1 << 32:
+        raise StorageError(f"CPT id {int(top.max())} does not fit a record")
+    codes = (top >= 1 << 8).astype(int) + (top >= 1 << 16)
+    rows = np.concatenate(([0], np.bincount(step, minlength=steps).cumsum()))
+    ends = np.concatenate(([0], lens.cumsum(dtype=np.intp)))[rows]
+    ints = {c: [a.astype(_ID_DTYPES[c]).tobytes() for a in (src, lens, dst)]
+            for c in set(codes.tolist())}
+    vals = val.astype("<f8", copy=False).tobytes()
+    out = []
+    for c, r0, r1, e0, e1 in zip(codes.tolist(), rows.tolist(),
+                                 rows[1:].tolist(), ends.tolist(),
+                                 ends[1:].tolist()):
+        s, k, d = ints[c]
+        w = 1 << c
+        out.append(b"".join((encode_uvarint((r1 - r0) << 2 | c),
+                             s[r0 * w:r1 * w], k[r0 * w:r1 * w],
+                             d[e0 * w:e1 * w], vals[e0 * 8:e1 * 8])))
+    return out

@@ -11,7 +11,7 @@ probability distribution is required.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 from ..errors import StreamError
 from ..storage.record import pack_pairs, unpack_pairs
@@ -57,14 +57,6 @@ class SparseDistribution:
         dist = cls.__new__(cls)
         dist._probs = probs
         return dist
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[int, float]) -> "SparseDistribution":
-        """Normalized frequencies (e.g. sample counts)."""
-        total = sum(counts.values())
-        if total <= 0.0:
-            raise StreamError("counts sum to zero")
-        return cls({s: c / total for s, c in counts.items() if c > 0.0})
 
     # ------------------------------------------------------------------
     # Mapping surface
@@ -146,30 +138,9 @@ class SparseDistribution:
             {s: p / total for s, p in self._probs.items()}
         )
 
-    def scale(self, factor: float) -> "SparseDistribution":
-        """All weights multiplied by a nonnegative factor."""
-        if factor < 0.0:
-            raise StreamError(f"negative scale factor {factor}")
-        return SparseDistribution(
-            {s: p * factor for s, p in self._probs.items()}
-        )
-
     # ------------------------------------------------------------------
     # Algebra
     # ------------------------------------------------------------------
-    def product(self, other: "SparseDistribution") -> "SparseDistribution":
-        """Pointwise product (evidence conditioning; unnormalized)."""
-        small, large = (
-            (self, other) if len(self) <= len(other) else (other, self)
-        )
-        return SparseDistribution(
-            {
-                s: p * large.prob(s)
-                for s, p in small.items()
-                if large.prob(s) > 0.0
-            }
-        )
-
     def add(self, other: "SparseDistribution") -> "SparseDistribution":
         """Weight-wise sum (mixing unnormalized masses)."""
         out = dict(self._probs)
@@ -187,17 +158,6 @@ class SparseDistribution:
     def mass_on(self, states: Iterable[int]) -> float:
         """Summed weight of the given states."""
         return sum(self._probs.get(s, 0.0) for s in states)
-
-    def marginalize(self, mapper: Callable[[int], object]) -> "SparseDistribution":
-        """Sum weights by ``mapper(state)``; states mapped to ``None``
-        are dropped (the §3.4.1 dimension-value aggregation)."""
-        out: Dict[object, float] = {}
-        for s, p in self._probs.items():
-            value = mapper(s)
-            if value is None:
-                continue
-            out[value] = out.get(value, 0.0) + p
-        return SparseDistribution(out)
 
     # ------------------------------------------------------------------
     # Queries

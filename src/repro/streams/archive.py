@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import enum
 import json
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CatalogError, StorageError, StreamError
-from ..probability import CPT, CPTBlock, SparseDistribution, decode_block
+from ..probability import (CPT, CPTBlock, SparseDistribution, decode_block,
+                           encode_block)
 from ..probability.cpt import RECORD_VERSION, check_record_version
 from ..storage import BTree, StorageEnvironment, encode_key
 from ..storage.record import pack_chunks, unpack_chunks
@@ -54,6 +55,10 @@ DEFAULT_PACK = 8
 
 #: Reserved metadata key — sorts before key (0,).
 META_KEY = encode_key((-1,))
+
+#: CPTs :func:`write_stream` encodes per :func:`encode_block` call: one
+#: call's fixed cost is amortized, and one block's arrays stay small.
+ENCODE_BATCH = 1024
 
 
 class Layout(enum.Enum):
@@ -108,6 +113,12 @@ def _read_meta(tree: BTree) -> Optional[dict]:
 # ----------------------------------------------------------------------
 # Writing
 # ----------------------------------------------------------------------
+def _cpt_records(cpts: Sequence[CPT]) -> Iterator[bytes]:
+    """The records of ``cpts``, in order, encoded in batches."""
+    for lo in range(0, len(cpts), ENCODE_BATCH):
+        yield from encode_block(CPTBlock.of(cpts[lo:lo + ENCODE_BATCH]))
+
+
 def write_stream(
     env: StorageEnvironment,
     stream: MarkovianStream,
@@ -129,8 +140,8 @@ def write_stream(
             ]
         )
         cpt.bulk_load(
-            (encode_key((t + 1,)), c.to_bytes())
-            for t, c in enumerate(stream.cpts)
+            (encode_key((t,)), data)
+            for t, data in enumerate(_cpt_records(stream.cpts), 1)
         )
         marg.flush()
         cpt.flush()
@@ -143,13 +154,13 @@ def write_stream(
         items: List[Tuple[bytes, bytes]] = [
             (META_KEY, _meta_value(layout, length, pack))
         ]
-        cells = list(stream.iter_cells())
+        # Cell t holds marginal t and the CPT into t (none into t = 0).
+        cpts = _cpt_records(stream.cpts)
         for start in range(0, length, pack):
-            frame = cells[start:start + pack]
             chunks: List[bytes] = []
-            for _, marginal, cpt in frame:
-                chunks.append(marginal.to_bytes())
-                chunks.append(b"" if cpt is None else cpt.to_bytes())
+            for t in range(start, min(start + pack, length)):
+                chunks.append(stream.marginals[t].to_bytes())
+                chunks.append(next(cpts) if t else b"")
             items.append((encode_key((start,)), pack_chunks(chunks)))
         data.bulk_load(items)
         data.flush()

@@ -16,7 +16,7 @@ the archive round-trips bit-exactly.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..errors import StreamError
 from ..probability import CPT, SparseDistribution
@@ -96,12 +96,6 @@ class MarkovianStream:
         if t < 1:
             raise StreamError("no CPT into timestep 0")
         return self.cpt(t - 1)
-
-    def iter_cells(self) -> Iterator[Tuple[int, SparseDistribution, object]]:
-        """Yield ``(t, marginal_t, cpt_into_t)`` with ``cpt_into_t`` None
-        at ``t == 0`` — one archive cell per timestep."""
-        for t, marginal in enumerate(self.marginals):
-            yield t, marginal, (None if t == 0 else self.cpts[t - 1])
 
     # ------------------------------------------------------------------
     def validate(self, tol: float = CONSISTENCY_TOL) -> None:

@@ -3,6 +3,7 @@ metadata, greedy gap traversal, the conditioned variant, and misuse."""
 
 import json
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from repro.indexes.builder import build_mc, open_mc
 from repro.indexes import mc as mc_module
 from repro.indexes.mc import META_KEY, MCIndex, MCLookupStats, max_level_for
 from repro.probability import CPT, SparseDistribution
-from repro.probability.cpt import RECORD_VERSION
+from repro.probability.cpt import RECORD_VERSION, densify
 from repro.storage import StorageEnvironment, encode_key
 from repro.streams import (
     Layout,
@@ -105,27 +106,51 @@ def test_build_record_count_is_geometric(env, reader, alpha):
     assert count < (LENGTH - 1) / (alpha - 1)
 
 
-def test_every_record_matches_stepwise_compose(env, reader):
+def span_records(index):
+    """``(level, start, span, record)`` of every stored span record."""
+    for level in range(1, index.max_level + 1):
+        span = index.alpha ** level
+        for start in range(0, index.length - span, span):
+            data = index.tree.get(encode_key((level, start)))
+            yield level, start, span, data
+
+
+@pytest.mark.parametrize("alpha", [2, 3, 4, 8])
+def test_every_record_matches_stepwise_compose(env, reader, alpha):
     """Each stored span CPT equals the step-by-step composition of the
     base CPTs it covers."""
-    index = build_index(env, reader, alpha=2)
-    for level in range(1, index.max_level + 1):
-        span = 2 ** level
-        for start in range(0, LENGTH - 1 - span + 1, span):
-            record = CPT.from_bytes(index.tree.get(encode_key((level,
-                                                               start))))
-            want = stepwise(reader, start, start + span)
-            assert record.approx_equal(want, tol=1e-12), (level, start)
+    index = build_index(env, reader, alpha)
+    for level, start, span, data in span_records(index):
+        want = stepwise(reader, start, start + span)
+        assert CPT.from_bytes(data).approx_equal(want, tol=1e-12), \
+            (level, start)
 
 
-def test_build_in_short_blocks_writes_the_same_records(env, reader,
-                                                       monkeypatch):
-    """Reading the base CPTs 7 at a time (no span's multiple) builds
-    byte-identical records to reading them as one block."""
-    whole = build_index(env, reader, alpha=2)
-    monkeypatch.setattr(mc_module, "BUILD_BLOCK_STEPS", 7)
-    blocks = build_mc(env, "blocks", reader, alpha=2)
-    assert list(blocks.tree.items()) == list(whole.tree.items())
+@pytest.mark.parametrize("alpha", [2, 3, 4])
+def test_build_in_one_span_chunks_writes_the_same_records(env, reader,
+                                                          monkeypatch,
+                                                          alpha):
+    """A float budget so small that a build chunk is exactly ``alpha``
+    records builds byte-identical records to one chunk per level."""
+    whole = build_index(env, reader, alpha)
+    monkeypatch.setattr(mc_module, "BLOCK_FLOATS", 1)
+    chunked = build_mc(env, "chunked", reader, alpha=alpha)
+    assert list(chunked.tree.items()) == list(whole.tree.items())
+
+
+@pytest.mark.parametrize("alpha", [2, 3])
+def test_wide_stream_records_match_stepwise_product(tmp_path, wide_stream,
+                                                    alpha):
+    """On 42 states a build chunk holds a few spans only (8 records at
+    alpha 2), so every level crosses many chunks; each record equals
+    the dense product of the base CPTs it covers."""
+    with StorageEnvironment(str(tmp_path), page_size=8192) as env:
+        reader = write_stream(env, wide_stream, layout=Layout.SEPARATED)
+        index = build_mc(env, "wide", reader, alpha=alpha)
+        for level, start, span, data in span_records(index):
+            pieces = reader.scan_cpts(start + 1, start + span + 1)
+            assert pieces.approx_equal(CPT.from_bytes(data), tol=1e-12), \
+                (level, start)
 
 
 def test_build_rejects_length_mismatch(env, reader):
@@ -289,18 +314,33 @@ def test_conditioned_cpt_masks_interior_only(env, reader, start, end, raw):
 def test_conditioned_cpt_is_substochastic(env, reader):
     accept = {0, 1, 2}
     index = conditioned_index(env, reader, accept)
-    raw = index.compute_conditioned_cpt(0, 8, reader)
+    pieces = index.compute_conditioned_cpt(0, 8, reader)
     # Lost row mass = probability of leaving the loop: sub-stochastic.
-    product = np.eye(NUM_STATES)
-    for cpt in raw.cpts():
-        dense = np.zeros((NUM_STATES, NUM_STATES))
-        src, lens, dst, val = cpt.arrays()
-        dense[np.repeat(src, lens), dst] = val
-        product = product @ dense
-    masses = product.sum(axis=1)
+    buf = np.empty(pieces.steps * NUM_STATES ** 2)
+    (stack,) = densify(pieces, NUM_STATES, buf)
+    masses = reduce(np.matmul, stack).sum(axis=1)
     masses = masses[masses > 0.0]
     assert masses.size, "masked product collapsed to zero"
     assert (masses < 1.0 - 1e-9).any()
+
+
+def test_conditioned_build_on_no_state_stores_empty_records(env, reader):
+    """An empty accept set masks every transition, unlike ``None`` (a
+    plain index): every span record is the empty CPT."""
+    index = conditioned_index(env, reader, set())
+    assert index.is_conditioned
+    records = [data for _, _, _, data in span_records(index)]
+    assert records and all(CPT.from_bytes(data) == CPT()
+                           for data in records)
+
+
+def test_conditioned_build_on_every_state_equals_the_plain_index(env,
+                                                                 reader):
+    """Masking to every state keeps every transition: the records are
+    byte for byte the plain index's."""
+    cond = conditioned_index(env, reader, range(NUM_STATES))
+    plain = build_index(env, reader, alpha=2)
+    assert list(span_records(cond)) == list(span_records(plain))
 
 
 def test_conditioned_single_step_is_raw_cpt(env, reader):

@@ -23,7 +23,6 @@ from repro.storage import StorageEnvironment
 from repro.streams import (ENTERED_ROOM_QUERY, Layout, MarkovianStream,
                            write_stream,
                            single_attribute_space, synthetic_stream)
-from repro.streams.synthetic import synthetic_space
 
 VALUES = ["A", "B", "C", "D", "E"]
 SPACE = single_attribute_space("location", VALUES)
@@ -212,29 +211,6 @@ PATROL_QUERY = (
     "location=C0 -> (!location=C5)* location=C1 -> "
     "(!location=C6)* location=C2 -> location=Room"
 )
-
-
-@pytest.fixture(scope="module")
-def wide_stream():
-    """A 42-state stream whose every CPT row has full support, so each
-    timestep's mass covers the whole space."""
-    space = synthetic_space(40)
-    rng = random.Random(13)
-    n = len(space)
-
-    def dense_row():
-        weights = [rng.random() for _ in range(n)]
-        total = sum(weights)
-        return SparseDistribution(
-            {s: w / total for s, w in enumerate(weights)})
-
-    marginals = [SparseDistribution.uniform(range(n))]
-    cpts = []
-    for _ in range(199):
-        cpt = CPT({s: dense_row() for s in range(n)})
-        cpts.append(cpt)
-        marginals.append(cpt.apply(marginals[-1]))
-    return MarkovianStream("wide", space, marginals, cpts, validate=False)
 
 
 @pytest.mark.parametrize("text", [ENTERED_ROOM_QUERY, PATROL_QUERY],

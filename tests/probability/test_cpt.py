@@ -1,13 +1,14 @@
-"""CPT: apply, compose (the chain rule), masking, and validation."""
+"""CPT: apply, compose (the chain rule), masking, and the record codec."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StorageError, StreamError
-from repro.probability import (CPT, SparseDistribution, decode_block,
-                               validate_cpt)
+from reference_codec import reference_record
+from repro.errors import StorageError
+from repro.probability import (CPT, CPTBlock, SparseDistribution,
+                               decode_block, encode_block)
 
 
 @pytest.fixture
@@ -25,18 +26,9 @@ def test_construction_accepts_mappings_and_drops_empty_rows():
     assert cpt.sources() == {0, 1}
     assert 2 not in cpt
     assert cpt.row(2) == SparseDistribution()  # absent rows read as empty
-    assert cpt.destinations() == {1, 2}
     assert cpt.num_entries() == 2
     assert len(cpt) == 2
     assert not CPT()
-
-
-def test_identity_is_a_fixed_point(chain):
-    ident = CPT.identity([0, 1, 2])
-    dist = SparseDistribution({0: 0.2, 2: 0.8})
-    assert ident.apply(dist) == dist
-    assert ident.compose(chain).approx_equal(chain)
-    assert chain.compose(ident).approx_equal(chain)
 
 
 def test_apply_propagates_one_step(chain):
@@ -63,20 +55,17 @@ def test_compose_matches_two_applies(chain):
 
 
 def test_compose_preserves_stochasticity_over_many_steps(chain):
-    power = CPT.identity([0, 1, 2])
-    for _ in range(10):
+    power = chain
+    for _ in range(9):
         power = power.compose(chain)
     assert power.is_stochastic()
     # After many steps of an irreducible chain, every destination reachable.
     assert all(len(power.row(s)) == 3 for s in (0, 1, 2))
 
 
-def test_stochasticity_and_normalize_rows():
-    ragged = CPT({0: {0: 2.0, 1: 2.0}, 1: {1: 1.0}})
-    assert not ragged.is_stochastic()
-    fixed = ragged.normalize_rows()
-    assert fixed.is_stochastic()
-    assert fixed.row(0).prob(0) == pytest.approx(0.5)
+def test_is_stochastic_checks_every_row(chain):
+    assert chain.is_stochastic()
+    assert not CPT({0: {0: 2.0, 1: 2.0}, 1: {1: 1.0}}).is_stochastic()
 
 
 def test_mask_destinations_is_substochastic(chain):
@@ -85,13 +74,7 @@ def test_mask_destinations_is_substochastic(chain):
     # Lost mass per row is exactly the probability of leaving the loop.
     assert masked.row(1).total_mass == pytest.approx(0.6)
     assert masked.row(0).total_mass == pytest.approx(1.0)
-    assert 2 not in masked.destinations()
-
-
-def test_validate_cpt(chain):
-    validate_cpt(chain)
-    with pytest.raises(StreamError, match="mass"):
-        validate_cpt(chain.mask_destinations({0, 1}))
+    assert all(2 not in row for _, row in masked.rows())
 
 
 def test_serialization_roundtrip(chain):
@@ -237,6 +220,24 @@ def test_record_round_trip(cpt):
     assert len(back) == len(cpt)
     assert _triples(back) == _triples(cpt)
     assert back.to_bytes() == cpt.to_bytes()
+
+
+#: One row of 256 entries: its ids fit a byte, its length does not.
+_FULL_ROW = CPT({0: {d: 1 / 256 for d in range(256)}})
+
+
+@settings(max_examples=150, deadline=None)
+@given(cpts=st.lists(st.one_of(sparse_cpts(),
+                               st.sampled_from(_cpts() + [_FULL_ROW])),
+                     min_size=1, max_size=6))
+@example(cpts=_cpts() + [_FULL_ROW, CPT()])
+def test_encode_block_matches_the_struct_encoder(cpts):
+    """A block of CPTs of mixed id widths (ids past 256 and 65,536, a
+    256-entry row, empty CPTs) encodes to the struct oracle's records,
+    and decoding then re-encoding the records gives them back."""
+    records = encode_block(CPTBlock.of(cpts))
+    assert records == [reference_record(cpt) for cpt in cpts]
+    assert encode_block(decode_block(records)) == records
 
 
 def test_row_length_256_widens_the_record():

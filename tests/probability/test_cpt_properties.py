@@ -123,15 +123,14 @@ def test_masked_products_compose_exactly(a, b, accept):
 def test_mask_then_normalize_is_conditional_distribution(a, accept):
     """mask -> renormalize yields P(y | x, y in accept) exactly."""
     masked = a.mask_destinations(accept)
-    norm = masked.normalize_rows()
     for src, row in a.rows():
         kept = {y: p for y, p in row.items() if y in accept}
         total = sum(kept.values())
         if total <= 0.0:
             continue
+        norm = masked.row(src).normalize()
         for y, p in kept.items():
-            assert norm.row(src).prob(y) == pytest.approx(p / total,
-                                                          abs=1e-12)
+            assert norm.prob(y) == pytest.approx(p / total, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ Four experiments over a bulk-loaded tree of ``N`` entries:
 2. Full range scan — a cold scan reads exactly one physical page per
    leaf (the leaf chain, no descent); a warm repeat is served entirely
    from the buffer pool (0 physical reads).
-3. Build strategy — bottom-up bulk loading vs random-order incremental
-   inserts: build time, leaf count, and the resulting fill factor.
+3. Building — a bottom-up bulk load, then a whole-tree rewrite of the
+   same entries (the catalog's commit): build time, leaf count, fill
+   factor, and file size (a rewrite reuses the pages it frees).
 4. Buffer-pool hit rate vs pool size under a skewed point-lookup
    workload — the knob Figure 10's cold/warm split turns on.
 
@@ -125,43 +126,20 @@ def _bench_build(workdir, items, tracer, registry):
     rows = []
     env = StorageEnvironment(f"{workdir}/build", page_size=PAGE_SIZE,
                              pool_pages=1024, metrics=registry)
-    for fill in (1.0, 0.67):
-        tree = env.open_tree(f"bulk_{int(fill * 100)}")
-        with tracer.span("build_bulk", io=env.stats, fill=fill):
+    tree = env.open_tree("t")
+    for strategy, build in (("bulk_load", tree.bulk_load),
+                            ("rewrite", tree.rewrite)):
+        with tracer.span(f"build_{strategy}", io=env.stats):
             start = time.perf_counter()
-            tree.bulk_load(items, fill=fill)
-            tree.flush()
+            build(items)
         rows.append({
-            "strategy": f"bulk_load(fill={fill})",
+            "strategy": strategy,
             "build_s": time.perf_counter() - start,
             "leaf_pages": tree.num_leaves,
             "height": tree.height,
             "fill_factor": _fill_factor(tree, items),
             "file_mb": env.file_size(tree.name) / 2**20,
         })
-
-    tree = env.open_tree("incremental")
-    shuffled = items[:]
-    random.Random(7).shuffle(shuffled)
-    with tracer.span("build_incremental", io=env.stats):
-        start = time.perf_counter()
-        for n, (key, value) in enumerate(shuffled, 1):
-            tree.put(key, value)
-            # Commit periodically: page writes accumulate in the WAL
-            # until a flush checkpoints them, so an unbounded build
-            # would grow the log without bound (and measure nothing a
-            # real ingest would do — real loads commit in batches).
-            if n % 10_000 == 0:
-                tree.flush()
-        tree.flush()
-    rows.append({
-        "strategy": "incremental(random order)",
-        "build_s": time.perf_counter() - start,
-        "leaf_pages": tree.num_leaves,
-        "height": tree.height,
-        "fill_factor": _fill_factor(tree, items),
-        "file_mb": env.file_size(tree.name) / 2**20,
-    })
     env.close()
     return rows
 
@@ -238,7 +216,7 @@ def generate():
                  "scan_warm_physical_reads", "wall_ms_cold", "wall_ms_warm"],
     )
     text += print_table(
-        "Build strategy: bulk load vs incremental inserts",
+        "Building: bulk load, then a rewrite of the same entries",
         build_rows,
         columns=["strategy", "build_s", "leaf_pages", "height",
                  "fill_factor", "file_mb"],

@@ -2,8 +2,9 @@
 
 Runs the same deterministic single-fault methodology as
 ``tests/storage/test_crash_sweep.py`` at a larger scale: a mixed
-workload (bulk load, upserts, deletes, overflow values, multiple
-trees) is probed once to learn its failpoint space, then every
+workload (bulk loads, then whole-tree rewrites carrying upserts,
+deletes and overflow values, over two trees) is probed once to learn
+its failpoint space, then every
 ``(site, hit, action)`` schedule runs to its fault, loses its unsynced
 bytes, and must recover to a committed state with a clean fsck.
 
@@ -51,28 +52,21 @@ def workload(env, mark):
     mark({"t": dict(state["t"]), "u": dict(state["u"])})
 
     for i in range(0, N_KEYS, 4):
-        key = f"k{i:05d}".encode()
-        t.put(key, b"rev2" * 8)
-        state["t"][key] = b"rev2" * 8
+        state["t"][f"k{i:05d}".encode()] = b"rev2" * 8
     for i in range(2, N_KEYS, 16):
-        key = f"k{i:05d}".encode()
-        t.delete(key)
-        del state["t"][key]
+        del state["t"][f"k{i:05d}".encode()]
     for i in range(6):
-        key = f"blob{i}".encode()
-        value = bytes([97 + i]) * (PAGE_SIZE * 2 + 31 * i)
-        u.put(key, value)
-        state["u"][key] = value
-    env.flush()
+        state["u"][f"blob{i}".encode()] = \
+            bytes([97 + i]) * (PAGE_SIZE * 2 + 31 * i)
+    t.rewrite(sorted(state["t"].items()))
+    u.bulk_load(sorted(state["u"].items()))
     mark({"t": dict(state["t"]), "u": dict(state["u"])})
 
-    u.delete(b"blob3")
     del state["u"][b"blob3"]
     for i in range(N_KEYS, N_KEYS + 30):
-        key = f"k{i:05d}".encode()
-        t.put(key, b"late")
-        state["t"][key] = b"late"
-    env.flush()
+        state["t"][f"k{i:05d}".encode()] = b"late"
+    u.rewrite(sorted(state["u"].items()))
+    t.rewrite(sorted(state["t"].items()))
     mark({"t": dict(state["t"]), "u": dict(state["u"])})
 
 
@@ -87,7 +81,10 @@ def run_once(dirname, injector):
         if env.close_errors:
             raise OSError(env.close_errors[0])
         return marks, True
-    except (OSError, SimulatedCrash):
+    except OSError:
+        env.close()  # the close a ``with`` block runs on the way out
+        return marks, False
+    except SimulatedCrash:  # the process died: nothing runs after it
         return marks, False
 
 
@@ -111,9 +108,9 @@ def recover_and_verify(dirname, registry):
 
 
 def tree_acceptable(marks, completed, finished, name, value):
-    """Each tree commits through its own WAL, so ``env.flush()`` is not
-    atomic across trees: a fault between the two commits may leave one
-    tree a mark ahead of the other. Zero committed-key loss is
+    """Each tree commits through its own WAL, so a mark that changes two
+    trees is not atomic across them: a fault between the two commits
+    may leave one tree a mark ahead of the other. Zero committed-key loss is
     therefore judged per tree — its recovered contents must equal that
     tree's slice of a mark no earlier than the last completed one."""
     if finished:

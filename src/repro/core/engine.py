@@ -76,7 +76,7 @@ class Caldera:
         return self.env.stats
 
     def drop_caches(self) -> None:
-        """Flush and evict all buffer pools (cold-cache measurements)."""
+        """Evict every cached page (cold-cache measurements)."""
         self.env.drop_caches()
 
     # -- dimension tables ----------------------------------------------------
@@ -137,8 +137,9 @@ class Caldera:
             )
         if self.catalog.has_stream(stream.name):
             raise CatalogError(f"stream {stream.name!r} is already archived")
-        pack = write_stream(self.env, stream, layout).pack
-        meta = StreamMeta(stream.name, len(stream), layout, stream.space)
+        reader = write_stream(self.env, stream, layout)
+        meta = StreamMeta(stream.name, len(stream), layout, stream.space,
+                          pack=reader.pack)
         dimensions = self.dimension_tables()
 
         kinds = [kind for kind, wanted in (("btc", btc), ("btp", btp))
@@ -158,13 +159,12 @@ class Caldera:
         for attr in indexed_attrs:
             built = build_value_indexes(self.env, stream.name, stream.space,
                                         attr, pairs, kinds,
-                                        dimensions=dimensions, pack=pack)
+                                        dimensions=dimensions,
+                                        pack=reader.pack)
             for kind, index in built.items():
                 meta.indexes[f"{kind}:{attr}"] = index.stats.to_dict()
 
         if mc_alpha is not None and len(stream) > 2:
-            reader = open_reader(self.env, stream.name, stream.space,
-                                 len(stream), layout, record=meta.record)
             build_mc(self.env, stream.name, reader, alpha=mc_alpha)
             meta.indexes["mc"] = {"alpha": mc_alpha}
             for predicate in conditioned_predicates:
@@ -211,7 +211,7 @@ class Caldera:
     def reader(self, name: str) -> StreamReader:
         meta = self.catalog.stream_meta(name)
         return open_reader(self.env, name, meta.space, meta.length,
-                           meta.layout, record=meta.record)
+                           meta.layout, pack=meta.pack, record=meta.record)
 
     def parse(self, text: str) -> RegularQuery:
         """Parse query text against this database's dimension tables."""

@@ -66,7 +66,6 @@ def build_value_indexes(
         items = sorted((encode(*e) for e in entries), key=lambda kv: kv[0])
         tree = env.open_tree(name)
         tree.bulk_load(items)
-        tree.flush()
         built[kind] = ValueIndex(tree, indexed, stats)
     return built
 

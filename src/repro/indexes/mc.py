@@ -172,7 +172,6 @@ class MCIndex:
             items.extend((encode_key((level, i * span)), data)
                          for i, data in enumerate(below))
         self.tree.bulk_load(items)
-        self.tree.flush()
         return len(items) - 1
 
     def _meta_value(self) -> bytes:

@@ -141,12 +141,10 @@ class Reg:
     precomputed flat successor index. A kernel that was never
     initialized holds zero mass and emits 0.0."""
 
-    def __init__(self, query: RegularQuery, space: StateSpace,
-                 machine: Optional[QueryMachine] = None) -> None:
+    def __init__(self, query: RegularQuery, space: StateSpace) -> None:
         self.query = query
         self.space = space
-        self._m = m = machine if machine is not None else \
-            QueryMachine(query, space)
+        self._m = m = QueryMachine(query, space)
         #: Number of update operations performed since construction.
         self.updates_performed = 0
         self._n = n = len(space)

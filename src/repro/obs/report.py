@@ -23,10 +23,8 @@ from .manifest import RunManifest
 _IO_FIELDS = [
     ("logical_reads", "lr"),
     ("physical_reads", "pr"),
-    ("logical_writes", "lw"),
     ("physical_writes", "pw"),
     ("evictions", "ev"),
-    ("flushes", "fl"),
 ]
 
 

@@ -1,11 +1,12 @@
 """The page-based storage engine (Berkeley DB substitute).
 
 Layering, bottom-up: :mod:`~repro.storage.pager` (fixed-size pages over
-a file, free-list allocation) → :mod:`~repro.storage.buffer_pool` (LRU
-cache of decoded pages with pinning and an
+a file, free-list allocation) → :mod:`~repro.storage.buffer_pool` (read-only
+LRU cache of decoded pages with an
 :class:`~repro.storage.stats.IOStats` logical/physical split) →
-:mod:`~repro.storage.btree` (variable-length-key B+ tree with
-bidirectional cursors, overflow chains, and bottom-up bulk loading) →
+:mod:`~repro.storage.btree` (write-once, variable-length-key B+ tree
+with forward cursors, overflow chains, bottom-up bulk loading and
+whole-tree rewrite) →
 :mod:`~repro.storage.env` (a directory of named trees sharing one pool
 and one counter). :mod:`~repro.storage.keyenc` supplies
 order-preserving composite keys; :mod:`~repro.storage.record` supplies

@@ -1,4 +1,4 @@
-"""A page-based B+ tree with variable-length keys and values.
+"""A page-based, write-once B+ tree with variable-length keys and values.
 
 The Berkeley DB b-tree substitute (DESIGN.md substitution 1). Keys and
 values are byte strings; keys compare raw (see
@@ -6,29 +6,25 @@ values are byte strings; keys compare raw (see
 
 Layout and behavior:
 
-- **Leaves are doubly linked**, so range cursors run forward and
-  backward without re-descending; a cursor pins exactly the one leaf it
-  is positioned on.
+- **Trees are written whole.** :meth:`BTree.bulk_load` builds packed
+  leaves bottom-up from sorted input, then stacks branch levels on
+  top — the archive path every stream and index build uses.
+  :meth:`BTree.rewrite` replaces a tree's entire contents the same way
+  (the catalog's commit). Each is one pager commit, so a crash leaves
+  the old contents or the new ones; nothing mutates a page in place.
+- **Leaves are doubly linked**, so range cursors run forward without
+  re-descending.
 - **Values above ¼ page spill** into chained overflow pages; the leaf
   keeps a fixed-size pointer, so huge CPT blobs never break fan-out.
-- **Bulk loading** builds packed leaves bottom-up from sorted input at
-  a configurable fill factor (default ~100%), then stacks branch levels
-  on top — the write-once archive path every index build uses. A
-  bulk-loaded tree is both smaller and shallower than the same data
-  inserted one at a time.
-- **Duplicates** are allowed (``put(..., replace=False)`` and
-  duplicate-keyed bulk loads); ``get`` returns the first match and
-  cursors enumerate all of them.
-- **Deletes don't rebalance** — Caldera's archives are write-once, so
-  emptied leaves simply stay in the sibling chain.
+- **Duplicates** are allowed (duplicate-keyed loads); ``get`` returns
+  the first match and cursors enumerate all of them.
 - Page 1 is the tree header (magic, root, leaf-chain ends, counters);
   corrupt or mis-opened files fail loudly.
 
-Cost model: a point lookup on a bulk-loaded tree reads exactly
-``height`` pages logically (one per level); a full scan reads each leaf
-once after the initial descent. Every page touch goes through the
-shared buffer pool, so all costs land in the environment's
-:class:`~repro.storage.stats.IOStats`.
+Cost model: a point lookup reads exactly ``height`` pages logically
+(one per level); a full scan reads each leaf once after the initial
+descent. Every page read goes through the shared buffer pool, so all
+costs land in the environment's :class:`~repro.storage.stats.IOStats`.
 """
 
 from __future__ import annotations
@@ -102,7 +98,8 @@ class OverflowNode:
 
 
 class BTree:
-    """One B+ tree over one page file, cached by a shared buffer pool."""
+    """One write-once B+ tree over one page file, read through a shared
+    buffer pool."""
 
     def __init__(
         self,
@@ -119,20 +116,12 @@ class BTree:
         self.page_size = pager.page_size
         self.max_key = max(24, self.page_size // 16)
         self.max_inline = self.page_size // 4
-        self._header_dirty = False
         # Per-tree instruments, keyed by tree name (see repro.obs).
         self.metrics = metrics if metrics is not None else NullRegistry()
         tree_label = self.name
         self._m_descents = self.metrics.counter(
             "btree.descents", tree=tree_label)
         self._m_gets = self.metrics.counter("btree.gets", tree=tree_label)
-        self._m_puts = self.metrics.counter("btree.puts", tree=tree_label)
-        self._m_deletes = self.metrics.counter(
-            "btree.deletes", tree=tree_label)
-        self._m_leaf_splits = self.metrics.counter(
-            "btree.leaf_splits", tree=tree_label)
-        self._m_branch_splits = self.metrics.counter(
-            "btree.branch_splits", tree=tree_label)
         self._m_ovf_follows = self.metrics.counter(
             "btree.overflow_follows", tree=tree_label)
         self._m_ovf_spills = self.metrics.counter(
@@ -144,18 +133,13 @@ class BTree:
         if pager.num_pages <= _HEADER_PAGE:
             if not create:
                 raise StorageError(f"tree {self.name!r} does not exist")
-            if pager.allocate() != _HEADER_PAGE:
-                raise StorageError("tree header must be the first page")
-            root = pager.allocate()
-            self._root = root
-            self._first_leaf = root
-            self._last_leaf = root
-            self._num_leaves = 1
-            self._height = 1
-            self._num_entries = 0
-            self.pool.put_new(self, root, LeafNode(root))
-            self._header_dirty = True
-            self.flush()
+            with pager.change():
+                if pager.allocate() != _HEADER_PAGE:
+                    raise StorageError("tree header must be the first page")
+                root = pager.allocate()
+                pager.write(root, self.encode_page(LeafNode(root)))
+                self._set_header(root, root, root, leaves=1, height=1,
+                                 entries=0)
         else:
             self._read_header()
 
@@ -180,10 +164,21 @@ class BTree:
             self._num_leaves, self._height, self._num_entries,
         )
         self.pager.write(_HEADER_PAGE, raw)
-        self._header_dirty = False
+
+    def _set_header(self, root: int, first: int, last: int, leaves: int,
+                    height: int, entries: int) -> None:
+        """Point the header at a fully written tree (the last write of a
+        change, inside its :meth:`Pager.change`)."""
+        self._root = root
+        self._first_leaf = first
+        self._last_leaf = last
+        self._num_leaves = leaves
+        self._height = height
+        self._num_entries = entries
+        self._write_header()
 
     # ------------------------------------------------------------------
-    # Node codec (the buffer pool calls these on miss / write-back)
+    # Node codec (the buffer pool decodes on a miss)
     # ------------------------------------------------------------------
     def decode_page(self, page_id: int, raw: bytes):
         kind = raw[0]
@@ -279,176 +274,24 @@ class BTree:
                 f"limit for {self.page_size}-byte pages"
             )
 
-    def _descend(self, key: bytes):
-        """The leaf that owns ``key`` plus the branch path down to it."""
+    def _descend(self, key: bytes) -> LeafNode:
+        """The leaf that owns ``key``."""
         self._m_descents.inc()
-        path: List[Tuple[BranchNode, int]] = []
         node = self.pool.get(self, self._root)
         while isinstance(node, BranchNode):
-            i = bisect_right(node.keys, key)
-            path.append((node, i))
-            node = self.pool.get(self, node.children[i])
-        return node, path
+            node = self.pool.get(self, node.children[
+                bisect_right(node.keys, key)])
+        return node
 
     def get(self, key: bytes) -> Optional[bytes]:
         """The value stored under ``key`` (first duplicate), or None."""
         self._check_key(key)
         self._m_gets.inc()
-        leaf, _ = self._descend(key)
+        leaf = self._descend(key)
         i = bisect_left(leaf.keys, key)
         if i < len(leaf.keys) and leaf.keys[i] == key:
             return self._load_value(leaf, i)
         return None
-
-    def put(self, key: bytes, value: bytes, replace: bool = True) -> None:
-        """Insert (or with ``replace``, upsert) one entry."""
-        self._check_key(key)
-        if not isinstance(value, (bytes, bytearray)):
-            raise StorageError(
-                f"values must be bytes, got {type(value).__name__}"
-            )
-        self._m_puts.inc()
-        leaf, path = self._descend(key)
-        i = bisect_left(leaf.keys, key)
-        if replace and i < len(leaf.keys) and leaf.keys[i] == key:
-            # Free the old chain before spilling the new value so the
-            # replacement reuses the just-freed pages.
-            if leaf.flags[i] & _FLAG_SPILLED:
-                self._free_overflow(leaf.values[i])
-            stored, flags = self._store_value(bytes(value))
-            leaf.size += len(stored) - len(leaf.values[i])
-            leaf.values[i] = stored
-            leaf.flags[i] = flags
-        else:
-            stored, flags = self._store_value(bytes(value))
-            leaf.keys.insert(i, key)
-            leaf.values.insert(i, stored)
-            leaf.flags.insert(i, flags)
-            leaf.size += LeafNode.entry_size(key, stored)
-            self._num_entries += 1
-        self.pool.mark_dirty(self, leaf.page_id)
-        self._header_dirty = True
-        if leaf.size > self.page_size:
-            self._split_leaf(leaf, path)
-
-    def delete(self, key: bytes) -> bool:
-        """Remove the first entry with ``key``; True if one existed."""
-        self._check_key(key)
-        self._m_deletes.inc()
-        leaf, _ = self._descend(key)
-        i = bisect_left(leaf.keys, key)
-        if i >= len(leaf.keys) or leaf.keys[i] != key:
-            return False
-        if leaf.flags[i] & _FLAG_SPILLED:
-            self._free_overflow(leaf.values[i])
-        leaf.size -= LeafNode.entry_size(leaf.keys[i], leaf.values[i])
-        del leaf.keys[i]
-        del leaf.values[i]
-        del leaf.flags[i]
-        self._num_entries -= 1
-        self.pool.mark_dirty(self, leaf.page_id)
-        self._header_dirty = True
-        return True
-
-    # ------------------------------------------------------------------
-    # Splits
-    # ------------------------------------------------------------------
-    def _split_leaf(self, leaf: LeafNode, path) -> None:
-        self._m_leaf_splits.inc()
-        total = leaf.size - _LEAF_HDR.size
-        acc = 0
-        split = len(leaf.keys) - 1
-        for i in range(len(leaf.keys)):
-            acc += LeafNode.entry_size(leaf.keys[i], leaf.values[i])
-            if acc >= total // 2:
-                split = i + 1
-                break
-        split = max(1, min(split, len(leaf.keys) - 1))
-
-        right_id = self._allocate_page()
-        right = LeafNode(right_id, prev=leaf.page_id, nxt=leaf.next)
-        right.keys = leaf.keys[split:]
-        right.values = leaf.values[split:]
-        right.flags = leaf.flags[split:]
-        right.size = _LEAF_HDR.size + sum(
-            LeafNode.entry_size(k, v)
-            for k, v in zip(right.keys, right.values)
-        )
-        del leaf.keys[split:]
-        del leaf.values[split:]
-        del leaf.flags[split:]
-        leaf.size -= right.size - _LEAF_HDR.size
-
-        if leaf.next:
-            after = self.pool.get(self, leaf.next)
-            after.prev = right_id
-            self.pool.mark_dirty(self, after.page_id)
-        else:
-            self._last_leaf = right_id
-        leaf.next = right_id
-        self._num_leaves += 1
-        self.pool.put_new(self, right_id, right)
-        self.pool.mark_dirty(self, leaf.page_id)
-        self._insert_into_parent(path, leaf.page_id, right.keys[0], right_id)
-
-    def _insert_into_parent(self, path, left_id: int, sep: bytes,
-                            right_id: int) -> None:
-        if not path:
-            self._grow_root(left_id, sep, right_id)
-            return
-        parent, child_index = path.pop()
-        parent.keys.insert(child_index, sep)
-        parent.children.insert(child_index + 1, right_id)
-        parent.size += BranchNode.entry_size(sep)
-        self.pool.mark_dirty(self, parent.page_id)
-        if parent.size > self.page_size:
-            self._split_branch(parent, path)
-
-    def _split_branch(self, branch: BranchNode, path) -> None:
-        self._m_branch_splits.inc()
-        total = branch.size - _BRANCH_HDR.size
-        acc = 0
-        mid = len(branch.keys) - 1
-        for i in range(len(branch.keys)):
-            acc += BranchNode.entry_size(branch.keys[i])
-            if acc >= total // 2:
-                mid = i
-                break
-        mid = max(0, min(mid, len(branch.keys) - 2))
-        sep = branch.keys[mid]
-
-        right_id = self._allocate_page()
-        right = BranchNode(right_id)
-        right.keys = branch.keys[mid + 1:]
-        right.children = branch.children[mid + 1:]
-        right.size = _BRANCH_HDR.size + _CHILD.size + sum(
-            BranchNode.entry_size(k) for k in right.keys
-        )
-        del branch.keys[mid:]
-        del branch.children[mid + 1:]
-        branch.size = _BRANCH_HDR.size + _CHILD.size + sum(
-            BranchNode.entry_size(k) for k in branch.keys
-        )
-        self.pool.put_new(self, right_id, right)
-        self.pool.mark_dirty(self, branch.page_id)
-        self._insert_into_parent(path, branch.page_id, sep, right_id)
-
-    def _grow_root(self, left_id: int, sep: bytes, right_id: int) -> None:
-        root_id = self._allocate_page()
-        root = BranchNode(root_id)
-        root.keys = [sep]
-        root.children = [left_id, right_id]
-        root.size = _BRANCH_HDR.size + 2 * _CHILD.size + _KLEN.size + len(sep)
-        self.pool.put_new(self, root_id, root)
-        self._root = root_id
-        self._height += 1
-        self._header_dirty = True
-
-    def _allocate_page(self) -> int:
-        page_id = self.pager.allocate()
-        # A recycled page id may have a stale (freed) frame cached.
-        self.pool.discard(self, page_id)
-        return page_id
 
     # ------------------------------------------------------------------
     # Overflow values
@@ -460,7 +303,7 @@ class BTree:
         chunk = self.page_size - _OVF_HDR.size
         nxt = 0
         for start in range(((len(value) - 1) // chunk) * chunk, -1, -chunk):
-            page_id = self._allocate_page()
+            page_id = self.pager.allocate()
             node = OverflowNode(page_id, nxt, value[start:start + chunk])
             self.pager.write(page_id, self.encode_page(node))
             nxt = page_id
@@ -487,13 +330,9 @@ class BTree:
     def _free_overflow(self, stored: bytes) -> None:
         page_id, _ = _OVF_PTR.unpack(stored)
         while page_id:
-            # Read the chain pointer without inserting doomed pages into
-            # the pool (which could evict a leaf held by the caller).
-            if self.pool.contains(self, page_id):
-                node = self.pool.get(self, page_id)
-            else:
-                node = self.decode_page(page_id, self.pager.read(page_id))
-            nxt = node.next
+            # Read the chain pointer straight from the pager: doomed
+            # pages never enter the pool.
+            nxt = self.decode_page(page_id, self.pager.read(page_id)).next
             self.pool.discard(self, page_id)
             self.pager.free(page_id)
             page_id = nxt
@@ -501,105 +340,117 @@ class BTree:
     # ------------------------------------------------------------------
     # Bulk loading
     # ------------------------------------------------------------------
-    def bulk_load(
-        self,
-        items: Iterable[Tuple[bytes, bytes]],
-        fill: float = 1.0,
-    ) -> int:
+    def bulk_load(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
         """Build the tree bottom-up from sorted ``(key, value)`` pairs.
 
-        Packs leaves to ``fill`` of their capacity (default ~100%: the
-        write-once archive setting), links them, then builds each branch
-        level from the one below. The tree must be empty. Duplicate keys
-        are kept. Returns the number of entries loaded.
+        Packs leaves full, links them, then builds each branch level
+        from the one below, and commits. The tree must be empty.
+        Duplicate keys are kept. Returns the number of entries loaded.
         """
         if self._num_entries:
             raise StorageError(
                 f"bulk_load needs an empty tree; {self.name!r} has "
                 f"{self._num_entries} entries"
             )
-        if not 0.1 <= fill <= 1.0:
-            raise StorageError(f"fill factor {fill} outside [0.1, 1.0]")
-        # Discard the empty initial tree (root leaf + any branch pages).
-        self._free_subtree(self._root)
+        return self._load(items)
 
-        target = max(64, int((self.page_size - _LEAF_HDR.size) * fill))
-        leaf: Optional[LeafNode] = None
-        pending: Optional[LeafNode] = None
-        seps: List[Tuple[bytes, int]] = []
-        first_leaf = last_leaf = 0
-        count = 0
+    def rewrite(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
+        """Replace the tree's whole contents with sorted ``(key, value)``
+        pairs.
+
+        Frees every page of the current tree and bulk-loads ``items`` in
+        its place, all inside one pager commit, so a crash leaves either
+        the old contents or the new ones. The input is checked in full
+        before any page changes. Returns the number of entries written.
+        A failure after that (an I/O error) leaves the pager failed
+        until the environment is reopened (see :meth:`Pager.change`).
+        """
+        items = list(items)
         prev_key: Optional[bytes] = None
-
-        def emit(nxt: int) -> None:
-            nonlocal pending
-            if pending is not None:
-                pending.next = nxt
-                self.pager.write(pending.page_id, self.encode_page(pending))
-                pending = None
-
         for key, value in items:
-            self._check_key(key)
-            if prev_key is not None and key < prev_key:
-                raise StorageError(
-                    "bulk_load input is not sorted "
-                    f"({prev_key!r} followed by {key!r})"
-                )
+            self._check_entry(prev_key, key, value)
             prev_key = key
-            stored, flags = self._store_value(bytes(value))
-            entry = LeafNode.entry_size(key, stored)
-            if leaf is None or leaf.size + entry > target:
-                page_id = self._allocate_page()
-                new = LeafNode(page_id, prev=leaf.page_id if leaf else 0)
-                emit(page_id)
-                pending = new
-                if leaf is None:
-                    first_leaf = page_id
-                leaf = new
-                seps.append((key, page_id))
-                last_leaf = page_id
-            leaf.keys.append(key)
-            leaf.values.append(stored)
-            leaf.flags.append(flags)
-            leaf.size += entry
-            count += 1
+        return self._load(items)
 
-        if leaf is None:  # empty input: recreate the empty root leaf
-            root = self._allocate_page()
-            self.pool.put_new(self, root, LeafNode(root))
-            self._root = root
-            self._first_leaf = self._last_leaf = root
-            self._num_leaves = 1
-            self._height = 1
-            self._num_entries = 0
-            self._header_dirty = True
-            self.flush()
-            return 0
-        emit(0)
+    def _check_entry(self, prev_key: Optional[bytes], key: bytes,
+                     value: bytes) -> None:
+        """Fail on a bad key or value, or on ``key`` sorting before the
+        previous entry's ``prev_key`` (None for the first entry)."""
+        self._check_key(key)
+        if not isinstance(value, (bytes, bytearray)):
+            raise StorageError(
+                f"values must be bytes, got {type(value).__name__}")
+        if prev_key is not None and key < prev_key:
+            raise StorageError(
+                f"{self.name!r}: input is not sorted "
+                f"({prev_key!r} followed by {key!r})"
+            )
 
-        num_leaves = len(seps)
-        height = 1
-        while len(seps) > 1:
-            seps = self._build_branch_level(seps, fill)
-            height += 1
+    def _load(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
+        """Free the current tree, write the sorted ``items`` in its place
+        (checking each entry on the way), and commit, as one
+        :meth:`Pager.change`."""
+        with self.pager.change():
+            self._free_subtree(self._root)
 
-        self._root = seps[0][1]
-        self._first_leaf = first_leaf
-        self._last_leaf = last_leaf
-        self._num_leaves = num_leaves
-        self._height = height
-        self._num_entries = count
-        self._header_dirty = True
-        self._m_bulk_entries.inc(count)
-        self.flush()
-        return count
+            target = self.page_size - _LEAF_HDR.size
+            leaf: Optional[LeafNode] = None
+            pending: Optional[LeafNode] = None
+            seps: List[Tuple[bytes, int]] = []
+            first_leaf = last_leaf = 0
+            count = 0
+            prev_key: Optional[bytes] = None
+
+            def emit(nxt: int) -> None:
+                nonlocal pending
+                if pending is not None:
+                    pending.next = nxt
+                    self.pager.write(pending.page_id,
+                                     self.encode_page(pending))
+                    pending = None
+
+            for key, value in items:
+                self._check_entry(prev_key, key, value)
+                prev_key = key
+                stored, flags = self._store_value(value)
+                entry = LeafNode.entry_size(key, stored)
+                if leaf is None or leaf.size + entry > target:
+                    page_id = self.pager.allocate()
+                    new = LeafNode(page_id, prev=leaf.page_id if leaf else 0)
+                    emit(page_id)
+                    pending = new
+                    if leaf is None:
+                        first_leaf = page_id
+                    leaf = new
+                    seps.append((key, page_id))
+                    last_leaf = page_id
+                leaf.keys.append(key)
+                leaf.values.append(stored)
+                leaf.flags.append(flags)
+                leaf.size += entry
+                count += 1
+
+            if leaf is None:  # empty input: an empty root leaf
+                first_leaf = last_leaf = self.pager.allocate()
+                self.pager.write(first_leaf,
+                                 self.encode_page(LeafNode(first_leaf)))
+                seps.append((b"", first_leaf))
+            emit(0)
+
+            num_leaves = len(seps)
+            height = 1
+            while len(seps) > 1:
+                seps = self._build_branch_level(seps)
+                height += 1
+            self._m_bulk_entries.inc(count)
+            self._set_header(seps[0][1], first_leaf, last_leaf,
+                             leaves=num_leaves, height=height, entries=count)
+            return count
 
     def _build_branch_level(
-        self, children: List[Tuple[bytes, int]], fill: float
+        self, children: List[Tuple[bytes, int]]
     ) -> List[Tuple[bytes, int]]:
-        target = max(
-            64, int((self.page_size - _BRANCH_HDR.size - _CHILD.size) * fill)
-        )
+        target = self.page_size - _BRANCH_HDR.size - _CHILD.size
         out: List[Tuple[bytes, int]] = []
         node: Optional[BranchNode] = None
         for key, child in children:
@@ -607,7 +458,7 @@ class BTree:
             if node is None or node.size + entry > target:
                 if node is not None:
                     self.pager.write(node.page_id, self.encode_page(node))
-                page_id = self._allocate_page()
+                page_id = self.pager.allocate()
                 node = BranchNode(page_id)
                 node.children.append(child)
                 node.size += _CHILD.size
@@ -648,68 +499,45 @@ class BTree:
     ) -> Iterator[Tuple[bytes, bytes]]:
         """Yield ``(key, value)`` with ``lo <= key < hi`` in key order."""
         cur = self.cursor()
-        try:
-            ok = cur.first() if lo is None else cur.seek(lo)
-            while ok and (hi is None or cur.key < hi):
-                yield cur.key, cur.value
-                ok = cur.next()
-        finally:
-            cur.close()
+        ok = cur.first() if lo is None else cur.seek(lo)
+        while ok and (hi is None or cur.key < hi):
+            yield cur.key, cur.value
+            ok = cur.next()
 
     # ------------------------------------------------------------------
     # Verification
     # ------------------------------------------------------------------
     def check(self):
         """Deep structural verification; returns a
-        :class:`~repro.storage.fsck.CheckReport` (flushes first so the
-        check sees the current disk image)."""
+        :class:`~repro.storage.fsck.CheckReport`."""
         from .fsck import check_tree
 
-        self.flush()
         return check_tree(self)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Write back dirty pages and the header; sync the pager."""
-        self.pool.flush(self)
-        if self._header_dirty:
-            self._write_header()
-        self.pager.sync()
-
     def close(self) -> None:
         if not self.pager.closed:
-            self.flush()
             self.pool.discard(self)
             self.pager.close()
 
 
 class Cursor:
-    """A forward cursor pinned to one leaf at a time.
+    """A forward cursor over the leaf chain.
 
     Positions on entries; ``seek`` lands on the first entry with
     ``key >= target``. ``next`` follows the leaf sibling links, so a
-    scan costs one logical page read per *leaf*, not per entry.
-    Mutating the tree invalidates open cursors (write-once archives
-    never do).
+    scan costs one logical page read per *leaf*, not per entry. The
+    cursor holds the decoded leaf it is on, so the pool may evict that
+    page meanwhile; a :meth:`BTree.rewrite` invalidates open cursors
+    (only the catalog is ever rewritten, and it is read into memory).
     """
 
     def __init__(self, tree: BTree) -> None:
         self._tree = tree
         self._leaf: Optional[LeafNode] = None
         self._slot = -1
-
-    # -- position management -------------------------------------------
-    def _move_to(self, leaf: Optional[LeafNode]) -> None:
-        old = self._leaf
-        if leaf is old:
-            return
-        if leaf is not None:
-            self._tree.pool.pin(self._tree, leaf.page_id)
-        if old is not None:
-            self._tree.pool.unpin(self._tree, old.page_id)
-        self._leaf = leaf
 
     def _settle_forward(self, leaf: LeafNode, slot: int) -> bool:
         """Land on (leaf, slot), skipping forward over empty leaves."""
@@ -718,12 +546,12 @@ class Cursor:
                 return self._invalidate()
             leaf = self._tree.pool.get(self._tree, leaf.next)
             slot = 0
-        self._move_to(leaf)
+        self._leaf = leaf
         self._slot = slot
         return True
 
     def _invalidate(self) -> bool:
-        self._move_to(None)
+        self._leaf = None
         self._slot = -1
         return False
 
@@ -747,7 +575,7 @@ class Cursor:
     def seek(self, key: bytes) -> bool:
         """Position on the first entry with key >= ``key``."""
         self._tree._check_key(key)
-        leaf, _ = self._tree._descend(key)
+        leaf = self._tree._descend(key)
         return self._settle_forward(leaf, bisect_left(leaf.keys, key))
 
     def first(self) -> bool:
@@ -759,12 +587,3 @@ class Cursor:
             return False
         self._tree._m_cursor_steps.inc()
         return self._settle_forward(self._leaf, self._slot + 1)
-
-    def close(self) -> None:
-        self._invalidate()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass

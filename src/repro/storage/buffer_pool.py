@@ -1,34 +1,28 @@
 """An LRU buffer pool of decoded page objects.
 
 The pool caches *decoded* node objects rather than raw page images:
-Python pays its (de)serialization cost only on misses, which mirrors how
+Python pays its deserialization cost only on misses, which mirrors how
 a real buffer pool amortizes disk I/O and makes the logical/physical
 read split meaningful — every page touch is a logical read, only misses
 reach the pager.
 
-Clients (B+ trees) register no state with the pool; each call passes
-the client, which must expose:
+The pool is read-only: trees are written whole through the pager
+(:meth:`~repro.storage.btree.BTree.bulk_load` and ``rewrite``), never
+by mutating a cached node, so a frame is never dirty and eviction is a
+plain drop. Clients (B+ trees) register no state with the pool; each
+call passes the client, which must expose:
 
 - ``pool_key``   — hashable identity of the underlying file;
 - ``pager``      — the :class:`~repro.storage.pager.Pager` to fill
-  misses from and write evictions back to;
-- ``decode_page(page_id, raw) -> node`` and ``encode_page(node) ->
-  bytes`` — the node codec.
-
-Pinned frames (``pins > 0``) are never evicted — cursors pin the one
-leaf they are positioned on. Dirty frames are encoded and written back
-when evicted or flushed. Write-backs land in the pager's write-ahead
-log, never directly in the page file: the pager only moves frames
-in-place at a checkpoint, after the covering log records are fsynced,
-so an eviction can never expose the file to a torn uncommitted page
-(fsync-before-write-back ordering).
+  misses from;
+- ``decode_page(page_id, raw) -> node`` — the node decoder.
 
 Besides the environment-wide :class:`~repro.storage.stats.IOStats`
-(logical reads/writes, evictions, flushes), the pool reports hit/miss,
-eviction, dirty-write-back, and pin-churn counters plus a resident-page
-gauge through a :class:`~repro.obs.metrics.MetricsRegistry`. All of it
-observes — metrics never cause page I/O, so enabling them leaves the
-measured cost counters untouched.
+(logical reads, evictions), the pool reports hit, miss and eviction
+counters plus a resident-page gauge through a
+:class:`~repro.obs.metrics.MetricsRegistry`. All of it observes —
+metrics never cause page I/O, so enabling them leaves the measured cost
+counters untouched.
 """
 
 from __future__ import annotations
@@ -43,19 +37,9 @@ from .stats import IOStats
 DEFAULT_POOL_PAGES = 1024
 
 
-class _Frame:
-    __slots__ = ("client", "node", "dirty", "pins")
-
-    def __init__(self, client, node) -> None:
-        self.client = client
-        self.node = node
-        self.dirty = False
-        self.pins = 0
-
-
 class BufferPool:
-    """LRU cache of decoded pages, shared by every tree of one
-    environment."""
+    """LRU map from (file, page) to decoded node, shared by every tree of
+    one environment."""
 
     def __init__(
         self,
@@ -68,141 +52,51 @@ class BufferPool:
         self.capacity = capacity
         self.stats = stats if stats is not None else IOStats()
         self.metrics = metrics if metrics is not None else NullRegistry()
-        self._frames: "OrderedDict[Tuple, _Frame]" = OrderedDict()
+        self._nodes: "OrderedDict[Tuple, object]" = OrderedDict()
         # Hot-path instruments, resolved once.
         self._m_hits = self.metrics.counter("pool.hits")
         self._m_misses = self.metrics.counter("pool.misses")
         self._m_evictions = self.metrics.counter("pool.evictions")
-        self._m_writebacks = self.metrics.counter("pool.dirty_writebacks")
-        self._m_pins = self.metrics.counter("pool.pins")
-        self._m_unpins = self.metrics.counter("pool.unpins")
         self._m_resident = self.metrics.gauge("pool.resident")
 
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
     def get(self, client, page_id: int):
         """The decoded node for one page; a logical read, physical only
         on a miss."""
         self.stats.logical_reads += 1
         key = (client.pool_key, page_id)
-        frame = self._frames.get(key)
-        if frame is not None:
-            self._frames.move_to_end(key)
+        node = self._nodes.get(key)
+        if node is not None:
+            self._nodes.move_to_end(key)
             self._m_hits.inc()
-            return frame.node
+            return node
         self._m_misses.inc()
         raw = client.pager.read(page_id)  # pager counts the physical read
         node = client.decode_page(page_id, raw)
-        self._admit(key, _Frame(client, node))
+        if len(self._nodes) >= self.capacity:
+            self._nodes.popitem(last=False)  # the least recently used
+            self.stats.evictions += 1
+            self._m_evictions.inc()
+        self._nodes[key] = node
+        self._m_resident.set(len(self._nodes))
         return node
 
-    def put_new(self, client, page_id: int, node) -> None:
-        """Cache a freshly created (never written) node as dirty."""
-        key = (client.pool_key, page_id)
-        if key in self._frames:
-            raise StorageError(f"page {key} is already resident")
-        self.stats.logical_writes += 1
-        frame = _Frame(client, node)
-        frame.dirty = True
-        self._admit(key, frame)
-
-    def mark_dirty(self, client, page_id: int) -> None:
-        """Record that a resident node was mutated in place."""
-        frame = self._frames[(client.pool_key, page_id)]
-        self.stats.logical_writes += 1
-        frame.dirty = True
-
-    def contains(self, client, page_id: int) -> bool:
-        return (client.pool_key, page_id) in self._frames
-
-    # ------------------------------------------------------------------
-    # Pinning
-    # ------------------------------------------------------------------
-    def pin(self, client, page_id: int) -> None:
-        """Exempt a resident page from eviction (counted; re-entrant)."""
-        self._frames[(client.pool_key, page_id)].pins += 1
-        self._m_pins.inc()
-
-    def unpin(self, client, page_id: int) -> None:
-        key = (client.pool_key, page_id)
-        frame = self._frames.get(key)
-        if frame is None:
-            return  # already discarded (e.g. the tree was dropped)
-        if frame.pins <= 0:
-            raise StorageError(f"unpin of unpinned page {key}")
-        frame.pins -= 1
-        self._m_unpins.inc()
-
-    # ------------------------------------------------------------------
-    # Eviction and write-back
-    # ------------------------------------------------------------------
-    def _admit(self, key, frame: _Frame) -> None:
-        while len(self._frames) >= self.capacity:
-            self._evict_one()
-        self._frames[key] = frame
-        self._m_resident.set(len(self._frames))
-
-    def _evict_one(self) -> None:
-        for key, frame in self._frames.items():  # LRU order
-            if frame.pins == 0:
-                self._write_back(key, frame)
-                del self._frames[key]
-                self.stats.evictions += 1
-                self._m_evictions.inc()
-                return
-        raise StorageError(
-            f"buffer pool exhausted: all {len(self._frames)} frames pinned"
-        )
-
-    def _write_back(self, key, frame: _Frame) -> None:
-        if not frame.dirty:
-            return
-        raw = frame.client.encode_page(frame.node)
-        frame.client.pager.write(key[1], raw)  # pager counts the write
-        frame.dirty = False
-        self.stats.flushes += 1
-        self._m_writebacks.inc()
-
-    def flush(self, client=None) -> None:
-        """Write every dirty frame back (one client's, or all).
-
-        Write-back order is deterministic — sorted by (file, page id) —
-        so two runs of the same workload produce byte-identical
-        write-ahead logs and the crash-point sweep can replay a fault
-        schedule exactly.
-        """
-        for key in sorted(self._frames):
-            if client is None or key[0] == client.pool_key:
-                self._write_back(key, self._frames[key])
-
     def evict_all(self) -> None:
-        """Flush then drop every unpinned frame (cold-cache resets)."""
-        self.flush()
-        kept = OrderedDict(
-            (key, frame)
-            for key, frame in self._frames.items()
-            if frame.pins > 0
-        )
-        dropped = len(self._frames) - len(kept)
-        self._frames = kept
-        self.stats.evictions += dropped
-        self._m_evictions.inc(dropped)
-        self._m_resident.set(len(self._frames))
+        """Drop every frame (cold-cache resets)."""
+        self.stats.evictions += len(self._nodes)
+        self._m_evictions.inc(len(self._nodes))
+        self._nodes.clear()
+        self._m_resident.set(0)
 
     def discard(self, client, page_id: Optional[int] = None) -> None:
-        """Drop a client's frames *without* write-back (tree dropped)."""
+        """Drop one page of a client, or all of them (page freed, tree
+        closed or dropped)."""
         if page_id is not None:
-            self._frames.pop((client.pool_key, page_id), None)
+            self._nodes.pop((client.pool_key, page_id), None)
         else:
-            for key in [k for k in self._frames if k[0] == client.pool_key]:
-                del self._frames[key]
-        self._m_resident.set(len(self._frames))
+            for key in [k for k in self._nodes if k[0] == client.pool_key]:
+                del self._nodes[key]
+        self._m_resident.set(len(self._nodes))
 
-    # ------------------------------------------------------------------
     @property
     def resident(self) -> int:
-        return len(self._frames)
-
-    def pinned(self) -> int:
-        return sum(1 for f in self._frames.values() if f.pins > 0)
+        return len(self._nodes)

@@ -95,7 +95,7 @@ class StorageEnvironment:
                              metrics=self.metrics)
             except StorageError:
                 # Missing/corrupt tree header: release the clean pager
-                # (nothing dirty, so this performs no page writes).
+                # (nothing pending, so this performs no page writes).
                 # Anything else — a simulated crash above all — must
                 # propagate without touching the file again.
                 pager.close()
@@ -156,34 +156,26 @@ class StorageEnvironment:
     # ------------------------------------------------------------------
     # Cache control and lifecycle
     # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Write back every dirty page and tree header."""
-        self._check_open()
-        for tree in self._trees.values():
-            tree.flush()
-
     def drop_caches(self) -> None:
-        """Flush, then evict the entire pool — the next access pattern
-        pays full physical I/O (cold-cache measurements)."""
-        self.flush()
+        """Evict the entire pool — the next access pattern pays full
+        physical I/O (cold-cache measurements)."""
         self.pool.evict_all()
 
     def fsck(self):
         """Deep-verify every tree and page file; returns a
-        :class:`~repro.storage.fsck.FsckReport`. Flushes first so the
-        check runs against the current on-disk image (a clean, flushed
-        environment fscks with zero page writes)."""
+        :class:`~repro.storage.fsck.FsckReport`. Every tree change is
+        committed when it returns, so the check sees the committed
+        image and makes no page writes."""
         from .fsck import fsck_environment
 
         self._check_open()
-        self.flush()
         return fsck_environment(self)
 
     def close(self) -> None:
-        """Flush and close every tree. Idempotent, and best-effort: a
-        tree that cannot flush (e.g. its file handle died in a
-        simulated crash) is recorded in :attr:`close_errors` instead of
-        aborting the shutdown — the remaining trees still close."""
+        """Close every tree. Idempotent, and best-effort: a tree that
+        cannot close (e.g. its file handle died in a simulated crash)
+        is recorded in :attr:`close_errors` instead of aborting the
+        shutdown — the remaining trees still close."""
         if self._closed:
             return
         self._closed = True

@@ -20,8 +20,9 @@ page belong to somebody?* Two layers:
   *reported*, never silently decoded.
 
 All checks read through the pager (physical reads, checksum-verified)
-rather than the buffer pool, so an fsck never perturbs cache state;
-callers flush first so the disk image is current. Problems are
+rather than the buffer pool, so an fsck never perturbs cache state.
+Every tree change commits before it returns, so the pager's image is
+the committed one. Problems are
 collected, not raised — a report with a torn page and a broken sibling
 link names both.
 """
@@ -81,7 +82,7 @@ class FsckReport:
     pages_checked: int = 0
     free_pages: int = 0
     #: Page files whose tree creation never committed (a crash between
-    #: pager creation and the tree's first flush leaves a valid, empty
+    #: pager creation and the tree's first commit leaves a valid, empty
     #: pager) — benign, reported but not errors.
     embryonic: List[str] = field(default_factory=list)
 
@@ -278,8 +279,7 @@ def _check_leaf_chain(tree: BTree, descent_leaves: Set[int],
 
 
 def check_tree(tree: BTree) -> CheckReport:
-    """Deep-check one tree (flush it first so the disk image is
-    current)."""
+    """Deep-check one tree."""
     report = CheckReport(tree=tree.name)
     report.reachable.add(_HEADER_PAGE)
     leaves_seen: List[Tuple[int, int]] = []
@@ -340,7 +340,7 @@ def _audit_file(tree: BTree, check: CheckReport,
 
 def _is_embryonic(env, name: str) -> bool:
     """True when a tree's page file holds no committed tree — what a
-    crash before the tree's first committed flush leaves behind. Two
+    crash before the tree's first commit leaves behind. Two
     shapes: the pager committed but the tree header never did (valid
     pager, no pages past the meta), or the pager creation itself never
     committed (empty main file, no recoverable WAL). Recovery

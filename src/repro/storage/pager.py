@@ -20,6 +20,11 @@ Crash safety (see DESIGN.md "Durability & recovery"):
   fsync, WAL truncate. The main file is only ever written *after* the
   covering WAL records are durable, so any crash rolls back to the last
   :meth:`sync` on reopen.
+- A change is written inside :meth:`change`, which commits when the
+  change completes. If it fails part-way (an I/O error, bad input
+  found mid-load, a crash), the pager refuses every further page access
+  and commit, :meth:`close` included, so the half-written change never
+  reaches the file; reopening recovers the last commit.
 - Opening a file whose WAL holds committed records replays them first
   (redo recovery), truncating the log at the first torn record.
 
@@ -36,6 +41,7 @@ from __future__ import annotations
 import struct
 import os
 import zlib
+from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from ..errors import CorruptPageError, PageError, StorageError
@@ -86,6 +92,7 @@ class Pager:
         self._m_checkpoint_pages = self.metrics.counter(
             "pager.checkpoint_pages")
         self._closed = False
+        self._failed = False
         self._dirty = {}  # page_id -> frame, not yet checkpointed
         self._meta_dirty = False
         self._lsn = 0
@@ -232,9 +239,17 @@ class Pager:
     # ------------------------------------------------------------------
     # Page I/O
     # ------------------------------------------------------------------
-    def _check(self, page_id: int) -> None:
+    def _check_usable(self) -> None:
         if self._closed:
             raise StorageError(f"{self.path}: pager is closed")
+        if self._failed:
+            raise StorageError(
+                f"{self.path}: a change failed part-way; reopen the file "
+                f"to recover its last commit"
+            )
+
+    def _check(self, page_id: int) -> None:
+        self._check_usable()
         if not 1 <= page_id < self.num_pages:
             raise PageError(
                 f"{self.path}: page {page_id} out of range "
@@ -280,8 +295,7 @@ class Pager:
     # ------------------------------------------------------------------
     def allocate(self) -> int:
         """A fresh page id: reuse the free list, else extend the file."""
-        if self._closed:
-            raise StorageError(f"{self.path}: pager is closed")
+        self._check_usable()
         self._meta_dirty = True
         if self._free_head:
             page_id = self._free_head
@@ -346,6 +360,7 @@ class Pager:
         every page ever written is durable in the main file."""
         if self._closed:
             return
+        self._check_usable()
         if not self._dirty and not self._meta_dirty:
             return
         self._dirty[0] = self._meta_frame()
@@ -356,6 +371,26 @@ class Pager:
         self._meta_dirty = False
         self._checkpoint()
         self._m_syncs.inc()
+
+    @contextmanager
+    def change(self) -> Iterator[None]:
+        """One atomic change: the page writes, allocations and frees of
+        the block commit together (one :meth:`sync`) when it ends.
+
+        If the block or its commit raises, the pager is marked failed
+        and takes no further page access or commit, so :meth:`close`
+        raises instead of committing half a change. Reopening the file
+        recovers the last commit: the one before the change, or the
+        change itself if its commit record became durable before the
+        failure.
+        """
+        self._check_usable()
+        try:
+            yield
+            self.sync()
+        except BaseException:
+            self._failed = True
+            raise
 
     # ------------------------------------------------------------------
     # Lifecycle

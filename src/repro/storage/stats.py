@@ -9,15 +9,12 @@ effectiveness is directly visible in the counters (see DESIGN.md,
 substitution 1: page reads replace BDB wall-clock as the comparable
 cost metric).
 
-The write side mirrors it: a *logical write* is a page-mutation request
-from above (a node created or dirtied in the pool — writes that bypass
-the pool, like bulk-load streaming, count only as physical), an
-*eviction* is a frame dropped from the pool (capacity pressure or an
-explicit cold-cache reset), and a *flush* is one dirty frame written
-back to disk, whether by eviction or an explicit flush.
+The pool also counts an *eviction* for every frame it drops (capacity
+pressure or an explicit cold-cache reset). Trees are written whole,
+straight through the pager, so page writes are counted only there.
 
 Span tracing (:mod:`repro.obs.tracing`) snapshots and deltas this
-struct around every traced extent, so all six counters appear per-span
+struct around every traced extent, so all four counters appear per-span
 in run manifests.
 """
 
@@ -33,9 +30,7 @@ class IOStats:
     logical_reads: int = 0
     physical_reads: int = 0
     physical_writes: int = 0
-    logical_writes: int = 0
     evictions: int = 0
-    flushes: int = 0
 
     # ------------------------------------------------------------------
     def snapshot(self) -> "IOStats":
@@ -70,8 +65,7 @@ class IOStats:
     def summary(self) -> str:
         return (
             f"{self.logical_reads} logical / {self.physical_reads} physical "
-            f"reads, {self.logical_writes} logical / {self.physical_writes} "
-            f"physical writes, {self.evictions} evictions, "
-            f"{self.flushes} flushes "
+            f"reads, {self.physical_writes} physical writes, "
+            f"{self.evictions} evictions "
             f"({self.hit_rate * 100.0:.1f}% hit rate)"
         )

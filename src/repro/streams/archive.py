@@ -125,7 +125,7 @@ def write_stream(
     layout: Union[Layout, str] = Layout.SEPARATED,
     pack: int = DEFAULT_PACK,
 ) -> "StreamReader":
-    """Archive a stream under the chosen layout (bulk-loaded, flushed)
+    """Archive a stream under the chosen layout (bulk-loaded, committed)
     and return a reader over it."""
     layout = Layout.parse(layout)
     length = len(stream)
@@ -143,8 +143,6 @@ def write_stream(
             (encode_key((t,)), data)
             for t, data in enumerate(_cpt_records(stream.cpts), 1)
         )
-        marg.flush()
-        cpt.flush()
     else:
         if layout is Layout.CELL:
             pack = 1
@@ -163,7 +161,6 @@ def write_stream(
                 chunks.append(next(cpts) if t else b"")
             items.append((encode_key((start,)), pack_chunks(chunks)))
         data.bulk_load(items)
-        data.flush()
     return open_reader(env, stream.name, stream.space, length, layout,
                        pack=pack, record=RECORD_VERSION)
 

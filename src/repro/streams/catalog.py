@@ -1,21 +1,22 @@
 """The database catalog: stream and dimension-table metadata.
 
 One reserved tree (``__catalog``) per database maps stream names to
-their :class:`StreamMeta` (length, layout, state space, built indexes)
-and dimension-table names to their value mappings (§3.4.1). Everything
-is JSON inside the tree, keyed through the order-preserving key codec
-so ``list_streams`` is a prefix scan.
+their :class:`StreamMeta` (length, layout, pack factor, state space,
+built indexes) and dimension-table names to their value mappings
+(§3.4.1). Every value is JSON, keyed through the order-preserving key
+codec. The :class:`Catalog` holds the entries in memory and commits
+each change by rewriting the whole tree.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..errors import CatalogError
 from ..probability.cpt import RECORD_VERSION
-from ..storage import StorageEnvironment, encode_key, prefix_upper_bound
+from ..storage import StorageEnvironment, decode_key, encode_key
 from .archive import Layout
 from .schema import StateSpace
 
@@ -35,6 +36,9 @@ class StreamMeta:
     indexes: Dict[str, Dict] = field(default_factory=dict)
     #: CPT record format of the stream's archive and MC indexes.
     record: int = RECORD_VERSION
+    #: Timesteps per stored frame; None in entries written before the
+    #: catalog kept it (the reader then takes it from the archive).
+    pack: Optional[int] = None
 
     def to_json(self) -> bytes:
         return json.dumps({
@@ -44,6 +48,7 @@ class StreamMeta:
             "space": self.space.to_dict(),
             "indexes": self.indexes,
             "record": self.record,
+            "pack": self.pack,
         }).encode("utf-8")
 
     def joins(self, table: str) -> bool:
@@ -61,14 +66,33 @@ class StreamMeta:
             space=StateSpace.from_dict(obj["space"]),
             indexes=obj.get("indexes", {}),
             record=obj.get("record", 1),
+            pack=obj.get("pack"),
         )
 
 
 class Catalog:
-    """Stream and dimension metadata of one database directory."""
+    """Stream and dimension metadata of one database directory.
+
+    The entries live in memory, read from the tree by one scan at open
+    (one :class:`~repro.core.Caldera` per directory). A change is made
+    to a copy of them, the copy is written with
+    :meth:`~repro.storage.btree.BTree.rewrite` (one commit), and only
+    then does the copy replace the live entries. A crash during the
+    commit leaves the tree as it was before the change or after it; a
+    change the tree refuses (a key too long for the page) writes no
+    page and leaves this object as it was.
+    """
 
     def __init__(self, env: StorageEnvironment) -> None:
         self._tree = env.open_tree(CATALOG_TREE)
+        self._entries: Dict[bytes, bytes] = dict(self._tree.items())
+
+    def _commit(self, entries: Dict[bytes, bytes]) -> None:
+        self._tree.rewrite(sorted(entries.items()))
+        self._entries = entries
+
+    def _put(self, key: bytes, value: bytes) -> None:
+        self._commit({**self._entries, key: value})
 
     # -- keys ----------------------------------------------------------
     @staticmethod
@@ -79,46 +103,39 @@ class Catalog:
     def _dim_key(name: str) -> bytes:
         return encode_key(("dim", name))
 
-    def _names_with_prefix(self, kind: str) -> List[str]:
-        prefix = encode_key((kind,))
-        out = []
-        for key, _ in self._tree.range_items(prefix,
-                                             prefix_upper_bound(prefix)):
-            from ..storage.keyenc import decode_key
-
-            out.append(decode_key(key)[1])
-        return sorted(out)
+    def _names(self, kind: str) -> List[str]:
+        return sorted(name for tag, name in map(decode_key, self._entries)
+                      if tag == kind)
 
     # -- streams -------------------------------------------------------
     def has_stream(self, name: str) -> bool:
-        return self._tree.get(self._stream_key(name)) is not None
+        return self._stream_key(name) in self._entries
 
     def register_stream(self, meta: StreamMeta) -> None:
         if self.has_stream(meta.name):
             raise CatalogError(f"stream {meta.name!r} is already registered")
-        self._tree.put(self._stream_key(meta.name), meta.to_json())
-        self._tree.flush()
+        self._put(self._stream_key(meta.name), meta.to_json())
 
     def update_stream(self, meta: StreamMeta) -> None:
         if not self.has_stream(meta.name):
             raise CatalogError(f"unknown stream {meta.name!r}")
-        self._tree.put(self._stream_key(meta.name), meta.to_json())
-        self._tree.flush()
+        self._put(self._stream_key(meta.name), meta.to_json())
 
     def stream_meta(self, name: str) -> StreamMeta:
-        data = self._tree.get(self._stream_key(name))
+        data = self._entries.get(self._stream_key(name))
         if data is None:
             raise CatalogError(f"unknown stream {name!r}")
         return StreamMeta.from_json(data)
 
     def list_streams(self) -> List[str]:
-        return self._names_with_prefix("stream")
+        return self._names("stream")
 
     def drop_stream(self, name: str) -> None:
         if not self.has_stream(name):
             raise CatalogError(f"unknown stream {name!r}")
-        self._tree.delete(self._stream_key(name))
-        self._tree.flush()
+        entries = dict(self._entries)
+        del entries[self._stream_key(name)]
+        self._commit(entries)
 
     # -- dimension tables ----------------------------------------------
     def register_dimension(self, name: str, mapping: Dict,
@@ -127,7 +144,7 @@ class Catalog:
         payload = json.dumps(
             [[k, v] for k, v in mapping.items()]
         ).encode("utf-8")
-        old = self._tree.get(self._dim_key(name))
+        old = self._entries.get(self._dim_key(name))
         if old is not None and not replace:
             raise CatalogError(
                 f"dimension table {name!r} is already registered"
@@ -142,17 +159,16 @@ class Catalog:
                     f"dimension table {name!r} is read by the join indexes "
                     f"of stream(s) {', '.join(readers)}; drop them first"
                 )
-        self._tree.put(self._dim_key(name), payload)
-        self._tree.flush()
+        self._put(self._dim_key(name), payload)
 
     def dimension(self, name: str) -> Dict:
-        data = self._tree.get(self._dim_key(name))
+        data = self._entries.get(self._dim_key(name))
         if data is None:
             raise CatalogError(f"unknown dimension table {name!r}")
         return _mapping(data)
 
     def list_dimensions(self) -> List[str]:
-        return self._names_with_prefix("dim")
+        return self._names("dim")
 
 
 def _mapping(payload: bytes) -> Dict:

@@ -185,7 +185,9 @@ def test_open_refuses_an_index_of_another_record_format(env, reader):
     index = build_mc(env, "s", reader, alpha=4)
     meta = index.read_meta()
     del meta["record"]
-    index.tree.put(META_KEY, json.dumps(meta).encode("utf-8"))
+    stale = json.dumps(meta).encode("utf-8")
+    index.tree.rewrite((key, stale if key == META_KEY else value)
+                       for key, value in index.tree.items())
     with pytest.raises(CatalogError, match="format 1, expected 2"):
         open_mc(env, "s", alpha=4, length=LENGTH)
 

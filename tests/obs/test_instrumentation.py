@@ -23,14 +23,14 @@ def _workload(env):
     for i in range(0, 3000, 17):
         tree.get(items[i][0])
     extra = env.open_tree("extra")
-    for i in range(400):
-        extra.put(encode_key((i,)), b"x" * 300)
-    extra.put(encode_key((5,)), b"y" * 9000)  # overflow spill
-    extra.delete(encode_key((7,)))
+    values = {encode_key((i,)): b"x" * 300 for i in range(400)}
+    values[encode_key((5,))] = b"y" * 9000  # overflow spill
+    extra.bulk_load(sorted(values.items()))
+    del values[encode_key((7,))]
+    extra.rewrite(sorted(values.items()))
     sum(1 for _ in tree.items())
     env.drop_caches()
     sum(1 for _ in extra.range_items())
-    env.flush()
     return env.stats.snapshot()
 
 
@@ -54,13 +54,12 @@ def test_metrics_do_not_perturb_io_counts(tmp_path):
 def test_per_tree_counters_are_split_by_name(tmp_path):
     env = StorageEnvironment(str(tmp_path / "db"), pool_pages=32)
     a, b = env.open_tree("a"), env.open_tree("b")
-    for i in range(10):
-        a.put(encode_key((i,)), b"x")
-    b.put(encode_key((1,)), b"y")
+    a.bulk_load((encode_key((i,)), b"x") for i in range(10))
+    b.bulk_load([(encode_key((1,)), b"y")])
     a.get(encode_key((3,)))
     counters = env.metrics.snapshot()["counters"]
-    assert counters["btree.puts{tree=a}"] == 10
-    assert counters["btree.puts{tree=b}"] == 1
+    assert counters["btree.bulk_loaded_entries{tree=a}"] == 10
+    assert counters["btree.bulk_loaded_entries{tree=b}"] == 1
     assert counters["btree.gets{tree=a}"] == 1
     assert counters["btree.gets{tree=b}"] == 0
     env.close()
@@ -89,13 +88,15 @@ def test_overflow_and_cursor_counters(tmp_path):
                              pool_pages=64)
     tree = env.open_tree("t")
     big = b"z" * 2000  # > page_size/4 -> spilled, multi-page chain
-    tree.put(encode_key((1,)), big)
+    tree.bulk_load([(encode_key((1,)), big)])
     assert tree.get(encode_key((1,))) == big
     counters = env.metrics.snapshot()["counters"]
     assert counters["btree.overflow_spills{tree=t}"] == 1
     assert counters["btree.overflow_follows{tree=t}"] >= 4  # 2000/~500
-    for i in range(2, 30):
-        tree.put(encode_key((i,)), b"s")
+    tree.rewrite([(encode_key((1,)), big)]
+                 + [(encode_key((i,)), b"s") for i in range(2, 30)])
+    counters = env.metrics.snapshot()["counters"]
+    assert counters["btree.overflow_spills{tree=t}"] == 2  # re-spilled
     steps_before = counters["btree.cursor_steps{tree=t}"]
     sum(1 for _ in tree.items())
     counters = env.metrics.snapshot()["counters"]

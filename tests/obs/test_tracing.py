@@ -30,18 +30,18 @@ def test_span_io_delta_attribution():
         with tracer.span("child"):
             stats.logical_reads += 3
             stats.physical_reads += 1
-        stats.logical_writes += 5
+        stats.physical_writes += 5
     parent, child = tracer.roots[0], tracer.roots[0].children[0]
     assert child.io["logical_reads"] == 3
     assert child.io["physical_reads"] == 1
-    assert child.io["logical_writes"] == 0
+    assert child.io["physical_writes"] == 0
     # The parent's delta includes the child's (monotonic counters) ...
     assert parent.io["logical_reads"] == 5
-    assert parent.io["logical_writes"] == 5
+    assert parent.io["physical_writes"] == 5
     # ... and self_io() subtracts it back out.
     assert parent.self_io()["logical_reads"] == 2
     assert parent.self_io()["physical_reads"] == 0
-    assert parent.self_io()["logical_writes"] == 5
+    assert parent.self_io()["physical_writes"] == 5
 
 
 def test_per_span_io_override():

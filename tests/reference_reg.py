@@ -11,7 +11,7 @@ against it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.lahar import QueryMachine
 from repro.probability import CPT, SparseDistribution
@@ -23,12 +23,10 @@ class ReferenceReg:
     """Dict-based reference implementation of Reg — same semantics as
     :class:`repro.lahar.Reg`, no NumPy."""
 
-    def __init__(self, query: RegularQuery, space: StateSpace,
-                 machine: Optional[QueryMachine] = None) -> None:
+    def __init__(self, query: RegularQuery, space: StateSpace) -> None:
         self.query = query
         self.space = space
-        self._m = machine if machine is not None else \
-            QueryMachine(query, space)
+        self._m = QueryMachine(query, space)
         self.updates_performed = 0
         self._mass: Dict[int, Dict[int, float]] = {}
 

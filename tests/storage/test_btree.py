@@ -1,4 +1,5 @@
-"""B+ tree behavior: CRUD, cursors, bulk loading, overflow, I/O costs."""
+"""B+ tree behavior: bulk loading, whole-tree rewrite, cursors, overflow,
+I/O costs."""
 
 import random
 
@@ -19,60 +20,114 @@ def make_items(n, value=lambda i: f"value-{i}".encode()):
     return [(encode_key((i % 13, i)), value(i)) for i in range(n)]
 
 
-def test_insert_lookup_delete_matches_dict(env):
+def test_rewrite_matches_dict(env):
+    """Upserts and deletes applied to a dict, each written back whole:
+    the tree reads back exactly the dict every time."""
     tree = env.open_tree("t")
     rng = random.Random(1)
     reference = {}
-    for _ in range(3000):
-        key = encode_key((rng.randint(0, 400),))
-        value = bytes([rng.randint(0, 255)]) * rng.randint(0, 40)
-        reference[key] = value
-        tree.put(key, value)
-    for key, value in reference.items():
-        assert tree.get(key) == value
-    assert tree.get(encode_key((999,))) is None
-    assert len(tree) == len(reference)
-
-    for key in list(reference)[::3]:
-        assert tree.delete(key)
-        del reference[key]
-    assert not tree.delete(encode_key((999,)))
-    for key, value in reference.items():
-        assert tree.get(key) == value
-    assert len(tree) == len(reference)
-    assert [k for k, _ in tree.items()] == sorted(reference)
+    for _ in range(6):
+        for _ in range(300):
+            key = encode_key((rng.randint(0, 400),))
+            reference[key] = bytes([rng.randint(0, 255)]) * rng.randint(0, 40)
+        for key in rng.sample(sorted(reference), len(reference) // 4):
+            del reference[key]
+        assert tree.rewrite(sorted(reference.items())) == len(reference)
+        for key, value in reference.items():
+            assert tree.get(key) == value
+        assert tree.get(encode_key((999,))) is None
+        assert len(tree) == len(reference)
+        assert list(tree.items()) == sorted(reference.items())
+    assert tree.check().clean
 
 
-def test_replace_updates_in_place(env):
+def test_rewrite_builds_what_bulk_load_builds(env):
+    """A rewrite leaves the same tree shape as a fresh bulk load, and it
+    reuses the pages it frees: rewriting the same contents again does
+    not grow the file."""
+    items = sorted(make_items(2000))
+    bulk = env.open_tree("bulk")
+    bulk.bulk_load(items)
     tree = env.open_tree("t")
-    key = encode_key((1,))
-    tree.put(key, b"old")
-    tree.put(key, b"new")
-    assert tree.get(key) == b"new"
-    assert len(tree) == 1
+    tree.bulk_load(sorted(make_items(500, value=lambda i: b"old")))
+    tree.rewrite(items)
+    assert list(tree.items()) == items
+    assert (tree.num_leaves, tree.height) == (bulk.num_leaves, bulk.height)
+    pages = tree.pager.num_pages
+    tree.rewrite(items)
+    assert tree.pager.num_pages == pages
+    assert tree.check().clean
+
+
+def test_rewrite_checks_its_input_before_changing_a_page(env):
+    tree = env.open_tree("t")
+    items = sorted(make_items(300))
+    tree.bulk_load(items)
+    writes = env.stats.physical_writes
+    with pytest.raises(StorageError, match="sorted"):
+        tree.rewrite(items + [(b"\x00", b"late and out of order")])
+    with pytest.raises(StorageError, match="exceeds"):
+        tree.rewrite(items + [(b"\xff" * 100, b"key too long")])
+    for value in ("a str", 7):
+        with pytest.raises(StorageError, match="values must be bytes"):
+            tree.rewrite(items + [(b"\xff", value)])
+    assert env.stats.physical_writes == writes
+    assert list(tree.items()) == items
+    assert tree.check().clean
+
+
+def test_rewrite_to_empty_and_back(env):
+    """Dropping the last entry leaves an empty one-leaf tree that can be
+    rewritten again (the catalog of a database whose streams are all
+    dropped)."""
+    tree = env.open_tree("t")
+    items = sorted(make_items(300))
+    tree.bulk_load(items)
+    assert tree.rewrite([]) == 0
+    assert (len(tree), tree.num_leaves, tree.height) == (0, 1, 1)
+    assert list(tree.items()) == []
+    assert tree.check().clean
+    tree.rewrite(items)
+    assert list(tree.items()) == items
+    assert tree.check().clean
+
+
+def test_cursor_survives_eviction_of_its_leaf(tmp_path):
+    """Cursors pin nothing: a scan over a tree many times larger than
+    the pool, interleaved with point reads that evict the cursor's leaf,
+    still returns every entry in order."""
+    with StorageEnvironment(str(tmp_path / "db"), page_size=512,
+                            pool_pages=2) as env:
+        tree = env.open_tree("t")
+        items = sorted(make_items(2000))
+        tree.bulk_load(items)
+        cur = tree.cursor()
+        seen = []
+        ok = cur.first()
+        while ok:
+            seen.append((cur.key, cur.value))
+            assert tree.get(items[0][0]) == items[0][1]  # evicts the leaf
+            ok = cur.next()
+        assert seen == items
+        assert env.stats.evictions > tree.num_leaves
 
 
 def test_duplicates_enumerate_in_order(env):
     tree = env.open_tree("t")
     key = encode_key((7,))
-    for i in range(5):
-        tree.put(key, f"dup{i}".encode(), replace=False)
-    tree.put(encode_key((6,)), b"before")
-    tree.put(encode_key((8,)), b"after")
+    tree.bulk_load([(encode_key((6,)), b"before")]
+                   + [(key, f"dup{i}".encode()) for i in range(5)]
+                   + [(encode_key((8,)), b"after")])
     assert len(tree) == 7
     dups = [v for k, v in tree.items() if k == key]
-    assert sorted(dups) == [f"dup{i}".encode() for i in range(5)]
-    assert tree.get(key) in dups  # first match
-    # delete removes one duplicate at a time
-    assert tree.delete(key)
-    assert len([v for k, v in tree.items() if k == key]) == 4
+    assert dups == [f"dup{i}".encode() for i in range(5)]
+    assert tree.get(key) == b"dup0"  # first match
 
 
 def test_range_items_within_bounds(env):
     tree = env.open_tree("t")
     items = sorted(make_items(1000))
-    for key, value in items:
-        tree.put(key, value)
+    tree.bulk_load(items)
     lo, hi = items[150][0], items[850][0]
     fwd = list(tree.range_items(lo, hi))
     assert fwd == items[150:850]
@@ -94,25 +149,7 @@ def test_cursor_seek_and_step(env):
     assert not cur.next()
     # seek past the end invalidates
     assert not cur.seek(items[-1][0] + b"\xff")
-    cur.close()
-
-
-def test_bulk_load_equals_incremental_build(env):
-    items = sorted(make_items(2000))
-    bulk = env.open_tree("bulk")
-    bulk.bulk_load(items)
-    incremental = env.open_tree("incr")
-    shuffled = items[:]
-    random.Random(5).shuffle(shuffled)
-    for key, value in shuffled:
-        incremental.put(key, value)
-
-    assert list(bulk.items()) == list(incremental.items()) == items
-    for key, value in items[::97]:
-        assert bulk.get(key) == value
-    # Packed leaves: bulk loading is denser and never taller.
-    assert bulk.num_leaves < incremental.num_leaves
-    assert bulk.height <= incremental.height
+    assert not cur.valid
 
 
 def test_bulk_load_validates_input(env):
@@ -136,34 +173,23 @@ def test_bulk_load_empty_and_duplicate_keys(env):
     assert list(tree2.items()) == items
 
 
-def test_bulk_load_fill_factor_controls_leaf_count(env):
-    items = sorted(make_items(2000))
-    packed = env.open_tree("packed")
-    packed.bulk_load(items, fill=1.0)
-    loose = env.open_tree("loose")
-    loose.bulk_load(items, fill=0.5)
-    assert packed.num_leaves < loose.num_leaves
-    assert list(loose.items()) == items
-
-
 def test_overflow_values_roundtrip_and_free(env):
     tree = env.open_tree("t")
     big = bytes(range(256)) * 40  # 10 KiB >> quarter of a 512-byte page
     small_key, big_key = encode_key((1,)), encode_key((2,))
-    tree.put(big_key, big)
-    tree.put(small_key, b"small")
+    tree.bulk_load([(small_key, b"small"), (big_key, big)])
     assert tree.get(big_key) == big
     assert tree.get(small_key) == b"small"
-    tree.flush()
     pages_with_big = tree.pager.num_pages
-    # Replacing the spilled value frees its chain: the file stops growing.
-    tree.put(big_key, big[::-1])
+    # Rewriting frees the old chain first: the file stops growing.
+    tree.rewrite([(small_key, b"small"), (big_key, big[::-1])])
     assert tree.get(big_key) == big[::-1]
-    assert tree.pager.num_pages <= pages_with_big + 1
-    tree.delete(big_key)
-    tree.put(encode_key((3,)), big)
-    assert tree.pager.num_pages <= pages_with_big + 1
+    assert tree.pager.num_pages == pages_with_big
+    tree.rewrite([(small_key, b"small"), (encode_key((3,)), big)])
+    assert tree.pager.num_pages == pages_with_big
     assert tree.get(encode_key((3,))) == big
+    assert tree.get(big_key) is None
+    assert tree.check().clean
 
 
 def test_persistence_across_reopen(tmp_path):
@@ -171,7 +197,7 @@ def test_persistence_across_reopen(tmp_path):
     with StorageEnvironment(str(tmp_path / "db"), page_size=512) as env:
         tree = env.open_tree("t")
         tree.bulk_load(items)
-        tree.put(encode_key((99, 99)), b"late insert")
+        tree.rewrite(sorted(items + [(encode_key((99, 99)), b"late insert")]))
     with StorageEnvironment(str(tmp_path / "db"), page_size=512) as env:
         tree = env.open_tree("t", create=False)
         assert len(tree) == len(items) + 1
@@ -219,7 +245,7 @@ def test_scan_io_cold_vs_warm(tmp_path):
 
 
 def test_environment_tree_management(env):
-    env.open_tree("alpha").put(b"k", b"v")
+    env.open_tree("alpha").bulk_load([(b"k", b"v")])
     env.open_tree("beta")
     assert env.exists("alpha") and not env.exists("gamma")
     assert env.list_trees() == ["alpha", "beta"]

@@ -1,25 +1,21 @@
-"""LRU behavior, pinning, write-back, and the logical/physical split."""
+"""LRU behavior, eviction accounting, and the logical/physical split."""
 
 import pytest
 
-from repro.errors import StorageError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager
 from repro.storage.stats import IOStats
 
 
 class RawClient:
-    """A minimal pool client: pages decode to mutable bytearrays."""
+    """A minimal pool client: pages decode to their bytes."""
 
     def __init__(self, pager):
         self.pager = pager
         self.pool_key = pager.path
 
     def decode_page(self, page_id, raw):
-        return bytearray(raw)
-
-    def encode_page(self, node):
-        return bytes(node)
+        return bytes(raw)
 
 
 @pytest.fixture
@@ -55,51 +51,13 @@ def test_lru_eviction_order(setup):
     pool.get(client, pages[2])
     pool.get(client, pages[0])  # refresh page 0: page 1 is now LRU
     pool.get(client, pages[3])  # evicts page 1
-    assert pool.contains(client, pages[0])
-    assert not pool.contains(client, pages[1])
-    assert pool.contains(client, pages[2])
-    assert pool.contains(client, pages[3])
-    # Re-reading the evicted page is a physical miss again.
     before = stats.physical_reads
+    for page in (pages[0], pages[2], pages[3]):
+        pool.get(client, page)
+    assert stats.physical_reads == before  # all three still resident
+    # Re-reading the evicted page is a physical miss again.
     pool.get(client, pages[1])
     assert stats.physical_reads == before + 1
-
-
-def test_pin_prevents_eviction(setup):
-    stats, _, client, pages = setup
-    pool = BufferPool(3, stats)
-    pool.get(client, pages[0])
-    pool.pin(client, pages[0])
-    for page in pages[1:6]:  # cycle far more pages than capacity
-        pool.get(client, page)
-    assert pool.contains(client, pages[0])
-    pool.unpin(client, pages[0])
-    pool.get(client, pages[6])
-    pool.get(client, pages[7])
-    assert not pool.contains(client, pages[0])
-
-
-def test_all_pinned_pool_exhausts(setup):
-    stats, _, client, pages = setup
-    pool = BufferPool(2, stats)
-    for page in pages[:2]:
-        pool.get(client, page)
-        pool.pin(client, page)
-    with pytest.raises(StorageError, match="pinned"):
-        pool.get(client, pages[2])
-
-
-def test_dirty_write_back_on_eviction(setup):
-    stats, pager, client, pages = setup
-    pool = BufferPool(2, stats)
-    node = pool.get(client, pages[0])
-    node[:7] = b"mutated"
-    pool.mark_dirty(client, pages[0])
-    pool.get(client, pages[1])
-    pool.get(client, pages[2])
-    pool.get(client, pages[3])  # page 0 evicted along the way
-    assert not pool.contains(client, pages[0])
-    assert pager.read(pages[0])[:7] == b"mutated"
 
 
 def test_clean_eviction_skips_write(setup):
@@ -110,47 +68,38 @@ def test_clean_eviction_skips_write(setup):
     assert stats.physical_writes == 0
 
 
-def test_flush_and_evict_all(setup):
-    stats, pager, client, pages = setup
+def test_evict_all_empties_the_pool(setup):
+    stats, _, client, pages = setup
     pool = BufferPool(8, stats)
     node = pool.get(client, pages[5])
-    node[:5] = b"fresh"
-    pool.mark_dirty(client, pages[5])
     pool.evict_all()
     assert pool.resident == 0
-    assert pager.read(pages[5])[:5] == b"fresh"
-    # After the drop, the next access is physical again (cold cache).
+    # After the drop, the next access is physical again (cold cache),
+    # and it decodes the same page.
     before = stats.physical_reads
-    pool.get(client, pages[5])
+    assert pool.get(client, pages[5]) == node
     assert stats.physical_reads == before + 1
 
 
-def test_put_new_serves_without_physical_read(setup):
-    stats, pager, client, pages = setup
+def test_discard_drops_one_page_or_a_whole_client(setup):
+    stats, _, client, pages = setup
     pool = BufferPool(4, stats)
-    page = pager.allocate()
-    pool.put_new(client, page, bytearray(b"built in memory"))
+    for page in pages[:3]:
+        pool.get(client, page)
+    pool.discard(client, pages[0])
+    assert pool.resident == 2
     before = stats.physical_reads
-    node = pool.get(client, page)
-    assert bytes(node) == b"built in memory"
-    assert stats.physical_reads == before
-    pool.flush()
-    assert pager.read(page).rstrip(b"\x00") == b"built in memory"
-
-
-def test_discard_drops_without_write_back(setup):
-    stats, pager, client, pages = setup
-    pool = BufferPool(4, stats)
-    node = pool.get(client, pages[0])
-    node[:4] = b"lost"
-    pool.mark_dirty(client, pages[0])
+    pool.get(client, pages[1])
+    pool.get(client, pages[2])
+    assert stats.physical_reads == before  # both still resident
+    pool.get(client, pages[0])
+    assert stats.physical_reads == before + 1  # the discarded one is not
     pool.discard(client)
     assert pool.resident == 0
-    assert pager.read(pages[0])[:4] != b"lost"
 
 
 # ----------------------------------------------------------------------
-# Eviction / flush / logical-write accounting (IOStats extension)
+# Eviction accounting (IOStats extension)
 # ----------------------------------------------------------------------
 def test_eviction_counter_counts_capacity_evictions(setup):
     stats, _, client, pages = setup
@@ -166,47 +115,9 @@ def test_evict_all_counts_dropped_frames(setup):
     pool = BufferPool(8, stats)
     for page in pages[:4]:
         pool.get(client, page)
-    pool.pin(client, pages[0])
     pool.evict_all()
-    assert stats.evictions == 3  # the pinned frame survives, uncounted
-    assert pool.resident == 1
-    pool.unpin(client, pages[0])
-
-
-def test_flush_counter_counts_dirty_write_backs_only(setup):
-    stats, _, client, pages = setup
-    pool = BufferPool(8, stats)
-    for page in pages[:4]:
-        pool.get(client, page)
-    pool.mark_dirty(client, pages[0])
-    pool.mark_dirty(client, pages[1])
-    pool.flush()
-    assert stats.flushes == 2  # clean frames never count
-    pool.flush()
-    assert stats.flushes == 2  # write-back cleared the dirty bits
-
-
-def test_eviction_of_dirty_frame_counts_flush(setup):
-    stats, _, client, pages = setup
-    pool = BufferPool(1, stats)
-    pool.get(client, pages[0])
-    pool.mark_dirty(client, pages[0])
-    pool.get(client, pages[1])  # evicts the dirty frame
-    assert stats.evictions == 1
-    assert stats.flushes == 1
-    assert stats.physical_writes == 1
-
-
-def test_logical_writes_count_mutation_requests(setup):
-    stats, pager, client, pages = setup
-    pool = BufferPool(8, stats)
-    pool.get(client, pages[0])
-    pool.mark_dirty(client, pages[0])
-    pool.mark_dirty(client, pages[0])  # every mutation event counts
-    page = pager.allocate()
-    pool.put_new(client, page, bytearray(b"new"))
-    assert stats.logical_writes == 3
-    assert stats.physical_writes == 0  # nothing written back yet
+    assert stats.evictions == 4
+    assert pool.resident == 0
 
 
 def test_pool_metric_counters_mirror_behavior(setup):
@@ -218,14 +129,10 @@ def test_pool_metric_counters_mirror_behavior(setup):
     for page in pages[:3]:
         pool.get(client, page)
     pool.get(client, pages[2])  # hit
-    pool.pin(client, pages[2])
-    pool.unpin(client, pages[2])
     counters = registry.snapshot()["counters"]
     assert counters["pool.misses"] == 3
     assert counters["pool.hits"] == 1
     assert counters["pool.evictions"] == 1
-    assert counters["pool.pins"] == 1
-    assert counters["pool.unpins"] == 1
     assert registry.snapshot()["gauges"]["pool.resident"] == 2
 
 
@@ -255,16 +162,15 @@ def test_snapshot_delta_reset_cover_all_fields():
     from dataclasses import asdict
 
     stats = IOStats(logical_reads=7, physical_reads=3, physical_writes=2,
-                    logical_writes=5, evictions=4, flushes=1)
+                    evictions=4)
     snap = stats.snapshot()
     assert asdict(snap) == asdict(stats)
-    stats.logical_writes += 2
+    stats.physical_writes += 2
     stats.evictions += 1
-    stats.flushes += 3
     delta = stats.delta(snap)
     assert asdict(delta) == {
-        "logical_reads": 0, "physical_reads": 0, "physical_writes": 0,
-        "logical_writes": 2, "evictions": 1, "flushes": 3,
+        "logical_reads": 0, "physical_reads": 0, "physical_writes": 2,
+        "evictions": 1,
     }
     stats.reset()
     assert asdict(stats) == asdict(IOStats())

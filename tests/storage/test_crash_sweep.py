@@ -2,7 +2,7 @@
 schedules over a mixed workload. For every (failpoint, hit, action)
 the workload runs until the fault, the "machine" loses its unsynced
 bytes, and the reopened environment must hold exactly one of the
-workload's committed states — at least the last one whose flush
+workload's committed states — at least the last one whose commit
 returned — with a clean fsck. No subprocesses, no timing, no luck.
 """
 
@@ -22,46 +22,37 @@ MAX_HITS_PER_SITE = 6
 
 
 def workload(env, mark):
-    """A small but structurally rich history: bulk load, upserts,
-    deletes, overflow values. ``mark(state)`` is called right after
-    each flush with the dict the tree must hold if that flush's commit
-    proves durable."""
+    """A small but structurally rich history: bulk load, then whole-tree
+    rewrites with upserts, deletes and overflow values. ``mark(state)``
+    is called right after each commit with the dict the tree must hold
+    if that commit proves durable."""
     state = {}
     tree = env.open_tree("t")
-    mark(dict(state))  # creation flushed an empty tree
+    mark(dict(state))  # creation committed an empty tree
 
     items = [(f"k{i:04d}".encode(), bytes([i % 251]) * (20 + i % 60))
              for i in range(90)]
-    tree.bulk_load(items)  # bulk_load flushes
+    tree.bulk_load(items)
     state.update(items)
     mark(dict(state))
 
     for i in range(0, 90, 3):
-        key = f"k{i:04d}".encode()
-        tree.put(key, b"updated" * 4)
-        state[key] = b"updated" * 4
+        state[f"k{i:04d}".encode()] = b"updated" * 4
     for i in range(1, 90, 9):
-        key = f"k{i:04d}".encode()
-        tree.delete(key)
-        del state[key]
-    tree.flush()
+        del state[f"k{i:04d}".encode()]
+    tree.rewrite(sorted(state.items()))
     mark(dict(state))
 
     # Overflow values (> page/4 spills into chained pages).
-    for i in range(4):
-        key = f"big{i}".encode()
-        value = bytes([65 + i]) * (PAGE_SIZE * 2 + i * 37)
-        tree.put(key, value)
-        state[key] = value
-    tree.delete(b"big1")
-    del state[b"big1"]
-    tree.flush()
+    for i in (0, 2, 3):
+        state[f"big{i}".encode()] = bytes([65 + i]) * (PAGE_SIZE * 2 + i * 37)
+    tree.rewrite(sorted(state.items()))
     mark(dict(state))
 
 
 def run_once(dirname, injector):
     """Run the workload under ``injector``; returns (marks, completed)
-    where ``completed`` counts flushes that returned successfully."""
+    where ``completed`` counts commits that returned successfully."""
     marks = []
     env = StorageEnvironment(dirname, page_size=PAGE_SIZE,
                              pool_pages=POOL_PAGES, metrics=False,
@@ -72,7 +63,10 @@ def run_once(dirname, injector):
         if env.close_errors:
             raise OSError(env.close_errors[0])
         return marks, len(marks), True
-    except (OSError, SimulatedCrash):
+    except OSError:
+        env.close()  # the close a ``with`` block runs on the way out
+        return marks, len(marks), False
+    except SimulatedCrash:  # the process died: nothing runs after it
         return marks, len(marks), False
 
 
@@ -125,9 +119,10 @@ def test_seeded_crash_point_sweep(tmp_path):
             injector.crash()  # drop every unsynced byte everywhere
             state = recovered_state(dirname)
             # Zero committed-key loss: the recovered state must be the
-            # last mark whose flush returned, or — if the fault struck
-            # mid-flush after its commit became durable — the very next
-            # one. Never anything earlier, later, or in between.
+            # last mark whose commit returned, or — if the fault struck
+            # after that commit became durable but before it returned —
+            # the very next one. Never anything earlier, later, or in
+            # between.
             if finished:
                 acceptable = marks[-1:]
             else:

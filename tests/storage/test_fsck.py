@@ -19,11 +19,10 @@ def env(tmp_path):
 
 def build_tree(env, n=300, name="t", big=True):
     tree = env.open_tree(name)
-    tree.bulk_load((f"k{i:05d}".encode(), b"v" * (i % 50))
-                   for i in range(n))
+    items = [(f"k{i:05d}".encode(), b"v" * (i % 50)) for i in range(n)]
     if big:
-        tree.put(b"zz-big", b"B" * (PAGE_SIZE * 3))  # overflow chain
-    tree.flush()
+        items.append((b"zz-big", b"B" * (PAGE_SIZE * 3)))  # overflow chain
+    tree.bulk_load(items)
     return tree
 
 
@@ -40,7 +39,6 @@ def test_clean_tree_checks_clean(env):
 def test_clean_env_fscks_clean_with_zero_writes(env):
     build_tree(env, name="a")
     build_tree(env, name="b", big=False)
-    env.flush()
     before = env.stats.physical_writes
     report = env.fsck()
     assert report.clean
@@ -167,7 +165,7 @@ def test_fsck_treats_uncreated_tree_files_as_benign(tmp_path):
 def test_check_detects_entry_count_drift(env):
     tree = build_tree(env, big=False)
     tree._num_entries += 7  # simulate a header counter gone stale
-    tree._header_dirty = True
+    tree._write_header()
     report = tree.check()
     assert not report.clean
     assert any("entries" in e for e in report.errors)

@@ -3,6 +3,7 @@ back, and the environment shuts down cleanly either way."""
 
 import pytest
 
+from repro.errors import StorageError
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import StorageEnvironment
 from repro.storage.faults import FaultInjector, FaultRule, SimulatedCrash
@@ -12,6 +13,15 @@ def tree_state(tree):
     return dict(tree.items())
 
 
+def crash_mid_rewrite(inj, tree, items):
+    """Run a rewrite that dies at its WAL commit, so its pages stay
+    uncommitted."""
+    commit = inj.hits.get("wal.commit", 0) + 1
+    inj.rules.append(FaultRule("wal.commit", commit, "crash"))
+    with pytest.raises(SimulatedCrash):
+        tree.rewrite(items)
+
+
 def build(tmp_path, faults=None, **kw):
     kw.setdefault("page_size", 256)
     kw.setdefault("pool_pages", 16)
@@ -19,17 +29,17 @@ def build(tmp_path, faults=None, **kw):
     return StorageEnvironment(str(tmp_path / "db"), faults=faults, **kw)
 
 
-def test_crash_rolls_back_to_last_flush(tmp_path):
+def test_crash_rolls_back_to_last_commit(tmp_path):
     inj = FaultInjector()
     env = build(tmp_path, faults=inj)
     tree = env.open_tree("t")
     tree.bulk_load((f"k{i:03d}".encode(), b"committed")
-                   for i in range(100))  # bulk_load flushes
-    for i in range(100, 150):
-        tree.put(f"k{i:03d}".encode(), b"uncommitted")
-    inj.crash()  # power cut before any flush of the puts
+                   for i in range(100))  # bulk_load commits
+    crash_mid_rewrite(inj, tree, [(f"k{i:03d}".encode(), b"uncommitted")
+                                  for i in range(150)])
+    inj.crash()  # power cut before the rewrite's commit
     env.close()
-    assert env.close_errors  # the crashed handles could not flush
+    assert env.close_errors  # the crashed handles could not commit
 
     env2 = build(tmp_path)
     recovered = tree_state(env2.open_tree("t", create=False))
@@ -39,20 +49,47 @@ def test_crash_rolls_back_to_last_flush(tmp_path):
     env2.close()
 
 
-def test_flushed_state_survives_crash(tmp_path):
+def test_a_rewrite_that_fails_part_way_is_never_committed(tmp_path):
+    """An I/O error in the middle of a rewrite leaves the old tree's
+    pages freed and the new one half-written. Nothing may commit that:
+    not a later change, not the ordinary close after the error."""
     inj = FaultInjector()
     env = build(tmp_path, faults=inj)
     tree = env.open_tree("t")
-    tree.bulk_load((f"k{i:03d}".encode(), b"v") for i in range(50))
-    tree.put(b"extra", b"flushed")
-    tree.flush()
+    old = [(f"k{i:03d}".encode(), b"old" * 10) for i in range(100)]
+    tree.bulk_load(old)
+    appends = inj.hits["wal.append"]
+    inj.rules.append(FaultRule("wal.append", appends + 30, "error"))
+    with pytest.raises(OSError):
+        tree.rewrite([(k, b"new" * 10) for k, _ in old])
+    with pytest.raises(StorageError, match="reopen"):
+        tree.rewrite(old)
+    env.close()
+    assert env.close_errors and env.close_errors[0].startswith("t:")
+
+    env2 = build(tmp_path)
+    assert tree_state(env2.open_tree("t", create=False)) == dict(old)
+    assert env2.fsck().clean
+    env2.open_tree("t").rewrite([(b"after", b"reopen")])
+    env2.close()
+    assert not env2.close_errors
+
+
+def test_committed_state_survives_crash(tmp_path):
+    inj = FaultInjector()
+    env = build(tmp_path, faults=inj)
+    tree = env.open_tree("t")
+    items = [(f"k{i:03d}".encode(), b"v") for i in range(50)]
+    tree.bulk_load(items)
+    tree.rewrite(sorted(items + [(b"extra", b"committed")]))
     inj.crash()
     env.close()
 
     env2 = build(tmp_path)
     recovered = tree_state(env2.open_tree("t", create=False))
-    assert recovered[b"extra"] == b"flushed"
+    assert recovered[b"extra"] == b"committed"
     assert len(recovered) == 51
+    assert env2.fsck().clean
     env2.close()
 
 
@@ -80,17 +117,15 @@ def test_torn_checkpoint_recovers_from_wal(tmp_path):
 
 def test_committed_but_uncheckpointed_state_recovers(tmp_path):
     env = build(tmp_path)
-    tree = env.open_tree("t")
-    tree.put(b"a", b"1")
+    env.open_tree("t").bulk_load([(b"a", b"1")])
     env.close()
     # Crash after the WAL commit fsync but before the checkpoint's
     # first in-place write: the commit is durable only in the log.
     inj = FaultInjector([FaultRule("checkpoint.write", 1, "crash")])
     env = build(tmp_path, faults=inj)
     tree = env.open_tree("t", create=False)
-    tree.put(b"b", b"2")
     with pytest.raises(SimulatedCrash):
-        tree.flush()
+        tree.rewrite([(b"a", b"1"), (b"b", b"2")])
     inj.crash()
     env.close()
 
@@ -171,7 +206,7 @@ def test_recovery_emits_metrics_and_span(tmp_path):
 
 def test_close_is_idempotent(tmp_path):
     env = build(tmp_path)
-    env.open_tree("t").put(b"a", b"1")
+    env.open_tree("t").bulk_load([(b"a", b"1")])
     env.close()
     env.close()
     env.close()
@@ -181,8 +216,8 @@ def test_close_is_idempotent(tmp_path):
 def test_close_after_crash_never_raises(tmp_path):
     inj = FaultInjector()
     env = build(tmp_path, faults=inj)
-    env.open_tree("t").put(b"a", b"1")
-    env.open_tree("u").put(b"b", b"2")
+    crash_mid_rewrite(inj, env.open_tree("t"), [(b"a", b"1")])
+    crash_mid_rewrite(inj, env.open_tree("u"), [(b"b", b"2")])
     inj.crash()
     env.close()  # must swallow the dead handles, not raise
     assert len(env.close_errors) == 2  # one per tree, both reported
@@ -193,7 +228,7 @@ def test_close_after_crash_never_raises(tmp_path):
 def test_close_error_names_the_tree(tmp_path):
     inj = FaultInjector()
     env = build(tmp_path, faults=inj)
-    env.open_tree("only").put(b"a", b"1")
+    crash_mid_rewrite(inj, env.open_tree("only"), [(b"a", b"1")])
     inj.crash()
     env.close()
     assert env.close_errors and env.close_errors[0].startswith("only:")

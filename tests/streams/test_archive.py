@@ -103,7 +103,9 @@ def test_open_refuses_an_archive_of_another_record_format(tmp_path, layout):
                              Layout.SEPARATED else data_tree_name("s"))
         meta = json.loads(tree.get(META_KEY))
         del meta["record"]
-        tree.put(META_KEY, json.dumps(meta).encode("utf-8"))
+        stale = json.dumps(meta).encode("utf-8")
+        tree.rewrite((key, stale if key == META_KEY else value)
+                     for key, value in tree.items())
         with pytest.raises(CatalogError, match="format 1, expected 2"):
             open_reader(env, "s", stream.space)
         with pytest.raises(CatalogError, match="format 1, expected 2"):

@@ -14,8 +14,12 @@ Entered-Room.
 The two ``records`` rows start from the stored CPT records, as an
 access method does: ``records-step`` decodes each with
 ``CPT.from_bytes`` and calls ``Reg.update``; ``records-block`` decodes
-``Reg.block_steps`` records at a time with ``decode_block`` and calls
-``Reg.update_block`` (the path of ``RegRun.walk``).
+``Reg.block_steps`` records at a time with ``decode_block`` and steps
+``Reg.update_block`` over their dense pieces (a run's path through
+``RegRun.walk``). The ``decode`` table times ``decode_block`` alone per
+record at 1, 16 and ``Reg.block_steps`` records per call: the decoder
+has no loop over records, so its fixed cost is per call, and the walk
+decodes a window of records at once.
 
 Writes ``results/reg_kernel.{txt,json,manifest.json,spans.jsonl}``;
 wall times live in the report and spans (machine-dependent), while the
@@ -27,6 +31,7 @@ never gate.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 import time
@@ -101,8 +106,27 @@ def _run_blocks(reg, stream, records):
     probs = [reg.initialize(stream.marginal(0))]
     for lo in range(0, len(records), reg.block_steps):
         block = decode_block(records[lo:lo + reg.block_steps])
-        probs.extend(reg.update_block(block).tolist())
+        probs.extend(reg.update_block(reg.pieces(block)).tolist())
     return probs
+
+
+def _decode_rows(records, block_steps):
+    """``decode_block``'s best time per record over ``REPEATS`` passes
+    through ``records``, at 1, 16 and ``block_steps`` records a call."""
+    rows = []
+    for per_call in (1, 16, block_steps):
+        best = float("inf")
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            for lo in range(0, len(records), per_call):
+                decode_block(records[lo:lo + per_call])
+            best = min(best, time.perf_counter() - t0)
+        rows.append({
+            "records_per_call": per_call,
+            "calls": math.ceil(len(records) / per_call),
+            "us_per_record": round(best * 1e6 / len(records), 2),
+        })
+    return rows
 
 
 def _time(make_reg, run):
@@ -151,17 +175,23 @@ def generate():
                 "us_per_step": round(ms * 1000.0 / len(stream), 2),
                 "speedup": round(ref_ms / ms, 2) if ms else float("inf"),
             })
+    with tracer.span("decode"):
+        decode = _decode_rows(records, Reg(query, space).block_steps)
     registry.counter("reg.timesteps").inc(len(stream))
     registry.counter("reg.states").inc(len(space))
     text = print_table(
         f"Reg kernel: {len(stream)} timesteps x {len(space)} states "
         f"(max |diff| {max_diff:.2e})",
         rows, columns=["query", "impl", "wall_ms", "us_per_step", "speedup"],
+    ) + "\n" + print_table(
+        f"decode_block: {len(records)} records of {len(space)} states",
+        decode, columns=["records_per_call", "calls", "us_per_record"],
     )
     save_report("reg_kernel", text,
-                {"rows": rows, "max_abs_diff": max_diff})
+                {"rows": rows, "decode": decode, "max_abs_diff": max_diff})
     finish_run(manifest, tracer, registry,
-               extra={"rows": rows, "max_abs_diff": max_diff})
+               extra={"rows": rows, "decode": decode,
+                      "max_abs_diff": max_diff})
     if max_diff >= 1e-9:
         sys.exit(f"Reg kernel diverged from the reference by {max_diff:.2e}")
     return rows

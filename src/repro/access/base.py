@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import chain, islice
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -21,7 +23,8 @@ from ..indexes.btc import PredicateChronoCursor
 from ..indexes.btp import PredicateProbCursor
 from ..indexes.mc import MCIndex, MCLookupStats
 from ..lahar.reg import Reg
-from ..probability import SparseDistribution
+from ..probability import SparseDistribution, decode_block
+from ..probability.cpt import stack_steps
 from ..query.predicates import Predicate
 from ..query.regular import RegularQuery
 from ..storage.stats import IOStats
@@ -231,6 +234,14 @@ class QueryContext:
         return (lambda term: available[term.indexed_attr]), terms
 
 
+#: A Reg update that applies a gap's pieces: it takes them as dense
+#: matrices, in order, and returns the match probability.
+Update = Callable[[Iterator[np.ndarray]], float]
+#: What a gap rule returns: its pieces' records, in order, and their
+#: update.
+Gap = Tuple[Sequence[bytes], Update]
+
+
 class RegRun:
     """The one place where archive reads feed Reg and get counted.
 
@@ -240,7 +251,9 @@ class RegRun:
     ``stats.mc_lookups``). Methods differ only in the timesteps they
     walk and in the gap rule that crosses non-adjacent ones:
     :meth:`span` (Algorithm 4), :meth:`loop_span` (§3.3.2) or
-    :meth:`independent` (Algorithm 5).
+    :meth:`independent` (Algorithm 5). A gap rule reads, and returns
+    the records of its pieces with the Reg update that applies them;
+    the walk decodes a whole window of records at once.
     """
 
     def __init__(self, ctx: QueryContext, stats: AccessStats) -> None:
@@ -256,52 +269,100 @@ class RegRun:
         return self.reader.marginal(t)
 
     def walk(self, times: Iterable[int],
-             jump: Optional[Callable[[int, int], float]] = None,
+             jump: Optional[Callable[[int, int], Gap]] = None,
              ) -> Iterator[Tuple[int, float]]:
         """Yield ``(t, p)`` for each of the increasing ``times``: start a
-        fresh run at the first, call ``jump(prev, t)`` across each gap (a
-        ``range`` has none) and step the CPTs into each run of adjacent
-        ones in blocks of at most ``reg.block_steps`` steps."""
-        reg, reader, prev = self.reg, self.reader, None
+        fresh run at the first, cross each gap by the gap rule
+        ``jump(prev, t)`` (a ``range`` has none) and step the CPTs into
+        each run of adjacent ones.
+
+        The walk goes window by window. It reads in order — each run's
+        CPT records, each gap rule's pieces — until the window holds
+        ``reg.block_steps`` pieces (a gap's are never split; a gap
+        without records counts one), then :meth:`_apply` decodes and
+        steps the window. Reads therefore run up to one window ahead of
+        the yields."""
+        reg, reader, cap = self.reg, self.reader, self.reg.block_steps
+        records: List = []
+        items: List[Tuple[Sequence[int], int, Optional[Update]]] = []
+        held, prev = 0, None
         for first, stop in _runs(times):
             if prev is None:
                 self.stats.reg_initializations += 1
-                p = reg.initialize(self.marginal(first))
+                yield first, reg.initialize(self.marginal(first))
             else:
-                p = jump(prev, first)
-            yield first, p
-            for lo in range(first + 1, stop, reg.block_steps):
-                hi = min(lo + reg.block_steps, stop)
+                pieces, update = jump(prev, first)
+                records += pieces
+                items.append(((first,), len(pieces), update))
+                held += max(1, len(pieces))
+            lo = first + 1
+            while True:
+                if held >= cap:
+                    yield from self._apply(records, items)
+                    records, items, held = [], [], 0
+                if lo == stop:
+                    break
+                hi = min(stop, lo + cap - held)
                 self.stats.cpts_read += hi - lo
-                probs = reg.update_block(reader.scan_cpts(lo, hi))
-                yield from zip(range(lo, hi), probs.tolist())
+                records += reader.cpt_records(lo, hi)
+                items.append((range(lo, hi), hi - lo, None))
+                held += hi - lo
+                lo = hi
             prev = stop - 1
+        if items:
+            yield from self._apply(records, items)
 
-    def _plain(self, prev: int, t: int):
-        return self.mc.compute_cpt(prev, t, self.reader,
-                                   min_level=self.mc_min_level,
-                                   stats=self.stats.mc_lookups)
+    def _apply(self, records: List[bytes], items) -> Iterator[
+            Tuple[int, float]]:
+        """A window's Reg phase: one :func:`decode_block` and one
+        densify of ``records``, then each item in order takes its pieces
+        off the dense stack — a run's steps through
+        :meth:`Reg.update_block`, a gap's through its update."""
+        reg = self.reg
+        pieces = reg.pieces(decode_block(records)) if records else iter(())
+        for times, k, update in items:
+            chunk = islice(pieces, k)
+            probs = reg.update_block(chunk).tolist() if update is None \
+                else [update(chunk)]
+            yield from zip(times, probs)
 
-    def span(self, prev: int, t: int) -> float:
+    def _plain(self, prev: int, t: int) -> List[bytes]:
+        return self.mc.span_records(prev, t, self.reader,
+                                    min_level=self.mc_min_level,
+                                    stats=self.stats.mc_lookups)
+
+    def span(self, prev: int, t: int) -> Gap:
         """Cross the gap by the MC index's pieces (Algorithm 4)."""
-        return self.reg.update_span(self._plain(prev, t), span=t - prev)
+        return self._plain(prev, t), lambda pieces: self.reg.update_span(
+            pieces, span=t - prev)
 
     def loop_span(self, loop: Tuple[int, MCIndex], prev: int,
-                  t: int) -> float:
+                  t: int) -> Gap:
         """Cross a Kleene run of the loop at link ``q`` in one update,
         by the plain and the conditioned MC pieces of
-        ``loop = (q, conditioned index)`` (§3.3.2)."""
+        ``loop = (q, conditioned index)`` (§3.3.2); the conditioned
+        interior is masked as dense destination columns."""
         q, index = loop
         plain = self._plain(prev, t)
-        cond = index.compute_conditioned_cpt(
-            prev, t, self.reader, min_level=self.mc_min_level,
-            stats=self.stats.mc_lookups)
-        return self.reg.update_loop_span(q, plain, cond, span=t - prev)
+        cond = index.loop_records(prev, t, self.reader,
+                                  min_level=self.mc_min_level,
+                                  stats=self.stats.mc_lookups)
 
-    def independent(self, prev: int, t: int) -> float:
+        def update(pieces: Iterator[np.ndarray]) -> float:
+            keep = index.accept_columns(len(self.reader.space))
+            interior = (B * keep for B in islice(pieces, len(cond) - 1))
+            return self.reg.update_loop_span(
+                q, islice(pieces, len(plain)),
+                chain(interior, islice(pieces, 1)), span=t - prev)
+
+        return plain + cond, update
+
+    def independent(self, prev: int, t: int) -> Gap:
         """Cross the gap under the independence approximation
         (Algorithm 5): only the marginal at ``t`` is read."""
-        return self.reg.update_independent(self.marginal(t), span=t - prev)
+        marginal = self.marginal(t)
+        return [], lambda _: self.reg.update_independent(marginal,
+                                                         span=t - prev)
 
 
 def _runs(times: Iterable[int]) -> Iterator[Tuple[int, int]]:
@@ -322,16 +383,17 @@ def _runs(times: Iterable[int]) -> Iterator[Tuple[int, int]]:
 
 class DryRun(RegRun):
     """A :class:`RegRun` that reads nothing: it walks the same timesteps
-    through the same gap rules and counts, in :attr:`reads`, the logical
-    page reads the real run would make (index probes aside: the method
-    takes those from :meth:`QueryContext.probe`). ``stats`` fills as in
-    a real run. The planner predicts an index method's reads with it."""
+    through the same gap rules and windows and counts, in :attr:`reads`,
+    the logical page reads the real run would make (index probes aside:
+    the method takes those from :meth:`QueryContext.probe`). It decodes
+    nothing and emits 0.0 everywhere. ``stats`` fills as in a real run.
+    The planner predicts an index method's reads with it."""
 
     def __init__(self, ctx: QueryContext, stats: AccessStats) -> None:
         self.reader = ctx.reader.dry()
         self.mc = None if ctx.mc is None else DryMC(ctx.mc)
         self.mc_min_level = ctx.mc_min_level
-        self.reg = _NullReg(ctx.reader.length)
+        self.reg = _NullReg(len(ctx.space))
         self.stats = stats
         self.steps = 0
 
@@ -340,22 +402,28 @@ class DryRun(RegRun):
         return self.reader.reads
 
     def loop_span(self, loop: Tuple[int, MCIndex], prev: int,
-                  t: int) -> float:
+                  t: int) -> Gap:
         q, index = loop
         return super().loop_span((q, DryMC(index)), prev, t)
+
+    def _apply(self, records, items) -> Iterator[Tuple[int, float]]:
+        for times, _, _ in items:
+            for t in times:
+                yield t, 0.0
 
 
 class DryMC:
     """An :class:`MCIndex`'s gap traversal, reading nothing: each record
     lookup adds the index tree's height to the dry reader's ``reads``,
-    each raw step is a dry ``cpt_record``."""
+    each raw step is a dry ``cpt_record``; every record is None."""
 
     def __init__(self, index: MCIndex) -> None:
         self.index = index
 
-    def compute_cpt(self, start: int, end: int, reader, *,
-                    min_level: int = 1,
-                    stats: MCLookupStats) -> None:
+    def span_records(self, start: int, end: int, reader, *,
+                     min_level: int = 1,
+                     stats: MCLookupStats) -> List[None]:
+        count = 0
         for level, at in self.index.pieces(start, end, min_level):
             if level:
                 reader.reads += self.index.tree.height
@@ -363,41 +431,29 @@ class DryMC:
             else:
                 reader.cpt_record(at + 1)
                 stats.base_cpts_read += 1
+            count += 1
+        return [None] * count
 
-    def compute_conditioned_cpt(self, start: int, end: int, reader, *,
-                                min_level: int = 1,
-                                stats: MCLookupStats) -> None:
-        # MCIndex.compute_conditioned_cpt's reads in its order (a packed
-        # reader's frame cache prices order): the final step first.
+    def loop_records(self, start: int, end: int, reader, *,
+                     min_level: int = 1,
+                     stats: MCLookupStats) -> List[None]:
+        # MCIndex.loop_records's reads in its order: the final step first.
         reader.cpt_record(end)
         stats.base_cpts_read += 1
-        if end - start > 1:
-            self.compute_cpt(start, end - 1, reader, min_level=min_level,
-                             stats=stats)
+        if end - start == 1:
+            return [None]
+        return self.span_records(start, end - 1, reader,
+                                 min_level=min_level, stats=stats) + [None]
 
 
 class _NullReg:
-    """Reg's interface for :class:`DryRun`: every probability is 0."""
+    """Reg's interface for :class:`DryRun`: every probability is 0, and
+    the windows are the real run's."""
 
-    updates_performed = 0
-
-    def __init__(self, length: int) -> None:
-        self.block_steps = max(1, length)
+    def __init__(self, n: int) -> None:
+        self.block_steps = stack_steps(n)
 
     def initialize(self, marginal) -> float:
-        return 0.0
-
-    def update_block(self, block) -> np.ndarray:
-        return np.zeros(len(block))
-
-    def update_span(self, block, span: int = 1) -> float:
-        return 0.0
-
-    def update_loop_span(self, loop_state, plain, cond,
-                         span: int = 1) -> float:
-        return 0.0
-
-    def update_independent(self, marginal, span: int = 1) -> float:
         return 0.0
 
 

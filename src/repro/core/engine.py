@@ -137,6 +137,7 @@ class Caldera:
             )
         if self.catalog.has_stream(stream.name):
             raise CatalogError(f"stream {stream.name!r} is already archived")
+        self.catalog.check_stream_name(stream.name)
         reader = write_stream(self.env, stream, layout)
         meta = StreamMeta(stream.name, len(stream), layout, stream.space,
                           pack=reader.pack)

@@ -286,7 +286,7 @@ class _Model:
         if isinstance(method, NaiveScan):
             dry = self.ctx.reader.dry()
             dry.marginal(self.ctx.start)
-            dry.scan_cpts(self.ctx.start + 1, self.ctx.stop)
+            dry.cpt_records(self.ctx.start + 1, self.ctx.stop)
             return dry.reads, dry.reads, self.width
         if isinstance(method, FixedBTree):
             reads, steps = self._btree()

@@ -34,7 +34,7 @@ entries back into records, a chunk at a time.
 
 Gap traversal
 -------------
-:meth:`MCIndex.compute_cpt` covers an arbitrary ``[start, end)`` span
+:meth:`MCIndex.span_records` covers an arbitrary ``[start, end)`` span
 by greedy descent: at each position it takes the *largest* stored span
 that is aligned at the position and still fits before ``end``, falling
 back to a raw per-timestep CPT record from the archive when only levels
@@ -44,12 +44,15 @@ Both sides of the canonical decomposition use at most ``alpha - 1``
 pieces per level, so the piece count is bounded by
 ``2 * (alpha - 1) * ceil(log_alpha g)`` and grows logarithmically in
 the gap; ``tests/indexes/test_mc_costs.py`` pins the exact constants.
-The pieces come back in order as one decoded
-:class:`~repro.probability.CPTBlock`; Reg applies them one after
-another, so only :meth:`MCIndex.build` multiplies. The index keeps no
-counters of its own: a traversal adds its lookups and raw base CPTs to
-the caller's :class:`MCLookupStats` (a query's
-``AccessStats.mc_lookups``), so each cost is counted once.
+The pieces come back in order as records, undecoded: the access
+methods' walk (:meth:`~repro.access.base.RegRun.walk`) decodes them
+with the rest of its window, once per window, and Reg applies them one
+after another, so only :meth:`MCIndex.build` multiplies
+(:meth:`MCIndex.compute_cpt` is the same pieces decoded as one
+:class:`~repro.probability.CPTBlock`). The index keeps no counters of
+its own: a traversal adds its lookups and raw base CPTs to the
+caller's :class:`MCLookupStats` (a query's ``AccessStats.mc_lookups``),
+so each cost is counted once.
 
 Conditioned variant (§3.3.2)
 ----------------------------
@@ -60,13 +63,16 @@ mask), then multiplied.
 Masking commutes with composition — masking the destination of one
 piece masks the interior state of the concatenation — so span records
 store the fully-masked product and arbitrary spans chain exactly.
-:meth:`MCIndex.compute_conditioned_cpt` returns the pieces that cross
-one maximal Kleene run ``start -> end``: the masked pieces of the run's
-*interior* (``start+1 .. end-1``) followed by the raw, unmasked final
-step into ``end`` — the boundary timestep is a real query event whose
-symbol the Reg operator classifies (loop continues, link advances, or
-match dies), so it must not be conditioned away. Masking is
-idempotent, so the whole interior is masked at once. The product is
+:meth:`MCIndex.loop_records` returns the pieces that cross one maximal
+Kleene run ``start -> end``: the pieces of the run's *interior*
+(``start+1 .. end-1``) followed by the raw final step into ``end``.
+The caller masks the interior to the accept states as dense
+destination columns (:meth:`MCIndex.accept_columns`), not the final
+step — the boundary timestep is a real query event whose symbol the
+Reg operator classifies (loop continues, link advances, or match
+dies), so it must not be conditioned away. Masking is idempotent, so
+the whole interior, raw steps included, is masked at once.
+The product is
 deliberately *sub*-stochastic: the lost row mass is exactly the
 probability of leaving the loop — what
 :meth:`repro.lahar.reg.Reg.update_loop_span` needs to split kept and
@@ -135,6 +141,7 @@ class MCIndex:
             None if accept_states is None else frozenset(accept_states)
         )
         self.max_level = max_level_for(alpha, length)
+        self._columns: Optional[np.ndarray] = None
 
     @property
     def is_conditioned(self) -> bool:
@@ -160,10 +167,8 @@ class MCIndex:
         items: List[Tuple[bytes, bytes]] = [(META_KEY, self._meta_value())]
         below: Iterable[bytes] = (reader.cpt_record(t)
                                   for t in range(1, self.length))
-        keep = None
-        if self.accept_states is not None:
-            keep = np.zeros(n)
-            keep[[s for s in self.accept_states if s < n]] = 1.0
+        keep = None if self.accept_states is None else \
+            self.accept_columns(n)
         span = 1
         for level in range(1, self.max_level + 1):
             span *= self.alpha
@@ -215,26 +220,34 @@ class MCIndex:
     # ------------------------------------------------------------------
     # Gap traversal
     # ------------------------------------------------------------------
-    def compute_cpt(self, start: int, end: int, reader, *,
-                    min_level: int = 1,
-                    stats: Optional[MCLookupStats] = None) -> CPTBlock:
-        """The pieces spanning ``start -> end``, in order, as one block:
+    def span_records(self, start: int, end: int, reader, *,
+                     min_level: int = 1,
+                     stats: Optional[MCLookupStats] = None) -> List[bytes]:
+        """The records of the pieces spanning ``start -> end``, in order:
         index records, plus raw CPT records below ``min_level``."""
         if self.is_conditioned:
             raise CatalogError(
-                "this MC index is conditioned; use compute_conditioned_cpt"
+                "this MC index is conditioned; use loop_records"
             )
-        return decode_block(self._records(start, end, reader, min_level,
-                                          stats))
+        return self._records(start, end, reader, min_level, stats)
 
-    def compute_conditioned_cpt(self, start: int, end: int, reader, *,
-                                min_level: int = 1,
-                                stats: Optional[MCLookupStats] = None,
-                                ) -> CPTBlock:
-        """The pieces crossing one conditioned Kleene run ``start ->
-        end`` (§3.3.2) as one block: the interior's (into ``start+1 ..
-        end-1``) masked to the accept states, then the final step into
-        ``end`` unmasked (Reg classifies the boundary event's symbol)."""
+    def compute_cpt(self, start: int, end: int, reader, *,
+                    min_level: int = 1,
+                    stats: Optional[MCLookupStats] = None) -> CPTBlock:
+        """The pieces of :meth:`span_records`, decoded as one block."""
+        return decode_block(self.span_records(start, end, reader,
+                                              min_level=min_level,
+                                              stats=stats))
+
+    def loop_records(self, start: int, end: int, reader, *,
+                     min_level: int = 1,
+                     stats: Optional[MCLookupStats] = None) -> List[bytes]:
+        """The records of the pieces crossing one conditioned Kleene run
+        ``start -> end`` (§3.3.2), in order: the interior's (into
+        ``start+1 .. end-1``), which the caller masks to the accept
+        states (:meth:`accept_columns`), then the final step into
+        ``end``, unmasked (Reg classifies the boundary event's symbol).
+        The final step is read first: a packed frame cache prices order."""
         if not self.is_conditioned:
             raise CatalogError(
                 "this MC index is not conditioned; build it with a "
@@ -245,20 +258,35 @@ class MCIndex:
                 f"MC span [{start}, {end}] outside stream of length "
                 f"{self.length}"
             )
-        # Read before the interior: a packed frame cache prices order.
         final = reader.cpt_record(end)
         if stats is not None:
             stats.base_cpts_read += 1
         if end - start == 1:
-            return decode_block([final])
-        block = decode_block(self._records(start, end - 1, reader,
-                                           min_level, stats) + [final])
-        interior = int(block.row_len[block.step < block.steps - 1].sum())
-        val = block.val.copy()
-        keep = np.zeros(max(self.accept_states, default=-1) + 2, bool)
-        keep[list(self.accept_states)] = True  # larger ids clip to keep[-1]
-        val[:interior] *= keep[np.minimum(block.dst[:interior], len(keep) - 1)]
-        return block._replace(val=val)
+            return [final]
+        return self._records(start, end - 1, reader, min_level,
+                             stats) + [final]
+
+    def compute_conditioned_cpt(self, start: int, end: int, reader, *,
+                                min_level: int = 1,
+                                stats: Optional[MCLookupStats] = None,
+                                ) -> CPTBlock:
+        """The pieces of :meth:`loop_records` as one block, the interior
+        masked to the accept states."""
+        block = decode_block(self.loop_records(start, end, reader,
+                                               min_level=min_level,
+                                               stats=stats))
+        keep = self.accept_columns(int(block.dst.max(initial=0)) + 1)
+        interior = np.repeat(block.step < block.steps - 1, block.row_len)
+        return block._replace(
+            val=block.val * np.where(interior, keep[block.dst], 1.0))
+
+    def accept_columns(self, n: int) -> np.ndarray:
+        """Over stream states ``0 .. n - 1``: 1.0 on the accept states,
+        0.0 elsewhere (a dense piece times it is masked to them)."""
+        if self._columns is None or len(self._columns) != n:
+            self._columns = np.zeros(n)
+            self._columns[[s for s in self.accept_states if s < n]] = 1.0
+        return self._columns
 
     def pieces(self, start: int, end: int,
                min_level: int = 1) -> Iterator[Tuple[int, int]]:

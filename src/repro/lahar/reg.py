@@ -19,27 +19,31 @@ precomputes, as flat ``bincount`` indices, where each ``(set, stream
 state)`` cell's mass goes next. The joint mass is then a dense
 ``R × n`` matrix ``V`` for the kernel's whole life, and one timestep is
 ``V @ B`` plus one ``bincount`` — no per-step classification, and
-Python cost independent of the query. Every CPT input is a
-:class:`~repro.probability.CPTBlock`, densified by one scatter into a
-reused ``(K, n, n)`` stack (:func:`~repro.probability.cpt.densify`, the
-one the MC index build uses too). Reg also supports the span operations of
-Algorithms 4 & 5: collapsing over irrelevant gaps (only the start state
-and negated-loop states survive a timestep with zero mass on every
-indexable predicate) by applying the MC pieces in order,
-``V·(B₁…B_p) = ((V·B₁)·B₂)…·B_p``, conditioned loop spans, and the
-independence approximation. Its pure-Python oracle is
-``tests/reference_reg.py``.
+Python cost independent of the query. Every CPT input is a sequence of
+dense ``n × n`` matrices in order: :meth:`Reg.pieces` turns a decoded
+:class:`~repro.probability.CPTBlock` into them, by one scatter per
+``block_steps`` steps into a reused ``(K, n, n)`` stack
+(:func:`~repro.probability.cpt.densify`, the one the MC index build
+uses too). The access methods' walk decodes and densifies a window of
+runs and gaps at once and hands each update its slice of the stack.
+Reg also supports the span operations of Algorithms 4 & 5: collapsing
+over irrelevant gaps (only the start state and negated-loop states
+survive a timestep with zero mass on every indexable predicate) by
+applying the MC pieces in order, ``V·(B₁…B_p) = ((V·B₁)·B₂)…·B_p``,
+conditioned loop spans, and the independence approximation. Its
+pure-Python oracle is ``tests/reference_reg.py``.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..probability import CPT, CPTBlock, SparseDistribution
-from ..probability.cpt import BLOCK_FLOATS, densify
+from ..probability.cpt import densify, stack_steps
 from ..query.predicates import Not, Predicate
 from ..query.regular import RegularQuery
 from ..streams.schema import StateSpace
@@ -148,8 +152,8 @@ class Reg:
         #: Number of update operations performed since construction.
         self.updates_performed = 0
         self._n = n = len(space)
-        #: Most steps one scatter densifies: the walk's block size.
-        self.block_steps = max(1, BLOCK_FLOATS // (n * n))
+        #: Most steps one scatter densifies: the walk's window size.
+        self.block_steps = stack_steps(n)
         #: The dense transition stack, reused by every scatter.
         self._block = np.empty(self.block_steps * n * n)
         mask_arr = np.asarray(m.state_mask, dtype=np.int64)
@@ -206,12 +210,6 @@ class Reg:
     def _accept_mass(self) -> float:
         return float(self._V.ravel() @ self._accept)
 
-    def _through(self, V: np.ndarray, block: CPTBlock) -> np.ndarray:
-        """``V`` times the steps' matrices in order, ``V·B₁·…·B_p``."""
-        for stack in densify(block, self._n, self._block):
-            V = reduce(np.matmul, stack, V)
-        return V
-
     def _scatter(self, marginal: SparseDistribution) -> np.ndarray:
         ids, vals = marginal.as_arrays()
         vec = np.zeros(self._n)
@@ -219,6 +217,12 @@ class Reg:
         return vec
 
     # -- API -----------------------------------------------------------
+    def pieces(self, block: CPTBlock) -> Iterator[np.ndarray]:
+        """The steps of ``block``, in order, as dense ``n × n``
+        matrices: views of the kernel's one reused stack, densified
+        ``block_steps`` at a time, each valid until the next is drawn."""
+        return chain.from_iterable(densify(block, self._n, self._block))
+
     def initialize(self, marginal: SparseDistribution) -> float:
         """Start a fresh run on the first timestep's marginal; returns
         the match probability at that timestep."""
@@ -230,31 +234,33 @@ class Reg:
         probability at the new timestep."""
         src, lens, dst, val = cpt.arrays()
         block = CPTBlock(1, np.zeros(len(src), np.intp), src, lens, dst, val)
-        return float(self.update_block(block)[0])
+        return float(self.update_block(self.pieces(block))[0])
 
-    def update_block(self, block: CPTBlock) -> np.ndarray:
-        """Consume ``block.steps`` consecutive timesteps via their
-        incoming CPTs; returns the match probability at each."""
+    def update_block(self, steps: Iterable[np.ndarray]) -> np.ndarray:
+        """Consume consecutive timesteps via their incoming CPTs, dense
+        ``n × n`` matrices in order; returns the match probability at
+        each."""
         n = self._n
-        self.updates_performed += block.steps
         V, succ, size = self._V, self._succ.ravel(), self._rows * n
         W = np.empty_like(V)
         W_flat, masses = W.ravel(), []
-        for stack in densify(block, n, self._block):
-            for B in stack:
-                np.dot(V, B, W)
-                V = np.bincount(succ, W_flat, size).reshape(-1, n)
-                masses.append(V)
+        for B in steps:
+            np.dot(V, B, W)
+            V = np.bincount(succ, W_flat, size).reshape(-1, n)
+            masses.append(V)
         self._V = V
-        return np.concatenate(masses).reshape(block.steps, -1) @ self._accept
+        self.updates_performed += len(masses)
+        return np.concatenate(masses).reshape(len(masses), -1) @ self._accept
 
-    def update_span(self, block: CPTBlock, span: int = 1) -> float:
+    def update_span(self, pieces: Iterable[np.ndarray],
+                    span: int = 1) -> float:
         """Consume ``span`` timesteps whose interior is irrelevant
-        (Algorithm 4's gap jump): fold, then apply the MC pieces."""
+        (Algorithm 4's gap jump): fold, then apply the MC pieces, dense
+        ``n × n`` matrices in order."""
         self.updates_performed += 1
         if span > 1:
             self._fold()
-        self._V = self._bin(self._succ, self._through(self._V, block))
+        self._V = self._bin(self._succ, reduce(np.matmul, pieces, self._V))
         return self._accept_mass()
 
     def update_independent(self, marginal: SparseDistribution,
@@ -270,16 +276,19 @@ class Reg:
                             np.outer(totals, self._scatter(marginal)))
         return self._accept_mass()
 
-    def update_loop_span(self, loop_state: int, plain: CPTBlock,
-                         cond: CPTBlock, span: int = 1) -> float:
+    def update_loop_span(self, loop_state: int,
+                         plain: Iterable[np.ndarray],
+                         cond: Iterable[np.ndarray], span: int = 1) -> float:
         """Cross a run of timesteps relevant only to a positive Kleene
         loop at NFA state ``loop_state`` (§3.3.2): mass that satisfied
-        the loop predicate throughout (the ``cond`` pieces) keeps the
-        loop state; the rest (``plain``) collapses like a plain gap."""
+        the loop predicate throughout (the ``cond`` pieces, interior
+        masked) keeps the loop state; the rest (``plain``) collapses
+        like a plain gap. Both are dense matrices in order, and every
+        ``plain`` piece is drawn before the first ``cond`` one."""
         self.updates_performed += 1
         rows, kept_succ = self._loops[loop_state]
-        exited = self._through(self._V, plain)
-        kept = self._through(self._V[rows], cond)
+        exited = reduce(np.matmul, plain, self._V)
+        kept = reduce(np.matmul, cond, self._V[rows])
         exited[rows] = np.maximum(exited[rows] - kept, 0.0)
         self._V = self._bin(np.concatenate((self._gap_succ, kept_succ)),
                             np.concatenate((exited, kept)))

@@ -21,26 +21,29 @@ smallest of 1, 2 or 4 bytes that holds the record's largest id or row
 length, so it comes from the data. Records move in blocks: a
 :class:`CPTBlock` holds K CPTs in one set of CSR arrays.
 :func:`decode_block` turns K records into a block, :func:`encode_block`
-(its inverse) a block into K records, and :meth:`CPTBlock.of` gathers
-dict rows into a block. The Reg kernel and the MC index build compute
-on a block as dense ``(K, n, n)`` stacks (:func:`densify`, and
-:func:`sparsify` back). :meth:`CPT.from_bytes` and
-:meth:`CPT.to_bytes` are blocks of one, and a decoded CPT builds the
-dict rows that :meth:`CPT.row` and :meth:`CPT.apply` walk only on first
-use.
+(its inverse) a block into K records, neither with a Python loop over
+the records, so each costs a fixed number of NumPy calls per call and
+callers batch; :meth:`CPTBlock.of` gathers dict rows into a block. The
+Reg kernel and the MC index build compute on a block as dense
+``(K, n, n)`` stacks (:func:`densify`, and :func:`sparsify` back).
+:meth:`CPT.from_bytes` and :meth:`CPT.to_bytes` are blocks of one, and
+a decoded CPT builds the dict rows that :meth:`CPT.row` and
+:meth:`CPT.apply` walk only on first use.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
+from itertools import compress, repeat
+from operator import getitem
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
                     Sequence, Tuple, Union)
 
 import numpy as np
 
 from ..errors import CatalogError, StorageError
-from ..storage.record import decode_uvarint, encode_uvarint
+from ..storage.record import encode_uvarint
 from .distribution import SparseDistribution
 
 _EMPTY_ROW = SparseDistribution()
@@ -57,9 +60,22 @@ RECORD_VERSION = 2
 #: Per id-width code (width ``1 << code`` bytes): the ids' NumPy dtype.
 _ID_DTYPES = ("<u1", "<u2", "<u4")
 
+#: A record header's byte positions and their uvarint powers, the
+#: slice that holds it, and the padding that lets its window start on
+#: any record.
+_HEADER = np.arange(10)
+_POWERS = 128 ** np.arange(9)
+_HEAD = slice(len(_HEADER))
+_PAD = bytes(len(_HEADER))
+
 #: Float budget of one dense stack: K steps over ``n`` states densify
 #: ``K · n²`` floats, so K is at most ``BLOCK_FLOATS // n²`` (128 KiB).
 BLOCK_FLOATS = 1 << 14
+
+
+def stack_steps(n: int) -> int:
+    """Most steps over ``n`` states one dense stack holds (at least 1)."""
+    return max(1, BLOCK_FLOATS // (n * n))
 
 
 class CPTBlock(namedtuple("CPTBlock", "steps step src row_len dst val")):
@@ -298,47 +314,77 @@ class CPT:
         return cpt
 
 
-def _record_layout(data: bytes) -> Tuple[str, int, int, int, int]:
-    """``(id dtype, id width, rows, offset of src, nnz)`` of one record,
-    checking its width code and that its length fits exactly."""
-    head, pos = ((data[0], 1) if data and data[0] < 0x80  # one byte
-                 else decode_uvarint(data))
-    count, code = head >> 2, head & 3
-    if code == 3:
-        raise StorageError("bad CPT record id width")
-    width = 1 << code
-    mid = pos + 2 * count * width
-    if mid > len(data):
-        raise StorageError("truncated CPT record")
-    nnz, rest = divmod(len(data) - mid, width + 8)
-    if rest:
-        raise StorageError("bad CPT record length")
-    return _ID_DTYPES[code], width, count, pos, nnz
-
-
 def decode_block(records: Sequence[bytes]) -> CPTBlock:
     """Decode the CPT records of consecutive timesteps into one
-    :class:`CPTBlock`, with every check of :meth:`CPT.from_bytes`:
-    zero-copy views of each record's ``src | row_len``, ``dst`` and
-    ``val``, one concatenation per view of the block."""
-    heads, dsts, vals, counts, nnzs = [], [], [], [], []
-    for data in records:
-        dtype, width, count, pos, nnz = _record_layout(data)
-        mid = pos + 2 * count * width
-        heads.append(np.frombuffer(data, dtype, 2 * count, pos))
-        dsts.append(np.frombuffer(data, dtype, nnz, mid))
-        vals.append(np.frombuffer(data, "<f8", nnz, mid + nnz * width))
-        counts.append(count)
-        nnzs.append(nnz)
-    steps, heads, counts = len(records), np.concatenate(heads), np.array(counts)
-    step = np.arange(steps).repeat(counts)
-    # Row i's src is heads[at[i]], and its row_len its record's count on.
-    at = np.arange(len(step)) + (counts.cumsum() - counts).repeat(counts)
-    row_len = heads[at + counts[step]]
-    if np.bincount(step, row_len, steps).tolist() != nnzs:
+    :class:`CPTBlock`, with every check of :meth:`CPT.from_bytes`, and
+    no Python loop over the records: the headers are read off the
+    records' first bytes joined into one buffer, and each region
+    (``src | row_len``, ``dst``, ``val``) is cut out of every record and
+    joined into one array, per id width present. The fixed cost is per
+    call, so decode many records at once."""
+    steps = len(records)
+    size = np.fromiter(map(len, records), np.int64, steps)
+    # The uvarint header: up to 10 bytes, ended by one below 0x80. A
+    # tenth byte above 0 makes 2**61 rows or more: past any record.
+    lead = np.minimum(size, len(_HEADER))
+    leads = b"".join((*map(getitem, records, repeat(_HEAD, steps)), _PAD))
+    window = np.frombuffer(leads, np.uint8)[
+        (lead.cumsum() - lead)[:, None] + _HEADER]
+    more = window >= 0x80
+    hlen = more.argmin(axis=1) + 1
+    if (more.all(axis=1) | (hlen > size)
+            | ((hlen == 10) & (window[:, 9] > 0))).any():
+        raise StorageError("truncated or overlong CPT record header")
+    # Its first nine bytes hold at most 63 bits: an int64.
+    head = np.where(_HEADER[:9] < hlen[:, None], window[:, :9] & 0x7F,
+                    0) @ _POWERS
+    code = head & 3
+    if (code == 3).any():
+        raise StorageError("bad CPT record id width")
+    width = 1 << code
+    room = size - hlen
+    count = head >> 2
+    if (count > room // (2 * width)).any():
+        raise StorageError("truncated CPT record")
+    nnz, rest = np.divmod(room - 2 * count * width, width + 8)
+    if rest.any():
         raise StorageError("bad CPT record length")
-    return CPTBlock(steps, step, heads[at], row_len, np.concatenate(dsts),
-                    np.concatenate(vals))
+    # Each record's regions, as offsets into the record.
+    vals = size - 8 * nnz
+    dsts = vals - nnz * width
+    views = list(map(memoryview, records))
+    codes = sorted(set(code.tolist())) or [0]
+
+    def ids(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The ids in ``records[i][lo[i]:hi[i]]`` of every record ``i``,
+        as the widest id dtype present."""
+        if len(codes) == 1:
+            return np.frombuffer(_cut(views, lo, hi), _ID_DTYPES[codes[0]])
+        kind = np.repeat(code, (hi - lo) // width)
+        out = np.empty(len(kind), _ID_DTYPES[codes[-1]])
+        for c in codes:
+            mine = code == c
+            out[kind == c] = np.frombuffer(
+                _cut(compress(views, mine.tolist()), lo[mine], hi[mine]),
+                _ID_DTYPES[c])
+        return out
+
+    heads = ids(hlen, dsts)
+    step = np.arange(steps).repeat(count)
+    # Row i's src is heads[at[i]], and its row_len its record's count on.
+    at = np.arange(len(step)) + (count.cumsum() - count).repeat(count)
+    row_len = heads[at + count[step]]
+    if not np.array_equal(np.bincount(step, row_len, steps), nnz):
+        raise StorageError("bad CPT record length")
+    return CPTBlock(steps, step, heads[at], row_len, ids(dsts, vals),
+                    np.frombuffer(_cut(views, vals, size), "<f8"))
+
+
+def _cut(views: Iterable[memoryview], lo: np.ndarray,
+         hi: np.ndarray) -> bytes:
+    """``view[lo[i]:hi[i]]`` of the ``i``-th view, joined: one copy."""
+    return b"".join(map(getitem, views, map(slice, lo.tolist(),
+                                            hi.tolist())))
 
 
 def encode_block(block: CPTBlock) -> List[bytes]:

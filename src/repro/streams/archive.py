@@ -175,9 +175,9 @@ class StreamReader:
     each cost one tree descent — O(height) logical page reads — except
     that ``packed`` serves every read inside its last-fetched frame from
     a cache. That lookup count *is* the layout experiment's cost metric,
-    so every CPT read (``cpt_into``, ``scan_cpts``, an MC gap's raw
-    steps) goes through ``cpt_record``; ``scan_cpts`` only decodes the
-    records as one block. ``io`` is the environment's :class:`IOStats`,
+    so every CPT read (``cpt_into``, ``cpt_records``, an MC gap's raw
+    steps) goes through ``cpt_record``; ``scan_cpts`` only decodes
+    ``cpt_records`` as one block. ``io`` is the environment's :class:`IOStats`,
     which every tree of the archive shares.
     """
 
@@ -204,10 +204,15 @@ class StreamReader:
         """The CPT from ``t - 1`` into ``t`` (t >= 1)."""
         return CPT.from_bytes(self.cpt_record(t))
 
+    def cpt_records(self, start: int, stop: int) -> List[bytes]:
+        """The records of the CPTs into ``start .. stop - 1``
+        (1 <= start < stop)."""
+        self._check_time(stop - 1, lo=start)
+        return [self.cpt_record(t) for t in range(start, stop)]
+
     def scan_cpts(self, start: int, stop: int) -> CPTBlock:
         """The CPTs into ``start .. stop - 1`` (1 <= start < stop)."""
-        self._check_time(stop - 1, lo=start)
-        return decode_block([self.cpt_record(t) for t in range(start, stop)])
+        return decode_block(self.cpt_records(start, stop))
 
     def dry(self) -> "DryReader":
         """A reader that reads nothing and counts, in ``reads``, the
@@ -328,7 +333,8 @@ class DryReader:
     """The read API of a :class:`StreamReader`, reading nothing: each
     call adds its logical page reads to ``reads``. A point read costs
     its tree's height, except inside the frame a packed reader has
-    cached. Reads return None; ``scan_cpts`` returns the range."""
+    cached. Reads return None, and ``cpt_records`` the range of
+    timesteps: one stand-in per record."""
 
     def __init__(self, reader: StreamReader, marginal_cost: int,
                  cpt_cost: int, cached_start: Optional[int] = None) -> None:
@@ -346,7 +352,7 @@ class DryReader:
     def cpt_record(self, t: int) -> None:
         self._read(t, t + 1, self.cpt_cost)
 
-    def scan_cpts(self, start: int, stop: int) -> range:
+    def cpt_records(self, start: int, stop: int) -> range:
         self._read(start, stop, self.cpt_cost)
         return range(start, stop)
 

@@ -111,6 +111,18 @@ class Catalog:
     def has_stream(self, name: str) -> bool:
         return self._stream_key(name) in self._entries
 
+    def check_stream_name(self, name: str) -> None:
+        """Raise :class:`~repro.errors.CatalogError` unless the catalog
+        tree can hold the key of a stream named ``name``: checked before
+        anything of the stream is written."""
+        key, tree = self._stream_key(name), self._tree
+        if len(key) > tree.max_key:
+            raise CatalogError(
+                f"stream name {name!r} is too long: its catalog key of "
+                f"{len(key)} bytes exceeds the {tree.max_key}-byte limit "
+                f"for {tree.page_size}-byte pages"
+            )
+
     def register_stream(self, meta: StreamMeta) -> None:
         if self.has_stream(meta.name):
             raise CatalogError(f"stream {meta.name!r} is already registered")

@@ -111,6 +111,23 @@ def test_stream_names_cannot_overlap_tree_prefixes(tmp_path, name):
         assert db.query("b", ENTERED_ROOM_QUERY, method="btree").signal
 
 
+def test_a_name_too_long_for_the_catalog_writes_nothing(tmp_path):
+    """On 512-byte pages a 30-character stream name makes a 40-byte
+    catalog key, past the 32-byte limit: archive refuses it before it
+    writes a tree, so the name leaves nothing behind and a short name
+    archives as usual."""
+    long_name = "s" * 30
+    with Caldera(str(tmp_path), page_size=512) as db:
+        with pytest.raises(CatalogError, match="too long"):
+            db.archive(_stream(long_name), mc_alpha=2)
+        assert not [tree for tree in db.env.list_trees()
+                    if tree.startswith(long_name)]
+        db.archive(_stream("short"), mc_alpha=2)
+        assert db.stream_names() == ["short"]
+        with pytest.raises(CatalogError, match="too long"):
+            db.archive(_stream(long_name), mc_alpha=2)
+
+
 KIND = {"Door": "entry", "Room": "space"}
 JOIN_QUERY = "dim(location,Kind)=entry -> location=Room"
 

@@ -17,7 +17,7 @@ from reference_reg import ReferenceReg
 from repro.access import NaiveScan
 from repro.access.base import AccessStats, QueryContext, RegRun
 from repro.lahar import QueryMachine, Reg
-from repro.probability import CPT, CPTBlock, SparseDistribution, decode_block
+from repro.probability import CPT, SparseDistribution, decode_block
 from repro.query import InSet, parse_query
 from repro.storage import StorageEnvironment
 from repro.streams import (ENTERED_ROOM_QUERY, Layout, MarkovianStream,
@@ -83,9 +83,9 @@ def test_vectorized_matches_reference(seed, length, text):
     assert ref.updates_performed == vec.updates_performed == length - 1
 
 
-def pieces_block(cpts) -> CPTBlock:
-    """The CPTs as one decoded block, in order: a gap's pieces."""
-    return decode_block([cpt.to_bytes() for cpt in cpts])
+def pieces(reg: Reg, cpts):
+    """The CPTs as ``reg``'s dense pieces, in order: a gap's pieces."""
+    return reg.pieces(decode_block([cpt.to_bytes() for cpt in cpts]))
 
 
 def compose_all(cpts) -> CPT:
@@ -127,7 +127,7 @@ def test_span_operations_match_reference(seed, text, opseed):
             t += 1
         elif mode == "span":
             a = ref.update_span(compose_all(cpts), span)
-            b = vec.update_span(pieces_block(cpts), span)
+            b = vec.update_span(pieces(vec, cpts), span)
             t += span
         elif mode == "indep":
             span += 1
@@ -145,8 +145,8 @@ def test_span_operations_match_reference(seed, text, opseed):
             loop_state = rng.randrange(1, len(query)) if len(query) > 1 else 0
             a = ref.update_loop_span(loop_state, compose_all(plain),
                                      compose_all(cond), span)
-            b = vec.update_loop_span(loop_state, pieces_block(plain),
-                                     pieces_block(cond), span)
+            b = vec.update_loop_span(loop_state, pieces(vec, plain),
+                                     pieces(vec, cond), span)
             t += span
         assert a == pytest.approx(b, abs=1e-9), f"{mode} diverged at t={t}"
     assert ref.updates_performed == vec.updates_performed
@@ -200,9 +200,10 @@ def test_empty_reg_stays_empty():
     # No initialize: updates on an empty kernel emit zero probability.
     assert reg.update(CPT({0: {0: 1.0}})) == 0.0
     assert reg.update_independent(SparseDistribution({0: 1.0})) == 0.0
-    stay = pieces_block([CPT({0: {0: 1.0}})] * 2)
-    assert reg.update_span(stay, span=3) == 0.0
-    assert reg.update_loop_span(1, stay, stay, span=3) == 0.0
+    stay = [CPT({0: {0: 1.0}})] * 2
+    assert reg.update_span(pieces(reg, stay), span=3) == 0.0
+    assert reg.update_loop_span(1, pieces(reg, stay), pieces(reg, stay),
+                                span=3) == 0.0
 
 
 #: A multi-link query whose negated Kleene loops keep up to 8 DFA sets
@@ -242,11 +243,11 @@ def _drive(stream, text: str, loop_value: str, origin):
     for t in range(1, len(stream) - 4, 5):
         signal.append(reg.update(origin(stream.cpt_into(t))))
         gap = [stream.cpt_into(t + 1), stream.cpt_into(t + 2)]
-        signal.append(reg.update_span(pieces_block(gap), 2))
+        signal.append(reg.update_span(pieces(reg, gap), 2))
         gap = [stream.cpt_into(t + 3), stream.cpt_into(t + 4)]
         plain, cond = loop_pieces(gap, accept)
         signal.append(reg.update_loop_span(
-            1, pieces_block(plain), pieces_block(cond), 2))
+            1, pieces(reg, plain), pieces(reg, cond), 2))
     return signal
 
 
@@ -302,7 +303,7 @@ def test_update_block_matches_stepwise_and_reference(seed, length, text,
     while len(got) < len(cpts):
         k = data.draw(st.integers(1, len(cpts) - len(got)))
         records = [cpt.to_bytes() for cpt in cpts[len(got):len(got) + k]]
-        probs = block.update_block(decode_block(records))
+        probs = block.update_block(block.pieces(decode_block(records)))
         assert probs.shape == (k,)
         got.extend(probs.tolist())
     for t, (a, b, c) in enumerate(zip(want_ref, want, got), start=1):
@@ -315,7 +316,7 @@ def test_update_block_matches_stepwise_and_reference(seed, length, text,
                          ids=["entered-room", "patrol"])
 def test_wide_gap_longer_than_a_block_matches_reference(wide_stream, text):
     """A gap of 20 pieces on the 42-state stream is more than
-    ``block_steps`` (9): Reg densifies and chains it 9 pieces at a time,
+    ``block_steps`` (9): ``Reg.pieces`` densifies it 9 pieces at a time,
     and both gap rules still agree with the reference stepping through
     the composed CPT."""
     query = parse_query(text)
@@ -332,12 +333,12 @@ def test_wide_gap_longer_than_a_block_matches_reference(wide_stream, text):
             reg.update(wide_stream.cpt_into(1))
         if gap == "span":
             want = ref.update_span(compose_all(plain), 20)
-            got = vec.update_span(pieces_block(plain), 20)
+            got = vec.update_span(pieces(vec, plain), 20)
         else:
             want = ref.update_loop_span(1, compose_all(plain),
                                         compose_all(cond), 20)
-            got = vec.update_loop_span(1, pieces_block(plain),
-                                       pieces_block(cond), 20)
+            got = vec.update_loop_span(1, pieces(vec, plain),
+                                       pieces(vec, cond), 20)
         cpt = wide_stream.cpt_into(22)
         rows.append((want, got, ref.update(cpt), vec.update(cpt)))
     assert max(max(row) for row in rows) > 0.0
@@ -361,13 +362,13 @@ def test_walk_splits_long_runs_into_capped_blocks(wide_stream, tmp_path,
     with StorageEnvironment(str(tmp_path)) as env:
         reader = write_stream(env, wide_stream, layout=layout)
         blocks = []
-        real_scan = reader.scan_cpts
+        real_read = reader.cpt_records
 
-        def scan(start, stop):
+        def read(start, stop):
             blocks.append(stop - start)
-            return real_scan(start, stop)
+            return real_read(start, stop)
 
-        reader.scan_cpts = scan
+        reader.cpt_records = read
         ctx = QueryContext(reader, query)
         result = NaiveScan().run(ctx)
         cap = Reg(query, wide_stream.space).block_steps

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_codec import reference_record
+from reference_codec import reference_decode, reference_record
 from repro.errors import StorageError
 from repro.probability import (CPT, CPTBlock, SparseDistribution,
                                decode_block, encode_block)
@@ -238,6 +238,70 @@ def test_encode_block_matches_the_struct_encoder(cpts):
     records = encode_block(CPTBlock.of(cpts))
     assert records == [reference_record(cpt) for cpt in cpts]
     assert encode_block(decode_block(records)) == records
+
+
+#: CPTs of 32 to 40 rows: their headers take two uvarint bytes.
+_MANY_ROWS = st.lists(_IDS, min_size=32, max_size=40, unique=True).map(
+    lambda srcs: CPT({s: {s: 0.5, srcs[0]: 0.5} for s in srcs}))
+_BLOCKS = st.lists(st.one_of(sparse_cpts(), _MANY_ROWS,
+                             st.sampled_from(_cpts() + [_FULL_ROW])),
+                   min_size=1, max_size=8)
+
+
+def _decoded(decode, records):
+    """``decode(records)`` as plain lists, or the StorageError raised."""
+    try:
+        block = decode(records)
+    except StorageError:
+        return StorageError
+    return [block.steps] + [a.tolist() for a in block[1:]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cpts=_BLOCKS)
+@example(cpts=_cpts() + [_FULL_ROW, CPT({r: {r: 1.0} for r in range(40)})])
+def test_decode_block_equals_the_per_record_decoder(cpts):
+    """A block of records of mixed id widths (1, 2 and 4 bytes) and
+    header lengths (32 rows and more take two bytes) decodes to exactly
+    the per-record decoder's arrays."""
+    records = [cpt.to_bytes() for cpt in cpts]
+    assert any(len(cpt) >= 32 for cpt in cpts) == any(
+        data[0] >= 0x80 for data in records)
+    assert _decoded(decode_block, records) == \
+        _decoded(reference_decode, records) != StorageError
+
+
+#: Corruptions of a record: every check, the header's included.
+_CORRUPTIONS = dict(_corrupt_records(), **{
+    "empty": b"",
+    "header-cut": CPT({r: {r: 1.0} for r in range(40)}).to_bytes()[:1],
+    "header-overlong": b"\x80" * 11 + bytes(9),
+    "header-huge": b"\xff" * 9 + b"\x01",
+    "rows-past-end": b"\x84\x01" + bytes(8),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(cpts=_BLOCKS, case=st.sampled_from(sorted(_CORRUPTIONS)),
+       data=st.data())
+def test_decode_block_raises_on_a_corrupt_record_anywhere(cpts, case, data):
+    """One corrupt record at any position of a block makes both
+    decoders raise StorageError."""
+    records = [cpt.to_bytes() for cpt in cpts]
+    records.insert(data.draw(st.integers(0, len(records))),
+                   _CORRUPTIONS[case])
+    assert _decoded(decode_block, records) is StorageError
+    assert _decoded(reference_decode, records) is StorageError
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(st.binary(max_size=40), min_size=1, max_size=4))
+def test_decode_block_agrees_with_the_per_record_decoder_on_any_bytes(
+        records):
+    """On arbitrary bytes the two decoders return the same block or
+    both raise StorageError."""
+    assert _decoded(decode_block, records) == \
+        _decoded(reference_decode, records)
 
 
 def test_row_length_256_widens_the_record():

@@ -191,8 +191,8 @@ def test_conditioned_span_update_matches_stepwise(interior, reg_cls):
     cond = [cpt.mask_destinations(accept) for cpt in plain[:-1]] + [
         plain[-1]]
     if reg_cls is Reg:  # the pieces, applied in order
-        plain, cond = (decode_block([cpt.to_bytes() for cpt in pieces])
-                       for pieces in (plain, cond))
+        plain, cond = (spanner.pieces(decode_block(
+            [cpt.to_bytes() for cpt in pieces])) for pieces in (plain, cond))
     else:  # the composed CPTs
         plain, cond = (functools.reduce(CPT.compose, pieces)
                        for pieces in (plain, cond))

@@ -1,6 +1,11 @@
-"""The struct-based CPT record encoder that ``encode_block`` replaced,
-kept as a byte oracle: ``encode_block(CPTBlock.of(cpts))`` must equal
-``[reference_record(cpt) for cpt in cpts]`` byte for byte.
+"""The record codec's oracles, each an independent per-record loop.
+
+``reference_record`` is the struct-based CPT record encoder that
+``encode_block`` replaced: ``encode_block(CPTBlock.of(cpts))`` must
+equal ``[reference_record(cpt) for cpt in cpts]`` byte for byte.
+``reference_decode`` is the per-record decoder that ``decode_block``
+replaced: on any records the two return equal blocks, or both raise
+:class:`~repro.errors.StorageError`.
 
 A record is one uvarint header ``rows << 2 | code``, then ``src``,
 ``row_len`` and ``dst`` as little-endian unsigned ints of ``1 << code``
@@ -11,10 +16,15 @@ rows, independently of the NumPy encoder.
 """
 
 import struct
+from typing import Sequence
+
+import numpy as np
 
 from repro.errors import StorageError
-from repro.probability import CPT
-from repro.storage.record import encode_uvarint
+from repro.probability import CPT, CPTBlock
+from repro.storage.record import decode_uvarint, encode_uvarint
+
+_ID_DTYPES = ("<u1", "<u2", "<u4")
 
 
 def reference_record(cpt: CPT) -> bytes:
@@ -33,3 +43,44 @@ def reference_record(cpt: CPT) -> bytes:
     ints = 2 * len(srcs) + len(dsts)
     return encode_uvarint(len(srcs) << 2 | code) + struct.pack(
         f"<{ints}{'BHI'[code]}{len(vals)}d", *srcs, *lens, *dsts, *vals)
+
+
+def _record_layout(data: bytes):
+    """``(id dtype, id width, rows, offset of src, nnz)`` of one record,
+    checking its width code and that its length fits exactly."""
+    head, pos = decode_uvarint(data)
+    count, code = head >> 2, head & 3
+    if code == 3:
+        raise StorageError("bad CPT record id width")
+    width = 1 << code
+    mid = pos + 2 * count * width
+    if mid > len(data):
+        raise StorageError("truncated CPT record")
+    nnz, rest = divmod(len(data) - mid, width + 8)
+    if rest:
+        raise StorageError("bad CPT record length")
+    return _ID_DTYPES[code], width, count, pos, nnz
+
+
+def reference_decode(records: Sequence[bytes]) -> CPTBlock:
+    """The records as one block: zero-copy views of each record's
+    ``src | row_len``, ``dst`` and ``val``, concatenated."""
+    heads, dsts, vals, counts, nnzs = [], [], [], [], []
+    for data in records:
+        dtype, width, count, pos, nnz = _record_layout(data)
+        mid = pos + 2 * count * width
+        heads.append(np.frombuffer(data, dtype, 2 * count, pos))
+        dsts.append(np.frombuffer(data, dtype, nnz, mid))
+        vals.append(np.frombuffer(data, "<f8", nnz, mid + nnz * width))
+        counts.append(count)
+        nnzs.append(nnz)
+    steps, counts = len(records), np.array(counts, np.int64)
+    heads = np.concatenate(heads)
+    step = np.arange(steps).repeat(counts)
+    at = np.arange(len(step)) + (counts.cumsum() - counts).repeat(counts)
+    row_len = heads[at + counts[step]]
+    if np.bincount(step, row_len, steps).tolist() != nnzs:
+        raise StorageError("bad CPT record length")
+    return CPTBlock(steps, step, heads[at], row_len,
+                    np.concatenate(dsts),
+                    np.concatenate(vals))

@@ -9,7 +9,7 @@ Four experiments over a bulk-loaded tree of ``N`` entries:
    from the buffer pool (0 physical reads).
 3. Building — a bottom-up bulk load, then a whole-tree rewrite of the
    same entries (the catalog's commit): build time, leaf count, fill
-   factor, and file size (a rewrite reuses the pages it frees).
+   factor, and file size (a rewrite writes a new file of the same size).
 4. Buffer-pool hit rate vs pool size under a skewed point-lookup
    workload — the knob Figure 10's cold/warm split turns on.
 

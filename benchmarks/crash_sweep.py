@@ -11,8 +11,8 @@ bytes, and must recover to a committed state with a clean fsck.
 Emits ``results/crash_sweep.{txt,json}`` plus a run manifest +
 span stream (``results/crash_sweep.manifest.json`` /
 ``.spans.jsonl``) whose counters record schedules run, faults by
-action, recoveries replayed, and fsck pages checked. Bounded: the
-whole sweep is a few hundred small in-process runs, ~10-30s.
+action, and fsck pages checked. Bounded: the whole sweep is a few
+hundred small in-process runs, a few seconds.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from .harness import finish_run, print_table, save_report, start_run
 PAGE_SIZE = 256
 POOL_PAGES = 12
 SWEEP_SEEDS = (0, 1, 2)
-MAX_HITS_PER_SITE = 8
+#: Each load passes every site but ``pager.write`` once; sampling 40
+#: page writes per run keeps the sweep above its former 480 schedules.
+MAX_HITS_PER_SITE = 40
 N_KEYS = 160
 
 
@@ -78,8 +80,6 @@ def run_once(dirname, injector):
     try:
         workload(env, marks.append)
         env.close()
-        if env.close_errors:
-            raise OSError(env.close_errors[0])
         return marks, True
     except OSError:
         env.close()  # the close a ``with`` block runs on the way out
@@ -89,7 +89,8 @@ def run_once(dirname, injector):
 
 
 def recover_and_verify(dirname, registry):
-    """Reopen cleanly; returns (state-dict or None, fsck_clean)."""
+    """Reopen cleanly; returns (state, fsck_clean), where a tree whose
+    first load never committed has no file and reads as empty."""
     env = StorageEnvironment(dirname, page_size=PAGE_SIZE,
                              pool_pages=POOL_PAGES, metrics=registry)
     try:
@@ -98,18 +99,16 @@ def recover_and_verify(dirname, registry):
             try:
                 state[name] = dict(env.open_tree(name, create=False).items())
             except StorageError:
-                state[name] = None
+                state[name] = {}
         report = env.fsck()
-        if state["t"] is None and state["u"] is None:
-            state = None
         return state, report.clean
     finally:
         env.close()
 
 
 def tree_acceptable(marks, completed, finished, name, value):
-    """Each tree commits through its own WAL, so a mark that changes two
-    trees is not atomic across them: a fault between the two commits
+    """Each tree commits by renaming its own file, so a mark that changes
+    two trees is not atomic across them: a fault between the two commits
     may leave one tree a mark ahead of the other. Zero committed-key loss is
     therefore judged per tree — its recovered contents must equal that
     tree's slice of a mark no earlier than the last completed one."""
@@ -118,13 +117,6 @@ def tree_acceptable(marks, completed, finished, name, value):
     else:
         window = marks[max(0, completed - 1):completed + 1]
     return any(value == m[name] for m in window)
-
-
-def normalize(state):
-    """Recovered envs show a missing tree as None; marks use {}."""
-    if state is None:
-        return None
-    return {k: (v if v is not None else {}) for k, v in state.items()}
 
 
 def generate():
@@ -156,7 +148,7 @@ def generate():
             assert finished and len(marks) == 4
             state, clean = recover_and_verify(f"{workdir}/baseline",
                                               registry)
-            assert clean and normalize(state) == marks[-1]
+            assert clean and state == marks[-1]
 
         schedules = enumerate_schedules(probe.hits,
                                         max_hits_per_site=MAX_HITS_PER_SITE)
@@ -179,22 +171,14 @@ def generate():
                         ok = False
                         failures.append((seed, rule.label(), "fsck dirty"))
                     completed = len(run_marks)
-                    state = normalize(state)
-                    if state is None:
-                        if completed > 0:
+                    for name in ("t", "u"):
+                        if not tree_acceptable(marks, completed, finished,
+                                               name, state[name]):
                             ok = False
-                            failures.append((seed, rule.label(),
-                                             "committed trees vanished"))
-                    else:
-                        for name in ("t", "u"):
-                            if not tree_acceptable(marks, completed,
-                                                   finished, name,
-                                                   state[name]):
-                                ok = False
-                                failures.append(
-                                    (seed, rule.label(),
-                                     f"tree {name!r} matches no "
-                                     f"committed mark"))
+                            failures.append(
+                                (seed, rule.label(),
+                                 f"tree {name!r} matches no committed "
+                                 f"mark"))
                     if ok:
                         c_recovered.inc()
                     shutil.rmtree(dirname, ignore_errors=True)

@@ -138,10 +138,24 @@ class Caldera:
         if self.catalog.has_stream(stream.name):
             raise CatalogError(f"stream {stream.name!r} is already archived")
         self.catalog.check_stream_name(stream.name)
+        # Every argument is checked before the first tree is written,
+        # so a refused archive leaves nothing behind.
+        dimensions = self.dimension_tables()
+        for table in join_tables:
+            if table not in dimensions:
+                raise CatalogError(f"unknown dimension table {table!r}")
+        if mc_alpha is not None and (not isinstance(mc_alpha, int)
+                                     or mc_alpha < 2):
+            raise ValueError(f"MC index alpha must be >= 2, got {mc_alpha}")
+        for predicate in conditioned_predicates:
+            if not isinstance(predicate, Predicate):
+                raise TypeError(
+                    f"conditioned_predicates takes Predicate objects, got "
+                    f"{type(predicate).__name__}"
+                )
         reader = write_stream(self.env, stream, layout)
         meta = StreamMeta(stream.name, len(stream), layout, stream.space,
                           pack=reader.pack)
-        dimensions = self.dimension_tables()
 
         kinds = [kind for kind, wanted in (("btc", btc), ("btp", btp))
                  if wanted]
@@ -149,8 +163,6 @@ class Caldera:
         if kinds:
             indexed_attrs.extend(stream.space.attributes)
             for table in join_tables:
-                if table not in dimensions:
-                    raise CatalogError(f"unknown dimension table {table!r}")
                 for attr in stream.space.attributes:
                     vocab = stream.space.vocabulary(attr)
                     if any(v in dimensions[table] for v in vocab.values()):

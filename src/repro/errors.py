@@ -29,20 +29,6 @@ class CorruptPageError(PageError):
     """
 
 
-class TornWriteError(StorageError):
-    """A write-ahead-log record was found incomplete or mis-checksummed.
-
-    Recovery treats the first torn record as the end of the log: the
-    record and everything after it are discarded (they were never
-    committed).
-    """
-
-
-class RecoveryError(StorageError):
-    """Write-ahead-log recovery could not restore a consistent state
-    (mismatched log geometry, unreadable log header, failed replay)."""
-
-
 class KeyEncodingError(StorageError):
     """A value could not be encoded into an order-preserving key, or a
     stored key could not be decoded back into a complete tuple."""

@@ -1,8 +1,10 @@
 """The page-based storage engine (Berkeley DB substitute).
 
-Layering, bottom-up: :mod:`~repro.storage.pager` (fixed-size pages over
-a file, free-list allocation) → :mod:`~repro.storage.buffer_pool` (read-only
-LRU cache of decoded pages with an
+Layering, bottom-up: :mod:`~repro.storage.pager` (fixed-size,
+checksummed pages over a file: reads of a committed file, or
+straight-through writes of a new one) →
+:mod:`~repro.storage.buffer_pool` (read-only LRU cache of decoded
+pages with an
 :class:`~repro.storage.stats.IOStats` logical/physical split) →
 :mod:`~repro.storage.btree` (write-once, variable-length-key B+ tree
 with forward cursors, overflow chains, bottom-up bulk loading and
@@ -12,10 +14,13 @@ and one counter). :mod:`~repro.storage.keyenc` supplies
 order-preserving composite keys; :mod:`~repro.storage.record` supplies
 length-prefixed value framing.
 
-Crash safety rides along the same stack: every pager carries a
-checksummed redo log (:mod:`~repro.storage.wal`) replayed on open,
+Crash safety rides along the same stack: every tree is committed by
+writing a whole new file beside its own, fsyncing it, renaming it over
+the old one and fsyncing the directory, so a crash leaves the old file
+or the new one and there is nothing to recover on open.
 :mod:`~repro.storage.faults` injects deterministic failures beneath it
-all, and :mod:`~repro.storage.fsck` deep-verifies what survived.
+all (file writes, fsyncs, renames, directory fsyncs), and
+:mod:`~repro.storage.fsck` deep-verifies what survived.
 """
 
 from .btree import BTree, Cursor
@@ -33,7 +38,6 @@ from .fsck import CheckReport, FsckReport, check_tree, fsck_environment
 from .keyenc import Desc, decode_key, encode_key, prefix_upper_bound
 from .pager import DEFAULT_PAGE_SIZE, Pager
 from .stats import IOStats
-from .wal import WAL_SUFFIX, WriteAheadLog
 
 __all__ = [
     "BTree",
@@ -52,8 +56,6 @@ __all__ = [
     "Pager",
     "SimulatedCrash",
     "StorageEnvironment",
-    "WAL_SUFFIX",
-    "WriteAheadLog",
     "check_tree",
     "decode_key",
     "encode_key",

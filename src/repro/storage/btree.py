@@ -10,8 +10,11 @@ Layout and behavior:
   leaves bottom-up from sorted input, then stacks branch levels on
   top — the archive path every stream and index build uses.
   :meth:`BTree.rewrite` replaces a tree's entire contents the same way
-  (the catalog's commit). Each is one pager commit, so a crash leaves
-  the old contents or the new ones; nothing mutates a page in place.
+  (the catalog's commit). Both write a new file beside the tree's own,
+  fsync it and rename it over ``<name>.btree``, so the file at that
+  name is always complete and a crash leaves the old contents or the
+  new ones; nothing mutates a page in place. A tree opened but never
+  loaded has no file and reads as empty.
 - **Leaves are doubly linked**, so range cursors run forward without
   re-descending.
 - **Values above ¼ page spill** into chained overflow pages; the leaf
@@ -29,6 +32,7 @@ costs land in the environment's :class:`~repro.storage.stats.IOStats`.
 
 from __future__ import annotations
 
+import os
 import struct
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, List, Optional, Tuple
@@ -36,7 +40,12 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 from ..errors import CorruptPageError, PageError, StorageError
 from ..obs.metrics import NullRegistry
 from .buffer_pool import BufferPool
-from .pager import Pager
+from .faults import NO_FAULTS
+from .pager import DEFAULT_PAGE_SIZE, Pager
+from .stats import IOStats
+
+#: Suffix of the file a load writes before renaming it over the tree's.
+_SIBLING_SUFFIX = ".new"
 
 _HEADER_PAGE = 1
 _HDR_MAGIC = b"CALB"
@@ -74,6 +83,11 @@ class LeafNode:
         return _LEAF_ENTRY.size + len(key) + len(stored)
 
 
+#: What page id 0 (no page: the root and first leaf of a tree without
+#: a file) reads as.
+_NO_LEAF = LeafNode(0)
+
+
 class BranchNode:
     __slots__ = ("page_id", "keys", "children", "size")
 
@@ -103,19 +117,21 @@ class BTree:
 
     def __init__(
         self,
-        pager: Pager,
+        path: str,
         pool: BufferPool,
         name: Optional[str] = None,
+        page_size: Optional[int] = None,
+        stats: Optional[IOStats] = None,
         create: bool = True,
         metrics=None,
+        faults=None,
     ) -> None:
-        self.pager = pager
+        self.path = path
         self.pool = pool
-        self.name = name if name is not None else pager.path
-        self.pool_key = pager.path
-        self.page_size = pager.page_size
-        self.max_key = max(24, self.page_size // 16)
-        self.max_inline = self.page_size // 4
+        self.name = name if name is not None else path
+        self.pool_key = path
+        self.stats = stats if stats is not None else IOStats()
+        self.faults = faults if faults is not None else NO_FAULTS
         # Per-tree instruments, keyed by tree name (see repro.obs).
         self.metrics = metrics if metrics is not None else NullRegistry()
         tree_label = self.name
@@ -130,52 +146,44 @@ class BTree:
             "btree.cursor_steps", tree=tree_label)
         self._m_bulk_entries = self.metrics.counter(
             "btree.bulk_loaded_entries", tree=tree_label)
-        if pager.num_pages <= _HEADER_PAGE:
-            if not create:
-                raise StorageError(f"tree {self.name!r} does not exist")
-            with pager.change():
-                if pager.allocate() != _HEADER_PAGE:
-                    raise StorageError("tree header must be the first page")
-                root = pager.allocate()
-                pager.write(root, self.encode_page(LeafNode(root)))
-                self._set_header(root, root, root, leaves=1, height=1,
-                                 entries=0)
+        #: The committed file's pager; None until the first load when
+        #: the tree has no file.
+        self.pager: Optional[Pager] = None
+        if os.path.exists(path):
+            self.pager = Pager(path, page_size=page_size, stats=self.stats,
+                               metrics=self.metrics, faults=self.faults)
+            try:
+                self._set_header(*self._read_header())
+            except BaseException:
+                self.pager.close()
+                raise
+            page_size = self.pager.page_size
+        elif not create:
+            raise StorageError(f"tree {self.name!r} does not exist")
         else:
-            self._read_header()
+            self._set_header(0, 0, 0, leaves=0, height=0, entries=0)
+        self.page_size = page_size or DEFAULT_PAGE_SIZE
+        self.max_key = max(24, self.page_size // 16)
+        self.max_inline = self.page_size // 4
 
     # ------------------------------------------------------------------
     # Header
     # ------------------------------------------------------------------
-    def _read_header(self) -> None:
+    def _read_header(self) -> Tuple[int, int, int, int, int, int]:
         raw = self.pager.read(_HEADER_PAGE)
         magic, root, first, last, leaves, height, entries = _HDR.unpack_from(raw)
         if magic != _HDR_MAGIC:
             raise PageError(f"{self.name!r}: bad tree header magic {magic!r}")
-        self._root = root
-        self._first_leaf = first
-        self._last_leaf = last
-        self._num_leaves = leaves
-        self._height = height
-        self._num_entries = entries
-
-    def _write_header(self) -> None:
-        raw = _HDR.pack(
-            _HDR_MAGIC, self._root, self._first_leaf, self._last_leaf,
-            self._num_leaves, self._height, self._num_entries,
-        )
-        self.pager.write(_HEADER_PAGE, raw)
+        return root, first, last, leaves, height, entries
 
     def _set_header(self, root: int, first: int, last: int, leaves: int,
                     height: int, entries: int) -> None:
-        """Point the header at a fully written tree (the last write of a
-        change, inside its :meth:`Pager.change`)."""
         self._root = root
         self._first_leaf = first
         self._last_leaf = last
         self._num_leaves = leaves
         self._height = height
         self._num_entries = entries
-        self._write_header()
 
     # ------------------------------------------------------------------
     # Node codec (the buffer pool decodes on a miss)
@@ -247,11 +255,6 @@ class BTree:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def stats(self):
-        """The environment-wide I/O counters (shared by all trees)."""
-        return self.pager.stats
-
-    @property
     def height(self) -> int:
         return self._height
 
@@ -277,7 +280,8 @@ class BTree:
     def _descend(self, key: bytes) -> LeafNode:
         """The leaf that owns ``key``."""
         self._m_descents.inc()
-        node = self.pool.get(self, self._root)
+        root = self._root
+        node = self.pool.get(self, root) if root else _NO_LEAF
         while isinstance(node, BranchNode):
             node = self.pool.get(self, node.children[
                 bisect_right(node.keys, key)])
@@ -296,16 +300,16 @@ class BTree:
     # ------------------------------------------------------------------
     # Overflow values
     # ------------------------------------------------------------------
-    def _store_value(self, value: bytes) -> Tuple[bytes, int]:
+    def _store_value(self, pager: Pager, value: bytes) -> Tuple[bytes, int]:
         if len(value) <= self.max_inline:
             return value, 0
         self._m_ovf_spills.inc()
         chunk = self.page_size - _OVF_HDR.size
         nxt = 0
         for start in range(((len(value) - 1) // chunk) * chunk, -1, -chunk):
-            page_id = self.pager.allocate()
+            page_id = pager.allocate()
             node = OverflowNode(page_id, nxt, value[start:start + chunk])
-            self.pager.write(page_id, self.encode_page(node))
+            pager.write(page_id, self.encode_page(node))
             nxt = page_id
         return _OVF_PTR.pack(nxt, len(value)), _FLAG_SPILLED
 
@@ -327,16 +331,6 @@ class BTree:
             )
         return value
 
-    def _free_overflow(self, stored: bytes) -> None:
-        page_id, _ = _OVF_PTR.unpack(stored)
-        while page_id:
-            # Read the chain pointer straight from the pager: doomed
-            # pages never enter the pool.
-            nxt = self.decode_page(page_id, self.pager.read(page_id)).next
-            self.pool.discard(self, page_id)
-            self.pager.free(page_id)
-            page_id = nxt
-
     # ------------------------------------------------------------------
     # Bulk loading
     # ------------------------------------------------------------------
@@ -344,8 +338,9 @@ class BTree:
         """Build the tree bottom-up from sorted ``(key, value)`` pairs.
 
         Packs leaves full, links them, then builds each branch level
-        from the one below, and commits. The tree must be empty.
-        Duplicate keys are kept. Returns the number of entries loaded.
+        from the one below, and commits. The tree must be empty (or
+        have no file yet). Duplicate keys are kept. Returns the number
+        of entries loaded.
         """
         if self._num_entries:
             raise StorageError(
@@ -358,12 +353,12 @@ class BTree:
         """Replace the tree's whole contents with sorted ``(key, value)``
         pairs.
 
-        Frees every page of the current tree and bulk-loads ``items`` in
-        its place, all inside one pager commit, so a crash leaves either
-        the old contents or the new ones. The input is checked in full
-        before any page changes. Returns the number of entries written.
-        A failure after that (an I/O error) leaves the pager failed
-        until the environment is reopened (see :meth:`Pager.change`).
+        Bulk-loads ``items`` into a new file and renames it over the
+        tree's, so a crash leaves either the old contents or the new
+        ones. The input is checked in full before any page is written.
+        Returns the number of entries written. A failure before the
+        rename (an I/O error) leaves the old contents in place, readable
+        and ready for a later rewrite.
         """
         items = list(items)
         prev_key: Optional[bytes] = None
@@ -387,68 +382,93 @@ class BTree:
             )
 
     def _load(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
-        """Free the current tree, write the sorted ``items`` in its place
-        (checking each entry on the way), and commit, as one
-        :meth:`Pager.change`."""
-        with self.pager.change():
-            self._free_subtree(self._root)
+        """Write the sorted ``items`` (checking each entry on the way)
+        as a new file beside the tree's, then commit it: fsync, rename
+        it over the tree's file, fsync the directory.
 
-            target = self.page_size - _LEAF_HDR.size
-            leaf: Optional[LeafNode] = None
-            pending: Optional[LeafNode] = None
-            seps: List[Tuple[bytes, int]] = []
-            first_leaf = last_leaf = 0
-            count = 0
-            prev_key: Optional[bytes] = None
+        A failure before the rename abandons the new file and leaves
+        the tree as it was. Once the rename is done the tree reads the
+        new file, even if the directory fsync then raises.
+        """
+        pager = Pager(self.path + _SIBLING_SUFFIX, page_size=self.page_size,
+                      stats=self.stats, create=True, metrics=self.metrics,
+                      faults=self.faults)
+        try:
+            header = self._write_tree(pager, items)
+            pager.sync()
+            pager.rename(self.path)
+        except BaseException:
+            pager.close()
+            raise
+        old, self.pager = self.pager, pager
+        self.pool.discard(self)
+        self._set_header(*header)
+        if old is not None:
+            old.close()
+        pager.sync_directory()
+        return self._num_entries
 
-            def emit(nxt: int) -> None:
-                nonlocal pending
-                if pending is not None:
-                    pending.next = nxt
-                    self.pager.write(pending.page_id,
-                                     self.encode_page(pending))
-                    pending = None
+    def _write_tree(self, pager: Pager, items: Iterable[Tuple[bytes, bytes]]
+                    ) -> Tuple[int, int, int, int, int, int]:
+        """Write header, leaves, overflow chains and branch levels of a
+        tree holding ``items`` to a new file; returns the header."""
+        if pager.allocate() != _HEADER_PAGE:
+            raise StorageError("tree header must be the first page")
+        target = self.page_size - _LEAF_HDR.size
+        leaf: Optional[LeafNode] = None
+        pending: Optional[LeafNode] = None
+        seps: List[Tuple[bytes, int]] = []
+        first_leaf = last_leaf = 0
+        count = 0
+        prev_key: Optional[bytes] = None
 
-            for key, value in items:
-                self._check_entry(prev_key, key, value)
-                prev_key = key
-                stored, flags = self._store_value(value)
-                entry = LeafNode.entry_size(key, stored)
-                if leaf is None or leaf.size + entry > target:
-                    page_id = self.pager.allocate()
-                    new = LeafNode(page_id, prev=leaf.page_id if leaf else 0)
-                    emit(page_id)
-                    pending = new
-                    if leaf is None:
-                        first_leaf = page_id
-                    leaf = new
-                    seps.append((key, page_id))
-                    last_leaf = page_id
-                leaf.keys.append(key)
-                leaf.values.append(stored)
-                leaf.flags.append(flags)
-                leaf.size += entry
-                count += 1
+        def emit(nxt: int) -> None:
+            nonlocal pending
+            if pending is not None:
+                pending.next = nxt
+                pager.write(pending.page_id, self.encode_page(pending))
+                pending = None
 
-            if leaf is None:  # empty input: an empty root leaf
-                first_leaf = last_leaf = self.pager.allocate()
-                self.pager.write(first_leaf,
-                                 self.encode_page(LeafNode(first_leaf)))
-                seps.append((b"", first_leaf))
-            emit(0)
+        for key, value in items:
+            self._check_entry(prev_key, key, value)
+            prev_key = key
+            stored, flags = self._store_value(pager, value)
+            entry = LeafNode.entry_size(key, stored)
+            if leaf is None or leaf.size + entry > target:
+                page_id = pager.allocate()
+                new = LeafNode(page_id, prev=leaf.page_id if leaf else 0)
+                emit(page_id)
+                pending = new
+                if leaf is None:
+                    first_leaf = page_id
+                leaf = new
+                seps.append((key, page_id))
+                last_leaf = page_id
+            leaf.keys.append(key)
+            leaf.values.append(stored)
+            leaf.flags.append(flags)
+            leaf.size += entry
+            count += 1
 
-            num_leaves = len(seps)
-            height = 1
-            while len(seps) > 1:
-                seps = self._build_branch_level(seps)
-                height += 1
-            self._m_bulk_entries.inc(count)
-            self._set_header(seps[0][1], first_leaf, last_leaf,
-                             leaves=num_leaves, height=height, entries=count)
-            return count
+        if leaf is None:  # empty input: an empty root leaf
+            first_leaf = last_leaf = pager.allocate()
+            pager.write(first_leaf, self.encode_page(LeafNode(first_leaf)))
+            seps.append((b"", first_leaf))
+        emit(0)
+
+        num_leaves = len(seps)
+        height = 1
+        while len(seps) > 1:
+            seps = self._build_branch_level(pager, seps)
+            height += 1
+        self._m_bulk_entries.inc(count)
+        header = (seps[0][1], first_leaf, last_leaf, num_leaves, height,
+                  count)
+        pager.write(_HEADER_PAGE, _HDR.pack(_HDR_MAGIC, *header))
+        return header
 
     def _build_branch_level(
-        self, children: List[Tuple[bytes, int]]
+        self, pager: Pager, children: List[Tuple[bytes, int]]
     ) -> List[Tuple[bytes, int]]:
         target = self.page_size - _BRANCH_HDR.size - _CHILD.size
         out: List[Tuple[bytes, int]] = []
@@ -457,8 +477,8 @@ class BTree:
             entry = BranchNode.entry_size(key)
             if node is None or node.size + entry > target:
                 if node is not None:
-                    self.pager.write(node.page_id, self.encode_page(node))
-                page_id = self.pager.allocate()
+                    pager.write(node.page_id, self.encode_page(node))
+                page_id = pager.allocate()
                 node = BranchNode(page_id)
                 node.children.append(child)
                 node.size += _CHILD.size
@@ -468,20 +488,8 @@ class BTree:
                 node.children.append(child)
                 node.size += entry
         if node is not None:
-            self.pager.write(node.page_id, self.encode_page(node))
+            pager.write(node.page_id, self.encode_page(node))
         return out
-
-    def _free_subtree(self, page_id: int) -> None:
-        node = self.pool.get(self, page_id)
-        if isinstance(node, BranchNode):
-            for child in node.children:
-                self._free_subtree(child)
-        elif isinstance(node, LeafNode):
-            for stored, flags in zip(node.values, node.flags):
-                if flags & _FLAG_SPILLED:
-                    self._free_overflow(stored)
-        self.pool.discard(self, page_id)
-        self.pager.free(page_id)
 
     # ------------------------------------------------------------------
     # Cursors and scans
@@ -518,7 +526,7 @@ class BTree:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if not self.pager.closed:
+        if self.pager is not None and not self.pager.closed:
             self.pool.discard(self)
             self.pager.close()
 
@@ -579,7 +587,8 @@ class Cursor:
         return self._settle_forward(leaf, bisect_left(leaf.keys, key))
 
     def first(self) -> bool:
-        leaf = self._tree.pool.get(self._tree, self._tree._first_leaf)
+        first = self._tree._first_leaf
+        leaf = self._tree.pool.get(self._tree, first) if first else _NO_LEAF
         return self._settle_forward(leaf, 0)
 
     def next(self) -> bool:

@@ -87,14 +87,11 @@ class BufferPool:
         self._nodes.clear()
         self._m_resident.set(0)
 
-    def discard(self, client, page_id: Optional[int] = None) -> None:
-        """Drop one page of a client, or all of them (page freed, tree
-        closed or dropped)."""
-        if page_id is not None:
-            self._nodes.pop((client.pool_key, page_id), None)
-        else:
-            for key in [k for k in self._nodes if k[0] == client.pool_key]:
-                del self._nodes[key]
+    def discard(self, client) -> None:
+        """Drop every page of a client (tree rewritten, closed or
+        dropped)."""
+        for key in [k for k in self._nodes if k[0] == client.pool_key]:
+            del self._nodes[key]
         self._m_resident.set(len(self._nodes))
 
     @property

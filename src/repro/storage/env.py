@@ -5,6 +5,9 @@ BT_P / MC indexes, the catalog) lives in its own ``<name>.btree`` file
 under one directory, and all of them share a single LRU buffer pool and
 a single :class:`~repro.storage.stats.IOStats` counter — so one query's
 cost is one delta on one counter no matter how many files it touches.
+A tree's file appears at its first load (see
+:meth:`~repro.storage.btree.BTree.bulk_load`) and is complete whenever
+it exists.
 """
 
 from __future__ import annotations
@@ -18,11 +21,15 @@ from ..obs.tracing import Tracer
 from .btree import BTree
 from .buffer_pool import DEFAULT_POOL_PAGES, BufferPool
 from .faults import NO_FAULTS
-from .pager import DEFAULT_PAGE_SIZE, Pager
+from .pager import DEFAULT_PAGE_SIZE
 from .stats import IOStats
-from .wal import WAL_SUFFIX
 
 _SUFFIX = ".btree"
+#: The redo log an older version kept beside each tree file, and the
+#: size of its header: a longer log holds records never applied to the
+#: tree file.
+_OLD_LOG_SUFFIX = ".wal"
+_OLD_LOG_HEADER = 14
 
 
 class StorageEnvironment:
@@ -53,19 +60,14 @@ class StorageEnvironment:
             self.metrics = NullRegistry()
         else:
             self.metrics = metrics
-        #: Failpoint registry every pager and WAL routes file I/O
-        #: through; NO_FAULTS (plain files) unless a test injects one.
+        #: Failpoint registry every pager routes file I/O, renames and
+        #: directory fsyncs through; NO_FAULTS (plain files) unless a
+        #: test injects one.
         self.faults = faults if faults is not None else NO_FAULTS
-        # Lifecycle spans (WAL recovery on tree open) land here.
-        self._lifecycle_tracer = Tracer(io=self.stats,
-                                        registry=self.metrics)
         self.pool = BufferPool(pool_pages, self.stats,
                                metrics=self.metrics)
         self._trees: Dict[str, BTree] = {}
         self._closed = False
-        #: Errors swallowed by best-effort :meth:`close` (e.g. closing
-        #: after a simulated crash), newest last.
-        self.close_errors: List[str] = []
 
     # ------------------------------------------------------------------
     # Tree management
@@ -81,41 +83,41 @@ class StorageEnvironment:
             raise StorageError(f"environment {self.path!r} is closed")
 
     def open_tree(self, name: str, create: bool = True) -> BTree:
-        """The named tree, opened (or created) on first use and cached."""
+        """The named tree, opened on first use and cached. With
+        ``create``, a tree without a file opens empty and gets its file
+        at its first load."""
         self._check_open()
         tree = self._trees.get(name)
         if tree is None:
             file_path = self._check_name(name)
-            pager = Pager(file_path, page_size=self.page_size,
-                          stats=self.stats, create=create,
-                          metrics=self.metrics, faults=self.faults,
-                          tracer=self._lifecycle_tracer)
-            try:
-                tree = BTree(pager, self.pool, name=name, create=create,
-                             metrics=self.metrics)
-            except StorageError:
-                # Missing/corrupt tree header: release the clean pager
-                # (nothing pending, so this performs no page writes).
-                # Anything else — a simulated crash above all — must
-                # propagate without touching the file again.
-                pager.close()
-                raise
+            log = file_path + _OLD_LOG_SUFFIX
+            if os.path.exists(log) and \
+                    os.path.getsize(log) > _OLD_LOG_HEADER:
+                raise StorageError(
+                    f"{log}: a write-ahead log holding records an older "
+                    f"version never applied to the tree file; open the "
+                    f"database once with that version to apply them, or "
+                    f"delete the log to discard its last commit"
+                )
+            tree = BTree(file_path, self.pool, name=name,
+                         page_size=self.page_size, stats=self.stats,
+                         create=create, metrics=self.metrics,
+                         faults=self.faults)
             self._trees[name] = tree
         return tree
 
     def exists(self, name: str) -> bool:
-        return name in self._trees or os.path.exists(self._check_name(name))
+        """True when the tree has a file (it was loaded at least once)."""
+        return os.path.exists(self._check_name(name))
 
     def list_trees(self) -> List[str]:
-        """Every tree in the directory (open or not), sorted."""
+        """Every tree with a file in the directory, sorted."""
         self._check_open()
-        names = {
+        return sorted(
             entry[:-len(_SUFFIX)]
             for entry in os.listdir(self.path)
             if entry.endswith(_SUFFIX)
-        }
-        names.update(self._trees)
-        return sorted(names)
+        )
 
     def drop_tree(self, name: str) -> None:
         """Delete a tree's file and purge its cached pages."""
@@ -123,23 +125,14 @@ class StorageEnvironment:
         file_path = self._check_name(name)
         tree = self._trees.pop(name, None)
         if tree is not None:
-            self.pool.discard(tree)
-            tree.pager.close()
+            tree.close()
         elif not os.path.exists(file_path):
             raise StorageError(f"no such tree: {name!r}")
         if os.path.exists(file_path):
             os.remove(file_path)
-        # A stale log must go with its file, or a future tree of the
-        # same name would replay the dead tree's pages.
-        wal_path = file_path + WAL_SUFFIX
-        if os.path.exists(wal_path):
-            os.remove(wal_path)
 
     def file_size(self, name: str) -> int:
         """On-disk bytes of one tree's file."""
-        tree = self._trees.get(name)
-        if tree is not None:
-            return tree.pager.file_size()
         file_path = self._check_name(name)
         if not os.path.exists(file_path):
             raise StorageError(f"no such tree: {name!r}")
@@ -162,28 +155,23 @@ class StorageEnvironment:
         self.pool.evict_all()
 
     def fsck(self):
-        """Deep-verify every tree and page file; returns a
-        :class:`~repro.storage.fsck.FsckReport`. Every tree change is
-        committed when it returns, so the check sees the committed
-        image and makes no page writes."""
+        """Deep-verify every tree file; returns a
+        :class:`~repro.storage.fsck.FsckReport`. The check reads only
+        committed files and makes no page writes."""
         from .fsck import fsck_environment
 
         self._check_open()
         return fsck_environment(self)
 
     def close(self) -> None:
-        """Close every tree. Idempotent, and best-effort: a tree that
-        cannot close (e.g. its file handle died in a simulated crash)
-        is recorded in :attr:`close_errors` instead of aborting the
-        shutdown — the remaining trees still close."""
+        """Close every tree. Idempotent; it writes nothing (every tree
+        commits when its load returns), so it cannot fail, even after a
+        simulated crash."""
         if self._closed:
             return
         self._closed = True
-        for name in sorted(self._trees):
-            try:
-                self._trees[name].close()
-            except (StorageError, OSError) as exc:
-                self.close_errors.append(f"{name}: {exc}")
+        for tree in self._trees.values():
+            tree.close()
         self._trees.clear()
 
     @property

@@ -1,13 +1,19 @@
 """Deterministic fault injection for the storage engine.
 
 The crash-safety story of :mod:`repro.storage` is only as good as its
-worst untested failure interleaving, so every file handle the pager and
-write-ahead log open can be routed through a :class:`FaultInjector` —
-a seeded failpoint registry plus a :class:`FaultyFile` wrapper that
-models what an operating system actually guarantees:
+worst untested failure interleaving, so every file handle the pager
+opens, and every rename and directory fsync it makes, can be routed
+through a :class:`FaultInjector` — a seeded failpoint registry plus a
+:class:`FaultyFile` wrapper that models what an operating system
+actually guarantees:
 
 - bytes written but never fsynced live in the "page cache" and are
   **dropped** by :meth:`FaultInjector.crash` (the simulated power cut);
+- a file creation or a rename is a change to its directory, durable
+  only once that directory is fsynced: :meth:`FaultInjector.crash`
+  reverts every one no directory fsync covered (a new file vanishes, a
+  renamed file goes back to its old name and the file it replaced
+  comes back);
 - an injected *torn* write patches a seeded prefix of the payload into
   the durable image — the part of the sector that reached the platter —
   before the simulated crash;
@@ -17,12 +23,13 @@ models what an operating system actually guarantees:
   included — durability does not advance);
 - *crash* raises :class:`SimulatedCrash` before anything is applied.
 
-Failpoints are named sites (``wal.append``, ``checkpoint.fsync``, ...)
-that the pager and WAL fire on every pass; a :class:`FaultRule` arms
-one site at its *n*-th hit. Running a workload once with an unarmed
-injector yields per-site hit counts, and :func:`enumerate_schedules`
-turns those counts into the exhaustive, fully deterministic sweep the
-crash tests run — no subprocesses, no timing, same seed → same faults.
+Failpoints are named sites (``pager.write``, ``pager.rename``,
+``dir.fsync``, ...) that the pager fires on every pass; a
+:class:`FaultRule` arms one site at its *n*-th hit. Running a workload
+once with an unarmed injector yields per-site hit counts, and
+:func:`enumerate_schedules` turns those counts into the exhaustive,
+fully deterministic sweep the crash tests run — no subprocesses, no
+timing, same seed → same faults.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import errno
 import os
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "ACTIONS",
@@ -41,6 +48,7 @@ __all__ = [
     "NO_FAULTS",
     "SimulatedCrash",
     "enumerate_schedules",
+    "fsync_directory",
     "fsync_file",
 ]
 
@@ -70,6 +78,16 @@ def fsync_file(handle) -> None:
         os.fsync(handle.fileno())
 
 
+def fsync_directory(path: str) -> None:
+    """Fsync a directory, making the creations and renames in it
+    durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class FaultyFile:
     """A file object that distinguishes durable from volatile bytes.
 
@@ -77,7 +95,9 @@ class FaultyFile:
     view, which normal reads see); ``_durable`` snapshots the content as
     of the last successful fsync. :meth:`drop_volatile` reverts the real
     file to the durable image — the crash. The underlying handle is
-    unbuffered so no bytes hide in Python-level buffers.
+    unbuffered so no bytes hide in Python-level buffers. ``path`` follows
+    the file through renames and is None once another file was renamed
+    over it.
     """
 
     def __init__(self, path: str, mode: str, injector: "FaultInjector") -> None:
@@ -155,8 +175,9 @@ class FaultyFile:
         kill the handle."""
         if not self._fh.closed:
             self._fh.close()
-        with open(self.path, "wb") as fh:
-            fh.write(self._durable)
+        if self.path is not None:
+            with open(self.path, "wb") as fh:
+                fh.write(self._durable)
         self.crashed = True
 
     def __repr__(self) -> str:
@@ -188,7 +209,9 @@ class FaultInjector:
 
     With no rules armed it is a pure observer: every ``fire`` records a
     hit (``injector.hits``), which is how sweeps learn the site/hit
-    space of a workload before enumerating schedules over it.
+    space of a workload before enumerating schedules over it. Besides
+    file handles it keeps the directory changes (creations, renames) no
+    directory fsync has covered yet, so :meth:`crash` can revert them.
     """
 
     def __init__(self, rules: Iterable[FaultRule] = (), seed: int = 0) -> None:
@@ -198,12 +221,52 @@ class FaultInjector:
         self.files: List[FaultyFile] = []
         self.fired: List[str] = []
         self.crashed = False
+        #: Directory changes no directory fsync covered yet, oldest
+        #: first: ``(directory, undo)`` with ``undo`` reverting it.
+        self._unsynced: List[Tuple[str, Callable[[], None]]] = []
 
-    # -- file handle factory -------------------------------------------
+    # -- file handle factory and directory changes ---------------------
     def open(self, path: str, mode: str) -> FaultyFile:
+        created = not os.path.exists(path)
         handle = FaultyFile(path, mode, self)
         self.files.append(handle)
+        if created:
+            self._unsynced.append((os.path.dirname(path),
+                                   lambda: _remove(path)))
         return handle
+
+    def replace(self, src: str, dst: str) -> None:
+        """``os.replace(src, dst)``, durable only once the directory is
+        fsynced: until then :meth:`crash` moves the file back to
+        ``src`` and restores the file it replaced."""
+        replaced = None
+        for handle in self.files:
+            if handle.path == dst:
+                replaced = bytes(handle._durable)
+        if replaced is None and os.path.exists(dst):
+            with open(dst, "rb") as fh:
+                replaced = fh.read()
+        os.replace(src, dst)
+        for handle in self.files:
+            if handle.path == dst:
+                handle.path = None
+            elif handle.path == src:
+                handle.path = dst
+
+        def undo() -> None:
+            if os.path.exists(dst):
+                os.replace(dst, src)
+            if replaced is not None:
+                with open(dst, "wb") as fh:
+                    fh.write(replaced)
+
+        self._unsynced.append((os.path.dirname(dst), undo))
+
+    def fsync_directory(self, path: str) -> None:
+        """Make every creation and rename in directory ``path``
+        durable."""
+        self._unsynced = [(d, undo) for d, undo in self._unsynced
+                          if d != path]
 
     # -- failpoints ----------------------------------------------------
     def fire(self, site: str, handle: Optional[FaultyFile] = None,
@@ -243,11 +306,20 @@ class FaultInjector:
 
     # -- crash ---------------------------------------------------------
     def crash(self) -> None:
-        """Drop every not-yet-fsynced byte in every open file — the
-        moment after the simulated power cut."""
+        """Drop every not-yet-fsynced byte in every open file, then undo
+        every creation and rename no directory fsync covered, newest
+        first — the moment after the simulated power cut."""
         self.crashed = True
         for handle in self.files:
             handle.drop_volatile()
+        for _, undo in reversed(self._unsynced):
+            undo()
+        self._unsynced.clear()
+
+
+def _remove(path: str) -> None:
+    if os.path.exists(path):
+        os.remove(path)
 
 
 class _NullInjector:
@@ -262,6 +334,9 @@ class _NullInjector:
     @staticmethod
     def fire(site: str, handle=None, data=None) -> None:
         pass
+
+    replace = staticmethod(os.replace)
+    fsync_directory = staticmethod(fsync_directory)
 
     def __repr__(self) -> str:
         return "NO_FAULTS"
@@ -292,7 +367,7 @@ def enumerate_schedules(
             tail = max_hits_per_site // 2
             hit_list = list(range(1, head + 1))
             hit_list += list(range(count - tail + 1, count + 1))
-        payload_site = site.endswith((".append", ".write", ".commit"))
+        payload_site = site.endswith(".write")
         for hit in hit_list:
             for action in actions:
                 if action in ("short", "torn") and not payload_site:

@@ -11,20 +11,21 @@ page belong to somebody?* Two layers:
   match the header, chain membership equals descent membership),
   overflow chains (length, no sharing), and header counters
   (``num_entries``, ``num_leaves``, ``height``).
-- :func:`fsck_environment` runs :func:`check_tree` on every tree of a
-  :class:`~repro.storage.env.StorageEnvironment`, then audits each
-  file's page accounting: the free list (no cycles, in-range links, no
-  overlap with live pages) and full-file coverage — every allocated
-  page is reachable, free, or flagged as leaked — plus a checksum sweep
-  that physically re-reads every page so any corrupt frame is
-  *reported*, never silently decoded.
+- :func:`fsck_environment` runs :func:`check_tree` on every tree file
+  of a :class:`~repro.storage.env.StorageEnvironment`, then audits each
+  file's page accounting — every allocated page must be reachable, or
+  is flagged as leaked — plus a checksum sweep that physically re-reads
+  every page so any corrupt frame is *reported*, never silently
+  decoded. A file an older version wrote may still carry a free list:
+  its unreachable pages are counted as reclaimable, not leaked, and the
+  file's next rewrite drops them.
 
 All checks read through the pager (physical reads, checksum-verified)
 rather than the buffer pool, so an fsck never perturbs cache state.
-Every tree change commits before it returns, so the pager's image is
-the committed one. Problems are
-collected, not raised — a report with a torn page and a broken sibling
-link names both.
+A tree file is complete whenever it exists (it is renamed into place
+only after it is written and fsynced), so fsck reads committed files
+only. Problems are collected, not raised — a report with a torn page
+and a broken sibling link names both.
 """
 
 from __future__ import annotations
@@ -80,11 +81,9 @@ class FsckReport:
     trees: Dict[str, CheckReport] = field(default_factory=dict)
     errors: List[str] = field(default_factory=list)
     pages_checked: int = 0
-    free_pages: int = 0
-    #: Page files whose tree creation never committed (a crash between
-    #: pager creation and the tree's first commit leaves a valid, empty
-    #: pager) — benign, reported but not errors.
-    embryonic: List[str] = field(default_factory=list)
+    #: Unreachable pages of files whose meta still names an older
+    #: version's free list: not errors; the next rewrite drops them.
+    reclaimable_pages: int = 0
 
     @property
     def clean(self) -> bool:
@@ -103,11 +102,8 @@ class FsckReport:
         for name in sorted(self.trees):
             lines.append("  " + self.trees[name].render().replace(
                 "\n", "\n  "))
-        for name in self.embryonic:
-            lines.append(f"  tree {name!r}: creation never committed "
-                         "(empty page file)")
         lines.append(f"  {self.pages_checked} pages checksum-swept, "
-                     f"{self.free_pages} on free lists")
+                     f"{self.reclaimable_pages} reclaimable")
         for err in self.errors:
             lines.append(f"  ERROR: {err}")
         lines.append("status: " + ("clean" if self.clean else
@@ -304,73 +300,28 @@ def check_tree(tree: BTree) -> CheckReport:
 
 def _audit_file(tree: BTree, check: CheckReport,
                 report: FsckReport) -> None:
-    """Free-list walk, leak detection, and the checksum sweep for one
-    tree's page file."""
+    """Leak detection and the checksum sweep for one tree's page file."""
     pager = tree.pager
-    name = tree.name
-    free: Set[int] = set()
-    try:
-        for page_id in pager.free_pages():
-            free.add(page_id)
-    except StorageError as exc:
-        report.errors.append(f"{name}: {exc}")
-    report.free_pages += len(free)
-    overlap = free & check.reachable
-    if overlap:
+    unreachable = [page_id for page_id in range(1, pager.num_pages)
+                   if page_id not in check.reachable]
+    if unreachable and pager.free_head:
+        report.reclaimable_pages += len(unreachable)
+    elif unreachable:
         report.errors.append(
-            f"{name}: pages both free and reachable: {sorted(overlap)[:8]}"
-        )
-    leaked = [
-        page_id for page_id in range(1, pager.num_pages)
-        if page_id not in free and page_id not in check.reachable
-    ]
-    if leaked:
-        report.errors.append(
-            f"{name}: {len(leaked)} leaked page(s) (neither reachable "
-            f"nor free): {leaked[:8]}"
+            f"{tree.name}: {len(unreachable)} leaked page(s) "
+            f"(unreachable): {unreachable[:8]}"
         )
     # Checksum sweep: every allocated page must physically read back.
     for page_id in range(1, pager.num_pages):
         try:
             pager.read(page_id)
         except StorageError as exc:
-            report.errors.append(f"{name}: sweep: {exc}")
+            report.errors.append(f"{tree.name}: sweep: {exc}")
         report.pages_checked += 1
 
 
-def _is_embryonic(env, name: str) -> bool:
-    """True when a tree's page file holds no committed tree — what a
-    crash before the tree's first commit leaves behind. Two
-    shapes: the pager committed but the tree header never did (valid
-    pager, no pages past the meta), or the pager creation itself never
-    committed (empty main file, no recoverable WAL). Recovery
-    semantics make both legitimate; anything else unreadable is
-    corruption."""
-    import os
-
-    from .pager import Pager
-
-    path = env._check_name(name)
-    try:
-        probe = Pager(path, stats=env.stats, create=False,
-                      faults=env.faults)
-    except (StorageError, OSError):
-        # Recovery already ran inside the failed open, so a durably
-        # committed meta page would have been replayed into the main
-        # file by now; a still-empty file means creation never
-        # committed. Anything non-empty yet unreadable is corruption.
-        try:
-            return os.path.getsize(path) == 0
-        except OSError:
-            return False
-    try:
-        return probe.num_pages <= _HEADER_PAGE
-    finally:
-        probe.close()
-
-
 def fsck_environment(env) -> FsckReport:
-    """Verify every tree and every page file of one environment."""
+    """Verify every tree file of one environment."""
     report = FsckReport(path=env.path)
     m_runs = env.metrics.counter("fsck.runs")
     m_pages = env.metrics.counter("fsck.pages_checked")
@@ -379,10 +330,7 @@ def fsck_environment(env) -> FsckReport:
         try:
             tree = env.open_tree(name, create=False)
         except StorageError as exc:
-            if _is_embryonic(env, name):
-                report.embryonic.append(name)
-            else:
-                report.errors.append(f"{name}: cannot open: {exc}")
+            report.errors.append(f"{name}: cannot open: {exc}")
             continue
         check = check_tree(tree)
         report.trees[name] = check

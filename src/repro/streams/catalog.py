@@ -76,8 +76,10 @@ class Catalog:
     The entries live in memory, read from the tree by one scan at open
     (one :class:`~repro.core.Caldera` per directory). A change is made
     to a copy of them, the copy is written with
-    :meth:`~repro.storage.btree.BTree.rewrite` (one commit), and only
-    then does the copy replace the live entries. A crash during the
+    :meth:`~repro.storage.btree.BTree.rewrite` (one commit), and the
+    copy replaces the live entries once the new file is renamed into
+    place — even if the directory fsync after the rename fails, so this
+    object always lists what the tree's file holds. A crash during the
     commit leaves the tree as it was before the change or after it; a
     change the tree refuses (a key too long for the page) writes no
     page and leaves this object as it was.
@@ -88,8 +90,13 @@ class Catalog:
         self._entries: Dict[bytes, bytes] = dict(self._tree.items())
 
     def _commit(self, entries: Dict[bytes, bytes]) -> None:
-        self._tree.rewrite(sorted(entries.items()))
-        self._entries = entries
+        before = self._tree.pager
+        try:
+            self._tree.rewrite(sorted(entries.items()))
+        finally:
+            # A rewrite that got past its rename reads a new file.
+            if self._tree.pager is not before:
+                self._entries = entries
 
     def _put(self, key: bytes, value: bytes) -> None:
         self._commit({**self._entries, key: value})

@@ -9,6 +9,7 @@ from candidates import assert_fewest
 from repro.core import Caldera
 from repro.errors import CatalogError, PlanningError
 from repro.streams import ENTERED_ROOM_QUERY, synthetic_stream
+from repro.streams.catalog import CATALOG_TREE
 
 CONDITIONED_QUERY = "location=Door -> (location=C1)* location=Room"
 
@@ -126,6 +127,26 @@ def test_a_name_too_long_for_the_catalog_writes_nothing(tmp_path):
         assert db.stream_names() == ["short"]
         with pytest.raises(CatalogError, match="too long"):
             db.archive(_stream(long_name), mc_alpha=2)
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"join_tables": ("Nope",)}, CatalogError),
+    ({"mc_alpha": 1}, ValueError),
+    ({"mc_alpha": 2, "conditioned_predicates": ("location=Room",)},
+     TypeError),
+])
+def test_a_refused_archive_writes_nothing(tmp_path, bad, error):
+    """Every argument is checked before the first tree is written: a
+    refused archive leaves no tree and no catalog entry, and the same
+    stream archives afterwards."""
+    with Caldera(str(tmp_path), page_size=512) as db:
+        db.register_dimension_table("Kind", KIND)
+        with pytest.raises(error):
+            db.archive(_stream("s"), **bad)
+        assert db.env.list_trees() == [CATALOG_TREE]
+        assert db.stream_names() == []
+        db.archive(_stream("s"), mc_alpha=2, join_tables=("Kind",))
+        assert db.stream_names() == ["s"]
 
 
 KIND = {"Door": "entry", "Room": "space"}

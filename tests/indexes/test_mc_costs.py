@@ -13,6 +13,7 @@ from repro.indexes.base import mc_tree_name
 from repro.indexes.builder import build_mc
 from repro.indexes.mc import MCLookupStats
 from repro.storage import StorageEnvironment
+from repro.storage.pager import PAGE_HEADER_SIZE
 from repro.streams import Layout, open_reader, write_stream
 
 from test_mc import make_stream
@@ -40,11 +41,10 @@ PIECES = {
 LOG_BOUND_C = {2: 1, 4: 4, 8: 14}
 
 #: Build cost: total pages in the bulk-loaded index file and the exact
-#: physical page writes of the build (bulk-load page images + WAL
-#: commit + checkpoint — every page written a small constant number of
-#: times, never rewritten per record).
+#: physical page writes of the build (each page of the new file, meta
+#: frame included, written once, never rewritten per record).
 BUILD_PAGES = {2: 6, 4: 3, 8: 3}
-BUILD_WRITES = {2: 21, 4: 15, 8: 15}
+BUILD_WRITES = {2: 6, 4: 3, 8: 3}
 
 
 @pytest.fixture(scope="module", params=[2, 4, 8])
@@ -66,9 +66,10 @@ def test_build_write_cost_is_pinned(fixture):
     pages = env.file_size(mc_tree_name("s")) // PAGE
     assert pages == BUILD_PAGES[alpha]
     assert build_writes == BUILD_WRITES[alpha]
-    # Bulk load never rewrites: the write count is a small constant
-    # multiple of the file's pages, not a function of record count.
-    assert build_writes <= 4 * pages + 4
+    # Bulk load never rewrites: one write per frame of the file, not a
+    # function of record count.
+    frame = PAGE + PAGE_HEADER_SIZE
+    assert build_writes == env.file_size(mc_tree_name("s")) // frame
 
 
 def test_piece_counts_are_pinned(fixture):

@@ -42,9 +42,9 @@ def test_rewrite_matches_dict(env):
 
 
 def test_rewrite_builds_what_bulk_load_builds(env):
-    """A rewrite leaves the same tree shape as a fresh bulk load, and it
-    reuses the pages it frees: rewriting the same contents again does
-    not grow the file."""
+    """A rewrite leaves the same tree shape as a fresh bulk load, in a
+    file of the same size: rewriting the same contents again does not
+    grow the file."""
     items = sorted(make_items(2000))
     bulk = env.open_tree("bulk")
     bulk.bulk_load(items)
@@ -181,7 +181,7 @@ def test_overflow_values_roundtrip_and_free(env):
     assert tree.get(big_key) == big
     assert tree.get(small_key) == b"small"
     pages_with_big = tree.pager.num_pages
-    # Rewriting frees the old chain first: the file stops growing.
+    # A rewrite writes a new file: the old chain goes with the old one.
     tree.rewrite([(small_key, b"small"), (big_key, big[::-1])])
     assert tree.get(big_key) == big[::-1]
     assert tree.pager.num_pages == pages_with_big
@@ -246,7 +246,11 @@ def test_scan_io_cold_vs_warm(tmp_path):
 
 def test_environment_tree_management(env):
     env.open_tree("alpha").bulk_load([(b"k", b"v")])
-    env.open_tree("beta")
+    env.open_tree("beta").bulk_load([])
+    # Opened but never loaded: an empty tree with no file yet.
+    gamma = env.open_tree("gamma")
+    assert len(gamma) == 0 and gamma.get(b"k") is None
+    assert list(gamma.items()) == []
     assert env.exists("alpha") and not env.exists("gamma")
     assert env.list_trees() == ["alpha", "beta"]
     assert env.file_size("alpha") > 0

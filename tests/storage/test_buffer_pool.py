@@ -21,7 +21,8 @@ class RawClient:
 @pytest.fixture
 def setup(tmp_path):
     stats = IOStats()
-    pager = Pager(str(tmp_path / "f.db"), page_size=128, stats=stats)
+    pager = Pager(str(tmp_path / "f.db"), page_size=128, stats=stats,
+                  create=True)
     client = RawClient(pager)
     pages = []
     for i in range(8):
@@ -81,21 +82,16 @@ def test_evict_all_empties_the_pool(setup):
     assert stats.physical_reads == before + 1
 
 
-def test_discard_drops_one_page_or_a_whole_client(setup):
+def test_discard_drops_a_whole_client(setup):
     stats, _, client, pages = setup
     pool = BufferPool(4, stats)
     for page in pages[:3]:
         pool.get(client, page)
-    pool.discard(client, pages[0])
-    assert pool.resident == 2
-    before = stats.physical_reads
-    pool.get(client, pages[1])
-    pool.get(client, pages[2])
-    assert stats.physical_reads == before  # both still resident
-    pool.get(client, pages[0])
-    assert stats.physical_reads == before + 1  # the discarded one is not
     pool.discard(client)
     assert pool.resident == 0
+    before = stats.physical_reads
+    pool.get(client, pages[0])
+    assert stats.physical_reads == before + 1  # read again from the pager
 
 
 # ----------------------------------------------------------------------

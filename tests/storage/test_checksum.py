@@ -9,7 +9,7 @@ from repro.storage.pager import PAGE_HEADER_SIZE
 
 
 def build_pager(tmp_path, **kw):
-    pager = Pager(str(tmp_path / "f"), page_size=128, **kw)
+    pager = Pager(str(tmp_path / "f"), page_size=128, create=True, **kw)
     a = pager.allocate()
     b = pager.allocate()
     pager.write(a, b"A" * 100)
@@ -68,7 +68,7 @@ def test_checksum_failures_are_counted(tmp_path):
 
 
 def test_never_written_page_reads_as_zeros(tmp_path):
-    pager = Pager(str(tmp_path / "f"), page_size=128)
+    pager = Pager(str(tmp_path / "f"), page_size=128, create=True)
     a = pager.allocate()
     pager.sync()  # page allocated but its frame never written
     assert pager.read(a) == bytes(128)
@@ -81,16 +81,6 @@ def test_corrupt_meta_page_fails_open(tmp_path):
     corrupt(str(tmp_path / "f"), 8)  # inside the meta struct
     with pytest.raises(CorruptPageError):
         Pager(str(tmp_path / "f"))
-
-
-def test_frame_lsn_advances_with_writes(tmp_path):
-    pager, a, b = build_pager(tmp_path)
-    first = pager.frame_lsn(a)
-    pager.write(a, b"A2")
-    pager.sync()
-    assert pager.frame_lsn(a) > first
-    assert pager.frame_lsn(a) != pager.frame_lsn(b)
-    pager.close()
 
 
 def test_corruption_surfaces_through_the_tree(tmp_path):

@@ -1,5 +1,6 @@
 """The fault-injection layer itself must be trustworthy: durable vs
-volatile bytes, deterministic schedules, honest failure modes."""
+volatile bytes and directory entries, deterministic schedules, honest
+failure modes."""
 
 import errno
 
@@ -22,6 +23,7 @@ def test_unsynced_bytes_are_lost_on_crash(tmp_path):
     path = str(tmp_path / "f")
     inj = FaultInjector()
     fh = inj.open(path, "w+b")
+    inj.fsync_directory(str(tmp_path))  # the file itself is durable
     fh.write(b"durable")
     fh.fsync()
     fh.write(b" volatile")
@@ -34,6 +36,7 @@ def test_synced_bytes_survive_crash(tmp_path):
     path = str(tmp_path / "f")
     inj = FaultInjector()
     fh = inj.open(path, "w+b")
+    inj.fsync_directory(str(tmp_path))  # the file itself is durable
     fh.write(b"abc")
     fh.fsync()
     inj.crash()
@@ -56,6 +59,7 @@ def test_patch_durable_survives_crash(tmp_path):
     path = str(tmp_path / "f")
     inj = FaultInjector()
     fh = inj.open(path, "w+b")
+    inj.fsync_directory(str(tmp_path))  # the file itself is durable
     fh.write(b"0123456789")
     fh.fsync()
     fh.patch_durable(4, b"XX")  # a torn write's surviving prefix
@@ -75,6 +79,71 @@ def test_reopen_preserves_existing_content_as_durable(tmp_path):
     inj.crash()
     with open(path, "rb") as plain:
         assert plain.read() == b"seed"  # the +new was never fsynced
+
+
+# ----------------------------------------------------------------------
+# Directory entries: creations and renames
+# ----------------------------------------------------------------------
+
+def written(inj, path, data):
+    """A new file holding ``data``, its bytes fsynced."""
+    fh = inj.open(path, "w+b")
+    fh.write(data)
+    fh.fsync()
+    return fh
+
+
+def read(path):
+    with open(path, "rb") as plain:
+        return plain.read()
+
+
+def test_a_new_file_without_a_directory_fsync_vanishes(tmp_path):
+    path = str(tmp_path / "f")
+    inj = FaultInjector()
+    written(inj, path, b"content fsynced, name not")
+    inj.crash()
+    assert not (tmp_path / "f").exists()
+
+
+def test_an_unsynced_rename_reverts_on_crash(tmp_path):
+    old, new = str(tmp_path / "t"), str(tmp_path / "t.new")
+    with open(old, "wb") as plain:
+        plain.write(b"old contents")
+    inj = FaultInjector()
+    reader = inj.open(old, "rb")
+    written(inj, new, b"new contents")
+    inj.fsync_directory(str(tmp_path))  # the new file's creation
+    inj.replace(new, old)
+    assert read(old) == b"new contents"
+    inj.crash()
+    assert read(old) == b"old contents"  # the replaced file is back
+    assert read(new) == b"new contents"  # under its old name
+    assert reader.path is None  # its file was replaced
+
+
+def test_a_synced_rename_survives_crash(tmp_path):
+    old, new = str(tmp_path / "t"), str(tmp_path / "t.new")
+    with open(old, "wb") as plain:
+        plain.write(b"old contents")
+    inj = FaultInjector()
+    inj.open(old, "rb")
+    written(inj, new, b"new contents")
+    inj.replace(new, old)
+    inj.fsync_directory(str(tmp_path))  # covers creation and rename
+    inj.crash()
+    assert read(old) == b"new contents"
+    assert not (tmp_path / "t.new").exists()
+
+
+def test_an_unsynced_rename_of_an_unsynced_file_leaves_nothing(tmp_path):
+    """The commit of a tree that was never loaded: without the
+    directory fsync, neither the file nor its name survives."""
+    inj = FaultInjector()
+    written(inj, str(tmp_path / "t.new"), b"new contents")
+    inj.replace(str(tmp_path / "t.new"), str(tmp_path / "t"))
+    inj.crash()
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +179,7 @@ def test_short_write_applies_volatile_prefix(tmp_path):
     path = str(tmp_path / "f")
     inj = FaultInjector([FaultRule("s", 1, "short")], seed=7)
     fh = inj.open(path, "w+b")
+    inj.fsync_directory(str(tmp_path))
     with pytest.raises(OSError):
         inj.fire("s", handle=fh, data=b"0123456789")
     fh.seek(0, 2)
@@ -124,6 +194,7 @@ def test_torn_write_prefix_is_durable(tmp_path):
     path = str(tmp_path / "f")
     inj = FaultInjector([FaultRule("s", 1, "torn")], seed=7)
     fh = inj.open(path, "w+b")
+    inj.fsync_directory(str(tmp_path))
     with pytest.raises(SimulatedCrash):
         inj.fire("s", handle=fh, data=b"0123456789")
     inj.crash()
@@ -161,13 +232,13 @@ def test_rule_validation():
 # ----------------------------------------------------------------------
 
 def test_enumerate_schedules_is_deterministic_and_complete():
-    hits = {"wal.append": 3, "wal.fsync": 2}
+    hits = {"pager.write": 3, "pager.fsync": 2}
     schedules = enumerate_schedules(hits)
     assert schedules == enumerate_schedules(hits)
     # payload site: every action at every hit; fsync site: no torn/short
-    assert FaultRule("wal.append", 2, "torn") in schedules
-    assert FaultRule("wal.fsync", 1, "error") in schedules
-    assert FaultRule("wal.fsync", 1, "torn") not in schedules
+    assert FaultRule("pager.write", 2, "torn") in schedules
+    assert FaultRule("pager.fsync", 1, "error") in schedules
+    assert FaultRule("pager.fsync", 1, "torn") not in schedules
     assert len(schedules) == 3 * len(ACTIONS) + 2 * 2
 
 

@@ -138,34 +138,53 @@ def test_fsck_reports_unopenable_tree(tmp_path):
     assert any("cannot open" in e for e in report.errors)
 
 
-def test_fsck_treats_uncreated_tree_files_as_benign(tmp_path):
-    # A crash between pager creation and the tree's first committed
-    # flush leaves a page file with no tree in it (or an empty file) —
-    # legitimate recovered states, not corruption.
-    import os
-
-    from repro.storage.pager import Pager
+def test_fsck_ignores_an_abandoned_load(tmp_path):
+    """A load that fails before its rename leaves only its sibling file,
+    which is not a tree: the tree keeps its contents and fsck is
+    clean."""
+    from repro.storage.faults import FaultInjector, FaultRule
 
     db = tmp_path / "db"
-    env = StorageEnvironment(str(db), page_size=PAGE_SIZE, metrics=False)
-    build_tree(env, big=False)
-    env.close()
-    # Pager committed, tree header never created:
-    Pager(str(db / "young.btree"), page_size=PAGE_SIZE).close()
-    # Pager creation itself never committed:
-    with open(db / "embryo.btree", "wb"):
-        pass
-    os.remove(db / "young.btree.wal")
-    report = reopened_report(str(db))
-    assert report.clean
-    assert sorted(report.embryonic) == ["embryo", "young"]
-    assert "creation never committed" in report.render()
-
-
-def test_check_detects_entry_count_drift(env):
+    inj = FaultInjector()
+    env = StorageEnvironment(str(db), page_size=PAGE_SIZE, metrics=False,
+                             faults=inj)
     tree = build_tree(env, big=False)
-    tree._num_entries += 7  # simulate a header counter gone stale
-    tree._write_header()
-    report = tree.check()
+    items = list(tree.items())
+    inj.rules.append(FaultRule("pager.rename", inj.hits["pager.rename"] + 1,
+                               "error"))
+    with pytest.raises(OSError):
+        tree.rewrite([(b"new", b"contents")])
+    env.close()
+    assert (db / "t.btree.new").exists()
+    report = reopened_report(str(db))
+    assert report.clean and set(report.trees) == {"t"}
+    env = StorageEnvironment(str(db), page_size=PAGE_SIZE, metrics=False)
+    assert list(env.open_tree("t", create=False).items()) == items
+    env.close()
+
+
+def test_check_detects_entry_count_drift(tmp_path):
+    import struct
+    import zlib
+
+    from repro.storage.btree import _HDR
+
+    env = StorageEnvironment(str(tmp_path / "db"), page_size=PAGE_SIZE,
+                             metrics=False)
+    tree = build_tree(env, big=False)
+
+    def drift(_leaves, fh, frame_size):
+        # A re-checksummed header whose entry count is 7 too high.
+        fh.seek(frame_size)
+        frame = bytearray(fh.read(frame_size))
+        fields = list(_HDR.unpack_from(frame, PAGE_HEADER_SIZE))
+        fields[-1] += 7
+        _HDR.pack_into(frame, PAGE_HEADER_SIZE, *fields)
+        frame[0:4] = struct.pack(">I", zlib.crc32(bytes(frame[4:])))
+        fh.seek(frame_size)
+        fh.write(bytes(frame))
+
+    corrupt_leaf(env, tree, drift)
+    report = reopened_report(str(tmp_path / "db"))
     assert not report.clean
-    assert any("entries" in e for e in report.errors)
+    assert any("entries" in e for e in report.all_errors())

@@ -1,4 +1,4 @@
-"""Page allocation, free-list reuse, and file-format validation."""
+"""Page allocation, straight-through writes, and file-format validation."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.storage.stats import IOStats
 
 
 def test_allocate_write_read_roundtrip(tmp_path):
-    with Pager(str(tmp_path / "p.db"), page_size=256) as pager:
+    with Pager(str(tmp_path / "p.db"), page_size=256, create=True) as pager:
         a = pager.allocate()
         b = pager.allocate()
         assert (a, b) == (1, 2)  # page 0 is the meta page
@@ -20,38 +20,49 @@ def test_allocate_write_read_roundtrip(tmp_path):
         assert len(pager.read(a)) == 256
 
 
-def test_free_list_reuse_before_growth(tmp_path):
-    with Pager(str(tmp_path / "p.db"), page_size=256) as pager:
-        pages = [pager.allocate() for _ in range(5)]
-        grown = pager.num_pages
-        pager.free(pages[2])
-        pager.free(pages[4])
-        # LIFO reuse, no file growth.
-        assert pager.allocate() == pages[4]
-        assert pager.allocate() == pages[2]
-        assert pager.num_pages == grown
-        # Exhausted free list extends the file again.
-        assert pager.allocate() == grown
-
-
 def test_meta_persists_across_reopen(tmp_path):
     path = str(tmp_path / "p.db")
-    with Pager(path, page_size=512) as pager:
+    with Pager(path, page_size=512, create=True) as pager:
         keep = pager.allocate()
-        pager.free(pager.allocate())
+        pager.allocate()
         pager.write(keep, b"persisted")
         high_water = pager.num_pages
+        pager.sync()
     with Pager(path) as pager:
         assert pager.page_size == 512
         assert pager.num_pages == high_water
         assert pager.read(keep).rstrip(b"\x00") == b"persisted"
-        # The free list survived too.
-        assert pager.allocate() == high_water - 1
+        assert pager.free_head == 0
+
+
+def test_a_committed_file_takes_no_writes(tmp_path):
+    path = str(tmp_path / "p.db")
+    with Pager(path, page_size=256, create=True) as pager:
+        page = pager.allocate()
+        pager.write(page, b"once")
+        pager.sync()
+    with Pager(path) as pager:
+        for change in (pager.allocate, lambda: pager.write(page, b"twice")):
+            with pytest.raises(StorageError, match="never changed"):
+                change()
+        assert pager.read(page).rstrip(b"\x00") == b"once"
+
+
+def test_close_writes_nothing(tmp_path):
+    """Only sync writes the meta frame: a new file closed without it is
+    abandoned, not committed."""
+    path = str(tmp_path / "p.db")
+    pager = Pager(path, page_size=256, create=True)
+    pager.write(pager.allocate(), b"never synced")
+    pager.close()
+    with pytest.raises(PageError):
+        Pager(path)
 
 
 def test_page_size_mismatch_fails_loudly(tmp_path):
     path = str(tmp_path / "p.db")
-    Pager(path, page_size=256).close()
+    with Pager(path, page_size=256, create=True) as pager:
+        pager.sync()
     with pytest.raises(PageError, match="page"):
         Pager(path, page_size=512)
 
@@ -65,7 +76,7 @@ def test_bad_magic_fails_loudly(tmp_path):
 
 
 def test_out_of_range_and_oversized_writes_rejected(tmp_path):
-    with Pager(str(tmp_path / "p.db"), page_size=128) as pager:
+    with Pager(str(tmp_path / "p.db"), page_size=128, create=True) as pager:
         page = pager.allocate()
         with pytest.raises(PageError):
             pager.read(page + 1)
@@ -82,7 +93,8 @@ def test_missing_file_without_create(tmp_path):
 
 def test_physical_io_is_counted(tmp_path):
     stats = IOStats()
-    with Pager(str(tmp_path / "p.db"), page_size=256, stats=stats) as pager:
+    with Pager(str(tmp_path / "p.db"), page_size=256, stats=stats,
+               create=True) as pager:
         page = pager.allocate()
         writes_before = stats.physical_writes
         pager.write(page, b"data")

@@ -99,3 +99,29 @@ def test_a_failed_catalog_change_leaves_the_catalog_as_it_was(tmp_path):
         assert list(tree.items()) == entries
     with StorageEnvironment(str(tmp_path), page_size=512) as env:
         assert Catalog(env).list_streams() == ["s"]
+
+
+@pytest.mark.parametrize("site", ["pager.write", "pager.fsync",
+                                  "pager.rename", "dir.fsync"])
+def test_after_a_failed_commit_the_catalog_lists_what_its_file_holds(
+        tmp_path, site):
+    """An I/O error anywhere in a catalog commit leaves the in-memory
+    entries equal to the file's: the old ones up to the rename, the new
+    ones from the rename on (an error at the directory fsync after it)."""
+    from repro.storage.faults import FaultInjector, FaultRule
+
+    inj = FaultInjector()
+    with StorageEnvironment(str(tmp_path), page_size=512,
+                            faults=inj) as env:
+        catalog = Catalog(env)
+        catalog.register_stream(_meta())
+        inj.rules.append(FaultRule(site, inj.hits[site] + 1, "error"))
+        second = _meta()
+        second.name = "t"
+        with pytest.raises(OSError):
+            catalog.register_stream(second)
+        assert inj.fired
+        listed = catalog.list_streams()
+    with StorageEnvironment(str(tmp_path), page_size=512) as env:
+        assert Catalog(env).list_streams() == listed
+    assert listed == (["s", "t"] if site == "dir.fsync" else ["s"])

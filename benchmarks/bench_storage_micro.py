@@ -1,6 +1,7 @@
 """Storage-engine microbenchmarks: the costs every access method pays.
 
-Four experiments over a bulk-loaded tree of ``N`` entries:
+Four experiments over a bulk-loaded tree of ``N`` entries, and one on
+the value-index layer above it:
 
 1. Point lookups — logical page reads per ``get`` must equal the tree
    height (one page per level), cold or warm.
@@ -12,6 +13,10 @@ Four experiments over a bulk-loaded tree of ``N`` entries:
    factor, and file size (a rewrite writes a new file of the same size).
 4. Buffer-pool hit rate vs pool size under a skewed point-lookup
    workload — the knob Figure 10's cold/warm split turns on.
+5. Value-index build — BT_C + BT_P over one attribute of a 12,000-step,
+   density-0.05 synthetic stream (aggregate, encode, sort, bulk load):
+   µs per timestep, min of ``VALUE_INDEX_REPEATS`` builds.
+   Informational: wall times never gate.
 
 Besides the text/JSON report, the run emits a
 ``results/storage_micro.manifest.json`` run manifest (span tree with
@@ -30,8 +35,10 @@ import shutil
 import tempfile
 import time
 
+from repro.indexes import build_value_indexes
 from repro.obs import MetricsRegistry
 from repro.storage import StorageEnvironment, encode_key
+from repro.streams import synthetic_stream
 
 from .harness import finish_run, print_table, save_report, start_run
 
@@ -40,6 +47,9 @@ PAGE_SIZE = 4096
 N_LOOKUPS = 2_000
 N_HISTOGRAM_PROBES = 500
 POOL_SIZES = [32, 128, 512, 2048]
+VALUE_INDEX_SNIPPETS = 400  # 30 steps each: 12,000 steps
+VALUE_INDEX_DENSITY = 0.05
+VALUE_INDEX_REPEATS = 5
 
 
 def _items(n):
@@ -178,6 +188,30 @@ def _bench_pool_sizes(workdir, items, tracer, registry):
     return rows
 
 
+def _bench_value_index_build(workdir, tracer, registry):
+    stream = synthetic_stream("s", num_snippets=VALUE_INDEX_SNIPPETS,
+                              density=VALUE_INDEX_DENSITY, seed=1)
+    pairs = list(enumerate(stream.marginals))
+    best = float("inf")
+    for rep in range(VALUE_INDEX_REPEATS):
+        env = StorageEnvironment(f"{workdir}/value_index_{rep}",
+                                 page_size=PAGE_SIZE, metrics=registry)
+        with tracer.span("value_index_build", io=env.stats, rep=rep):
+            start = time.perf_counter()
+            built = build_value_indexes(env, "s", stream.space, "location",
+                                        pairs, ("btc", "btp"))
+            best = min(best, time.perf_counter() - start)
+        entries = len(built["btc"].tree)
+        env.close()
+    return {
+        "indexes": "btc+btp",
+        "steps": len(stream),
+        "entries": entries,
+        "min_of": VALUE_INDEX_REPEATS,
+        "us_per_step": best / len(stream) * 1e6,
+    }
+
+
 def generate():
     registry = MetricsRegistry()
     manifest, tracer = start_run(
@@ -187,6 +221,8 @@ def generate():
             "page_size": PAGE_SIZE,
             "n_lookups": N_LOOKUPS,
             "pool_sizes": POOL_SIZES,
+            "value_index_snippets": VALUE_INDEX_SNIPPETS,
+            "value_index_density": VALUE_INDEX_DENSITY,
         },
         registry=registry,
     )
@@ -200,6 +236,9 @@ def generate():
             build_rows = _bench_build(workdir, items, tracer, registry)
         with tracer.span("pool_sizes"):
             pool_rows = _bench_pool_sizes(workdir, items, tracer, registry)
+        with tracer.span("value_index"):
+            value_index_row = _bench_value_index_build(workdir, tracer,
+                                                       registry)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -227,6 +266,12 @@ def generate():
         columns=["pool_pages", "pool_mb", "hit_rate", "physical_reads",
                  "logical_reads"],
     )
+    text += print_table(
+        "Value-index build: BT_C + BT_P, one attribute (min of "
+        f"{VALUE_INDEX_REPEATS}; informational)",
+        [value_index_row],
+        columns=["indexes", "steps", "entries", "min_of", "us_per_step"],
+    )
     data = {
         "n_entries": N_ENTRIES,
         "page_size": PAGE_SIZE,
@@ -234,6 +279,7 @@ def generate():
         "full_scan": scan_row,
         "build": build_rows,
         "pool_sizes": pool_rows,
+        "value_index_build": value_index_row,
     }
     save_report("storage_micro", text, data)
     path = finish_run(manifest, tracer, registry=registry)

@@ -28,10 +28,16 @@ from .errors import ReproError
 # import it lazily so ``python -m repro --help`` stays cheap.
 
 
-def _engine():
+def _open(path: str):
+    """The database at ``path``, opened at its catalog file's page size
+    (the default page size for a new database)."""
     from .core import Caldera
+    from .storage import DEFAULT_PAGE_SIZE
+    from .storage.env import stored_page_size
+    from .streams.catalog import CATALOG_TREE
 
-    return Caldera
+    page_size = stored_page_size(path, CATALOG_TREE)
+    return Caldera(path, page_size=page_size or DEFAULT_PAGE_SIZE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,7 +143,7 @@ def cmd_demo(args, out) -> int:
     ]
     with tempfile.TemporaryDirectory() as scratch:
         db_path = args.db if args.db is not None else scratch
-        with _engine()(db_path) as db:
+        with _open(db_path) as db:
             for stream in streams:
                 db.archive(stream, layout=args.layout)
                 print(f"  archived {stream.name} ({len(stream)} timesteps, "
@@ -171,7 +177,7 @@ def cmd_demo(args, out) -> int:
 
 
 def cmd_info(args, out) -> int:
-    with _engine()(args.db) as db:
+    with _open(args.db) as db:
         streams = db.stream_names()
         if not streams:
             print("no streams archived", file=out)
@@ -196,7 +202,7 @@ def cmd_import(args, out) -> int:
     from .streams import load_stream
 
     stream = load_stream(args.stream_json)
-    with _engine()(args.db) as db:
+    with _open(args.db) as db:
         db.archive(stream, layout=args.layout, btp=not args.no_btp,
                    mc_alpha=args.mc_alpha)
     print(f"imported {stream.name!r}: {len(stream)} timesteps", file=out)
@@ -206,7 +212,7 @@ def cmd_import(args, out) -> int:
 def cmd_export(args, out) -> int:
     from .streams import dump_stream
 
-    with _engine()(args.db) as db:
+    with _open(args.db) as db:
         stream = db.reader(args.stream).materialize()
     dump_stream(stream, args.output)
     print(f"exported {args.stream!r} to {args.output}", file=out)
@@ -214,7 +220,7 @@ def cmd_export(args, out) -> int:
 
 
 def cmd_query(args, out) -> int:
-    with _engine()(args.db) as db:
+    with _open(args.db) as db:
         result = db.query(
             args.stream, args.query, method=args.method, k=args.k,
             threshold=args.threshold, cold=args.cold,
@@ -239,7 +245,7 @@ def cmd_query(args, out) -> int:
 
 
 def cmd_plan(args, out) -> int:
-    with _engine()(args.db) as db:
+    with _open(args.db) as db:
         decision = db.explain(args.stream, args.query, k=args.k)
         print(f"{decision.name}: {decision.reason}", file=out)
         print(decision.table(), file=out)
@@ -247,7 +253,7 @@ def cmd_plan(args, out) -> int:
 
 
 def cmd_density(args, out) -> int:
-    with _engine()(args.db) as db:
+    with _open(args.db) as db:
         density = db.data_density(args.stream, args.query)
         print(f"{density:.4f}", file=out)
     return 0
@@ -272,7 +278,7 @@ def cmd_fsck(args, out) -> int:
 
 
 def cmd_drop(args, out) -> int:
-    with _engine()(args.db) as db:
+    with _open(args.db) as db:
         db.drop_stream(args.stream)
         print(f"dropped {args.stream!r}", file=out)
     return 0

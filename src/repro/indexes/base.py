@@ -2,8 +2,9 @@
 
 BT_C (§3.1) and BT_P (§3.2) hold one set of entries, ``(value, time,
 summed marginal probability)``, in two key orders: each order's
-``entry``/``decode`` pair lives in :mod:`.btc` / :mod:`.btp`, and both
-share :class:`ValueIndex` and the per-value :class:`ValueCursor` here.
+array ``encode`` and per-entry ``decode`` live in :mod:`.btc` /
+:mod:`.btp`, and both share :class:`ValueIndex` and the per-value
+:class:`ValueCursor` here.
 
 An *indexed attribute* is either a base stream attribute (``location``)
 or a star-schema join attribute (``location/LocationType`` — the
@@ -20,10 +21,11 @@ with ``/`` sanitized to ``@`` for the filesystem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import CatalogError, QueryError
-from ..probability import SparseDistribution
 from ..storage import BTree, encode_key, prefix_upper_bound
 from ..storage.keyenc import decode_key
 from ..streams.schema import StateSpace
@@ -93,16 +95,13 @@ class IndexedAttribute:
         """One more than the largest value code."""
         return max(self._codes.values(), default=-1) + 1
 
-    def aggregate(self, marginal: SparseDistribution) -> Dict[object, float]:
-        """Per indexed value, the summed marginal probability (§3.4.1:
-        tuples at one timestep are disjoint, so summation is exact)."""
-        out: Dict[object, float] = {}
-        for state, p in marginal.items():
-            value = self._value_of_state(state)
-            if value is None:
-                continue
-            out[value] = out.get(value, 0.0) + p
-        return out
+    def state_codes(self, n_states: int) -> np.ndarray:
+        """Each of ``n_states`` states' value code, -1 for a state with
+        no indexed value: the map the index build aggregates marginals
+        through."""
+        values = map(self._value_of_state, range(n_states))
+        return np.fromiter((-1 if v is None else self._codes[v]
+                            for v in values), dtype=np.int64, count=n_states)
 
 
 def resolve_indexed_attribute(
@@ -140,18 +139,21 @@ class ValueStats:
     frames: List[int]
 
     @classmethod
-    def count(cls, pairs: Iterable[Tuple[int, int]], codes: int,
+    def count(cls, codes: np.ndarray, times: np.ndarray, n_codes: int,
               pack: int) -> "ValueStats":
-        """Count ``(code, t)`` pairs whose times increase per code."""
-        stats = cls([0] * codes, [0] * codes, [0] * codes)
-        last = [-2] * codes
-        for code, t in pairs:
-            stats.entries[code] += 1
-            stats.runs[code] += t != last[code] + 1
-            stats.frames[code] += last[code] < 0 or \
-                t // pack != last[code] // pack
-            last[code] = t
-        return stats
+        """Count entries given as ``codes``/``times`` arrays sorted by
+        code, then time."""
+        first = np.ones(len(codes), dtype=bool)
+        first[1:] = codes[1:] != codes[:-1]
+        prev = np.zeros_like(times)
+        prev[1:] = times[:-1]
+        runs = first | (times != prev + 1)
+        frames = first | (times // pack != prev // pack)
+
+        def per_code(counted):
+            return np.bincount(codes[counted], minlength=n_codes).tolist()
+
+        return cls(per_code(slice(None)), per_code(runs), per_code(frames))
 
     @classmethod
     def scan(cls, index: "ValueIndex", pack: int) -> "ValueStats":
@@ -160,7 +162,8 @@ class ValueStats:
         order starts with the code and ends with the time."""
         pairs = sorted((parts[0], parts[-1]) for parts in
                        (decode_key(key) for key, _ in index.tree.items()))
-        return cls.count(pairs, index.indexed.codes(), pack)
+        codes, times = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        return cls.count(codes, times, index.indexed.codes(), pack)
 
     def to_dict(self) -> Dict[str, List[int]]:
         return {"entries": self.entries, "runs": self.runs,

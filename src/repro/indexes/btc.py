@@ -14,22 +14,35 @@ from __future__ import annotations
 import struct
 from typing import List, Optional, Tuple
 
-from ..errors import QueryError
-from ..storage import encode_key
-from ..storage.keyenc import decode_key
+import numpy as np
+
+from ..errors import KeyEncodingError, QueryError
+from ..storage.keyenc import TAG_INT, encode_keys, int_payload
 from .base import ValueCursor
 
+#: The key ``encode_keys((codes, times))`` writes, 18 bytes: int tag,
+#: code, int tag, time.
+KEY = struct.Struct(">BQBQ")
 _PROB = struct.Struct("<d")
 
 
-def entry(code: int, t: int, p: float) -> Tuple[bytes, bytes]:
-    """The BT_C ``(key, value)`` of one aggregated entry."""
-    return encode_key((code, t)), _PROB.pack(p)
+def encode(codes: np.ndarray, times: np.ndarray, probs: np.ndarray
+           ) -> np.ndarray:
+    """The BT_C entries of aggregated arrays, one row each: the key
+    ``(code, time)`` followed by the probability's 8 value bytes."""
+    values = probs.astype(_PROB.format).view(np.uint8).reshape(-1, 8)
+    return np.hstack((encode_keys((codes, times)), values))
 
 
 def decode(key: bytes, value: bytes) -> Tuple[int, float]:
     """``(time, prob)`` of one BT_C entry."""
-    return decode_key(key)[1], _PROB.unpack(value)[0]
+    try:
+        tag, _, time_tag, t = KEY.unpack(key)
+    except struct.error:
+        raise KeyEncodingError(f"BT_C key of {len(key)} bytes") from None
+    if tag != TAG_INT or time_tag != TAG_INT:
+        raise KeyEncodingError(f"bad BT_C key tags in {key!r}")
+    return int_payload(t), _PROB.unpack(value)[0]
 
 
 class ChronoCursor(ValueCursor):

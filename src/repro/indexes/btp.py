@@ -14,23 +14,46 @@ exact sorted access with a single cursor.
 from __future__ import annotations
 
 import heapq
+import struct
 from typing import List, Optional, Tuple
 
-from ..storage import Desc, encode_key
-from ..storage.keyenc import decode_key
+import numpy as np
+
+from ..errors import KeyEncodingError
+from ..storage.keyenc import (
+    TAG_DESC,
+    TAG_DESC_FLOAT,
+    TAG_INT,
+    Desc,
+    desc_float_payload,
+    encode_keys,
+    int_payload,
+)
 from .base import ValueCursor
 
+#: The key ``encode_keys((codes, Desc(probs), times))`` writes, 28
+#: bytes: int tag, code, Desc and float tags, inverted probability,
+#: int tag, time.
+KEY = struct.Struct(">BQBBQBQ")
+_TAGS = (TAG_INT, TAG_DESC, TAG_DESC_FLOAT, TAG_INT)
 
-def entry(code: int, t: int, p: float) -> Tuple[bytes, bytes]:
-    """The BT_P ``(key, value)`` of one aggregated entry: the key holds
-    everything, the value is empty."""
-    return encode_key((code, Desc(p), t)), b""
+
+def encode(codes: np.ndarray, times: np.ndarray, probs: np.ndarray
+           ) -> np.ndarray:
+    """The BT_P entries of aggregated arrays, one row each: the key
+    ``(code, Desc(prob), time)`` holds everything, the value is empty."""
+    return encode_keys((codes, Desc(probs), times))
 
 
 def decode(key: bytes, value: bytes) -> Tuple[int, float]:
     """``(time, prob)`` of one BT_P entry."""
-    _, prob, t = decode_key(key)
-    return t, prob
+    try:
+        tag, _, desc_tag, float_tag, prob, time_tag, t = KEY.unpack(key)
+    except struct.error:
+        raise KeyEncodingError(f"BT_P key of {len(key)} bytes") from None
+    if (tag, desc_tag, float_tag, time_tag) != _TAGS:
+        raise KeyEncodingError(f"bad BT_P key tags in {key!r}")
+    return int_payload(t), desc_float_payload(prob)
 
 
 class ProbCursor(ValueCursor):

@@ -8,9 +8,13 @@ and benchmarks, which build indexes directly).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import CatalogError
+from ..probability import SparseDistribution
 from ..query.predicates import Predicate
 from ..storage import StorageEnvironment
 from ..streams.archive import StreamReader
@@ -25,8 +29,9 @@ from .base import (
 )
 from .mc import MCIndex
 
-#: Each index kind's ``entry(code, t, p) -> (key, value)`` encoder.
-ENTRY_ENCODERS = {"btc": btc.entry, "btp": btp.entry}
+#: Each index kind's module: its ``encode(codes, times, probs)`` writes
+#: one row per entry, ``KEY.size`` key bytes then the value bytes.
+LAYOUTS = {"btc": btc, "btp": btp}
 
 
 def build_value_indexes(
@@ -34,7 +39,7 @@ def build_value_indexes(
     stream_name: str,
     space: StateSpace,
     indexed_attr: str,
-    marginals: Iterable[Tuple[int, "SparseDistribution"]],
+    marginals: Iterable[Tuple[int, SparseDistribution]],
     kinds: Sequence[str],
     dimensions: Optional[Dict[str, Dict]] = None,
     pack: int = 1,
@@ -42,10 +47,10 @@ def build_value_indexes(
     """Build the ``kinds`` (``btc``/``btp``) indexes over one indexed
     attribute from one aggregation pass over the marginals.
 
-    Each kind bulk-loads the same ``(code, time, prob)`` entries, sorted
-    by its own key order, and every built index carries the entries'
-    :class:`ValueStats` (``pack`` is the archive's frame size), counted
-    from the same pass.
+    Each kind encodes the same ``(code, time, prob)`` entries into its
+    own fixed-width rows, sorts them by key bytes and bulk-loads them;
+    every built index carries the entries' :class:`ValueStats`
+    (``pack`` is the archive's frame size), counted from the same pass.
     """
     names = {kind: index_tree_name(stream_name, kind, indexed_attr)
              for kind in kinds}
@@ -53,21 +58,75 @@ def build_value_indexes(
         if env.exists(name):
             raise CatalogError(f"index {name!r} already exists")
     indexed = resolve_indexed_attribute(space, indexed_attr, dimensions)
-    entries = [
-        (indexed.code(value), t, prob)
-        for t, marginal in marginals
-        for value, prob in indexed.aggregate(marginal).items()
-    ]
-    stats = ValueStats.count(((code, t) for code, t, _ in entries),
-                             indexed.codes(), pack)
+    codes, times, probs = aggregate(indexed.state_codes(len(space)),
+                                    marginals)
+    stats = ValueStats.count(codes, times, indexed.codes(), pack)
     built = {}
     for kind, name in names.items():
-        encode = ENTRY_ENCODERS[kind]
-        items = sorted((encode(*e) for e in entries), key=lambda kv: kv[0])
+        layout = LAYOUTS[kind]
         tree = env.open_tree(name)
-        tree.bulk_load(items)
+        tree.bulk_load(_in_key_order(layout.encode(codes, times, probs),
+                                     layout.KEY.size))
         built[kind] = ValueIndex(tree, indexed, stats)
     return built
+
+
+def aggregate(state_codes: np.ndarray,
+              marginals: Iterable[Tuple[int, SparseDistribution]]
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per value code and timestep, the summed marginal probability of
+    the states ``state_codes`` maps to the code (states mapped to -1 are
+    not indexed), as ``(codes, times, probs)`` arrays sorted by code,
+    then time.
+
+    Tuples at one timestep are disjoint, so summation is exact (§3.4.1).
+    ``np.bincount`` adds each sum's terms from 0.0 in each marginal's
+    own order.
+    """
+    pairs = list(marginals)
+    sizes = np.fromiter((len(m) for _, m in pairs), dtype=np.int64,
+                        count=len(pairs))
+    total = int(sizes.sum())
+    codes = state_codes[np.fromiter(chain.from_iterable(m for _, m in pairs),
+                                    dtype=np.int64, count=total)]
+    kept = codes >= 0
+    probs = np.fromiter(chain.from_iterable(m.values() for _, m in pairs),
+                        dtype=np.float64, count=total)[kept]
+    times = np.repeat(np.fromiter((t for t, _ in pairs), dtype=np.int64,
+                                  count=len(pairs)), sizes)[kept]
+    if not len(times):
+        return times, times, probs
+    first = int(times.min())
+    span = int(times.max()) - first + 1
+    keys = codes[kept] * span + (times - first)
+    # Free each array once it is used up: the build's peak memory is
+    # every array alive at one time.
+    del codes, times
+    # Sorted as big-endian bytes (the keys are non-negative): the same
+    # sort routine that orders the index keys.
+    order = np.argsort(keys.astype(">i8").view("S8"))
+    keys = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(starts) - 1
+    del order
+    probs = np.bincount(slot, weights=probs)
+    keys = keys[starts]
+    return keys // span, keys % span + first, probs
+
+
+def _in_key_order(rows: np.ndarray, key_width: int
+                  ) -> Iterator[Tuple[bytes, bytes]]:
+    """Sort ``rows`` (each ``key_width`` key bytes, then value bytes) in
+    place by their bytes, which orders them by key since no two keys are
+    equal, and yield each row as a ``(key, value)`` pair."""
+    width = rows.shape[1]
+    rows.view(f"S{width}").reshape(-1).sort()
+    flat = memoryview(rows.reshape(-1))
+    return ((flat[at:at + key_width].tobytes(),
+             flat[at + key_width:at + width].tobytes())
+            for at in range(0, len(flat), width))
 
 
 def open_value_index(

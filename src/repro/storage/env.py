@@ -21,7 +21,7 @@ from ..obs.tracing import Tracer
 from .btree import BTree
 from .buffer_pool import DEFAULT_POOL_PAGES, BufferPool
 from .faults import NO_FAULTS
-from .pager import DEFAULT_PAGE_SIZE
+from .pager import DEFAULT_PAGE_SIZE, Pager
 from .stats import IOStats
 
 _SUFFIX = ".btree"
@@ -30,6 +30,16 @@ _SUFFIX = ".btree"
 #: tree file.
 _OLD_LOG_SUFFIX = ".wal"
 _OLD_LOG_HEADER = 14
+
+
+def stored_page_size(path: str, name: str) -> Optional[int]:
+    """The page size of tree ``name``'s file in the database directory
+    ``path``; None when the tree has no file."""
+    file_path = os.path.join(path, name + _SUFFIX)
+    if not os.path.exists(file_path):
+        return None
+    with Pager(file_path) as pager:
+        return pager.page_size
 
 
 class StorageEnvironment:

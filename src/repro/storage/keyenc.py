@@ -21,12 +21,19 @@ order equals the tuple order, component by component:
 
 Each component carries a type tag; tags only matter when a position
 mixes types, which the index layers never do.
+
+:func:`encode_keys` is the array counterpart for index builds: it
+encodes whole columns of ints and ``Desc`` floats at once into
+fixed-width rows, byte for byte what :func:`encode_key` writes per row.
+:func:`encode_key` stays the one scalar encoder (point lookups, seeks).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import KeyEncodingError
 
@@ -43,6 +50,10 @@ _TAG_DESC = 0x50
 _INT_BIAS = 1 << 63
 _INT_MIN = -(1 << 63)
 _INT_MAX = (1 << 63) - 1
+_MASK = (1 << 64) - 1
+
+#: Byte inversion as a ``bytes.translate`` table.
+_INVERT = bytes(b ^ 0xFF for b in range(256))
 
 
 class Desc:
@@ -78,7 +89,7 @@ def _encode_float(value: float) -> bytes:
         raise KeyEncodingError("NaN cannot be used as a key component")
     bits = _INT.unpack(_FLOAT.pack(value))[0]
     if bits & (1 << 63):
-        bits ^= 0xFFFFFFFFFFFFFFFF  # negative: invert everything
+        bits ^= _MASK  # negative: invert everything
     else:
         bits |= 1 << 63  # non-negative: flip the sign bit
     return _INT.pack(bits)
@@ -89,7 +100,7 @@ def _escape(payload: bytes) -> bytes:
 
 
 def _invert(payload: bytes) -> bytes:
-    return bytes(b ^ 0xFF for b in payload)
+    return payload.translate(_INVERT)
 
 
 def _encode_component(out: List[bytes], item) -> None:
@@ -142,6 +153,80 @@ def encode_key(components: Iterable) -> bytes:
     return b"".join(out)
 
 
+#: Tag bytes that open each fixed-width column :func:`encode_keys`
+#: writes: an int column is ``TAG_INT`` and its 8 payload bytes, a
+#: ``Desc(float)`` column is ``TAG_DESC``, ``TAG_DESC_FLOAT`` and 8.
+TAG_INT = _TAG_INT
+TAG_DESC = _TAG_DESC
+TAG_DESC_FLOAT = 0xFF - _TAG_FLOAT
+
+
+#: Per row of a ``Desc(float)`` column, indexed by the float's sign
+#: bit: the bytes XORed into its big-endian bits. They make
+#: ``_encode_float``'s flip and ``Desc``'s inversion in one step: a
+#: non-negative float has every bit but its sign bit inverted, a
+#: negative one keeps its bits.
+_DESC_FLOAT_FLIP = np.array([[0x7F] + [0xFF] * 7, [0] * 8], dtype=np.uint8)
+
+
+def encode_keys(columns: Sequence) -> np.ndarray:
+    """Encode whole key columns at once: row ``i`` of the ``(n, width)``
+    uint8 result is ``encode_key`` of every column's ``i``-th element.
+
+    A column is a 1-D signed integer array (9 bytes a row) or ``Desc``
+    of a 1-D float array (10 bytes a row), so every row has the same
+    width. Raises :class:`KeyEncodingError` on any other column (so on
+    ints beyond int64, which NumPy holds as uint64 or objects) and on
+    NaN, as :func:`encode_key` does.
+    """
+    checked = []
+    for column in columns:
+        desc = isinstance(column, Desc)
+        values = np.asarray(column.value if desc else column)
+        if values.ndim != 1 or \
+                (checked and len(values) != len(checked[0][1])):
+            raise KeyEncodingError(
+                "encode_keys takes 1-D columns of one length")
+        if desc and values.dtype.kind == "f":
+            if np.isnan(values).any():
+                raise KeyEncodingError("NaN cannot be used as a key component")
+        elif desc or values.dtype.kind != "i":
+            kind = f"Desc({values.dtype})" if desc else str(values.dtype)
+            raise KeyEncodingError(
+                f"encode_keys takes int or Desc(float) columns, got {kind}")
+        checked.append((desc, values))
+    out = np.empty((len(checked[0][1]) if checked else 0,
+                    sum(10 if desc else 9 for desc, _ in checked)),
+                   dtype=np.uint8)
+    pos = 0
+    for desc, values in checked:
+        if desc:
+            out[:, pos:pos + 2] = (_TAG_DESC, TAG_DESC_FLOAT)
+            payload = out[:, pos + 2:pos + 10]
+            payload[:] = values.astype(">f8").view(np.uint8).reshape(-1, 8)
+            payload ^= _DESC_FLOAT_FLIP[np.signbit(values).view(np.uint8)]
+            pos += 10
+        else:
+            out[:, pos] = _TAG_INT
+            payload = out[:, pos + 1:pos + 9]
+            payload[:] = values.astype(">i8").view(np.uint8).reshape(-1, 8)
+            payload[:, 0] ^= 0x80  # the bias by 2^63 flips the top bit
+            pos += 9
+    return out
+
+
+def int_payload(raw: int) -> int:
+    """The int whose fixed-width encoding carries the big-endian
+    payload ``raw``."""
+    return raw - _INT_BIAS
+
+
+def desc_float_payload(raw: int) -> float:
+    """The float whose ``Desc`` encoding carries the big-endian payload
+    ``raw``."""
+    return _decode_float_bits(raw ^ _MASK)
+
+
 # ----------------------------------------------------------------------
 # Decoding
 # ----------------------------------------------------------------------
@@ -160,9 +245,9 @@ def _decode_terminated(data: bytes, pos: int) -> Tuple[bytes, int]:
 
 def _decode_float_bits(bits: int) -> float:
     if bits & (1 << 63):
-        bits &= ~(1 << 63) & 0xFFFFFFFFFFFFFFFF
+        bits &= ~(1 << 63) & _MASK
     else:
-        bits ^= 0xFFFFFFFFFFFFFFFF
+        bits ^= _MASK
     return _FLOAT.unpack(_INT.pack(bits))[0]
 
 

@@ -5,15 +5,21 @@ marginals; the per-value cursors and the predicate cursors over them
 are driven directly, without an access method on top.
 """
 
-import struct
+import random
 
+import numpy as np
 import pytest
 
+from reference_index_build import (
+    reference_entries,
+    reference_items,
+    reference_stats,
+)
+
 from repro.core import Caldera
-from repro.errors import CatalogError, QueryError
+from repro.errors import CatalogError, KeyEncodingError, QueryError
 from repro.indexes import (
     ChronoCursor,
-    IndexedAttribute,
     PredicateChronoCursor,
     PredicateProbCursor,
     ProbCursor,
@@ -21,10 +27,11 @@ from repro.indexes import (
     index_tree_name,
     open_value_index,
 )
+from repro.indexes import btc, btp, builder
 from repro.probability import SparseDistribution
 from repro.query.predicates import Equals, IndexTerm, InSet
-from repro.storage import Desc, StorageEnvironment, encode_key
-from repro.streams import single_attribute_space, synthetic_stream
+from repro.storage import StorageEnvironment
+from repro.streams import StateSpace, single_attribute_space, synthetic_stream
 
 KIND = {"Door": "entry", "Room": "space", "C0": "hall", "C1": "hall"}
 DIMENSIONS = {"Kind": KIND}
@@ -38,53 +45,90 @@ def env(tmp_path):
     environment.close()
 
 
-def _expected_entries(stream, attr):
-    """``(code, t, prob)`` per indexed value and timestep, summed
-    directly from the marginals (no IndexedAttribute involved)."""
-    space = stream.space
-    if attr == "location":
-        vocab = space.vocabulary("location")
-
-        def value_of(state):
-            return space.attribute_value(state, "location")
-
-        code = vocab.code
-    else:
-        codes = {v: i for i, v in enumerate(sorted(set(KIND.values())))}
-
-        def value_of(state):
-            return KIND.get(space.attribute_value(state, "location"))
-
-        code = codes.__getitem__
-    entries = []
-    for t, marginal in enumerate(stream.marginals):
-        sums = {}
-        for state, p in marginal.items():
-            value = value_of(state)
-            if value is not None:
-                sums[value] = sums.get(value, 0.0) + p
-        entries.extend((code(v), t, p) for v, p in sums.items())
-    return entries
-
-
 @pytest.mark.parametrize("attr", ["location", "location/Kind"])
 def test_trees_equal_an_independent_rebuild(env, attr):
     stream = synthetic_stream("s", num_snippets=6, density=0.5, seed=3)
     pairs = list(enumerate(stream.marginals))
     built = build_value_indexes(env, "s", stream.space, attr, pairs, KINDS,
                                 dimensions=DIMENSIONS)
-    entries = _expected_entries(stream, attr)
+    entries = reference_entries(stream.space, attr, pairs, DIMENSIONS)
     assert entries
-    btc = sorted((encode_key((c, t)), struct.pack("<d", p))
-                 for c, t, p in entries)
-    btp = sorted((encode_key((c, Desc(p), t)), b"") for c, t, p in entries)
-    assert list(built["btc"].tree.items()) == btc
-    assert list(built["btp"].tree.items()) == btp
     for kind in KINDS:
+        assert list(built[kind].tree.items()) == \
+            reference_items(kind, entries)
         assert env.exists(index_tree_name("s", kind, attr))
         reopened = open_value_index(env, "s", stream.space, kind, attr,
                                     dimensions=DIMENSIONS)
         assert list(reopened.tree.items()) == list(built[kind].tree.items())
+
+
+#: Two attributes, so a location's mass is summed over activities; E is
+#: in no dimension table row (unmapped by the join index).
+TIES_SPACE = StateSpace(("location", "activity"),
+                        [(loc, act) for loc in "ABCDE" for act in "xy"])
+TIES_TABLE = {"A": "left", "B": "left", "C": "right", "D": "right"}
+
+
+def _ties_marginals(steps=300, seed=11):
+    """Weights from a small set, so BT_P holds many equal probabilities
+    at different times, over supports in shuffled state order, so every
+    sum's term order matters."""
+    rng = random.Random(seed)
+    weights = [0.1, 0.2, 0.125, 0.25, 0.3, 0.7, 5e-324, 1.0]
+    states = list(range(len(TIES_SPACE)))
+    marginals = []
+    for t in range(steps):
+        support = rng.sample(states, rng.randint(0, 6))
+        marginals.append((t, SparseDistribution(
+            {s: rng.choice(weights) for s in support})))
+    return marginals
+
+
+@pytest.mark.parametrize("attr", ["location", "activity", "location/Kind"])
+def test_tree_files_equal_the_per_entry_build(tmp_path, attr):
+    marginals = _ties_marginals()
+    dimensions = {"Kind": TIES_TABLE}
+    entries = reference_entries(TIES_SPACE, attr, marginals, dimensions)
+    probs = [p for _, _, p in entries]
+    assert len(set(probs)) < len(probs)
+    with StorageEnvironment(str(tmp_path / "array")) as env:
+        built = build_value_indexes(env, "s", TIES_SPACE, attr, marginals,
+                                    KINDS, dimensions=dimensions, pack=4)
+        n_codes = built["btc"].indexed.codes()
+        stats = built["btc"].stats
+    assert (stats.entries, stats.runs, stats.frames) == \
+        reference_stats(entries, n_codes, 4)
+    with StorageEnvironment(str(tmp_path / "oracle")) as env:
+        for kind in KINDS:
+            tree = env.open_tree(index_tree_name("s", kind, attr))
+            tree.bulk_load(reference_items(kind, entries))
+    for kind in KINDS:
+        name = index_tree_name("s", kind, attr) + ".btree"
+        assert (tmp_path / "array" / name).read_bytes() == \
+            (tmp_path / "oracle" / name).read_bytes()
+
+
+def _encoded(kind, codes, times, probs):
+    """``(key, value)`` bytes of each row ``kind.encode`` writes."""
+    rows = kind.encode(np.array(codes), np.array(times), np.array(probs))
+    width = kind.KEY.size
+    return [(bytes(row[:width]), bytes(row[width:])) for row in rows]
+
+
+@pytest.mark.parametrize("kind", [btc, btp])
+def test_decode_reads_what_encode_wrote(kind):
+    entries = _encoded(kind, [0, 3], [0, 2 ** 40], [1.0, 5e-324])
+    assert [kind.decode(k, v) for k, v in entries] == \
+        [(0, 1.0), (2 ** 40, 5e-324)]
+
+
+@pytest.mark.parametrize("kind,other", [(btc, btp), (btp, btc)])
+def test_decode_refuses_a_bad_key(kind, other):
+    [(key, value)] = _encoded(kind, [1], [5], [0.5])
+    [(other_key, _)] = _encoded(other, [1], [5], [0.5])
+    for bad in (key[:-1], key + b"\x00", b"\x20" + key[1:], other_key):
+        with pytest.raises(KeyEncodingError):
+            kind.decode(bad, value)
 
 
 def test_building_an_existing_index_is_refused(env):
@@ -232,14 +276,17 @@ def test_predicate_prob_cursor_bound_multiplier(indexes):
 
 @pytest.mark.parametrize("btp", [True, False])
 def test_archive_aggregates_each_marginal_once(tmp_path, monkeypatch, btp):
-    calls = []
-    real = IndexedAttribute.aggregate
+    """One pass over the marginals per indexed attribute, whose entries
+    every requested kind is built from."""
+    passes = []
+    real = builder.aggregate
 
-    def counted(self, marginal):
-        calls.append(self.name)
-        return real(self, marginal)
+    def counted(state_codes, marginals):
+        marginals = list(marginals)
+        passes.append(len(marginals))
+        return real(state_codes, marginals)
 
-    monkeypatch.setattr(IndexedAttribute, "aggregate", counted)
+    monkeypatch.setattr(builder, "aggregate", counted)
     stream = synthetic_stream("s", num_snippets=3, seed=5)
     with Caldera(str(tmp_path / "db")) as db:
         db.register_dimension_table("Kind", KIND)
@@ -248,4 +295,4 @@ def test_archive_aggregates_each_marginal_once(tmp_path, monkeypatch, btp):
     assert sorted(meta.indexes) == sorted(
         f"{kind}:{attr}" for kind in (KINDS if btp else ("btc",))
         for attr in attrs)
-    assert sorted(calls) == sorted(attrs * len(stream))
+    assert passes == [len(stream)] * len(attrs)

@@ -1,11 +1,21 @@
 """Order preservation and roundtripping of the key encoding."""
 
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import KeyEncodingError
-from repro.storage.keyenc import Desc, decode_key, encode_key, prefix_upper_bound
+from repro.storage.keyenc import (
+    Desc,
+    decode_key,
+    encode_key,
+    encode_keys,
+    prefix_upper_bound,
+)
 
 
 def assert_order_matches(tuples):
@@ -121,3 +131,54 @@ def test_decode_rejects_corrupt_keys():
         decode_key(b"\x10\x00")  # truncated int payload
     with pytest.raises(KeyEncodingError):
         decode_key(b"\x99")  # unknown tag
+
+
+# ---------------------------------------------------------------------------
+# encode_keys: the array counterpart of encode_key
+# ---------------------------------------------------------------------------
+
+INT_MIN, INT_MAX = -(2 ** 63), 2 ** 63 - 1
+INTS = st.one_of(st.integers(INT_MIN, INT_MAX),
+                 st.sampled_from([INT_MIN, INT_MAX, -1, 0, 1]))
+PROBS = st.one_of(st.floats(allow_nan=False),
+                  st.sampled_from([1.0, 0.0, -0.0, 5e-324, 2.2e-308,
+                                   math.inf, -math.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(INTS, PROBS, INTS), max_size=20))
+def test_encode_keys_matches_encode_key_row_by_row(rows):
+    codes = np.array([c for c, _, _ in rows], dtype=np.int64)
+    probs = np.array([p for _, p, _ in rows], dtype=np.float64)
+    times = np.array([t for _, _, t in rows], dtype=np.int64)
+    keys = encode_keys((codes, Desc(probs), times))
+    assert keys.shape == (len(rows), 28)
+    assert [bytes(k) for k in keys] == \
+        [encode_key((c, Desc(p), t)) for c, p, t in rows]
+    keys = encode_keys((codes, times))
+    assert keys.shape == (len(rows), 18)
+    assert [bytes(k) for k in keys] == [encode_key((c, t)) for c, _, t in rows]
+
+
+def test_encode_keys_refuses_what_encode_key_refuses():
+    with pytest.raises(KeyEncodingError):
+        encode_key((Desc(math.nan),))
+    with pytest.raises(KeyEncodingError, match="NaN"):
+        encode_keys((np.arange(2), Desc(np.array([0.5, math.nan]))))
+    for beyond in (2 ** 63, 2 ** 64, -(2 ** 63) - 1):
+        with pytest.raises(KeyEncodingError):
+            encode_key((beyond,))
+        with pytest.raises(KeyEncodingError):
+            encode_keys(([beyond],))
+
+
+@pytest.mark.parametrize("columns", [
+    (np.array([0.5]),),                     # a float column needs Desc
+    (Desc(np.array([1], dtype=np.int64)),),  # Desc covers floats only
+    (np.array(["a"]),),
+    (np.arange(3), np.arange(2)),           # lengths differ
+    (np.zeros((2, 2), dtype=np.int64),),    # not 1-D
+])
+def test_encode_keys_refuses_other_columns(columns):
+    with pytest.raises(KeyEncodingError):
+        encode_keys(columns)

@@ -1,8 +1,17 @@
 """The CLI subcommands run end to end and report errors as exit codes."""
 
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: A database written with 512-byte pages (see
+#: tests/storage/test_redo_log_db.py), and the Kleene query it answers.
+OLD_DB = Path(__file__).parent / "storage" / "data" / "redo_log_db"
+OLD_QUERY = json.loads(OLD_DB.with_suffix(".json").read_text())["query"]
 
 
 def test_help_does_not_crash(capsys):
@@ -95,3 +104,17 @@ def test_plan_prints_the_candidate_table(tmp_path, capsys):
     assert labels == ["naive", "btree", "topk"]
     assert sum(row.startswith("* ") for row in rows) == 1
     assert all("reads" in row for row in rows)
+
+
+def test_commands_open_a_database_at_its_page_size(tmp_path, capsys):
+    db = str(tmp_path / "db")
+    shutil.copytree(OLD_DB, db)
+    assert main(["info", db]) == 0
+    assert "stream 'keep'" in capsys.readouterr().out
+    assert main(["query", db, "keep", OLD_QUERY, "--k", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("method: ") and "top 3 matches:" in out
+    assert main(["drop", db, "keep"]) == 0
+    assert "dropped 'keep'" in capsys.readouterr().out
+    assert main(["info", db]) == 0
+    assert "no streams archived" in capsys.readouterr().out

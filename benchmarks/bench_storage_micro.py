@@ -20,9 +20,8 @@ the value-index layer above it:
 
 Besides the text/JSON report, the run emits a
 ``results/storage_micro.manifest.json`` run manifest (span tree with
-per-span wall time + I/O deltas, counter snapshot, histogram
-summaries) and streams span events to
-``results/storage_micro.spans.jsonl`` — render or diff with
+per-span wall time + I/O deltas, histogram summaries) and streams span
+events to ``results/storage_micro.spans.jsonl`` — render or diff with
 ``python -m repro.obs.report``.
 
 Run directly (``make bench-storage``) or via the figure runner.
@@ -67,8 +66,7 @@ def _fill_factor(tree, items):
 
 def _bench_lookups_and_scans(workdir, items, tracer, registry):
     env = StorageEnvironment(f"{workdir}/lookup", page_size=PAGE_SIZE,
-                             pool_pages=4 * len(items) // 100,
-                             metrics=registry)
+                             pool_pages=4 * len(items) // 100)
     tree = env.open_tree("t")
     with tracer.span("bulk_load", io=env.stats, entries=len(items)):
         tree.bulk_load(items)
@@ -132,10 +130,10 @@ def _bench_lookups_and_scans(workdir, items, tracer, registry):
     return rows, scan
 
 
-def _bench_build(workdir, items, tracer, registry):
+def _bench_build(workdir, items, tracer):
     rows = []
     env = StorageEnvironment(f"{workdir}/build", page_size=PAGE_SIZE,
-                             pool_pages=1024, metrics=registry)
+                             pool_pages=1024)
     tree = env.open_tree("t")
     for strategy, build in (("bulk_load", tree.bulk_load),
                             ("rewrite", tree.rewrite)):
@@ -154,7 +152,7 @@ def _bench_build(workdir, items, tracer, registry):
     return rows
 
 
-def _bench_pool_sizes(workdir, items, tracer, registry):
+def _bench_pool_sizes(workdir, items, tracer):
     rows = []
     rng = random.Random(1234)
     # Zipf-ish skew: most probes hit a small hot set.
@@ -166,8 +164,7 @@ def _bench_pool_sizes(workdir, items, tracer, registry):
     ]
     for pool_pages in POOL_SIZES:
         env = StorageEnvironment(f"{workdir}/pool_{pool_pages}",
-                                 page_size=PAGE_SIZE, pool_pages=pool_pages,
-                                 metrics=registry)
+                                 page_size=PAGE_SIZE, pool_pages=pool_pages)
         tree = env.open_tree("t")
         tree.bulk_load(items)
         env.drop_caches()
@@ -188,14 +185,14 @@ def _bench_pool_sizes(workdir, items, tracer, registry):
     return rows
 
 
-def _bench_value_index_build(workdir, tracer, registry):
+def _bench_value_index_build(workdir, tracer):
     stream = synthetic_stream("s", num_snippets=VALUE_INDEX_SNIPPETS,
                               density=VALUE_INDEX_DENSITY, seed=1)
     pairs = list(enumerate(stream.marginals))
     best = float("inf")
     for rep in range(VALUE_INDEX_REPEATS):
         env = StorageEnvironment(f"{workdir}/value_index_{rep}",
-                                 page_size=PAGE_SIZE, metrics=registry)
+                                 page_size=PAGE_SIZE)
         with tracer.span("value_index_build", io=env.stats, rep=rep):
             start = time.perf_counter()
             built = build_value_indexes(env, "s", stream.space, "location",
@@ -233,12 +230,11 @@ def generate():
             lookup_rows, scan_row = _bench_lookups_and_scans(
                 workdir, items, tracer, registry)
         with tracer.span("build_strategies"):
-            build_rows = _bench_build(workdir, items, tracer, registry)
+            build_rows = _bench_build(workdir, items, tracer)
         with tracer.span("pool_sizes"):
-            pool_rows = _bench_pool_sizes(workdir, items, tracer, registry)
+            pool_rows = _bench_pool_sizes(workdir, items, tracer)
         with tracer.span("value_index"):
-            value_index_row = _bench_value_index_build(workdir, tracer,
-                                                       registry)
+            value_index_row = _bench_value_index_build(workdir, tracer)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -10,9 +10,9 @@ bytes, and must recover to a committed state with a clean fsck.
 
 Emits ``results/crash_sweep.{txt,json}`` plus a run manifest +
 span stream (``results/crash_sweep.manifest.json`` /
-``.spans.jsonl``) whose counters record schedules run, faults by
-action, and fsck pages checked. Bounded: the whole sweep is a few
-hundred small in-process runs, a few seconds.
+``.spans.jsonl``) whose counters record schedules run, schedules
+recovered clean, failures, and fsck pages checked. Bounded: the whole
+sweep is a few hundred small in-process runs, a few seconds.
 """
 
 from __future__ import annotations
@@ -75,8 +75,7 @@ def workload(env, mark):
 def run_once(dirname, injector):
     marks = []
     env = StorageEnvironment(dirname, page_size=PAGE_SIZE,
-                             pool_pages=POOL_PAGES, metrics=False,
-                             faults=injector)
+                             pool_pages=POOL_PAGES, faults=injector)
     try:
         workload(env, marks.append)
         env.close()
@@ -88,11 +87,12 @@ def run_once(dirname, injector):
         return marks, False
 
 
-def recover_and_verify(dirname, registry):
+def recover_and_verify(dirname, pages_checked):
     """Reopen cleanly; returns (state, fsck_clean), where a tree whose
-    first load never committed has no file and reads as empty."""
+    first load never committed has no file and reads as empty. Adds the
+    pages fsck read to the ``pages_checked`` counter."""
     env = StorageEnvironment(dirname, page_size=PAGE_SIZE,
-                             pool_pages=POOL_PAGES, metrics=registry)
+                             pool_pages=POOL_PAGES)
     try:
         state = {}
         for name in ("t", "u"):
@@ -101,6 +101,7 @@ def recover_and_verify(dirname, registry):
             except StorageError:
                 state[name] = {}
         report = env.fsck()
+        pages_checked.inc(report.pages_checked)
         return state, report.clean
     finally:
         env.close()
@@ -135,6 +136,7 @@ def generate():
     c_runs = registry.counter("sweep.schedules_run")
     c_recovered = registry.counter("sweep.recovered_clean")
     c_failures = registry.counter("sweep.failures")
+    c_pages_checked = registry.counter("sweep.fsck_pages_checked")
 
     workdir = tempfile.mkdtemp(prefix="crash_sweep_")
     start = time.perf_counter()
@@ -147,7 +149,7 @@ def generate():
             marks, finished = run_once(f"{workdir}/baseline", probe)
             assert finished and len(marks) == 4
             state, clean = recover_and_verify(f"{workdir}/baseline",
-                                              registry)
+                                              c_pages_checked)
             assert clean and state == marks[-1]
 
         schedules = enumerate_schedules(probe.hits,
@@ -165,7 +167,8 @@ def generate():
                                                            0) + 1
                     site = rule.site
                     by_site[site] = by_site.get(site, 0) + 1
-                    state, clean = recover_and_verify(dirname, registry)
+                    state, clean = recover_and_verify(dirname,
+                                                      c_pages_checked)
                     ok = True
                     if not clean:
                         ok = False

@@ -32,6 +32,7 @@ from ..indexes import (
     open_mc,
     open_value_index,
 )
+from ..indexes.builder import LAYOUTS
 from ..query import RegularQuery, parse_query
 from ..query.predicates import Predicate
 from ..storage import DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES, StorageEnvironment
@@ -140,6 +141,11 @@ class Caldera:
         self.catalog.check_stream_name(stream.name)
         # Every argument is checked before the first tree is written,
         # so a refused archive leaves nothing behind.
+        kinds = [kind for kind, wanted in (("btc", btc), ("btp", btp))
+                 if wanted]
+        for kind in kinds:
+            self.catalog.check_key_size(LAYOUTS[kind].KEY.size,
+                                        f"a {kind} index key")
         dimensions = self.dimension_tables()
         for table in join_tables:
             if table not in dimensions:
@@ -153,12 +159,34 @@ class Caldera:
                     f"conditioned_predicates takes Predicate objects, got "
                     f"{type(predicate).__name__}"
                 )
+        existing = set(self.env.list_trees())
+        try:
+            meta = self._write_archive(stream, layout, kinds, mc_alpha,
+                                       join_tables, conditioned_predicates,
+                                       dimensions)
+            self.catalog.register_stream(meta)
+        except BaseException:
+            # The catalog adopts the entry once its commit renamed the
+            # file; until then the stream's new trees are orphans.
+            if not self.catalog.has_stream(stream.name):
+                prefix = stream.name + "__"
+                for name in self.env.list_trees():
+                    if name.startswith(prefix) and name not in existing:
+                        self.env.drop_tree(name)
+            raise
+        return meta
+
+    def _write_archive(self, stream: MarkovianStream, layout: Layout,
+                       kinds: List[str], mc_alpha: Optional[int],
+                       join_tables: Sequence[str],
+                       conditioned_predicates: Sequence[Predicate],
+                       dimensions: Dict[str, Dict]) -> StreamMeta:
+        """Write the stream's trees and indexes; returns the catalog
+        entry that describes them."""
         reader = write_stream(self.env, stream, layout)
         meta = StreamMeta(stream.name, len(stream), layout, stream.space,
                           pack=reader.pack)
 
-        kinds = [kind for kind, wanted in (("btc", btc), ("btp", btp))
-                 if wanted]
         indexed_attrs: List[str] = []
         if kinds:
             indexed_attrs.extend(stream.space.attributes)
@@ -186,8 +214,6 @@ class Caldera:
                 meta.indexes[f"mcc:{predicate.signature()}"] = {
                     "alpha": mc_alpha
                 }
-
-        self.catalog.register_stream(meta)
         return meta
 
     def drop_stream(self, stream_name: str) -> None:

@@ -156,9 +156,8 @@ def build_mc(
     """Build the MC index (or a predicate-conditioned variant).
 
     The build runs under an ``mc.build`` span on the environment's
-    tracer (wall time + page-write delta land in the environment
-    registry), and the records it writes are counted in that registry's
-    ``mc.records_built`` counter.
+    tracer (its wall time lands in the environment registry);
+    :meth:`MCIndex.build` returns the number of records written.
     """
     signature = predicate.signature() if predicate is not None else None
     name = mc_tree_name(stream_name, signature)
@@ -173,8 +172,7 @@ def build_mc(
                     accept_states=accept)
     with env.tracer().span("mc.build", tree=name, alpha=alpha,
                            conditioned=predicate is not None):
-        records = index.build(reader)
-    env.metrics.counter("mc.records_built", tree=name).inc(records)
+        index.build(reader)
     return index
 
 

@@ -3,7 +3,7 @@
 A :class:`RunManifest` is the machine-readable record of one benchmark
 (or query) run: run id, git revision, configuration, host environment,
 the finished span tree (wall time + I/O deltas per span), and the
-registry's counter/gauge/histogram snapshot. Benchmarks write one
+registry's counter/histogram snapshot. Benchmarks write one
 manifest per run into ``benchmarks/results/`` next to their text/JSON
 reports; ``python -m repro.obs.report`` pretty-prints one and diffs two
 — the one-command perf-regression check between PRs.

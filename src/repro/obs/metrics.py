@@ -1,24 +1,16 @@
-"""Counters, gauges, and log-scale histograms behind one registry.
+"""Counters and log-scale histograms behind one registry.
 
-The registry is the passive half of the observability layer: storage
-components grab their instruments once at construction time
-(``registry.counter("pool.hits")``) and bump them on the hot path with a
-single attribute increment. Instruments never touch
-:class:`~repro.storage.stats.IOStats` — the cost model the benchmarks
-measure — so enabling metrics changes measured page-read counts by
-exactly zero.
+The registry is the passive half of the observability layer. Each
+storage environment owns one, and the query level feeds it: the
+planner's ``planner.fallbacks`` counter and ``planner.cost_error``
+histogram, and the tracer's ``span.<name>.ms`` latency histograms.
+Page I/O is not counted here; :class:`~repro.storage.stats.IOStats` is
+its only ledger, and no instrument reads or writes a page.
 
-Two registries share one interface:
-
-- :class:`MetricsRegistry` — the real thing; every instrument is
-  created on first use and lives for the registry's lifetime.
-- :class:`NullRegistry` — hands out shared no-op instruments, for
-  callers that want instrumentation compiled out of the picture.
-
-Instruments are keyed by name plus optional labels, e.g.
-``registry.counter("btree.splits", tree="stream_data")`` keys as
-``btree.splits{tree=stream_data}`` — the per-tree counters the B+ tree
-uses.
+Every instrument is created on first use and lives for the registry's
+lifetime. Instruments are keyed by name plus optional labels, e.g.
+``registry.counter("planner.fallbacks", reason="no_mc_index")`` keys as
+``planner.fallbacks{reason=no_mc_index}``.
 """
 
 from __future__ import annotations
@@ -28,10 +20,8 @@ from typing import Dict, Iterator, Optional, Tuple
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
 ]
 
 
@@ -56,28 +46,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value})"
-
-
-class Gauge:
-    """A point-in-time value that can move both ways."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, n: float = 1.0) -> None:
-        self.value += n
-
-    def dec(self, n: float = 1.0) -> None:
-        self.value -= n
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}={self.value})"
 
 
 class Histogram:
@@ -168,11 +136,8 @@ class Histogram:
 class MetricsRegistry:
     """Named instruments, created on first use and never discarded."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------
@@ -181,13 +146,6 @@ class MetricsRegistry:
         instrument = self._counters.get(key)
         if instrument is None:
             instrument = self._counters[key] = Counter(key)
-        return instrument
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        key = _key(name, labels)
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = self._gauges[key] = Gauge(key)
         return instrument
 
     def histogram(self, name: str, **labels) -> Histogram:
@@ -204,9 +162,6 @@ class MetricsRegistry:
             "counters": {
                 key: c.value for key, c in sorted(self._counters.items())
             },
-            "gauges": {
-                key: g.value for key, g in sorted(self._gauges.items())
-            },
             "histograms": {
                 key: h.summary()
                 for key, h in sorted(self._histograms.items())
@@ -216,58 +171,5 @@ class MetricsRegistry:
     def __repr__(self) -> str:
         return (
             f"MetricsRegistry({len(self._counters)} counters, "
-            f"{len(self._gauges)} gauges, "
             f"{len(self._histograms)} histograms)"
         )
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, n: float = 1.0) -> None:
-        pass
-
-    def dec(self, n: float = 1.0) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-class NullRegistry:
-    """The off switch: shared do-nothing instruments, zero retention."""
-
-    enabled = False
-
-    _COUNTER = _NullCounter("null")
-    _GAUGE = _NullGauge("null")
-    _HISTOGRAM = _NullHistogram("null")
-
-    def counter(self, name: str, **labels) -> Counter:
-        return self._COUNTER
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self._GAUGE
-
-    def histogram(self, name: str, **labels) -> Histogram:
-        return self._HISTOGRAM
-
-    def snapshot(self) -> Dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def __repr__(self) -> str:
-        return "NullRegistry()"

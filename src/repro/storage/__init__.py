@@ -12,7 +12,10 @@ whole-tree rewrite) →
 :mod:`~repro.storage.env` (a directory of named trees sharing one pool
 and one counter). :mod:`~repro.storage.keyenc` supplies
 order-preserving composite keys; :mod:`~repro.storage.record` supplies
-length-prefixed value framing.
+length-prefixed value framing. That one
+:class:`~repro.storage.stats.IOStats` is the engine's only ledger: the
+pool counts logical reads and evictions in it, the pager physical
+reads and writes, and nothing else counts page I/O.
 
 Crash safety rides along the same stack: every tree is committed by
 writing a whole new file beside its own, fsyncing it, renaming it over

@@ -38,7 +38,6 @@ from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import CorruptPageError, PageError, StorageError
-from ..obs.metrics import NullRegistry
 from .buffer_pool import BufferPool
 from .faults import NO_FAULTS
 from .pager import DEFAULT_PAGE_SIZE, Pager
@@ -123,7 +122,6 @@ class BTree:
         page_size: Optional[int] = None,
         stats: Optional[IOStats] = None,
         create: bool = True,
-        metrics=None,
         faults=None,
     ) -> None:
         self.path = path
@@ -132,26 +130,12 @@ class BTree:
         self.pool_key = path
         self.stats = stats if stats is not None else IOStats()
         self.faults = faults if faults is not None else NO_FAULTS
-        # Per-tree instruments, keyed by tree name (see repro.obs).
-        self.metrics = metrics if metrics is not None else NullRegistry()
-        tree_label = self.name
-        self._m_descents = self.metrics.counter(
-            "btree.descents", tree=tree_label)
-        self._m_gets = self.metrics.counter("btree.gets", tree=tree_label)
-        self._m_ovf_follows = self.metrics.counter(
-            "btree.overflow_follows", tree=tree_label)
-        self._m_ovf_spills = self.metrics.counter(
-            "btree.overflow_spills", tree=tree_label)
-        self._m_cursor_steps = self.metrics.counter(
-            "btree.cursor_steps", tree=tree_label)
-        self._m_bulk_entries = self.metrics.counter(
-            "btree.bulk_loaded_entries", tree=tree_label)
         #: The committed file's pager; None until the first load when
         #: the tree has no file.
         self.pager: Optional[Pager] = None
         if os.path.exists(path):
             self.pager = Pager(path, page_size=page_size, stats=self.stats,
-                               metrics=self.metrics, faults=self.faults)
+                               faults=self.faults)
             try:
                 self._set_header(*self._read_header())
             except BaseException:
@@ -279,7 +263,6 @@ class BTree:
 
     def _descend(self, key: bytes) -> LeafNode:
         """The leaf that owns ``key``."""
-        self._m_descents.inc()
         root = self._root
         node = self.pool.get(self, root) if root else _NO_LEAF
         while isinstance(node, BranchNode):
@@ -290,7 +273,6 @@ class BTree:
     def get(self, key: bytes) -> Optional[bytes]:
         """The value stored under ``key`` (first duplicate), or None."""
         self._check_key(key)
-        self._m_gets.inc()
         leaf = self._descend(key)
         i = bisect_left(leaf.keys, key)
         if i < len(leaf.keys) and leaf.keys[i] == key:
@@ -303,7 +285,6 @@ class BTree:
     def _store_value(self, pager: Pager, value: bytes) -> Tuple[bytes, int]:
         if len(value) <= self.max_inline:
             return value, 0
-        self._m_ovf_spills.inc()
         chunk = self.page_size - _OVF_HDR.size
         nxt = 0
         for start in range(((len(value) - 1) // chunk) * chunk, -1, -chunk):
@@ -320,7 +301,6 @@ class BTree:
         parts: List[bytes] = []
         while page_id:
             node = self.pool.get(self, page_id)
-            self._m_ovf_follows.inc()
             parts.append(node.data)
             page_id = node.next
         value = b"".join(parts)
@@ -391,8 +371,7 @@ class BTree:
         new file, even if the directory fsync then raises.
         """
         pager = Pager(self.path + _SIBLING_SUFFIX, page_size=self.page_size,
-                      stats=self.stats, create=True, metrics=self.metrics,
-                      faults=self.faults)
+                      stats=self.stats, create=True, faults=self.faults)
         try:
             header = self._write_tree(pager, items)
             pager.sync()
@@ -461,7 +440,6 @@ class BTree:
         while len(seps) > 1:
             seps = self._build_branch_level(pager, seps)
             height += 1
-        self._m_bulk_entries.inc(count)
         header = (seps[0][1], first_leaf, last_leaf, num_leaves, height,
                   count)
         pager.write(_HEADER_PAGE, _HDR.pack(_HDR_MAGIC, *header))
@@ -594,5 +572,4 @@ class Cursor:
     def next(self) -> bool:
         if self._leaf is None:
             return False
-        self._tree._m_cursor_steps.inc()
         return self._settle_forward(self._leaf, self._slot + 1)

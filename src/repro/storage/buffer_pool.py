@@ -17,12 +17,9 @@ call passes the client, which must expose:
   misses from;
 - ``decode_page(page_id, raw) -> node`` — the node decoder.
 
-Besides the environment-wide :class:`~repro.storage.stats.IOStats`
-(logical reads, evictions), the pool reports hit, miss and eviction
-counters plus a resident-page gauge through a
-:class:`~repro.obs.metrics.MetricsRegistry`. All of it observes —
-metrics never cause page I/O, so enabling them leaves the measured cost
-counters untouched.
+The pool counts logical reads and evictions in the environment-wide
+:class:`~repro.storage.stats.IOStats`; a miss's physical read is counted
+by the pager.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from collections import OrderedDict
 from typing import Optional, Tuple
 
 from ..errors import StorageError
-from ..obs.metrics import NullRegistry
 from .stats import IOStats
 
 DEFAULT_POOL_PAGES = 1024
@@ -45,19 +41,12 @@ class BufferPool:
         self,
         capacity: int = DEFAULT_POOL_PAGES,
         stats: Optional[IOStats] = None,
-        metrics=None,
     ) -> None:
         if capacity < 1:
             raise StorageError(f"pool capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.stats = stats if stats is not None else IOStats()
-        self.metrics = metrics if metrics is not None else NullRegistry()
         self._nodes: "OrderedDict[Tuple, object]" = OrderedDict()
-        # Hot-path instruments, resolved once.
-        self._m_hits = self.metrics.counter("pool.hits")
-        self._m_misses = self.metrics.counter("pool.misses")
-        self._m_evictions = self.metrics.counter("pool.evictions")
-        self._m_resident = self.metrics.gauge("pool.resident")
 
     def get(self, client, page_id: int):
         """The decoded node for one page; a logical read, physical only
@@ -67,32 +56,25 @@ class BufferPool:
         node = self._nodes.get(key)
         if node is not None:
             self._nodes.move_to_end(key)
-            self._m_hits.inc()
             return node
-        self._m_misses.inc()
         raw = client.pager.read(page_id)  # pager counts the physical read
         node = client.decode_page(page_id, raw)
         if len(self._nodes) >= self.capacity:
             self._nodes.popitem(last=False)  # the least recently used
             self.stats.evictions += 1
-            self._m_evictions.inc()
         self._nodes[key] = node
-        self._m_resident.set(len(self._nodes))
         return node
 
     def evict_all(self) -> None:
         """Drop every frame (cold-cache resets)."""
         self.stats.evictions += len(self._nodes)
-        self._m_evictions.inc(len(self._nodes))
         self._nodes.clear()
-        self._m_resident.set(0)
 
     def discard(self, client) -> None:
         """Drop every page of a client (tree rewritten, closed or
         dropped)."""
         for key in [k for k in self._nodes if k[0] == client.pool_key]:
             del self._nodes[key]
-        self._m_resident.set(len(self._nodes))
 
     @property
     def resident(self) -> int:

@@ -16,7 +16,7 @@ import os
 from typing import Dict, List, Optional
 
 from ..errors import StorageError
-from ..obs.metrics import MetricsRegistry, NullRegistry
+from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from .btree import BTree
 from .buffer_pool import DEFAULT_POOL_PAGES, BufferPool
@@ -45,11 +45,11 @@ def stored_page_size(path: str, name: str) -> Optional[int]:
 class StorageEnvironment:
     """All storage state of one Caldera database directory.
 
-    Besides the shared pool and :class:`IOStats`, the environment owns
-    one :class:`~repro.obs.metrics.MetricsRegistry` that the pool, every
-    pager, and every tree report through — per-environment telemetry
-    with per-tree counters, cheap enough to leave on (pass
-    ``metrics=False`` for no-op instruments).
+    Besides the shared pool and :class:`IOStats` (the only ledger of
+    page I/O), the environment owns one
+    :class:`~repro.obs.metrics.MetricsRegistry` for query-level
+    telemetry: planner fallbacks and cost errors, and the tracer's span
+    latencies. Storage reports nothing through it.
     """
 
     def __init__(
@@ -57,25 +57,18 @@ class StorageEnvironment:
         path: str,
         page_size: Optional[int] = DEFAULT_PAGE_SIZE,
         pool_pages: int = DEFAULT_POOL_PAGES,
-        metrics=None,
         faults=None,
     ) -> None:
         self.path = os.path.abspath(path)
         self.page_size = page_size
         os.makedirs(self.path, exist_ok=True)
         self.stats = IOStats()
-        if metrics is None or metrics is True:
-            self.metrics = MetricsRegistry()
-        elif metrics is False:
-            self.metrics = NullRegistry()
-        else:
-            self.metrics = metrics
+        self.metrics = MetricsRegistry()
         #: Failpoint registry every pager routes file I/O, renames and
         #: directory fsyncs through; NO_FAULTS (plain files) unless a
         #: test injects one.
         self.faults = faults if faults is not None else NO_FAULTS
-        self.pool = BufferPool(pool_pages, self.stats,
-                               metrics=self.metrics)
+        self.pool = BufferPool(pool_pages, self.stats)
         self._trees: Dict[str, BTree] = {}
         self._closed = False
 
@@ -111,8 +104,7 @@ class StorageEnvironment:
                 )
             tree = BTree(file_path, self.pool, name=name,
                          page_size=self.page_size, stats=self.stats,
-                         create=create, metrics=self.metrics,
-                         faults=self.faults)
+                         create=create, faults=self.faults)
             self._trees[name] = tree
         return tree
 

@@ -323,9 +323,6 @@ def _audit_file(tree: BTree, check: CheckReport,
 def fsck_environment(env) -> FsckReport:
     """Verify every tree file of one environment."""
     report = FsckReport(path=env.path)
-    m_runs = env.metrics.counter("fsck.runs")
-    m_pages = env.metrics.counter("fsck.pages_checked")
-    m_errors = env.metrics.counter("fsck.errors")
     for name in env.list_trees():
         try:
             tree = env.open_tree(name, create=False)
@@ -335,7 +332,4 @@ def fsck_environment(env) -> FsckReport:
         check = check_tree(tree)
         report.trees[name] = check
         _audit_file(tree, check, report)
-    m_runs.inc()
-    m_pages.inc(report.pages_checked)
-    m_errors.inc(len(report.all_errors()))
     return report

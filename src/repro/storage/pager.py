@@ -38,7 +38,6 @@ import zlib
 from typing import Optional
 
 from ..errors import CorruptPageError, PageError, StorageError
-from ..obs.metrics import NullRegistry
 from .faults import NO_FAULTS, fsync_file
 from .stats import IOStats
 
@@ -65,19 +64,11 @@ class Pager:
         page_size: Optional[int] = None,
         stats: Optional[IOStats] = None,
         create: bool = False,
-        metrics=None,
         faults=None,
     ) -> None:
         self.path = path
         self.stats = stats if stats is not None else IOStats()
-        self.metrics = metrics if metrics is not None else NullRegistry()
         self.faults = faults if faults is not None else NO_FAULTS
-        self._m_reads = self.metrics.counter("pager.physical_reads")
-        self._m_writes = self.metrics.counter("pager.physical_writes")
-        self._m_alloc = self.metrics.counter("pager.pages_allocated")
-        self._m_syncs = self.metrics.counter("pager.syncs")
-        self._m_checksum_failures = self.metrics.counter(
-            "pager.checksum_failures")
         self._closed = False
         self._writable = create
         if create:
@@ -128,7 +119,6 @@ class Pager:
         if version != _VERSION:
             raise PageError(f"{self.path}: unsupported format v{version}")
         if crc != zlib.crc32(raw[:_META.size]):
-            self._m_checksum_failures.inc()
             raise CorruptPageError(
                 f"{self.path}: meta page checksum mismatch"
             )
@@ -163,7 +153,6 @@ class Pager:
             return bytes(self.page_size)
         crc = _META_CRC.unpack_from(frame)[0]
         if crc != zlib.crc32(frame[_META_CRC.size:]):
-            self._m_checksum_failures.inc()
             raise CorruptPageError(
                 f"{self.path}: checksum mismatch on page {page_id} "
                 f"— torn or corrupted frame"
@@ -199,7 +188,6 @@ class Pager:
         if len(frame) < self.frame_size:
             frame = frame.ljust(self.frame_size, b"\x00")
         self.stats.physical_reads += 1
-        self._m_reads.inc()
         return self._open_frame(page_id, frame)
 
     def _write_frame(self, page_id: int, frame: bytes) -> None:
@@ -207,7 +195,6 @@ class Pager:
         self.faults.fire("pager.write", handle=self._file, data=frame)
         self._file.write(frame)
         self.stats.physical_writes += 1
-        self._m_writes.inc()
 
     def write(self, page_id: int, data: bytes) -> None:
         """Write one page of a new file (data must fit in a page)."""
@@ -224,7 +211,6 @@ class Pager:
         self._check_usable(write=True)
         page_id = self.num_pages
         self.num_pages += 1
-        self._m_alloc.inc()
         return page_id
 
     # ------------------------------------------------------------------
@@ -239,7 +225,6 @@ class Pager:
         self._write_frame(0, self._meta_frame())
         self.faults.fire("pager.fsync", handle=self._file)
         fsync_file(self._file)
-        self._m_syncs.inc()
 
     def rename(self, target: str) -> None:
         """Move the synced file over ``target`` (replacing any file

@@ -118,17 +118,23 @@ class Catalog:
     def has_stream(self, name: str) -> bool:
         return self._stream_key(name) in self._entries
 
+    def check_key_size(self, size: int, what: str) -> None:
+        """Raise :class:`~repro.errors.CatalogError` unless a key of
+        ``size`` bytes fits this database's trees, which share the
+        catalog tree's page size: checked before anything is written."""
+        tree = self._tree
+        if size > tree.max_key:
+            raise CatalogError(
+                f"{what} of {size} bytes exceeds the {tree.max_key}-byte "
+                f"limit for {tree.page_size}-byte pages"
+            )
+
     def check_stream_name(self, name: str) -> None:
         """Raise :class:`~repro.errors.CatalogError` unless the catalog
-        tree can hold the key of a stream named ``name``: checked before
-        anything of the stream is written."""
-        key, tree = self._stream_key(name), self._tree
-        if len(key) > tree.max_key:
-            raise CatalogError(
-                f"stream name {name!r} is too long: its catalog key of "
-                f"{len(key)} bytes exceeds the {tree.max_key}-byte limit "
-                f"for {tree.page_size}-byte pages"
-            )
+        tree can hold the key of a stream named ``name``."""
+        self.check_key_size(len(self._stream_key(name)),
+                            f"stream name {name!r} is too long: its "
+                            f"catalog key")
 
     def register_stream(self, meta: StreamMeta) -> None:
         if self.has_stream(meta.name):

@@ -149,6 +149,58 @@ def test_a_refused_archive_writes_nothing(tmp_path, bad, error):
         assert db.stream_names() == ["s"]
 
 
+def _stream_trees(db, name="s"):
+    return [tree for tree in db.env.list_trees()
+            if tree.startswith(name + "__")]
+
+
+def _assert_exact(db, name="s"):
+    """The btree and MC methods agree with the naive scan."""
+    for method, text in (("btree", ENTERED_ROOM_QUERY),
+                         ("mc", CONDITIONED_QUERY)):
+        naive = db.query(name, text, method="naive").signal
+        assert_signals_agree(dict(naive),
+                             db.query(name, text, method=method).signal)
+
+
+def test_a_page_too_small_for_btp_keys_writes_nothing(tmp_path):
+    """256-byte pages hold keys of at most 24 bytes, and a BT_P key is
+    28: archive refuses ``btp=True`` before it writes a tree. Without
+    BT_P the stream archives and answers exactly."""
+    with Caldera(str(tmp_path), page_size=256) as db:
+        with pytest.raises(CatalogError, match="btp index key of 28 bytes"):
+            db.archive(_stream("s"), mc_alpha=2)
+        assert _stream_trees(db) == []
+        assert db.stream_names() == []
+        db.archive(_stream("s"), mc_alpha=2, btp=False)
+        assert "btp:location" not in db.stream_meta("s").indexes
+        _assert_exact(db)
+
+
+def test_an_archive_that_raises_drops_the_trees_it_wrote(tmp_path,
+                                                        monkeypatch):
+    """A step that raises after the first tree is written leaves no tree
+    of the stream behind, so the same stream archives afterwards."""
+    import repro.core.engine as engine
+
+    def broken_build_mc(*args, **kwargs):
+        raise RuntimeError("MC build failed")
+
+    with Caldera(str(tmp_path)) as db:
+        db.archive(_stream("other"), mc_alpha=2)
+        kept = _stream_trees(db, "other")
+        monkeypatch.setattr(engine, "build_mc", broken_build_mc)
+        with pytest.raises(RuntimeError, match="MC build failed"):
+            db.archive(_stream("s"), mc_alpha=2)
+        assert _stream_trees(db) == []
+        assert db.stream_names() == ["other"]
+        assert _stream_trees(db, "other") == kept
+        monkeypatch.undo()
+        db.archive(_stream("s"), mc_alpha=2)
+        assert db.stream_names() == ["other", "s"]
+        _assert_exact(db)
+
+
 KIND = {"Door": "entry", "Room": "space"}
 JOIN_QUERY = "dim(location,Kind)=entry -> location=Room"
 

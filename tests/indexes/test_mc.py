@@ -260,16 +260,16 @@ def test_out_of_range_span_raises(env, reader, start, end):
         index.compute_cpt(start, end, reader)
 
 
-def test_build_mc_counts_records_built(env, reader):
-    """``build_mc`` counts the span records it writes in the
-    environment's registry; traversal costs live in the caller's
-    :class:`MCLookupStats` only."""
-    index = build_mc(env, "s", reader, alpha=2)
+def test_build_returns_the_records_it_stores(env, reader):
+    """:meth:`MCIndex.build` returns the number of span records it
+    writes; ``build_mc`` reports nothing through the environment's
+    registry (traversal costs live in :class:`MCLookupStats`)."""
+    index = MCIndex(env.open_tree("s__mc"), alpha=2, length=LENGTH)
+    records = index.build(reader)
     stored = sum(1 for key, _ in index.tree.items() if key != META_KEY)
-    counters = env.metrics.snapshot()["counters"]
-    assert counters["mc.records_built{tree=s__mc}"] == stored > 0
-    assert not any(name.startswith(("mc.lookups", "mc.base_cpts"))
-                   for name in counters)
+    assert records == stored > 0
+    build_mc(env, "t", reader, alpha=2)
+    assert env.metrics.snapshot()["counters"] == {}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -103,3 +104,21 @@ def test_report_diff_flags_counter_changes(tmp_path):
 
 def test_report_missing_file_errors(tmp_path):
     assert report_main([str(tmp_path / "absent.json")]) == 2
+
+
+BASELINES = sorted(
+    (Path(__file__).resolve().parents[2] / "benchmarks" / "baselines")
+    .glob("*.manifest.json"))
+
+
+def test_baselines_are_found():
+    assert len(BASELINES) >= 4
+
+
+@pytest.mark.parametrize("path", BASELINES, ids=lambda p: p.name)
+def test_committed_baseline_loads_and_diffs_clean_against_itself(path):
+    """The guards diff a fresh run against these files; older manifests
+    still carry a ``gauges`` section, which loading ignores."""
+    f = str(path)
+    assert report_main([f], out=io.StringIO()) == 0
+    assert report_main([f, f, "--fail-on-change"], out=io.StringIO()) == 0

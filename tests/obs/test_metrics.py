@@ -2,39 +2,30 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry, NullRegistry
+from repro.obs import MetricsRegistry
 
 
 def test_counter_identity_and_increment():
     reg = MetricsRegistry()
-    c = reg.counter("pool.hits")
+    c = reg.counter("planner.fallbacks")
     c.inc()
     c.inc(4)
     assert c.value == 5
     # Same name -> same instrument.
-    assert reg.counter("pool.hits") is c
+    assert reg.counter("planner.fallbacks") is c
 
 
 def test_labels_key_separate_instruments():
     reg = MetricsRegistry()
-    a = reg.counter("btree.splits", tree="a")
-    b = reg.counter("btree.splits", tree="b")
+    a = reg.counter("planner.fallbacks", reason="a")
+    b = reg.counter("planner.fallbacks", reason="b")
     assert a is not b
     a.inc(3)
     assert b.value == 0
-    assert a.name == "btree.splits{tree=a}"
+    assert a.name == "planner.fallbacks{reason=a}"
     # Label order must not matter.
     x = reg.counter("q", s="1", t="2")
     assert reg.counter("q", t="2", s="1") is x
-
-
-def test_gauge_moves_both_ways():
-    reg = MetricsRegistry()
-    g = reg.gauge("pool.resident")
-    g.set(10)
-    g.inc(2)
-    g.dec(5)
-    assert g.value == 7
 
 
 def test_histogram_power_of_two_buckets():
@@ -89,28 +80,9 @@ def test_histogram_empty_summary():
 def test_registry_snapshot_shape():
     reg = MetricsRegistry()
     reg.counter("c", tree="t").inc(2)
-    reg.gauge("g").set(1.5)
     reg.histogram("h").observe(7)
     snap = reg.snapshot()
+    assert set(snap) == {"counters", "histograms"}
     assert snap["counters"] == {"c{tree=t}": 2}
-    assert snap["gauges"] == {"g": 1.5}
     assert snap["histograms"]["h"]["count"] == 1
     assert snap["histograms"]["h"]["p50"] == 7
-
-
-def test_null_registry_is_inert():
-    reg = NullRegistry()
-    c = reg.counter("anything")
-    c.inc(100)
-    assert c.value == 0
-    g = reg.gauge("g")
-    g.set(5)
-    assert g.value == 0
-    h = reg.histogram("h")
-    h.observe(3)
-    assert h.count == 0
-    assert reg.snapshot() == {
-        "counters": {}, "gauges": {}, "histograms": {},
-    }
-    assert not reg.enabled
-    assert MetricsRegistry().enabled

@@ -116,20 +116,18 @@ def test_evict_all_counts_dropped_frames(setup):
     assert pool.resident == 0
 
 
-def test_pool_metric_counters_mirror_behavior(setup):
-    from repro.obs import MetricsRegistry
-
+def test_iostats_and_resident_track_hits_misses_evictions(setup):
     stats, _, client, pages = setup
-    registry = MetricsRegistry()
-    pool = BufferPool(2, stats, metrics=registry)
+    pool = BufferPool(2, stats)
     for page in pages[:3]:
         pool.get(client, page)
     pool.get(client, pages[2])  # hit
-    counters = registry.snapshot()["counters"]
-    assert counters["pool.misses"] == 3
-    assert counters["pool.hits"] == 1
-    assert counters["pool.evictions"] == 1
-    assert registry.snapshot()["gauges"]["pool.resident"] == 2
+    assert stats.logical_reads == 4
+    assert stats.physical_reads == 3  # the misses
+    assert stats.evictions == 1
+    assert pool.resident == 2
+    pool.discard(client)
+    assert pool.resident == 0
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import CorruptPageError
-from repro.obs.metrics import MetricsRegistry
-from repro.storage import Pager, StorageEnvironment
+from repro.storage import IOStats, Pager, StorageEnvironment
 from repro.storage.pager import PAGE_HEADER_SIZE
 
 
@@ -53,17 +52,18 @@ def test_flipped_header_byte_raises_corrupt_page(tmp_path):
     reopened.close()
 
 
-def test_checksum_failures_are_counted(tmp_path):
-    pager, a, _ = build_pager(tmp_path)
+def test_a_corrupt_frame_fails_every_read(tmp_path):
+    pager, a, b = build_pager(tmp_path)
     pager.close()
     frame_size = 128 + PAGE_HEADER_SIZE
     corrupt(str(tmp_path / "f"), a * frame_size + PAGE_HEADER_SIZE)
-    metrics = MetricsRegistry()
-    reopened = Pager(str(tmp_path / "f"), metrics=metrics)
+    stats = IOStats()
+    reopened = Pager(str(tmp_path / "f"), stats=stats)
     for _ in range(3):
         with pytest.raises(CorruptPageError):
             reopened.read(a)
-    assert metrics.counter("pager.checksum_failures").value == 3
+    assert stats.physical_reads == 3  # each read went to the file
+    assert reopened.read(b).rstrip(b"\x00") == b"B" * 50  # page b is whole
     reopened.close()
 
 
@@ -84,8 +84,7 @@ def test_corrupt_meta_page_fails_open(tmp_path):
 
 
 def test_corruption_surfaces_through_the_tree(tmp_path):
-    env = StorageEnvironment(str(tmp_path / "db"), page_size=256,
-                             metrics=False)
+    env = StorageEnvironment(str(tmp_path / "db"), page_size=256)
     tree = env.open_tree("t")
     tree.bulk_load((f"k{i:04d}".encode(), b"v") for i in range(200))
     env.close()
@@ -94,8 +93,7 @@ def test_corruption_surfaces_through_the_tree(tmp_path):
     path = str(tmp_path / "db" / "t.btree")
     frame_size = 256 + PAGE_HEADER_SIZE
     corrupt(path, 3 * frame_size + PAGE_HEADER_SIZE + 4, b"\xff" * 8)
-    env2 = StorageEnvironment(str(tmp_path / "db"), page_size=256,
-                              metrics=False)
+    env2 = StorageEnvironment(str(tmp_path / "db"), page_size=256)
     tree2 = env2.open_tree("t", create=False)
     with pytest.raises(CorruptPageError):
         for _ in tree2.items():

@@ -57,7 +57,7 @@ def run_once(dirname, injector):
     where ``completed`` counts commits that returned successfully."""
     marks = []
     env = StorageEnvironment(dirname, page_size=PAGE_SIZE,
-                             pool_pages=POOL_PAGES, metrics=False,
+                             pool_pages=POOL_PAGES,
                              faults=injector)
     try:
         workload(env, lambda s: marks.append(s))
@@ -74,7 +74,7 @@ def recovered_state(dirname):
     """Reopen cleanly and read back everything, fsck included. A tree
     whose first load never committed has no file and reads as empty."""
     env = StorageEnvironment(dirname, page_size=PAGE_SIZE,
-                             pool_pages=POOL_PAGES, metrics=False)
+                             pool_pages=POOL_PAGES)
     try:
         try:
             state = dict(env.open_tree("t", create=False).items())

@@ -12,7 +12,7 @@ PAGE_SIZE = 256
 @pytest.fixture
 def env(tmp_path):
     environment = StorageEnvironment(str(tmp_path / "db"),
-                                     page_size=PAGE_SIZE, metrics=False)
+                                     page_size=PAGE_SIZE)
     yield environment
     environment.close()
 
@@ -47,15 +47,12 @@ def test_clean_env_fscks_clean_with_zero_writes(env):
     assert set(report.trees) == {"a", "b"}
 
 
-def test_fsck_counts_land_in_metrics(tmp_path):
-    env = StorageEnvironment(str(tmp_path / "db"), page_size=PAGE_SIZE)
-    build_tree(env)
-    env.fsck()
-    snap = env.metrics.snapshot()["counters"]
-    assert snap["fsck.runs"] == 1
-    assert snap["fsck.pages_checked"] > 0
-    assert snap["fsck.errors"] == 0
-    env.close()
+def test_fsck_report_counts_every_page_of_every_file(env):
+    tree = build_tree(env)
+    report = env.fsck()
+    assert report.clean and report.all_errors() == []
+    # The checksum sweep reads each client page of the file once.
+    assert report.pages_checked == tree.pager.num_pages - 1 > 0
 
 
 def corrupt_leaf(env, tree, patch):
@@ -74,7 +71,7 @@ def corrupt_leaf(env, tree, patch):
 
 
 def reopened_report(env_path):
-    env = StorageEnvironment(env_path, page_size=PAGE_SIZE, metrics=False)
+    env = StorageEnvironment(env_path, page_size=PAGE_SIZE)
     try:
         return env.fsck()
     finally:
@@ -82,8 +79,7 @@ def reopened_report(env_path):
 
 
 def test_fsck_reports_checksum_damage(tmp_path):
-    env = StorageEnvironment(str(tmp_path / "db"), page_size=PAGE_SIZE,
-                             metrics=False)
+    env = StorageEnvironment(str(tmp_path / "db"), page_size=PAGE_SIZE)
     tree = build_tree(env, big=False)
 
     def smash(leaves, fh, frame_size):
@@ -97,8 +93,7 @@ def test_fsck_reports_checksum_damage(tmp_path):
 
 
 def test_fsck_reports_broken_sibling_link(tmp_path):
-    env = StorageEnvironment(str(tmp_path / "db"), page_size=PAGE_SIZE,
-                             metrics=False)
+    env = StorageEnvironment(str(tmp_path / "db"), page_size=PAGE_SIZE)
     tree = build_tree(env, big=False)
 
     def unlink(leaves, fh, frame_size):
@@ -126,8 +121,7 @@ def test_fsck_reports_broken_sibling_link(tmp_path):
 
 
 def test_fsck_reports_unopenable_tree(tmp_path):
-    env = StorageEnvironment(str(tmp_path / "db"), page_size=PAGE_SIZE,
-                             metrics=False)
+    env = StorageEnvironment(str(tmp_path / "db"), page_size=PAGE_SIZE)
     build_tree(env, big=False)
     env.close()
     path = str(tmp_path / "db" / "t.btree")
@@ -146,8 +140,7 @@ def test_fsck_ignores_an_abandoned_load(tmp_path):
 
     db = tmp_path / "db"
     inj = FaultInjector()
-    env = StorageEnvironment(str(db), page_size=PAGE_SIZE, metrics=False,
-                             faults=inj)
+    env = StorageEnvironment(str(db), page_size=PAGE_SIZE, faults=inj)
     tree = build_tree(env, big=False)
     items = list(tree.items())
     inj.rules.append(FaultRule("pager.rename", inj.hits["pager.rename"] + 1,
@@ -158,7 +151,7 @@ def test_fsck_ignores_an_abandoned_load(tmp_path):
     assert (db / "t.btree.new").exists()
     report = reopened_report(str(db))
     assert report.clean and set(report.trees) == {"t"}
-    env = StorageEnvironment(str(db), page_size=PAGE_SIZE, metrics=False)
+    env = StorageEnvironment(str(db), page_size=PAGE_SIZE)
     assert list(env.open_tree("t", create=False).items()) == items
     env.close()
 
@@ -169,8 +162,7 @@ def test_check_detects_entry_count_drift(tmp_path):
 
     from repro.storage.btree import _HDR
 
-    env = StorageEnvironment(str(tmp_path / "db"), page_size=PAGE_SIZE,
-                             metrics=False)
+    env = StorageEnvironment(str(tmp_path / "db"), page_size=PAGE_SIZE)
     tree = build_tree(env, big=False)
 
     def drift(_leaves, fh, frame_size):

@@ -21,7 +21,6 @@ def fail_next(inj, site, action):
 def build(tmp_path, faults=None, **kw):
     kw.setdefault("page_size", 256)
     kw.setdefault("pool_pages", 16)
-    kw.setdefault("metrics", False)
     return StorageEnvironment(str(tmp_path / "db"), faults=faults, **kw)
 
 

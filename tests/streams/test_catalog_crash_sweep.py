@@ -62,8 +62,7 @@ def run_op(dirname, injector, op):
     injector's hits before ``op`` and whether everything completed. An
     I/O error is followed by the ordinary close that ``with Caldera``
     runs on the way out; a simulated crash is not (the process died)."""
-    env = StorageEnvironment(dirname, page_size=PAGE_SIZE, metrics=False,
-                             faults=injector)
+    env = StorageEnvironment(dirname, page_size=PAGE_SIZE, faults=injector)
     try:
         catalog = Catalog(env)
         before = dict(injector.hits)
@@ -79,7 +78,7 @@ def run_op(dirname, injector, op):
 
 def recovered_entries(dirname):
     """Reopen cleanly; the catalog tree's entries, fsck-checked."""
-    env = StorageEnvironment(dirname, page_size=PAGE_SIZE, metrics=False)
+    env = StorageEnvironment(dirname, page_size=PAGE_SIZE)
     try:
         entries = dict(env.open_tree(CATALOG_TREE, create=False).items())
         report = env.fsck()

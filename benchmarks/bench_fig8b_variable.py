@@ -58,13 +58,15 @@ def _span_rows(db, alpha, registry):
         if end > reader.length - 1:
             continue
         stats = MCLookupStats()
-        db.env.stats.reset()
+        # Deltas, not resets: the enclosing span deltas the same
+        # monotonic counters.
+        before = db.env.stats.snapshot()
         mc.compute_cpt(GAP_START, end, reader, stats=stats)
-        mc_reads = db.env.stats.logical_reads
-        db.env.stats.reset()
+        mc_reads = db.env.stats.delta(before).logical_reads
+        before = db.env.stats.snapshot()
         for t in range(GAP_START + 1, end + 1):
             reader.cpt_into(t)
-        scan_reads = db.env.stats.logical_reads
+        scan_reads = db.env.stats.delta(before).logical_reads
         labels = {"alpha": alpha, "gap": gap}
         registry.counter("mc.lookups", **labels).inc(stats.lookups)
         registry.counter("mc.pieces", **labels).inc(stats.pieces)

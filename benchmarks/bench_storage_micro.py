@@ -16,7 +16,12 @@ the value-index layer above it:
 5. Value-index build — BT_C + BT_P over one attribute of a 12,000-step,
    density-0.05 synthetic stream (aggregate, encode, sort, bulk load):
    µs per timestep, min of ``VALUE_INDEX_REPEATS`` builds.
-   Informational: wall times never gate.
+6. Whole archive — ``Caldera.archive`` of the same stream with BT_C,
+   BT_P and an MC index (alpha = 2), once in each of the ``separated``
+   and ``packed`` layouts: µs per archived timestep, min of
+   ``VALUE_INDEX_REPEATS``, and the logical page reads it made.
+
+Rows 5 and 6 are informational: wall times never gate.
 
 Besides the text/JSON report, the run emits a
 ``results/storage_micro.manifest.json`` run manifest (span tree with
@@ -34,6 +39,7 @@ import shutil
 import tempfile
 import time
 
+from repro.core import Caldera
 from repro.indexes import build_value_indexes
 from repro.obs import MetricsRegistry
 from repro.storage import StorageEnvironment, encode_key
@@ -209,6 +215,32 @@ def _bench_value_index_build(workdir, tracer):
     }
 
 
+def _bench_archive(workdir, tracer):
+    stream = synthetic_stream("s", num_snippets=VALUE_INDEX_SNIPPETS,
+                              density=VALUE_INDEX_DENSITY, seed=1)
+    layouts = ("separated", "packed")
+    best = float("inf")
+    for rep in range(VALUE_INDEX_REPEATS):
+        with Caldera(f"{workdir}/archive_{rep}", page_size=PAGE_SIZE) as db:
+            snap = db.stats.snapshot()
+            with tracer.span("archive", io=db.stats, rep=rep):
+                start = time.perf_counter()
+                for layout in layouts:
+                    stream.name = f"s_{layout}"
+                    db.archive(stream, layout=layout, mc_alpha=2)
+                best = min(best, time.perf_counter() - start)
+            reads = db.stats.delta(snap).logical_reads
+    steps = len(stream) * len(layouts)
+    return {
+        "layouts": "+".join(layouts),
+        "indexes": "btc+btp+mc",
+        "steps": steps,
+        "min_of": VALUE_INDEX_REPEATS,
+        "us_per_step": best / steps * 1e6,
+        "logical_reads": reads,
+    }
+
+
 def generate():
     registry = MetricsRegistry()
     manifest, tracer = start_run(
@@ -235,6 +267,8 @@ def generate():
             pool_rows = _bench_pool_sizes(workdir, items, tracer)
         with tracer.span("value_index"):
             value_index_row = _bench_value_index_build(workdir, tracer)
+        with tracer.span("archive"):
+            archive_row = _bench_archive(workdir, tracer)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -268,6 +302,13 @@ def generate():
         [value_index_row],
         columns=["indexes", "steps", "entries", "min_of", "us_per_step"],
     )
+    text += print_table(
+        "Whole archive: Caldera.archive in both layouts (min of "
+        f"{VALUE_INDEX_REPEATS}; informational)",
+        [archive_row],
+        columns=["layouts", "indexes", "steps", "min_of", "us_per_step",
+                 "logical_reads"],
+    )
     data = {
         "n_entries": N_ENTRIES,
         "page_size": PAGE_SIZE,
@@ -276,6 +317,7 @@ def generate():
         "build": build_rows,
         "pool_sizes": pool_rows,
         "value_index_build": value_index_row,
+        "archive": archive_row,
     }
     save_report("storage_micro", text, data)
     path = finish_run(manifest, tracer, registry=registry)

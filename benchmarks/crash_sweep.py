@@ -3,7 +3,8 @@
 Runs the same deterministic single-fault methodology as
 ``tests/storage/test_crash_sweep.py`` at a larger scale: a mixed
 workload (bulk loads, then whole-tree rewrites carrying upserts,
-deletes and overflow values, over two trees) is probed once to learn
+deletes and overflow values, over two trees, and a BT_C-shaped load of
+fixed-width rows into a third) is probed once to learn
 its failpoint space, then every
 ``(site, hit, action)`` schedule runs to its fault, loses its unsynced
 bytes, and must recover to a committed state with a clean fsck.
@@ -21,9 +22,12 @@ import shutil
 import tempfile
 import time
 
+import numpy as np
+
 from repro.errors import StorageError
+from repro.indexes import btc
 from repro.obs import MetricsRegistry
-from repro.storage import StorageEnvironment
+from repro.storage import FixedRows, StorageEnvironment
 from repro.storage.faults import (
     FaultInjector,
     SimulatedCrash,
@@ -39,19 +43,39 @@ SWEEP_SEEDS = (0, 1, 2)
 #: page writes per run keeps the sweep above its former 480 schedules.
 MAX_HITS_PER_SITE = 40
 N_KEYS = 160
+TREES = ("t", "u", "c")
+
+
+def btc_rows(codes, steps):
+    """BT_C entries, in key order: ``(code, time)`` keys, each with an
+    8-byte probability, as the fixed-width rows the index loads."""
+    codes, times = np.divmod(np.arange(codes * steps), steps)
+    return FixedRows(btc.encode(codes, times, 1.0 / (1 + times)),
+                     btc.KEY.size)
 
 
 def workload(env, mark):
-    state = {"t": {}, "u": {}}
+    state = {name: {} for name in TREES}
     t = env.open_tree("t")
     u = env.open_tree("u")
-    mark({"t": dict(state["t"]), "u": dict(state["u"])})
+    c = env.open_tree("c")
+
+    def commit():
+        mark({name: dict(entries) for name, entries in state.items()})
+
+    commit()
 
     items = [(f"k{i:05d}".encode(), bytes([i % 251]) * (10 + i % 90))
              for i in range(N_KEYS)]
     t.bulk_load(items)
     state["t"].update(items)
-    mark({"t": dict(state["t"]), "u": dict(state["u"])})
+    commit()
+
+    rows = btc_rows(4, 30)
+    c.bulk_load(rows)
+    state["c"].update((row[:rows.key_width].tobytes(),
+                       row[rows.key_width:].tobytes()) for row in rows.rows)
+    commit()
 
     for i in range(0, N_KEYS, 4):
         state["t"][f"k{i:05d}".encode()] = b"rev2" * 8
@@ -62,14 +86,14 @@ def workload(env, mark):
             bytes([97 + i]) * (PAGE_SIZE * 2 + 31 * i)
     t.rewrite(sorted(state["t"].items()))
     u.bulk_load(sorted(state["u"].items()))
-    mark({"t": dict(state["t"]), "u": dict(state["u"])})
+    commit()
 
     del state["u"][b"blob3"]
     for i in range(N_KEYS, N_KEYS + 30):
         state["t"][f"k{i:05d}".encode()] = b"late"
     u.rewrite(sorted(state["u"].items()))
     t.rewrite(sorted(state["t"].items()))
-    mark({"t": dict(state["t"]), "u": dict(state["u"])})
+    commit()
 
 
 def run_once(dirname, injector):
@@ -95,7 +119,7 @@ def recover_and_verify(dirname, pages_checked):
                              pool_pages=POOL_PAGES)
     try:
         state = {}
-        for name in ("t", "u"):
+        for name in TREES:
             try:
                 state[name] = dict(env.open_tree(name, create=False).items())
             except StorageError:
@@ -147,7 +171,7 @@ def generate():
         probe = FaultInjector()
         with tracer.span("baseline"):
             marks, finished = run_once(f"{workdir}/baseline", probe)
-            assert finished and len(marks) == 4
+            assert finished and len(marks) == 5
             state, clean = recover_and_verify(f"{workdir}/baseline",
                                               c_pages_checked)
             assert clean and state == marks[-1]
@@ -174,7 +198,7 @@ def generate():
                         ok = False
                         failures.append((seed, rule.label(), "fsck dirty"))
                     completed = len(run_marks)
-                    for name in ("t", "u"):
+                    for name in TREES:
                         if not tree_acceptable(marks, completed, finished,
                                                name, state[name]):
                             ok = False

@@ -42,6 +42,7 @@ from ..streams import (
     MarkovianStream,
     StreamMeta,
     StreamReader,
+    encode_cpts,
     open_reader,
     write_stream,
 )
@@ -183,7 +184,8 @@ class Caldera:
                        dimensions: Dict[str, Dict]) -> StreamMeta:
         """Write the stream's trees and indexes; returns the catalog
         entry that describes them."""
-        reader = write_stream(self.env, stream, layout)
+        records = encode_cpts(stream.cpts)
+        reader = write_stream(self.env, stream, layout, records=records)
         meta = StreamMeta(stream.name, len(stream), layout, stream.space,
                           pack=reader.pack)
 
@@ -206,11 +208,12 @@ class Caldera:
                 meta.indexes[f"{kind}:{attr}"] = index.stats.to_dict()
 
         if mc_alpha is not None and len(stream) > 2:
-            build_mc(self.env, stream.name, reader, alpha=mc_alpha)
+            build_mc(self.env, stream.name, reader, alpha=mc_alpha,
+                     records=records)
             meta.indexes["mc"] = {"alpha": mc_alpha}
             for predicate in conditioned_predicates:
                 build_mc(self.env, stream.name, reader, alpha=mc_alpha,
-                         predicate=predicate, space=stream.space)
+                         predicate=predicate, records=records)
                 meta.indexes[f"mcc:{predicate.signature()}"] = {
                     "alpha": mc_alpha
                 }
@@ -234,9 +237,8 @@ class Caldera:
         meta = self.catalog.stream_meta(stream_name)
         if alpha is None:
             alpha = meta.indexes.get("mc", {}).get("alpha", 2)
-        reader = self.reader(stream_name)
-        build_mc(self.env, stream_name, reader, alpha=alpha,
-                 predicate=predicate, space=meta.space)
+        build_mc(self.env, stream_name, self.reader(stream_name),
+                 alpha=alpha, predicate=predicate)
         meta.indexes[f"mcc:{predicate.signature()}"] = {"alpha": alpha}
         self.catalog.update_stream(meta)
 

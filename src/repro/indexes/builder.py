@@ -9,14 +9,14 @@ and benchmarks, which build indexes directly).
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import CatalogError
 from ..probability import SparseDistribution
 from ..query.predicates import Predicate
-from ..storage import StorageEnvironment
+from ..storage import FixedRows, StorageEnvironment
 from ..streams.archive import StreamReader
 from ..streams.schema import StateSpace
 from . import btc, btp
@@ -116,17 +116,12 @@ def aggregate(state_codes: np.ndarray,
     return keys // span, keys % span + first, probs
 
 
-def _in_key_order(rows: np.ndarray, key_width: int
-                  ) -> Iterator[Tuple[bytes, bytes]]:
+def _in_key_order(rows: np.ndarray, key_width: int) -> FixedRows:
     """Sort ``rows`` (each ``key_width`` key bytes, then value bytes) in
     place by their bytes, which orders them by key since no two keys are
-    equal, and yield each row as a ``(key, value)`` pair."""
-    width = rows.shape[1]
-    rows.view(f"S{width}").reshape(-1).sort()
-    flat = memoryview(rows.reshape(-1))
-    return ((flat[at:at + key_width].tobytes(),
-             flat[at + key_width:at + width].tobytes())
-            for at in range(0, len(flat), width))
+    equal, and hand them to the tree as they are."""
+    rows.view(f"S{rows.shape[1]}").reshape(-1).sort()
+    return FixedRows(rows, key_width)
 
 
 def open_value_index(
@@ -151,28 +146,33 @@ def build_mc(
     reader: StreamReader,
     alpha: int = 2,
     predicate: Optional[Predicate] = None,
-    space: Optional[StateSpace] = None,
+    records: Optional[Sequence[bytes]] = None,
 ) -> MCIndex:
-    """Build the MC index (or a predicate-conditioned variant).
+    """Build the MC index (or a predicate-conditioned variant) of the
+    stream ``reader`` reads.
 
-    The build runs under an ``mc.build`` span on the environment's
-    tracer (its wall time lands in the environment registry);
-    :meth:`MCIndex.build` returns the number of records written.
+    ``records`` are the stream's base CPT records (into timesteps
+    ``1 .. length - 1``) when the caller holds them, as the archive
+    does; otherwise they are read once through
+    ``reader.cpt_records``. The build runs under an ``mc.build`` span
+    on the environment's tracer (its wall time lands in the environment
+    registry); :meth:`MCIndex.build` returns the number of records
+    written.
     """
     signature = predicate.signature() if predicate is not None else None
     name = mc_tree_name(stream_name, signature)
     if env.exists(name):
         raise CatalogError(f"index {name!r} already exists")
-    accept = None
-    if predicate is not None:
-        if space is None:
-            raise CatalogError("conditioned MC index needs the state space")
-        accept = predicate.matching_states(space)
+    accept = None if predicate is None else \
+        predicate.matching_states(reader.space)
     index = MCIndex(env.open_tree(name), alpha, reader.length,
                     accept_states=accept)
+    if records is None:
+        records = reader.cpt_records(1, reader.length) \
+            if reader.length > 1 else []
     with env.tracer().span("mc.build", tree=name, alpha=alpha,
                            conditioned=predicate is not None):
-        index.build(reader)
+        index.build(records, len(reader.space))
     return index
 
 

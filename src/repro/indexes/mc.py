@@ -24,13 +24,18 @@ version (:func:`~repro.indexes.builder.open_mc` refuses any other).
 Build
 -----
 :meth:`MCIndex.build` makes every level the same way, from the encoded
-records of the level below — level 0 is the base CPT records, read in
-timestep order. Per chunk of a multiple of ``alpha`` records (sized by
+records of the level below. Level 0 is the base CPT records in
+timestep order: at archive time the very records the archive just
+encoded and wrote, so the build reads no page (an index added to an
+archived stream reads them once, through ``reader.cpt_records``). Per
+chunk of a multiple of ``alpha`` records (sized by
 :data:`~repro.probability.cpt.BLOCK_FLOATS`) it decodes them as one
 block, densifies it into a ``(chunk, n, n)`` stack, multiplies each run
 of ``alpha`` in one batched product
 ``stack[0::alpha] @ stack[1::alpha] @ …``, and encodes the nonzero
-entries back into records, a chunk at a time.
+entries back into records, a chunk at a time. Every record's
+``(level, start)`` key comes from one ``encode_keys`` call, and the
+tree is bulk-loaded once.
 
 Gap traversal
 -------------
@@ -84,8 +89,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from itertools import chain, islice
+from typing import (FrozenSet, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -94,6 +100,7 @@ from ..probability import CPTBlock, decode_block, encode_block
 from ..probability.cpt import (BLOCK_FLOATS, RECORD_VERSION,
                                check_record_version, densify, sparsify)
 from ..storage import encode_key
+from ..storage.keyenc import encode_keys, key_list
 
 #: Reserved metadata key — level -1 sorts before every (level, start).
 META_KEY = encode_key((-1,))
@@ -150,34 +157,40 @@ class MCIndex:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def build(self, reader) -> int:
-        """Bulk-load every span record from the archived stream.
+    def build(self, records: Sequence[bytes], num_states: int) -> int:
+        """Bulk-load every span record from the base CPT records (into
+        timesteps ``1 .. length - 1``, in order) of a stream over
+        ``num_states`` states.
 
         Each level's records are the products of ``alpha`` consecutive
-        records of the level below; level 0 is the base CPT records, so
-        the archive is read once. Returns the number of span records
-        written.
+        records of the level below, and level 0 is ``records``; the
+        build reads no page. Returns the number of span records written.
         """
-        if reader.length != self.length:
+        if len(records) != self.length - 1:
             raise CatalogError(
-                f"MC index built for length {self.length} over a reader "
-                f"of length {reader.length}"
+                f"MC index built for length {self.length} from "
+                f"{len(records)} CPT records (a stream of length "
+                f"{len(records) + 1})"
             )
-        n = len(reader.space)
-        items: List[Tuple[bytes, bytes]] = [(META_KEY, self._meta_value())]
-        below: Iterable[bytes] = (reader.cpt_record(t)
-                                  for t in range(1, self.length))
         keep = None if self.accept_states is None else \
-            self.accept_columns(n)
-        span = 1
+            self.accept_columns(num_states)
+        levels: List[List[bytes]] = []
+        below: Sequence[bytes] = records
         for level in range(1, self.max_level + 1):
-            span *= self.alpha
-            below = list(_products(below, self.alpha, n,
+            below = list(_products(below, self.alpha, num_states,
                                    keep if level == 1 else None))
-            items.extend((encode_key((level, i * span)), data)
-                         for i, data in enumerate(below))
-        self.tree.bulk_load(items)
-        return len(items) - 1
+            levels.append(below)
+        keys = encode_keys((
+            np.repeat(np.arange(1, len(levels) + 1),
+                      [len(level) for level in levels]),
+            np.concatenate([np.arange(len(level)) * self.alpha ** at
+                            for at, level in enumerate(levels, 1)]
+                           + [np.zeros(0, dtype=np.int64)]),
+        ))
+        self.tree.bulk_load(chain([(META_KEY, self._meta_value())],
+                                  zip(key_list(keys),
+                                      chain.from_iterable(levels))))
+        return len(keys)
 
     def _meta_value(self) -> bytes:
         meta = {

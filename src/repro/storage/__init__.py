@@ -26,7 +26,7 @@ all (file writes, fsyncs, renames, directory fsyncs), and
 :mod:`~repro.storage.fsck` deep-verifies what survived.
 """
 
-from .btree import BTree, Cursor
+from .btree import BTree, Cursor, FixedRows
 from .buffer_pool import DEFAULT_POOL_PAGES, BufferPool
 from .env import StorageEnvironment
 from .faults import (
@@ -53,6 +53,7 @@ __all__ = [
     "FaultInjector",
     "FaultRule",
     "FaultyFile",
+    "FixedRows",
     "FsckReport",
     "IOStats",
     "NO_FAULTS",

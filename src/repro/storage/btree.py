@@ -15,6 +15,13 @@ Layout and behavior:
   name is always complete and a crash leaves the old contents or the
   new ones; nothing mutates a page in place. A tree opened but never
   loaded has no file and reads as empty.
+- **Leaves are packed by the page.** A load takes its input a batch
+  of entries at a time, checks the batch in one pass, finds where the
+  leaves cut with one cumulative sum of the entry sizes and one
+  ``searchsorted`` per leaf, and writes each leaf as its header plus
+  one slice of the serialised entries. :class:`FixedRows` (sorted
+  fixed-width rows in a NumPy array) serialise a batch at a time with
+  the entry header as leading columns, with no ``bytes`` per entry.
 - **Leaves are doubly linked**, so range cursors run forward without
   re-descending.
 - **Values above ¼ page spill** into chained overflow pages; the leaf
@@ -32,10 +39,15 @@ costs land in the environment's :class:`~repro.storage.stats.IOStats`.
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
+
+import numpy as np
 
 from ..errors import CorruptPageError, PageError, StorageError
 from .buffer_pool import BufferPool
@@ -64,9 +76,37 @@ _OVF_PTR = struct.Struct(">IQ")         # first page, total length
 
 _FLAG_SPILLED = 0x01
 
+#: Entries a load takes from its input at a time.
+_BATCH = 2048
+
+
+class FixedRows(NamedTuple):
+    """Sorted entries of one width, for :meth:`BTree.bulk_load`: each
+    row of the 2-D uint8 array ``rows`` is one entry, its first
+    ``key_width`` bytes the key and the rest the value."""
+
+    rows: np.ndarray
+    key_width: int
+
+
+#: What a load writes: sorted ``(key, value)`` pairs, or fixed-width rows.
+Entries = Union[Iterable[Tuple[bytes, bytes]], FixedRows]
+
+
+def _split(pairs: Sequence[Tuple[bytes, bytes]]
+           ) -> Tuple[Sequence[bytes], Sequence[bytes]]:
+    """The keys and the values of ``(key, value)`` pairs."""
+    keys, values = tuple(zip(*pairs)) or ((), ())
+    return keys, values
+
+
+def _all_bytes(items: Sequence) -> bool:
+    return all(issubclass(kind, (bytes, bytearray))
+               for kind in set(map(type, items)))
+
 
 class LeafNode:
-    __slots__ = ("page_id", "prev", "next", "keys", "values", "flags", "size")
+    __slots__ = ("page_id", "prev", "next", "keys", "values", "flags")
 
     def __init__(self, page_id: int, prev: int = 0, nxt: int = 0) -> None:
         self.page_id = page_id
@@ -75,11 +115,6 @@ class LeafNode:
         self.keys: List[bytes] = []
         self.values: List[bytes] = []
         self.flags: List[int] = []
-        self.size = _LEAF_HDR.size
-
-    @staticmethod
-    def entry_size(key: bytes, stored: bytes) -> int:
-        return _LEAF_ENTRY.size + len(key) + len(stored)
 
 
 #: What page id 0 (no page: the root and first leaf of a tree without
@@ -88,17 +123,12 @@ _NO_LEAF = LeafNode(0)
 
 
 class BranchNode:
-    __slots__ = ("page_id", "keys", "children", "size")
+    __slots__ = ("page_id", "keys", "children")
 
     def __init__(self, page_id: int) -> None:
         self.page_id = page_id
         self.keys: List[bytes] = []
         self.children: List[int] = []
-        self.size = _BRANCH_HDR.size
-
-    @staticmethod
-    def entry_size(key: bytes) -> int:
-        return _KLEN.size + len(key) + _CHILD.size
 
 
 class OverflowNode:
@@ -149,6 +179,8 @@ class BTree:
         self.page_size = page_size or DEFAULT_PAGE_SIZE
         self.max_key = max(24, self.page_size // 16)
         self.max_inline = self.page_size // 4
+        #: Entry bytes one leaf holds.
+        self._leaf_room = self.page_size - 2 * _LEAF_HDR.size
 
     # ------------------------------------------------------------------
     # Header
@@ -170,7 +202,7 @@ class BTree:
         self._num_entries = entries
 
     # ------------------------------------------------------------------
-    # Node codec (the buffer pool decodes on a miss)
+    # Page decoding (the buffer pool decodes on a miss)
     # ------------------------------------------------------------------
     def decode_page(self, page_id: int, raw: bytes):
         kind = raw[0]
@@ -186,7 +218,6 @@ class BTree:
                 node.values.append(raw[pos:pos + vlen])
                 pos += vlen
                 node.flags.append(flags)
-            node.size = pos
             return node
         if kind == _PAGE_BRANCH:
             _, nkeys = _BRANCH_HDR.unpack_from(raw)
@@ -200,9 +231,6 @@ class BTree:
                 pos += _KLEN.size
                 node.keys.append(raw[pos:pos + klen])
                 pos += klen
-            node.size = _BRANCH_HDR.size + sum(
-                BranchNode.entry_size(k) for k in node.keys
-            ) + _CHILD.size
             return node
         if kind == _PAGE_OVERFLOW:
             _, nxt, length = _OVF_HDR.unpack_from(raw)
@@ -212,28 +240,6 @@ class BTree:
             f"{self.name!r}: unknown page type 0x{kind:02x} on page "
             f"{page_id}"
         )
-
-    def encode_page(self, node) -> bytes:
-        if isinstance(node, LeafNode):
-            parts = [_LEAF_HDR.pack(_PAGE_LEAF, node.prev, node.next,
-                                    len(node.keys))]
-            for key, value, flags in zip(node.keys, node.values, node.flags):
-                parts.append(_LEAF_ENTRY.pack(len(key), flags, len(value)))
-                parts.append(key)
-                parts.append(value)
-            return b"".join(parts)
-        if isinstance(node, BranchNode):
-            parts = [_BRANCH_HDR.pack(_PAGE_BRANCH, len(node.keys))]
-            for child in node.children:
-                parts.append(_CHILD.pack(child))
-            for key in node.keys:
-                parts.append(_KLEN.pack(len(key)))
-                parts.append(key)
-            return b"".join(parts)
-        if isinstance(node, OverflowNode):
-            return _OVF_HDR.pack(_PAGE_OVERFLOW, node.next,
-                                 len(node.data)) + node.data
-        raise StorageError(f"cannot encode node of type {type(node).__name__}")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -282,17 +288,18 @@ class BTree:
     # ------------------------------------------------------------------
     # Overflow values
     # ------------------------------------------------------------------
-    def _store_value(self, pager: Pager, value: bytes) -> Tuple[bytes, int]:
-        if len(value) <= self.max_inline:
-            return value, 0
+    def _spill(self, pager: Pager, value: bytes) -> bytes:
+        """Write ``value`` to a new overflow chain, last page first (each
+        page links to the next); returns the leaf's pointer to it."""
         chunk = self.page_size - _OVF_HDR.size
         nxt = 0
         for start in range(((len(value) - 1) // chunk) * chunk, -1, -chunk):
             page_id = pager.allocate()
-            node = OverflowNode(page_id, nxt, value[start:start + chunk])
-            pager.write(page_id, self.encode_page(node))
+            data = value[start:start + chunk]
+            pager.write(page_id, _OVF_HDR.pack(_PAGE_OVERFLOW, nxt,
+                                               len(data)) + data)
             nxt = page_id
-        return _OVF_PTR.pack(nxt, len(value)), _FLAG_SPILLED
+        return _OVF_PTR.pack(nxt, len(value))
 
     def _load_value(self, leaf: LeafNode, slot: int) -> bytes:
         if not leaf.flags[slot] & _FLAG_SPILLED:
@@ -314,8 +321,9 @@ class BTree:
     # ------------------------------------------------------------------
     # Bulk loading
     # ------------------------------------------------------------------
-    def bulk_load(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
-        """Build the tree bottom-up from sorted ``(key, value)`` pairs.
+    def bulk_load(self, items: Entries) -> int:
+        """Build the tree bottom-up from sorted ``(key, value)`` pairs,
+        or from the sorted entries of :class:`FixedRows`.
 
         Packs leaves full, links them, then builds each branch level
         from the one below, and commits. The tree must be empty (or
@@ -341,10 +349,7 @@ class BTree:
         and ready for a later rewrite.
         """
         items = list(items)
-        prev_key: Optional[bytes] = None
-        for key, value in items:
-            self._check_entry(prev_key, key, value)
-            prev_key = key
+        self._check_entries(None, *_split(items))
         return self._load(items)
 
     def _check_entry(self, prev_key: Optional[bytes], key: bytes,
@@ -361,10 +366,26 @@ class BTree:
                 f"({prev_key!r} followed by {key!r})"
             )
 
-    def _load(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
-        """Write the sorted ``items`` (checking each entry on the way)
-        as a new file beside the tree's, then commit it: fsync, rename
-        it over the tree's file, fsync the directory.
+    def _check_entries(self, prev_key: Optional[bytes],
+                       keys: Sequence[bytes], values: Sequence[bytes]
+                       ) -> None:
+        """:meth:`_check_entry` over consecutive entries: a pass over
+        the whole run finds whether any entry is bad, and only then are
+        they checked one by one, so the first bad entry raises its own
+        error."""
+        if _all_bytes(keys) and _all_bytes(values) and \
+                max(map(len, keys), default=0) <= self.max_key and \
+                not any(map(operator.lt, keys[1:], keys[:-1])) and \
+                (prev_key is None or not keys or keys[0] >= prev_key):
+            return
+        for key, value in zip(keys, values):
+            self._check_entry(prev_key, key, value)
+            prev_key = key
+
+    def _load(self, items: Entries) -> int:
+        """Write the sorted ``items`` (checking them on the way) as a
+        new file beside the tree's, then commit it: fsync, rename it
+        over the tree's file, fsync the directory.
 
         A failure before the rename abandons the new file and leaves
         the tree as it was. Once the rename is done the tree reads the
@@ -387,55 +408,32 @@ class BTree:
         pager.sync_directory()
         return self._num_entries
 
-    def _write_tree(self, pager: Pager, items: Iterable[Tuple[bytes, bytes]]
+    def _write_tree(self, pager: Pager, items: Entries
                     ) -> Tuple[int, int, int, int, int, int]:
         """Write header, leaves, overflow chains and branch levels of a
-        tree holding ``items`` to a new file; returns the header."""
+        tree holding ``items`` to a new file; returns the header.
+
+        Each leaf is written once the next one's page id is known, so
+        that it can link to it."""
         if pager.allocate() != _HEADER_PAGE:
             raise StorageError("tree header must be the first page")
-        target = self.page_size - _LEAF_HDR.size
-        leaf: Optional[LeafNode] = None
-        pending: Optional[LeafNode] = None
-        seps: List[Tuple[bytes, int]] = []
-        first_leaf = last_leaf = 0
+        leaves = (self._row_leaves if isinstance(items, FixedRows)
+                  else self._pair_leaves)(pager, items)
+        seps: List[Tuple[bytes, int]] = []  # each leaf's first key, page
         count = 0
-        prev_key: Optional[bytes] = None
-
-        def emit(nxt: int) -> None:
-            nonlocal pending
+        pending = None  # (page id, prev, entries, body) of the last leaf
+        for page_id, key, entries, body in leaves:
             if pending is not None:
-                pending.next = nxt
-                pager.write(pending.page_id, self.encode_page(pending))
-                pending = None
+                self._write_leaf(pager, pending, page_id)
+            pending = (page_id, seps[-1][1] if seps else 0, entries, body)
+            seps.append((key, page_id))
+            count += entries
+        if pending is None:  # empty input: an empty root leaf
+            pending = (pager.allocate(), 0, 0, b"")
+            seps.append((b"", pending[0]))
+        self._write_leaf(pager, pending, 0)
 
-        for key, value in items:
-            self._check_entry(prev_key, key, value)
-            prev_key = key
-            stored, flags = self._store_value(pager, value)
-            entry = LeafNode.entry_size(key, stored)
-            if leaf is None or leaf.size + entry > target:
-                page_id = pager.allocate()
-                new = LeafNode(page_id, prev=leaf.page_id if leaf else 0)
-                emit(page_id)
-                pending = new
-                if leaf is None:
-                    first_leaf = page_id
-                leaf = new
-                seps.append((key, page_id))
-                last_leaf = page_id
-            leaf.keys.append(key)
-            leaf.values.append(stored)
-            leaf.flags.append(flags)
-            leaf.size += entry
-            count += 1
-
-        if leaf is None:  # empty input: an empty root leaf
-            first_leaf = last_leaf = pager.allocate()
-            pager.write(first_leaf, self.encode_page(LeafNode(first_leaf)))
-            seps.append((b"", first_leaf))
-        emit(0)
-
-        num_leaves = len(seps)
+        first_leaf, last_leaf, num_leaves = seps[0][1], seps[-1][1], len(seps)
         height = 1
         while len(seps) > 1:
             seps = self._build_branch_level(pager, seps)
@@ -445,28 +443,155 @@ class BTree:
         pager.write(_HEADER_PAGE, _HDR.pack(_HDR_MAGIC, *header))
         return header
 
+    @staticmethod
+    def _write_leaf(pager: Pager, leaf: Tuple[int, int, int, bytes],
+                    nxt: int) -> None:
+        page_id, prev, entries, body = leaf
+        pager.write(page_id,
+                    _LEAF_HDR.pack(_PAGE_LEAF, prev, nxt, entries) + body)
+
+    def _leaf_cuts(self, sizes: np.ndarray, final: bool) -> List[int]:
+        """Where the leaves of a run of entries of ``sizes`` bytes start,
+        then where the last one ends: each leaf takes the entries that
+        follow while they fit, and at least one. Unless ``final``, the
+        last leaf could still take entries that come after the run, so
+        it is left out and its first entry ends the list."""
+        ends = np.cumsum(sizes)
+        room = self._leaf_room
+        cuts = [0]
+        while cuts[-1] < len(sizes):
+            at = cuts[-1]
+            fits = int(ends.searchsorted((ends[at - 1] if at else 0) + room,
+                                         "right"))
+            cuts.append(max(at + 1, fits))
+        if not final:
+            cuts.pop()
+        return cuts
+
+    def _pair_leaves(self, pager: Pager,
+                     items: Iterable[Tuple[bytes, bytes]]
+                     ) -> Iterator[Tuple[int, bytes, int, bytes]]:
+        """``(page id, first key, entries, body)`` per leaf of the sorted
+        ``(key, value)`` pairs, ``_BATCH`` pairs read at a time. A body
+        is the leaf's entries serialised back to back; values above
+        ``max_inline`` go to overflow chains, allocated in entry order
+        around the leaf's own page."""
+        items = iter(items)
+        keys: List[bytes] = []
+        values: List[bytes] = []
+        last: Optional[bytes] = None
+        while True:
+            batch = list(islice(items, _BATCH))
+            final = len(batch) < _BATCH
+            if batch:
+                new_keys, new_values = _split(batch)
+                self._check_entries(last, new_keys, new_values)
+                last = new_keys[-1]
+                keys += new_keys
+                values += new_values
+            n = len(keys)
+            klens = np.fromiter(map(len, keys), np.int64, n)
+            vlens = np.fromiter(map(len, values), np.int64, n)
+            spilled = vlens > self.max_inline
+            vlens[spilled] = _OVF_PTR.size
+            parts: List[bytes] = [b""] * (3 * n)  # header, key, value each
+            parts[0::3] = map(_LEAF_ENTRY.pack, klens.tolist(),
+                              (spilled * _FLAG_SPILLED).tolist(),
+                              vlens.tolist())
+            parts[1::3] = keys
+            parts[2::3] = values
+            cuts = self._leaf_cuts(_LEAF_ENTRY.size + klens + vlens, final)
+            any_spilled = spilled.any()
+            for i, j in zip(cuts, cuts[1:]):
+                spills = np.flatnonzero(spilled[i:j]).tolist() \
+                    if any_spilled else []
+                if spills and spills[0] == 0:
+                    parts[3 * i + 2] = self._spill(pager, values[i])
+                    spills.pop(0)
+                page_id = pager.allocate()
+                for at in spills:
+                    parts[3 * (i + at) + 2] = self._spill(pager,
+                                                          values[i + at])
+                yield page_id, keys[i], j - i, b"".join(parts[3 * i:3 * j])
+            del keys[:cuts[-1]], values[:cuts[-1]]
+            if final:
+                return
+
+    def _row_leaves(self, pager: Pager, items: FixedRows
+                    ) -> Iterator[Tuple[int, bytes, int, bytes]]:
+        """:meth:`_pair_leaves` of fixed-width rows: each batch of rows
+        gets the entry header as leading columns and is serialised in
+        one piece, and each leaf's body is one slice of it."""
+        rows, key_width = items
+        if not isinstance(rows, np.ndarray) or rows.dtype != np.uint8 or \
+                rows.ndim != 2 or not 0 < key_width <= rows.shape[1]:
+            raise StorageError(
+                "fixed-width rows must be a 2-D uint8 array with a key "
+                "width between 1 and the row width")
+        n, value_width = rows.shape[0], rows.shape[1] - key_width
+        if n:
+            self._check_key(rows[0, :key_width].tobytes())
+        if value_width > self.max_inline:
+            raise StorageError(
+                f"fixed-width values of {value_width} bytes exceed the "
+                f"{self.max_inline}-byte inline limit")
+        head = _LEAF_ENTRY.size
+        size = head + rows.shape[1]
+        header = np.frombuffer(_LEAF_ENTRY.pack(key_width, 0, value_width),
+                               dtype=np.uint8)
+        per_leaf = max(1, self._leaf_room // size)
+        step = per_leaf * max(2, _BATCH // per_leaf)  # whole leaves, two+
+        lo = 0
+        while lo < n:
+            hi = min(lo + step, n)
+            keys = np.ascontiguousarray(rows[max(lo - 1, 0):hi, :key_width])
+            order = keys.view(f"S{key_width}").reshape(-1)
+            bad = np.flatnonzero(order[1:] < order[:-1])
+            if len(bad):
+                self._check_entry(keys[bad[0]].tobytes(),
+                                  keys[bad[0] + 1].tobytes(), b"")
+            block = np.empty((hi - lo, size), dtype=np.uint8)
+            block[:, :head] = header
+            block[:, head:] = rows[lo:hi]
+            body = block.tobytes()
+            cuts = self._leaf_cuts(np.full(hi - lo, size), hi == n)
+            for i, j in zip(cuts, cuts[1:]):
+                at = i * size + head
+                yield (pager.allocate(), body[at:at + key_width], j - i,
+                       body[i * size:j * size])
+            lo += cuts[-1]
+
     def _build_branch_level(
         self, pager: Pager, children: List[Tuple[bytes, int]]
     ) -> List[Tuple[bytes, int]]:
+        """Write one level of branch pages over ``children`` (first key
+        and page id of each node below); returns the level's own."""
         target = self.page_size - _BRANCH_HDR.size - _CHILD.size
         out: List[Tuple[bytes, int]] = []
-        node: Optional[BranchNode] = None
+        keys: List[bytes] = []
+        kids: List[int] = []
+        size = 0
+
+        def write() -> None:
+            pager.write(out[-1][1], b"".join(
+                [_BRANCH_HDR.pack(_PAGE_BRANCH, len(keys))]
+                + [_CHILD.pack(child) for child in kids]
+                + [_KLEN.pack(len(key)) + key for key in keys]))
+
         for key, child in children:
-            entry = BranchNode.entry_size(key)
-            if node is None or node.size + entry > target:
-                if node is not None:
-                    pager.write(node.page_id, self.encode_page(node))
-                page_id = pager.allocate()
-                node = BranchNode(page_id)
-                node.children.append(child)
-                node.size += _CHILD.size
-                out.append((key, page_id))
+            entry = _KLEN.size + len(key) + _CHILD.size
+            if not out or size + entry > target:
+                if out:
+                    write()
+                out.append((key, pager.allocate()))
+                keys, kids = [], [child]
+                size = _BRANCH_HDR.size + _CHILD.size
             else:
-                node.keys.append(key)
-                node.children.append(child)
-                node.size += entry
-        if node is not None:
-            pager.write(node.page_id, self.encode_page(node))
+                keys.append(key)
+                kids.append(child)
+                size += entry
+        if out:
+            write()
         return out
 
     # ------------------------------------------------------------------

@@ -25,7 +25,8 @@ mixes types, which the index layers never do.
 :func:`encode_keys` is the array counterpart for index builds: it
 encodes whole columns of ints and ``Desc`` floats at once into
 fixed-width rows, byte for byte what :func:`encode_key` writes per row.
-:func:`encode_key` stays the one scalar encoder (point lookups, seeks).
+:func:`encode_key` stays the one scalar encoder (point lookups, seeks);
+:func:`key_list` turns the rows into keys for a bulk load.
 """
 
 from __future__ import annotations
@@ -213,6 +214,11 @@ def encode_keys(columns: Sequence) -> np.ndarray:
             payload[:, 0] ^= 0x80  # the bias by 2^63 flips the top bit
             pos += 9
     return out
+
+
+def key_list(rows: np.ndarray) -> List[bytes]:
+    """The rows of :func:`encode_keys` as a list of keys."""
+    return rows.view(f"V{rows.shape[1]}").reshape(-1).tolist()
 
 
 def int_payload(raw: int) -> int:

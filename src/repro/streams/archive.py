@@ -36,13 +36,17 @@ from __future__ import annotations
 
 import enum
 import json
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..errors import CatalogError, StorageError, StreamError
 from ..probability import (CPT, CPTBlock, SparseDistribution, decode_block,
                            encode_block)
 from ..probability.cpt import RECORD_VERSION, check_record_version
 from ..storage import BTree, StorageEnvironment, encode_key
+from ..storage.keyenc import encode_keys, key_list
 from ..storage.record import pack_chunks, unpack_chunks
 from ..storage.stats import IOStats
 from .markovian import MarkovianStream
@@ -56,7 +60,7 @@ DEFAULT_PACK = 8
 #: Reserved metadata key — sorts before key (0,).
 META_KEY = encode_key((-1,))
 
-#: CPTs :func:`write_stream` encodes per :func:`encode_block` call: one
+#: CPTs :func:`encode_cpts` encodes per :func:`encode_block` call: one
 #: call's fixed cost is amortized, and one block's arrays stay small.
 ENCODE_BATCH = 1024
 
@@ -113,10 +117,11 @@ def _read_meta(tree: BTree) -> Optional[dict]:
 # ----------------------------------------------------------------------
 # Writing
 # ----------------------------------------------------------------------
-def _cpt_records(cpts: Sequence[CPT]) -> Iterator[bytes]:
+def encode_cpts(cpts: Sequence[CPT]) -> List[bytes]:
     """The records of ``cpts``, in order, encoded in batches."""
-    for lo in range(0, len(cpts), ENCODE_BATCH):
-        yield from encode_block(CPTBlock.of(cpts[lo:lo + ENCODE_BATCH]))
+    return [record for lo in range(0, len(cpts), ENCODE_BATCH)
+            for record in encode_block(
+                CPTBlock.of(cpts[lo:lo + ENCODE_BATCH]))]
 
 
 def write_stream(
@@ -124,43 +129,49 @@ def write_stream(
     stream: MarkovianStream,
     layout: Union[Layout, str] = Layout.SEPARATED,
     pack: int = DEFAULT_PACK,
+    records: Optional[Sequence[bytes]] = None,
 ) -> "StreamReader":
     """Archive a stream under the chosen layout (bulk-loaded, committed)
-    and return a reader over it."""
+    and return a reader over it.
+
+    ``records`` are :func:`encode_cpts` of the stream's CPTs when the
+    caller already holds them (the archive shares them with its MC
+    builds); otherwise they are encoded here. Every key comes from one
+    ``encode_keys`` call.
+    """
     layout = Layout.parse(layout)
     length = len(stream)
+    if records is None:
+        records = encode_cpts(stream.cpts)
+    if len(records) != len(stream.cpts):
+        raise StreamError(
+            f"{len(records)} CPT records for a stream of length {length}")
     if layout is Layout.SEPARATED:
-        marg = env.open_tree(marg_tree_name(stream.name))
-        cpt = env.open_tree(cpt_tree_name(stream.name))
-        marg.bulk_load(
-            [(META_KEY, _meta_value(layout, length, 1))]
-            + [
-                (encode_key((t,)), m.to_bytes())
-                for t, m in enumerate(stream.marginals)
-            ]
-        )
-        cpt.bulk_load(
-            (encode_key((t,)), data)
-            for t, data in enumerate(_cpt_records(stream.cpts), 1)
-        )
+        keys = key_list(encode_keys((np.arange(length),)))
+        env.open_tree(marg_tree_name(stream.name)).bulk_load(chain(
+            [(META_KEY, _meta_value(layout, length, 1))],
+            zip(keys, (m.to_bytes() for m in stream.marginals))))
+        env.open_tree(cpt_tree_name(stream.name)).bulk_load(
+            zip(keys[1:], records))
     else:
         if layout is Layout.CELL:
             pack = 1
         if pack < 1:
             raise StreamError(f"pack factor must be >= 1, got {pack}")
-        data = env.open_tree(data_tree_name(stream.name))
-        items: List[Tuple[bytes, bytes]] = [
-            (META_KEY, _meta_value(layout, length, pack))
-        ]
-        # Cell t holds marginal t and the CPT into t (none into t = 0).
-        cpts = _cpt_records(stream.cpts)
-        for start in range(0, length, pack):
+
+        def frame(start: int) -> bytes:
+            # Cell t holds marginal t and the CPT into t (none into 0).
             chunks: List[bytes] = []
             for t in range(start, min(start + pack, length)):
                 chunks.append(stream.marginals[t].to_bytes())
-                chunks.append(next(cpts) if t else b"")
-            items.append((encode_key((start,)), pack_chunks(chunks)))
-        data.bulk_load(items)
+                chunks.append(records[t - 1] if t else b"")
+            return pack_chunks(chunks)
+
+        starts = np.arange(0, length, pack)
+        env.open_tree(data_tree_name(stream.name)).bulk_load(chain(
+            [(META_KEY, _meta_value(layout, length, pack))],
+            zip(key_list(encode_keys((starts,))),
+                map(frame, starts.tolist()))))
     return open_reader(env, stream.name, stream.space, length, layout,
                        pack=pack, record=RECORD_VERSION)
 

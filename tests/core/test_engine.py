@@ -3,11 +3,15 @@
 ``query_all``'s fan-out over every archived stream, and
 ``register_dimension_table(replace=True)`` under join indexes."""
 
+import os
+
 import pytest
 from candidates import assert_fewest
 
 from repro.core import Caldera
 from repro.errors import CatalogError, PlanningError
+from repro.indexes import build_mc
+from repro.indexes.base import mc_tree_name
 from repro.streams import ENTERED_ROOM_QUERY, synthetic_stream
 from repro.streams.catalog import CATALOG_TREE
 
@@ -51,6 +55,36 @@ def test_build_conditioned_mc_matches_archive_time_build(tmp_path):
     assert [t for t, _ in later] == [t for t, _ in upfront]
     for (_, p), (_, q) in zip(later, upfront):
         assert p == pytest.approx(q, abs=1e-12)
+
+
+@pytest.mark.parametrize("layout", ["separated", "packed"])
+def test_archive_reads_no_page(tmp_path, layout):
+    """``archive`` builds BT_C, BT_P, the MC index and a conditioned one
+    from what it holds in memory, the MC indexes from the CPT records
+    it has just encoded: it makes no logical read. Its ``__mc`` trees
+    are byte for byte the ones ``build_mc`` builds from the archived
+    stream's reader, which reads the records back."""
+    root = str(tmp_path)
+    with Caldera(root) as db:
+        loop = _loop(db)
+        before = db.stats.snapshot()
+        db.archive(_stream(), layout=layout, btc=True, btp=True, mc_alpha=2,
+                   conditioned_predicates=[loop])
+        assert db.stats.delta(before).logical_reads == 0
+        assert {"btc:location", "btp:location", "mc",
+                f"mcc:{loop.signature()}"} <= set(db.stream_meta("syn").indexes)
+        reader = db.reader("syn")
+        before = db.stats.snapshot()
+        for predicate in (None, loop):
+            build_mc(db.env, "again", reader, alpha=2, predicate=predicate)
+        assert db.stats.delta(before).logical_reads > 0
+    signature = loop.signature()
+    for archived, rebuilt in ((mc_tree_name("syn"), mc_tree_name("again")),
+                              (mc_tree_name("syn", signature),
+                               mc_tree_name("again", signature))):
+        with open(os.path.join(root, archived + ".btree"), "rb") as a, \
+                open(os.path.join(root, rebuilt + ".btree"), "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_query_all_fans_out_per_stream(tmp_path):

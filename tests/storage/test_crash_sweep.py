@@ -7,8 +7,11 @@ returned — with a clean fsck. No subprocesses, no timing, no luck.
 """
 
 
+import numpy as np
+
 from repro.errors import StorageError
-from repro.storage import StorageEnvironment
+from repro.indexes import btc
+from repro.storage import FixedRows, StorageEnvironment
 from repro.storage.faults import (
     FaultInjector,
     SimulatedCrash,
@@ -24,32 +27,45 @@ MAX_HITS_PER_SITE = 24
 
 
 def workload(env, mark):
-    """A small but structurally rich history: bulk load, then whole-tree
-    rewrites with upserts, deletes and overflow values. ``mark(state)``
-    is called right after each commit with the dict the tree must hold
-    if that commit proves durable."""
-    state = {}
+    """A small but structurally rich history: bulk load, a BT_C-shaped
+    load of fixed-width rows into a second tree, then whole-tree
+    rewrites of the first with upserts, deletes and overflow values.
+    ``mark(state)`` is called right after each commit with the entries
+    each tree must hold if that commit proves durable."""
+    state = {"t": {}, "c": {}}
     tree = env.open_tree("t")
-    mark(dict(state))  # opened, not loaded: no file, reads as empty
+
+    def commit():
+        mark({name: dict(entries) for name, entries in state.items()})
+
+    commit()  # opened, not loaded: no file, reads as empty
 
     items = [(f"k{i:04d}".encode(), bytes([i % 251]) * (20 + i % 60))
              for i in range(90)]
     tree.bulk_load(items)
-    state.update(items)
-    mark(dict(state))
+    state["t"].update(items)
+    commit()
 
+    codes, times = np.divmod(np.arange(40), 10)
+    rows = btc.encode(codes, times, 1.0 / (1 + times))
+    env.open_tree("c").bulk_load(FixedRows(rows, btc.KEY.size))
+    state["c"].update((row[:btc.KEY.size].tobytes(),
+                       row[btc.KEY.size:].tobytes()) for row in rows)
+    commit()
+
+    t = state["t"]
     for i in range(0, 90, 3):
-        state[f"k{i:04d}".encode()] = b"updated" * 4
+        t[f"k{i:04d}".encode()] = b"updated" * 4
     for i in range(1, 90, 9):
-        del state[f"k{i:04d}".encode()]
-    tree.rewrite(sorted(state.items()))
-    mark(dict(state))
+        del t[f"k{i:04d}".encode()]
+    tree.rewrite(sorted(t.items()))
+    commit()
 
     # Overflow values (> page/4 spills into chained pages).
     for i in (0, 2, 3):
-        state[f"big{i}".encode()] = bytes([65 + i]) * (PAGE_SIZE * 2 + i * 37)
-    tree.rewrite(sorted(state.items()))
-    mark(dict(state))
+        t[f"big{i}".encode()] = bytes([65 + i]) * (PAGE_SIZE * 2 + i * 37)
+    tree.rewrite(sorted(t.items()))
+    commit()
 
 
 def run_once(dirname, injector):
@@ -76,11 +92,13 @@ def recovered_state(dirname):
     env = StorageEnvironment(dirname, page_size=PAGE_SIZE,
                              pool_pages=POOL_PAGES)
     try:
-        try:
-            state = dict(env.open_tree("t", create=False).items())
-        except StorageError:
-            assert not env.exists("t")
-            state = {}
+        state = {}
+        for name in ("t", "c"):
+            try:
+                state[name] = dict(env.open_tree(name, create=False).items())
+            except StorageError:
+                assert not env.exists(name)
+                state[name] = {}
         report = env.fsck()
         assert report.clean, (dirname, report.all_errors()[:4])
         return state
@@ -92,7 +110,7 @@ def baseline_marks_and_hits(tmp_path):
     probe = FaultInjector()  # unarmed: counts failpoint hits
     base_dir = str(tmp_path / "baseline")
     marks, completed, finished = run_once(base_dir, probe)
-    assert finished and completed == len(marks) == 4
+    assert finished and completed == len(marks) == 5
     # The no-fault run must itself verify.
     assert recovered_state(base_dir) == marks[-1]
     return marks, probe.hits

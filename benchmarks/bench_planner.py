@@ -10,9 +10,11 @@ streams (seed 1, match rate 0.5, both layouts, MC index with α = 2):
   where the index methods skip most of the stream.
 
 Each op — Entered-Room, its top-3, the Kleene query, the conditioned
-query (``use_conditioned``) and the Kleene query with ``approximate``
-(on the same stream, so the MC method stays a candidate) — runs under
-``auto`` and under every legal candidate of the planner's table, pinned.
+query (``use_conditioned``), the Kleene query with ``approximate`` (on
+the same stream, so the MC method stays a candidate), and two more
+fixed-length queries for Alg 2's multi-link join (three links, and two
+links of very different entry counts) — runs under ``auto`` and under
+every legal candidate of the planner's table, pinned.
 
 The run manifest (``results/planner.manifest.json``) holds only
 deterministic counters, per op: ``planner.choice{...,method=...}``,
@@ -44,6 +46,8 @@ OPS = (
     ("kleene", ENTERED_ROOM_KLEENE, {}),
     ("conditioned", CONDITIONED_QUERY, {"use_conditioned": True}),
     ("semi", ENTERED_ROOM_KLEENE, {"approximate": True}),
+    ("three-link", "location=C1 -> location=Door -> location=Room", {}),
+    ("skewed", "location=C1 -> location=Room", {}),
 )
 REPEATS = 3
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..errors import PlanningError
 from ..indexes.base import ValueIndex
-from ..indexes.btc import PredicateChronoCursor
 from ..indexes.btp import PredicateProbCursor
 from ..indexes.mc import MCIndex, MCLookupStats
 from ..lahar.reg import Reg
@@ -152,7 +151,7 @@ class QueryContext:
         """``compute()``'s result, computed once per context: the index
         probes (Alg 2's anchors, Alg 4/5's relevant events) that the
         planner may run before it chooses, and the chosen method then
-        reuses instead of reading the cursors again."""
+        reuses instead of reading the indexes again."""
         if key not in self._probes:
             snap = self.reader.io.snapshot()
             self._probes[key] = compute()
@@ -216,14 +215,31 @@ class QueryContext:
             self.query.links[loops[0]].loop.signature())
         return None if index is None else (loops[0], index)
 
-    def chrono_cursor(self, predicate: Predicate) -> PredicateChronoCursor:
-        return PredicateChronoCursor(*self._covering("btc", predicate))
+    def event_times(self, predicate: Predicate, start: int,
+                    stop: int) -> np.ndarray:
+        """The sorted timesteps in ``[start, stop)`` at which some BT_C
+        term covering ``predicate`` has an entry, each once: one key
+        range per term."""
+        index_for, terms = self._covering("btc", predicate)
+        found = [index_for(term).times(term.value, start, stop)
+                 for term in terms]
+        if len(found) == 1:
+            return found[0]
+        return np.unique(np.concatenate(found)) if found else \
+            np.empty(0, np.int64)
+
+    def entry_count(self, predicate: Predicate) -> int:
+        """The BT_C entries of the terms covering ``predicate``, by the
+        indexes' statistics."""
+        index_for, terms = self._covering("btc", predicate)
+        return sum(index_for(term).count(term.value) for term in terms)
 
     def prob_cursor(self, predicate: Predicate) -> PredicateProbCursor:
         return PredicateProbCursor(*self._covering("btp", predicate))
 
     def _covering(self, kind: str, predicate: Predicate):
-        """``(index_for_term, terms)`` for a predicate cursor."""
+        """``(index_for_term, terms)`` of the ``kind`` indexes covering
+        ``predicate``."""
         terms = self.terms_for(kind, predicate)
         if terms is None:
             raise PlanningError(

@@ -1,13 +1,14 @@
 """Algorithm 2: the B+Tree access method for fixed-length queries (§3.1).
 
 A fixed-length query of ``n`` links matches only length-``n`` intervals.
-One BT_C cursor per link predicate is advanced in a *temporally-aware
-merge join*: the cursors *intersect* when they reference ``n``
-consecutive timesteps in link order — each intersection anchors a
-candidate interval. Overlapping candidate intervals are merged before
-being pushed through Reg, so shared timesteps are processed once (the
-feature that lets this method beat top-k on dense overlapping data,
-§4.2.2).
+The links' BT_C entries are joined *temporally*: a timestep ``s`` at
+which link ``i``'s entries hold ``s + i`` for every link anchors a
+candidate interval. The join is an intersection of sorted arrays, one
+window range per link shifted by its position, read rarest link first
+and each narrowed to the candidates left by the links before it.
+Overlapping candidate intervals are merged before being pushed through
+Reg, so shared timesteps are processed once (the feature that lets this
+method beat top-k on dense overlapping data, §4.2.2).
 
 Links whose predicate has no covering index relax the intersection (they
 accept any timestep), per §3.1's "one or more predicates are not
@@ -17,6 +18,8 @@ indexed" note — but at least one link must be indexed.
 from __future__ import annotations
 
 from typing import List, Tuple
+
+import numpy as np
 
 from ..errors import PlanningError, QueryError
 from .base import AccessMethod, QueryContext, RegRun
@@ -74,31 +77,32 @@ class FixedBTree(AccessMethod):
     @staticmethod
     def anchors(ctx: QueryContext) -> List[int]:
         """Anchor timesteps ``s`` such that every indexed link ``i`` has
-        an entry at ``s + i`` (the BT_C cursors' intersection, §3.1),
-        with the interval ``[s, s+n-1]`` inside the query window."""
-        cursors = [(i, ctx.chrono_cursor(predicate))
-                   for i, predicate in enumerate(ctx.query.predicates())
-                   if ctx.terms_for("btc", predicate) is not None]
-        n, stop = len(ctx.query), ctx.stop
-        anchors: List[int] = []
-        s = ctx.start
-        while s + n <= stop:
-            aligned = True
-            new_s = s
-            for i, cursor in cursors:
-                if not cursor.advance_to(s + i):
-                    return anchors  # some cursor exhausted
-                candidate = cursor.time - i
-                if candidate > new_s:
-                    new_s = candidate
-                if cursor.time != s + i:
-                    aligned = False
-            if aligned:
-                anchors.append(s)
-                s += 1
-            else:
-                s = max(new_s, s + 1)
-        return anchors
+        an entry at ``s + i`` (the intersection of the links' BT_C
+        entries, §3.1), with the interval ``[s, s+n-1]`` inside the
+        query window.
+
+        Each link's entries are one key range per term: the window's
+        anchors shifted by the link's position. The links are read
+        rarest first, by the indexes' entry counts, and each range after
+        the first is narrowed to the first and last anchor still
+        standing, so a common link is read only where the rarer ones
+        left candidates."""
+        n = len(ctx.query)
+        links = sorted((ctx.entry_count(predicate), i, predicate)
+                       for i, predicate in enumerate(ctx.query.predicates())
+                       if ctx.terms_for("btc", predicate) is not None)
+        first, last = ctx.start, ctx.stop - n
+        if first > last:
+            return []
+        anchors = None
+        for _, i, predicate in links:
+            times = ctx.event_times(predicate, first + i, last + i + 1) - i
+            anchors = times if anchors is None else \
+                np.intersect1d(anchors, times, assume_unique=True)
+            if not len(anchors):
+                return []
+            first, last = int(anchors[0]), int(anchors[-1])
+        return anchors.tolist()
 
 
 def merge_intervals(anchors: List[int], n: int) -> List[Tuple[int, int]]:

@@ -7,13 +7,14 @@ timestep bounds the interval's match probability from above (an event
 cannot be more likely than any of its components).
 
 Sorted access pops ``(prob, timestep)`` entries from the BT_P cursors of
-all link predicates in globally decreasing probability. Each pop anchors
-a candidate interval; the algorithm terminates when the best remaining
-sorted-access probability cannot beat the current ``k``-th best match
-(Alg 3, lines 5-6). Candidates are pruned when any link's marginal at
-its aligned position is zero (line 9); the optional *enhanced* bound
-prunes on the product of all link marginals (an ablation knob, not in
-the paper's pseudocode).
+all link predicates (:class:`~repro.indexes.PredicateProbCursor`, which
+reads each term's entries a leaf at a time) in globally decreasing
+probability. Each pop anchors a candidate interval; the algorithm
+terminates when the best remaining sorted-access probability cannot
+beat the current ``k``-th best match (Alg 3, lines 5-6). Candidates
+are pruned when any link's marginal at its aligned position is zero
+(line 9); the optional *enhanced* bound prunes on the minimum of the
+link marginals (an ablation knob, not in the paper's pseudocode).
 
 Also supports *threshold* queries (return every match with probability
 ``>= tau``) by fixing the termination bound at ``tau``; a bound equal to
@@ -26,7 +27,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Set, Tuple
 
-from ..errors import QueryError
+from ..errors import PlanningError, QueryError
 from .base import AccessMethod, QueryContext, RegRun
 
 
@@ -71,8 +72,11 @@ class FixedTopK(AccessMethod):
                 "the top-k B+Tree method handles fixed-length queries "
                 f"only; {query.name!r} has Kleene loops"
             )
-        for predicate in query.predicates():
-            ctx.prob_cursor(predicate)  # every link needs BT_P access
+        for predicate in query.predicates():  # every link needs BT_P
+            if ctx.terms_for("btp", predicate) is None:
+                raise PlanningError(
+                    f"no BT_P index covers predicate "
+                    f"{predicate.signature()}")
 
     def _execute(self, ctx: QueryContext, run: RegRun):
         n = len(ctx.query)
@@ -117,7 +121,7 @@ class FixedTopK(AccessMethod):
             stats.candidates_examined += 1
 
             # Line 9: every link's marginal at its aligned position must
-            # be nonzero (optionally: their product must beat the bar).
+            # be nonzero (optionally: their minimum must beat the bar).
             bounds: List[float] = []
             pruned = False
             for j in range(n):

@@ -1,6 +1,6 @@
 """Algorithm 5: the approximate semi-independent access method (§3.4.3).
 
-Like the MC-index method, one cursor per query predicate enumerates the
+Like the MC-index method, the query predicates' BT_C ranges enumerate the
 relevant timesteps. Correlations between *adjacent* relevant timesteps
 are read directly from the raw stream (one CPT access — the same cost as
 reading a marginal, hence "semi"-independent); correlations across
@@ -44,5 +44,5 @@ class SemiIndependent(AccessMethod):
         # Adjacent relevant timesteps read their exact CPT (line 9);
         # distant ones jump under the independence approximation
         # (line 11).
-        events = relevant_events(ctx)
-        return list(run.walk((t for t, _ in events), run.independent)), 0
+        times, _ = relevant_events(ctx)
+        return list(run.walk(times.tolist(), run.independent)), 0

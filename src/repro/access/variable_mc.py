@@ -1,7 +1,8 @@
 """Algorithm 4: the MC-index access method for variable-length queries (§3.3).
 
-One BT_C cursor per (indexable) query predicate is advanced in parallel;
-their union enumerates the *relevant* timesteps — the only inputs on
+Each (indexable) query predicate's BT_C entries in the query window are
+one key range per index term, read a leaf at a time as arrays; their
+union is the sorted array of *relevant* timesteps — the only inputs on
 which the query NFA can change state. The method walks them with
 :meth:`~repro.access.base.RegRun.walk`, like Algorithm 5; it differs
 only in the gap rule. Adjacent relevant timesteps read their CPT, and a
@@ -32,30 +33,38 @@ Positive (non-negated) Kleene loops are handled two ways:
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from ..errors import PlanningError
+from ..query.predicates import Predicate
 from .base import AccessMethod, QueryContext, RegRun
 
 
-def collect_relevant_events(ctx: QueryContext, predicates):
-    """Merged relevant timesteps within the context's window: a sorted
-    list of ``(t, matched_pred_ids)``.
+def collect_relevant_events(ctx: QueryContext,
+                            predicates: Sequence[Predicate]
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+    """The relevant timesteps within the context's window, as
+    ``(times, matched)``: the sorted timesteps at which some predicate's
+    BT_C terms have an entry, and a ``(len(predicates), len(times))``
+    boolean mask whose row ``i`` marks the timesteps ``predicates[i]``
+    matched.
 
     Raises :class:`PlanningError` unless every predicate is covered by a
     BT_C index (the §3.4.1 requirement).
     """
-    events: Dict[int, Set[int]] = {}
-    for idx, predicate in enumerate(predicates):
-        cursor = ctx.chrono_cursor(predicate)  # raises if uncovered
-        ok = cursor.seek(ctx.start)
-        while ok and cursor.time < ctx.stop:
-            events.setdefault(cursor.time, set()).add(idx)
-            ok = cursor.next()
-    return sorted(events.items())
+    found = [ctx.event_times(predicate, ctx.start, ctx.stop)
+             for predicate in predicates]  # raises if uncovered
+    times = np.unique(np.concatenate(found)) if found else \
+        np.empty(0, np.int64)
+    matched = np.zeros((len(found), len(times)), dtype=bool)
+    for row, hits in zip(matched, found):
+        row[np.searchsorted(times, hits)] = True
+    return times, matched
 
 
-def relevant_events(ctx: QueryContext):
+def relevant_events(ctx: QueryContext) -> Tuple[np.ndarray, np.ndarray]:
     """The query's relevant events (:func:`collect_relevant_events` of
     its :meth:`~repro.access.base.QueryContext.relevant_predicates`),
     read once per context."""
@@ -84,26 +93,26 @@ class VariableMC(AccessMethod):
             )
 
     def _execute(self, ctx: QueryContext, run: RegRun):
-        events = relevant_events(ctx)
+        times, matched = relevant_events(ctx)
         loop = ctx.conditioned_loop() if self.use_conditioned else None
         if loop is None:
-            return list(run.walk((t for t, _ in events), run.span)), 0
+            return list(run.walk(times.tolist(), run.span)), 0
 
         # Defer pure loop-interior events: relevant only to the loop
         # predicate, after the first event and adjacent to the next one.
         # A deferred run therefore ends right before a walked event,
         # whose gap jump crosses the whole run in one loop span.
-        predicates = ctx.relevant_predicates()
         sig = ctx.query.links[loop[0]].loop.signature()
-        loop_id = next((i for i, p in enumerate(predicates)
-                        if p.signature() == sig), None)
-        deferred = {t for pos, (t, matched) in enumerate(events[1:-1], 1)
-                    if matched == {loop_id} and events[pos + 1][0] == t + 1}
+        loop_id = next(i for i, p in enumerate(ctx.relevant_predicates())
+                       if p.signature() == sig)
+        only_loop = matched[loop_id] & (matched.sum(axis=0) == 1)
+        interior = np.zeros(len(times), dtype=bool)
+        interior[1:-1] = only_loop[1:-1] & (times[2:] == times[1:-1] + 1)
+        deferred = set(times[interior].tolist())
 
         def jump(prev: int, t: int) -> float:
             if t - 1 in deferred:
                 return run.loop_span(loop, prev, t)
             return run.span(prev, t)
 
-        times = (t for t, _ in events if t not in deferred)
-        return list(run.walk(times, jump)), 0
+        return list(run.walk(times[~interior].tolist(), jump)), 0

@@ -32,7 +32,7 @@ from ..indexes import (
     open_mc,
     open_value_index,
 )
-from ..indexes.builder import LAYOUTS
+from ..indexes.base import LAYOUTS
 from ..query import RegularQuery, parse_query
 from ..query.predicates import Predicate
 from ..storage import DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES, StorageEnvironment
@@ -323,7 +323,7 @@ class Caldera:
     ) -> PlanDecision:
         """The planner's decision for a query, without executing it: the
         chosen method, why, and every candidate's predicted reads (or
-        why it is illegal). Planning may probe the BT_C cursors."""
+        why it is illegal). Planning may probe the BT_C indexes."""
         ctx = self.context(stream_name, query)
         return plan(ctx, k=k, threshold=threshold, approximate=approximate,
                     use_conditioned=use_conditioned,
@@ -428,8 +428,9 @@ class Caldera:
         from ..access import collect_relevant_events
 
         try:
-            events = collect_relevant_events(ctx, query.indexable_predicates())
-            relevant = {t for t, _ in events}
+            times, _ = collect_relevant_events(
+                ctx, query.indexable_predicates())
+            relevant = set(times.tolist())
         except PlanningError:
             reader = self.reader(stream_name)
             sets = query.relevant_state_sets(meta.space)

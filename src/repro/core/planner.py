@@ -49,7 +49,7 @@ value, recorded at archive time):
 
 When such a range straddles the best prediction, the statistics cannot
 separate the candidates, so the planner *probes*: it reads the query's
-relevant events from the BT_C cursors once
+relevant events from the BT_C indexes once
 (:meth:`~repro.access.QueryContext.probe`) and replays each event-based
 candidate on a :class:`~repro.access.base.DryRun`, which counts the
 reads the run would make without making them. It probes, too, when the
@@ -263,7 +263,8 @@ class _Counts:
     entries: float
     runs: float
     frames: float
-    #: Predicted cursor reads over them: a descent, then one per leaf.
+    #: Predicted reads of their key ranges: a descent per term, then
+    #: one read per leaf.
     cursor: float
 
 
@@ -323,7 +324,11 @@ class _Model:
 
     # -- candidates ---------------------------------------------------------
     def _btree(self) -> Tuple[float, float]:
-        """Every entry of the rarest indexed link anchors a match."""
+        """Every entry of the rarest indexed link anchors a match. The
+        cursor term, every covered link's window range read whole, is
+        an upper bound (up to leaf alignment) on what Alg 2 reads: it
+        reads the rarest link's range, then each other link's narrowed
+        to the candidates left."""
         predicates = self.ctx.query.predicates()
         n = len(predicates)
         links = [self.counts("btc", p) for p in predicates

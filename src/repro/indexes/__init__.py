@@ -2,27 +2,21 @@
 
 from .base import (
     IndexedAttribute,
-    ValueCursor,
     ValueIndex,
     ValueStats,
     index_tree_name,
     mc_tree_name,
     resolve_indexed_attribute,
 )
-from .btc import ChronoCursor, PredicateChronoCursor
-from .btp import PredicateProbCursor, ProbCursor
+from .btp import PredicateProbCursor
 from .builder import build_mc, build_value_indexes, open_mc, open_value_index
 from .mc import MCIndex, MCLookupStats
 
 __all__ = [
-    "ChronoCursor",
     "IndexedAttribute",
     "MCIndex",
     "MCLookupStats",
-    "PredicateChronoCursor",
     "PredicateProbCursor",
-    "ProbCursor",
-    "ValueCursor",
     "ValueIndex",
     "ValueStats",
     "build_mc",

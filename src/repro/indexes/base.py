@@ -2,9 +2,10 @@
 
 BT_C (§3.1) and BT_P (§3.2) hold one set of entries, ``(value, time,
 summed marginal probability)``, in two key orders: each order's
-array ``encode`` and per-entry ``decode`` live in :mod:`.btc` /
-:mod:`.btp`, and both share :class:`ValueIndex` and the per-value
-:class:`ValueCursor` here.
+``encode`` and ``decode_entries``, both on arrays, live in :mod:`.btc`
+/ :mod:`.btp`, and both share :class:`ValueIndex` here, which reads one
+value's key range a leaf at a time and decodes each leaf's share with
+one array decode.
 
 An *indexed attribute* is either a base stream attribute (``location``)
 or a star-schema join attribute (``location/LocationType`` — the
@@ -21,16 +22,21 @@ with ``/`` sanitized to ``@`` for the filesystem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import CatalogError, QueryError
 from ..storage import BTree, encode_key, prefix_upper_bound
-from ..storage.keyenc import decode_key
 from ..streams.schema import StateSpace
+from . import btc, btp
 
 JOIN_SEPARATOR = "/"
+
+#: Each index kind's module: its ``KEY``, its ``encode(codes, times,
+#: probs)`` (one row per entry, ``KEY.size`` key bytes then the value
+#: bytes) and its ``decode_entries``.
+LAYOUTS = {"btc": btc, "btp": btp}
 
 
 class IndexedAttribute:
@@ -158,12 +164,16 @@ class ValueStats:
     @classmethod
     def scan(cls, index: "ValueIndex", pack: int) -> "ValueStats":
         """Count a built index's entries from its leaves (for archives
-        written before the catalog recorded the statistics). Either key
-        order starts with the code and ends with the time."""
-        pairs = sorted((parts[0], parts[-1]) for parts in
-                       (decode_key(key) for key, _ in index.tree.items()))
-        codes, times = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        return cls.count(codes, times, index.indexed.codes(), pack)
+        written before the catalog recorded the statistics)."""
+        codes, times = [], []
+        for leaf, i, j in index.tree.range_slices():
+            leaf_codes, leaf_times, _ = index.decode(leaf, i, j)
+            codes.append(leaf_codes)
+            times.append(leaf_times)
+        codes, times = _joined(codes), _joined(times)
+        order = np.lexsort((times, codes))
+        return cls.count(codes[order], times[order], index.indexed.codes(),
+                         pack)
 
     def to_dict(self) -> Dict[str, List[int]]:
         return {"entries": self.entries, "runs": self.runs,
@@ -179,71 +189,60 @@ class ValueStats:
 
 class ValueIndex:
     """One BT_C or BT_P index: a B+ tree of one indexed attribute's
-    entries, in its kind's key order, with the entries' statistics when
-    known."""
+    entries, in the key order of its ``kind`` (``btc``/``btp``), with the
+    entries' statistics when known.
 
-    def __init__(self, tree: BTree, indexed: IndexedAttribute,
+    Every key starts with its value's code, so one value's entries are
+    one key range; :meth:`entries` reads it a leaf at a time and decodes
+    each leaf's share in one piece.
+    """
+
+    def __init__(self, tree: BTree, indexed: IndexedAttribute, kind: str,
                  stats: Optional[ValueStats] = None) -> None:
         self.tree = tree
         self.indexed = indexed
+        self.kind = kind
         self.stats = stats
+        self._decode = LAYOUTS[kind].decode_entries
+
+    def decode(self, leaf, i: int, j: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(codes, times, probs)`` of a leaf's slots ``i .. j - 1``."""
+        return self._decode(b"".join(leaf.keys[i:j]),
+                            b"".join(leaf.values[i:j]))
+
+    def entries(self, value, lo: tuple = (), hi: Optional[tuple] = None
+                ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """``(times, probs)`` of ``value``'s entries with keys from
+        ``(code, *lo)`` up to ``(code, *hi)`` (to its last entry when
+        ``hi`` is None), in key order, one leaf's share at a time. A leaf
+        is read when the iteration reaches it; a value absent from the
+        index reads nothing."""
+        if not self.indexed.has_value(value):
+            return
+        code = self.indexed.code(value)
+        first = encode_key((code, *lo))
+        end = prefix_upper_bound(encode_key((code,))) if hi is None \
+            else encode_key((code, *hi))
+        for leaf, i, j in self.tree.range_slices(first, end):
+            _, times, probs = self.decode(leaf, i, j)
+            yield times, probs
+
+    def count(self, value) -> int:
+        """How many entries ``value`` has, by the statistics."""
+        if not self.indexed.has_value(value):
+            return 0
+        return self.stats.entries[self.indexed.code(value)]
+
+    def times(self, value, start: int, stop: int) -> np.ndarray:
+        """The sorted timesteps in ``[start, stop)`` at which ``value``
+        has an entry: one key range of a BT_C index."""
+        return _joined([times for times, _ in
+                        self.entries(value, (start,), (stop,))])
 
 
-class ValueCursor:
-    """Forward cursor over one attribute value's entries in an index.
-
-    Every key starts with the value's code, so the value's entries are
-    one key range; subclasses supply ``decode(key, value) -> (time,
-    prob)`` for their key order. A value absent from the index never
-    becomes valid.
-    """
-
-    decode: Callable[[bytes, bytes], Tuple[int, float]]
-
-    def __init__(self, index: ValueIndex, value) -> None:
-        self._cursor = None
-        if index.indexed.has_value(value):
-            self._code = index.indexed.code(value)
-            self._hi = prefix_upper_bound(encode_key((self._code,)))
-            self._cursor = index.tree.cursor()
-        self._time: Optional[int] = None
-        self._prob = 0.0
-
-    @property
-    def valid(self) -> bool:
-        return self._time is not None
-
-    @property
-    def time(self) -> int:
-        if self._time is None:
-            raise QueryError("index cursor is exhausted")
-        return self._time
-
-    @property
-    def prob(self) -> float:
-        if self._time is None:
-            raise QueryError("index cursor is exhausted")
-        return self._prob
-
-    def seek(self, *rest) -> bool:
-        """Position on the value's first entry with key >= ``(code,
-        *rest)``; with no ``rest``, on its first entry."""
-        if self._cursor is None:
-            return False
-        return self._load(self._cursor.seek(encode_key((self._code, *rest))))
-
-    def next(self) -> bool:
-        if self._time is None:
-            return False
-        return self._load(self._cursor.next())
-
-    def _load(self, ok: bool) -> bool:
-        cursor = self._cursor
-        if not ok or cursor.key >= self._hi:
-            self._time = None
-            return False
-        self._time, self._prob = self.decode(cursor.key, cursor.value)
-        return True
+def _joined(parts: List[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, np.int64)
 
 
 def sanitize(name: str) -> str:

@@ -19,8 +19,8 @@ from ..query.predicates import Predicate
 from ..storage import FixedRows, StorageEnvironment
 from ..streams.archive import StreamReader
 from ..streams.schema import StateSpace
-from . import btc, btp
 from .base import (
+    LAYOUTS,
     ValueIndex,
     ValueStats,
     index_tree_name,
@@ -28,10 +28,6 @@ from .base import (
     resolve_indexed_attribute,
 )
 from .mc import MCIndex
-
-#: Each index kind's module: its ``encode(codes, times, probs)`` writes
-#: one row per entry, ``KEY.size`` key bytes then the value bytes.
-LAYOUTS = {"btc": btc, "btp": btp}
 
 
 def build_value_indexes(
@@ -67,7 +63,7 @@ def build_value_indexes(
         tree = env.open_tree(name)
         tree.bulk_load(_in_key_order(layout.encode(codes, times, probs),
                                      layout.KEY.size))
-        built[kind] = ValueIndex(tree, indexed, stats)
+        built[kind] = ValueIndex(tree, indexed, kind, stats)
     return built
 
 
@@ -137,7 +133,8 @@ def open_value_index(
     at build time, if known)."""
     name = index_tree_name(stream_name, kind, indexed_attr)
     indexed = resolve_indexed_attribute(space, indexed_attr, dimensions)
-    return ValueIndex(env.open_tree(name, create=False), indexed, stats)
+    return ValueIndex(env.open_tree(name, create=False), indexed, kind,
+                      stats)
 
 
 def build_mc(

@@ -7,8 +7,8 @@ straight-through writes of a new one) →
 pages with an
 :class:`~repro.storage.stats.IOStats` logical/physical split) →
 :mod:`~repro.storage.btree` (write-once, variable-length-key B+ tree
-with forward cursors, overflow chains, bottom-up bulk loading and
-whole-tree rewrite) →
+with leaf-at-a-time range scans, overflow chains, bottom-up bulk
+loading and whole-tree rewrite) →
 :mod:`~repro.storage.env` (a directory of named trees sharing one pool
 and one counter). :mod:`~repro.storage.keyenc` supplies
 order-preserving composite keys; :mod:`~repro.storage.record` supplies
@@ -26,7 +26,7 @@ all (file writes, fsyncs, renames, directory fsyncs), and
 :mod:`~repro.storage.fsck` deep-verifies what survived.
 """
 
-from .btree import BTree, Cursor, FixedRows
+from .btree import BTree, FixedRows
 from .buffer_pool import DEFAULT_POOL_PAGES, BufferPool
 from .env import StorageEnvironment
 from .faults import (
@@ -38,7 +38,8 @@ from .faults import (
     enumerate_schedules,
 )
 from .fsck import CheckReport, FsckReport, check_tree, fsck_environment
-from .keyenc import Desc, decode_key, encode_key, prefix_upper_bound
+from .keyenc import (Desc, FixedKey, decode_key, encode_key,
+                     prefix_upper_bound)
 from .pager import DEFAULT_PAGE_SIZE, Pager
 from .stats import IOStats
 
@@ -46,13 +47,13 @@ __all__ = [
     "BTree",
     "BufferPool",
     "CheckReport",
-    "Cursor",
     "DEFAULT_PAGE_SIZE",
     "DEFAULT_POOL_PAGES",
     "Desc",
     "FaultInjector",
     "FaultRule",
     "FaultyFile",
+    "FixedKey",
     "FixedRows",
     "FsckReport",
     "IOStats",

@@ -22,12 +22,14 @@ Layout and behavior:
   one slice of the serialised entries. :class:`FixedRows` (sorted
   fixed-width rows in a NumPy array) serialise a batch at a time with
   the entry header as leading columns, with no ``bytes`` per entry.
-- **Leaves are doubly linked**, so range cursors run forward without
-  re-descending.
+- **Leaves are doubly linked**, so a range scan descends once and then
+  walks the sibling links: :meth:`BTree.leaves` hands out whole leaves
+  (the value indexes decode a leaf's share of a range as arrays), and
+  :meth:`BTree.range_items` entries one by one on top of it.
 - **Values above ¼ page spill** into chained overflow pages; the leaf
   keeps a fixed-size pointer, so huge CPT blobs never break fan-out.
 - **Duplicates** are allowed (duplicate-keyed loads); ``get`` returns
-  the first match and cursors enumerate all of them.
+  the first match and scans enumerate all of them.
 - Page 1 is the tree header (magic, root, leaf-chain ends, counters);
   corrupt or mis-opened files fail loudly.
 
@@ -595,10 +597,41 @@ class BTree:
         return out
 
     # ------------------------------------------------------------------
-    # Cursors and scans
+    # Scans
     # ------------------------------------------------------------------
-    def cursor(self) -> "Cursor":
-        return Cursor(self)
+    def leaves(self, key: Optional[bytes] = None) -> Iterator[LeafNode]:
+        """The leaf that owns ``key`` (the first leaf when None), then
+        each sibling in key order. A leaf is read when the iteration
+        reaches it, so a scan costs the descent and then one logical
+        read per leaf. A leaf holds no pin: the pool may evict it while
+        the caller works through it."""
+        if key is None:
+            first = self._first_leaf
+            leaf = self.pool.get(self, first) if first else _NO_LEAF
+        else:
+            self._check_key(key)
+            leaf = self._descend(key)
+        while True:
+            yield leaf
+            if not leaf.next:
+                return
+            leaf = self.pool.get(self, leaf.next)
+
+    def range_slices(self, lo: Optional[bytes] = None,
+                     hi: Optional[bytes] = None
+                     ) -> Iterator[Tuple[LeafNode, int, int]]:
+        """``(leaf, i, j)`` for each leaf holding entries with ``lo <=
+        key < hi`` (no bound when None): its slots ``i .. j - 1``. The
+        next leaf is read only when the range runs to the end of the
+        one before it."""
+        for leaf in self.leaves(lo):
+            keys = leaf.keys
+            i = 0 if lo is None else bisect_left(keys, lo)
+            j = len(keys) if hi is None else bisect_left(keys, hi, i)
+            if i < j:
+                yield leaf, i, j
+            if j < len(keys):
+                return
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         return self.range_items(None, None)
@@ -609,11 +642,9 @@ class BTree:
         hi: Optional[bytes] = None,
     ) -> Iterator[Tuple[bytes, bytes]]:
         """Yield ``(key, value)`` with ``lo <= key < hi`` in key order."""
-        cur = self.cursor()
-        ok = cur.first() if lo is None else cur.seek(lo)
-        while ok and (hi is None or cur.key < hi):
-            yield cur.key, cur.value
-            ok = cur.next()
+        for leaf, i, j in self.range_slices(lo, hi):
+            for slot in range(i, j):
+                yield leaf.keys[slot], self._load_value(leaf, slot)
 
     # ------------------------------------------------------------------
     # Verification
@@ -632,69 +663,3 @@ class BTree:
         if self.pager is not None and not self.pager.closed:
             self.pool.discard(self)
             self.pager.close()
-
-
-class Cursor:
-    """A forward cursor over the leaf chain.
-
-    Positions on entries; ``seek`` lands on the first entry with
-    ``key >= target``. ``next`` follows the leaf sibling links, so a
-    scan costs one logical page read per *leaf*, not per entry. The
-    cursor holds the decoded leaf it is on, so the pool may evict that
-    page meanwhile; a :meth:`BTree.rewrite` invalidates open cursors
-    (only the catalog is ever rewritten, and it is read into memory).
-    """
-
-    def __init__(self, tree: BTree) -> None:
-        self._tree = tree
-        self._leaf: Optional[LeafNode] = None
-        self._slot = -1
-
-    def _settle_forward(self, leaf: LeafNode, slot: int) -> bool:
-        """Land on (leaf, slot), skipping forward over empty leaves."""
-        while slot >= len(leaf.keys):
-            if not leaf.next:
-                return self._invalidate()
-            leaf = self._tree.pool.get(self._tree, leaf.next)
-            slot = 0
-        self._leaf = leaf
-        self._slot = slot
-        return True
-
-    def _invalidate(self) -> bool:
-        self._leaf = None
-        self._slot = -1
-        return False
-
-    # -- public surface -------------------------------------------------
-    @property
-    def valid(self) -> bool:
-        return self._leaf is not None
-
-    @property
-    def key(self) -> bytes:
-        if self._leaf is None:
-            raise StorageError("cursor is not positioned")
-        return self._leaf.keys[self._slot]
-
-    @property
-    def value(self) -> bytes:
-        if self._leaf is None:
-            raise StorageError("cursor is not positioned")
-        return self._tree._load_value(self._leaf, self._slot)
-
-    def seek(self, key: bytes) -> bool:
-        """Position on the first entry with key >= ``key``."""
-        self._tree._check_key(key)
-        leaf = self._tree._descend(key)
-        return self._settle_forward(leaf, bisect_left(leaf.keys, key))
-
-    def first(self) -> bool:
-        first = self._tree._first_leaf
-        leaf = self._tree.pool.get(self._tree, first) if first else _NO_LEAF
-        return self._settle_forward(leaf, 0)
-
-    def next(self) -> bool:
-        if self._leaf is None:
-            return False
-        return self._settle_forward(self._leaf, self._slot + 1)

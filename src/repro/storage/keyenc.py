@@ -15,7 +15,7 @@ order equals the tuple order, component by component:
 - **strings / bytes** — the payload with ``0x00`` escaped as
   ``0x00 0xFF`` and a ``0x00`` terminator, so a proper prefix sorts
   first and no component ever runs into the next one;
-- **Desc(x)** — payload bytes bit-inverted, so a *forward* cursor scan
+- **Desc(x)** — payload bytes bit-inverted, so a *forward* scan
   enumerates values in *descending* order (how BT_P orders
   probabilities high→low). Fixed-width payloads only (int / float).
 
@@ -26,7 +26,9 @@ mixes types, which the index layers never do.
 encodes whole columns of ints and ``Desc`` floats at once into
 fixed-width rows, byte for byte what :func:`encode_key` writes per row.
 :func:`encode_key` stays the one scalar encoder (point lookups, seeks);
-:func:`key_list` turns the rows into keys for a bulk load.
+:func:`key_list` turns the rows into keys for a bulk load, and
+:class:`FixedKey` decodes such keys back into columns, a leaf's worth
+at a time.
 """
 
 from __future__ import annotations
@@ -154,12 +156,8 @@ def encode_key(components: Iterable) -> bytes:
     return b"".join(out)
 
 
-#: Tag bytes that open each fixed-width column :func:`encode_keys`
-#: writes: an int column is ``TAG_INT`` and its 8 payload bytes, a
-#: ``Desc(float)`` column is ``TAG_DESC``, ``TAG_DESC_FLOAT`` and 8.
-TAG_INT = _TAG_INT
-TAG_DESC = _TAG_DESC
-TAG_DESC_FLOAT = 0xFF - _TAG_FLOAT
+#: The inner tag of a ``Desc(float)`` component.
+_TAG_DESC_FLOAT = 0xFF - _TAG_FLOAT
 
 
 #: Per row of a ``Desc(float)`` column, indexed by the float's sign
@@ -202,7 +200,7 @@ def encode_keys(columns: Sequence) -> np.ndarray:
     pos = 0
     for desc, values in checked:
         if desc:
-            out[:, pos:pos + 2] = (_TAG_DESC, TAG_DESC_FLOAT)
+            out[:, pos:pos + 2] = (_TAG_DESC, _TAG_DESC_FLOAT)
             payload = out[:, pos + 2:pos + 10]
             payload[:] = values.astype(">f8").view(np.uint8).reshape(-1, 8)
             payload ^= _DESC_FLOAT_FLIP[np.signbit(values).view(np.uint8)]
@@ -221,16 +219,47 @@ def key_list(rows: np.ndarray) -> List[bytes]:
     return rows.view(f"V{rows.shape[1]}").reshape(-1).tolist()
 
 
-def int_payload(raw: int) -> int:
-    """The int whose fixed-width encoding carries the big-endian
-    payload ``raw``."""
-    return raw - _INT_BIAS
+#: The sign bit of a 64-bit payload.
+_TOP_BIT = np.uint64(1 << 63)
 
 
-def desc_float_payload(raw: int) -> float:
-    """The float whose ``Desc`` encoding carries the big-endian payload
-    ``raw``."""
-    return _decode_float_bits(raw ^ _MASK)
+class FixedKey:
+    """The fixed-width keys :func:`encode_keys` writes for one sequence
+    of column kinds, ``int`` or ``Desc(float)``: their width, and the
+    array decode of many keys at once."""
+
+    def __init__(self, *columns) -> None:
+        self._desc = [isinstance(column, Desc) for column in columns]
+        self._tags = [_TAG_DESC << 8 | _TAG_DESC_FLOAT if desc else _TAG_INT
+                      for desc in self._desc]
+        self._dtype = np.dtype([
+            field for i, desc in enumerate(self._desc)
+            for field in ((f"tag{i}", ">u2" if desc else "u1"),
+                          (f"value{i}", ">u8"))])
+        #: Bytes per key.
+        self.size = self._dtype.itemsize
+
+    def decode(self, data: bytes) -> List[np.ndarray]:
+        """One array per column of the keys ``data`` holds back to back:
+        int64 for an ``int`` column, float64 for a ``Desc(float)`` one.
+        Raises :class:`KeyEncodingError` unless ``data`` is whole keys
+        whose every tag is its column's."""
+        if len(data) % self.size:
+            raise KeyEncodingError(
+                f"{len(data)} bytes are not whole {self.size}-byte keys")
+        rows = np.frombuffer(data, self._dtype)
+        out = []
+        for i, (desc, tag) in enumerate(zip(self._desc, self._tags)):
+            if (rows[f"tag{i}"] != tag).any():
+                raise KeyEncodingError(
+                    f"bad key tag in column {i} of a {self.size}-byte key")
+            bits = rows[f"value{i}"].astype(np.uint64)
+            if desc:  # undo Desc's inversion, then _encode_float's flip
+                bits = ~bits
+                bits = np.where(bits & _TOP_BIT, bits & ~_TOP_BIT, ~bits)
+            out.append(bits.view(np.float64) if desc
+                       else (bits ^ _TOP_BIT).view(np.int64))
+        return out
 
 
 # ----------------------------------------------------------------------

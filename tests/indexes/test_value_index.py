@@ -1,8 +1,9 @@
 """The value index: BT_C and BT_P are one entry list in two key orders.
 
 Tree contents are checked against an independent rebuild from the
-marginals; the per-value cursors and the predicate cursors over them
-are driven directly, without an access method on top.
+marginals; one value's entries, read a leaf at a time as arrays, and
+the predicate cursor of sorted access are driven directly, without an
+access method on top.
 """
 
 import random
@@ -17,19 +18,16 @@ from reference_index_build import (
 )
 
 from repro.core import Caldera
-from repro.errors import CatalogError, KeyEncodingError, QueryError
+from repro.errors import CatalogError, KeyEncodingError
 from repro.indexes import (
-    ChronoCursor,
-    PredicateChronoCursor,
     PredicateProbCursor,
-    ProbCursor,
     build_value_indexes,
     index_tree_name,
     open_value_index,
 )
 from repro.indexes import btc, btp, builder
 from repro.probability import SparseDistribution
-from repro.query.predicates import Equals, IndexTerm, InSet
+from repro.query.predicates import Equals, InSet
 from repro.storage import StorageEnvironment
 from repro.streams import StateSpace, single_attribute_space, synthetic_stream
 
@@ -115,11 +113,15 @@ def _encoded(kind, codes, times, probs):
     return [(bytes(row[:width]), bytes(row[width:])) for row in rows]
 
 
+def _decoded(kind, entries):
+    keys, values = (b"".join(part) for part in zip(*entries))
+    return [a.tolist() for a in kind.decode_entries(keys, values)]
+
+
 @pytest.mark.parametrize("kind", [btc, btp])
 def test_decode_reads_what_encode_wrote(kind):
     entries = _encoded(kind, [0, 3], [0, 2 ** 40], [1.0, 5e-324])
-    assert [kind.decode(k, v) for k, v in entries] == \
-        [(0, 1.0), (2 ** 40, 5e-324)]
+    assert _decoded(kind, entries) == [[0, 3], [0, 2 ** 40], [1.0, 5e-324]]
 
 
 @pytest.mark.parametrize("kind,other", [(btc, btp), (btp, btc)])
@@ -128,7 +130,13 @@ def test_decode_refuses_a_bad_key(kind, other):
     [(other_key, _)] = _encoded(other, [1], [5], [0.5])
     for bad in (key[:-1], key + b"\x00", b"\x20" + key[1:], other_key):
         with pytest.raises(KeyEncodingError):
-            kind.decode(bad, value)
+            _decoded(kind, [(key, value), (bad, value)])
+
+
+def test_decode_refuses_bt_c_values_of_the_wrong_width():
+    [(key, value)] = _encoded(btc, [1], [5], [0.5])
+    with pytest.raises(KeyEncodingError):
+        _decoded(btc, [(key, value[:-1])])
 
 
 def test_building_an_existing_index_is_refused(env):
@@ -141,7 +149,7 @@ def test_building_an_existing_index_is_refused(env):
 
 
 # ---------------------------------------------------------------------------
-# Per-value cursors on a hand-made stream
+# One value's entries, on a hand-made stream
 # ---------------------------------------------------------------------------
 
 #: Value D is in the vocabulary but never has mass.
@@ -167,27 +175,22 @@ def indexes(env):
                                list(enumerate(MARGINALS)), KINDS)
 
 
-def _walk(cursor, first):
-    out = []
-    ok = first()
-    while ok:
-        out.append((cursor.time, cursor.prob))
-        ok = cursor.next()
-    assert not cursor.valid
-    return out
+def _entries(index, value, *bounds):
+    return [(t, p) for times, probs in index.entries(value, *bounds)
+            for t, p in zip(times.tolist(), probs.tolist())]
 
 
-def test_chrono_cursor_walks_one_value_in_time_order(indexes):
-    cursor = ChronoCursor(indexes["btc"], "B")
-    walked = _walk(cursor, lambda: cursor.seek(0))
-    assert walked == [(t, 0.3) for t in range(0, 40, 5)]
-    assert cursor.seek(11) and cursor.time == 15
-    assert not cursor.seek(36)
+def test_bt_c_reads_one_value_in_time_order(indexes):
+    index = indexes["btc"]
+    assert _entries(index, "B") == [(t, 0.3) for t in range(0, 40, 5)]
+    assert index.times("B", 11, 40).tolist() == [15, 20, 25, 30, 35]
+    assert index.times("B", 11, 30).tolist() == [15, 20, 25]
+    assert index.times("B", 36, 40).tolist() == []
+    assert _entries(index, "B", (36,)) == []  # past the value's end
 
 
-def test_prob_cursor_walks_one_value_by_decreasing_probability(indexes):
-    cursor = ProbCursor(indexes["btp"], "A")
-    walked = _walk(cursor, cursor.seek)
+def test_bt_p_reads_one_value_by_decreasing_probability(indexes):
+    walked = _entries(indexes["btp"], "A")
     assert [t for t, _ in walked] == list(range(39, -1, -1))
     probs = [p for _, p in walked]
     assert probs == sorted(probs, reverse=True)
@@ -195,65 +198,37 @@ def test_prob_cursor_walks_one_value_by_decreasing_probability(indexes):
 
 
 @pytest.mark.parametrize("value", ["D", "Nowhere"])
-@pytest.mark.parametrize("kind,cls", [("btc", ChronoCursor),
-                                      ("btp", ProbCursor)])
-def test_absent_value_never_becomes_valid(indexes, kind, cls, value):
-    cursor = cls(indexes[kind], value)
-    assert not cursor.valid
-    assert not cursor.seek(*((0,) if kind == "btc" else ()))
-    assert not cursor.next()
-    assert not cursor.valid
-    with pytest.raises(QueryError):
-        cursor.time
-    with pytest.raises(QueryError):
-        cursor.prob
+@pytest.mark.parametrize("kind", KINDS)
+def test_absent_value_has_no_entries(env, indexes, kind, value):
+    snap = env.stats.snapshot()
+    assert _entries(indexes[kind], value) == []
+    assert indexes[kind].times(value, 0, 40).tolist() == []
+    if value == "Nowhere":  # no code: nothing is read
+        assert env.stats.delta(snap).logical_reads == 0
+
+
+def test_entries_read_a_leaf_at_a_time(tmp_path):
+    """A value spanning many leaves is read as the iteration reaches
+    each: the descent and the first leaf, then one read per leaf."""
+    with StorageEnvironment(str(tmp_path / "db"), page_size=512) as env:
+        index = build_value_indexes(env, "h", SPACE, "location",
+                                    list(enumerate(MARGINALS)),
+                                    ("btc",))["btc"]
+        assert index.tree.height > 1
+        snap = env.stats.snapshot()
+        leaves = index.entries("A")
+        assert env.stats.delta(snap).logical_reads == 0
+        sizes = []
+        for times, _ in leaves:
+            sizes.append(len(times))
+            assert env.stats.delta(snap).logical_reads == \
+                index.tree.height + len(sizes) - 1
+        assert sum(sizes) == 40 and len(sizes) > 2
 
 
 # ---------------------------------------------------------------------------
-# Predicate cursors
+# Sorted access
 # ---------------------------------------------------------------------------
-
-def _terms(*values):
-    return [IndexTerm("location", v) for v in values]
-
-
-def test_predicate_chrono_cursor_advance_to_seeks_far_and_steps_near(
-        indexes, monkeypatch):
-    calls = {"seek": 0, "next": 0}
-    for name in calls:
-        real = getattr(ChronoCursor, name)
-
-        def counted(self, *args, real=real, name=name):
-            calls[name] += 1
-            return real(self, *args)
-
-        monkeypatch.setattr(ChronoCursor, name, counted)
-    cursor = PredicateChronoCursor(lambda term: indexes["btc"],
-                                   _terms("A"))
-    assert cursor.advance_to(0) and cursor.time == 0
-    assert calls == {"seek": 1, "next": 0}
-    # Near (within 8 steps): linear next calls.
-    assert cursor.advance_to(4) and cursor.time == 4
-    assert calls == {"seek": 1, "next": 4}
-    # Far (more than 8 steps away): one seek.
-    assert cursor.advance_to(30) and cursor.time == 30
-    assert calls == {"seek": 2, "next": 4}
-    assert cursor.prob == pytest.approx(0.5)
-    assert not cursor.advance_to(40)
-
-
-def test_predicate_chrono_cursor_sums_terms_per_timestep(indexes):
-    cursor = PredicateChronoCursor(lambda term: indexes["btc"],
-                                   _terms("B", "C"))
-    walked = []
-    while cursor.next():
-        walked.append((cursor.time, cursor.prob))
-    assert walked == [(0, 0.3), (2, 0.1), (5, 0.3), (10, 0.3), (15, 0.3),
-                      (20, 0.3), (25, 0.3), (30, 0.3), (35, 0.3)]
-    both = PredicateChronoCursor(lambda term: indexes["btc"],
-                                 _terms("A", "B"))
-    assert both.seek(5) and both.prob == pytest.approx(0.25 + 0.3)
-
 
 def test_predicate_prob_cursor_bound_multiplier(indexes):
     single = Equals("location", "B").index_terms(SPACE)

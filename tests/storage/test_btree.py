@@ -1,7 +1,8 @@
-"""B+ tree behavior: bulk loading, whole-tree rewrite, cursors, overflow,
-I/O costs."""
+"""B+ tree behavior: bulk loading, whole-tree rewrite, range scans,
+overflow, I/O costs."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -92,22 +93,19 @@ def test_rewrite_to_empty_and_back(env):
     assert tree.check().clean
 
 
-def test_cursor_survives_eviction_of_its_leaf(tmp_path):
-    """Cursors pin nothing: a scan over a tree many times larger than
-    the pool, interleaved with point reads that evict the cursor's leaf,
-    still returns every entry in order."""
+def test_scan_survives_eviction_of_its_leaf(tmp_path):
+    """Scans pin nothing: a scan over a tree many times larger than the
+    pool, interleaved with point reads that evict the scan's leaf, still
+    returns every entry in order."""
     with StorageEnvironment(str(tmp_path / "db"), page_size=512,
                             pool_pages=2) as env:
         tree = env.open_tree("t")
         items = sorted(make_items(2000))
         tree.bulk_load(items)
-        cur = tree.cursor()
         seen = []
-        ok = cur.first()
-        while ok:
-            seen.append((cur.key, cur.value))
+        for entry in tree.items():
+            seen.append(entry)
             assert tree.get(items[0][0]) == items[0][1]  # evicts the leaf
-            ok = cur.next()
         assert seen == items
         assert env.stats.evictions > tree.num_leaves
 
@@ -136,20 +134,38 @@ def test_range_items_within_bounds(env):
     assert list(tree.range_items(lo + b"\x00", hi)) == items[151:850]
 
 
-def test_cursor_seek_and_step(env):
+def test_range_scan_starts_at_its_bound_and_reads_leaf_by_leaf(env):
     tree = env.open_tree("t")
     items = sorted(make_items(500))
     tree.bulk_load(items)
-    cur = tree.cursor()
-    assert cur.seek(items[250][0])
-    assert cur.key == items[250][0]
-    assert cur.next() and cur.key == items[251][0]
-    assert cur.first() and cur.key == items[0][0]
-    assert cur.seek(items[-1][0]) and cur.key == items[-1][0]
-    assert not cur.next()
-    # seek past the end invalidates
-    assert not cur.seek(items[-1][0] + b"\xff")
-    assert not cur.valid
+    assert list(islice(tree.range_items(items[250][0]), 2)) == \
+        items[250:252]
+    assert next(tree.range_items()) == items[0]
+    assert list(tree.range_items(items[-1][0])) == items[-1:]
+    # a bound past the end yields nothing
+    assert list(tree.range_items(items[-1][0] + b"\xff")) == []
+    # leaves: the leaf owning the key, then its siblings, one read each
+    first = next(tree.leaves(items[250][0]))
+    assert first.keys[0] <= items[250][0] <= first.keys[-1]
+    snap = env.stats.snapshot()
+    walked = list(tree.leaves())
+    assert env.stats.delta(snap).logical_reads == len(walked) == \
+        tree.num_leaves
+    assert [k for leaf in walked for k in leaf.keys] == \
+        [k for k, _ in items]
+    # slices: each leaf's share of a range, in order
+    lo, hi = items[100][0], items[400][0]
+    assert [k for leaf, i, j in tree.range_slices(lo, hi)
+            for k in leaf.keys[i:j]] == [k for k, _ in items[100:400]]
+
+
+def test_scans_of_an_empty_tree(env):
+    tree = env.open_tree("t")
+    assert [leaf.keys for leaf in tree.leaves()] == [[]]
+    assert list(tree.range_slices()) == []
+    tree.bulk_load([])
+    assert [leaf.keys for leaf in tree.leaves(encode_key((1,)))] == [[]]
+    assert list(tree.range_items(encode_key((1,)))) == []
 
 
 def test_bulk_load_validates_input(env):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import KeyEncodingError
 from repro.storage.keyenc import (
     Desc,
+    FixedKey,
     decode_key,
     encode_key,
     encode_keys,
@@ -148,6 +149,7 @@ PROBS = st.one_of(st.floats(allow_nan=False),
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(INTS, PROBS, INTS), max_size=20))
 def test_encode_keys_matches_encode_key_row_by_row(rows):
+    """Row by row, and :class:`FixedKey` decodes the rows back."""
     codes = np.array([c for c, _, _ in rows], dtype=np.int64)
     probs = np.array([p for _, p, _ in rows], dtype=np.float64)
     times = np.array([t for _, _, t in rows], dtype=np.int64)
@@ -155,9 +157,15 @@ def test_encode_keys_matches_encode_key_row_by_row(rows):
     assert keys.shape == (len(rows), 28)
     assert [bytes(k) for k in keys] == \
         [encode_key((c, Desc(p), t)) for c, p, t in rows]
+    got = FixedKey(int, Desc(float), int).decode(keys.tobytes())
+    assert [a.tolist() for a in got] == [codes.tolist(), probs.tolist(),
+                                         times.tolist()]
+    assert got[1].view(np.int64).tolist() == probs.view(np.int64).tolist()
     keys = encode_keys((codes, times))
     assert keys.shape == (len(rows), 18)
     assert [bytes(k) for k in keys] == [encode_key((c, t)) for c, _, t in rows]
+    assert [a.tolist() for a in FixedKey(int, int).decode(keys.tobytes())] \
+        == [codes.tolist(), times.tolist()]
 
 
 def test_encode_keys_refuses_what_encode_key_refuses():

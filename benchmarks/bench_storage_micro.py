@@ -194,7 +194,6 @@ def _bench_pool_sizes(workdir, items, tracer):
 def _bench_value_index_build(workdir, tracer):
     stream = synthetic_stream("s", num_snippets=VALUE_INDEX_SNIPPETS,
                               density=VALUE_INDEX_DENSITY, seed=1)
-    pairs = list(enumerate(stream.marginals))
     best = float("inf")
     for rep in range(VALUE_INDEX_REPEATS):
         env = StorageEnvironment(f"{workdir}/value_index_{rep}",
@@ -202,7 +201,8 @@ def _bench_value_index_build(workdir, tracer):
         with tracer.span("value_index_build", io=env.stats, rep=rep):
             start = time.perf_counter()
             built = build_value_indexes(env, "s", stream.space, "location",
-                                        pairs, ("btc", "btp"))
+                                        stream.marginal_block,
+                                        ("btc", "btp"))
             best = min(best, time.perf_counter() - start)
         entries = len(built["btc"].tree)
         env.close()

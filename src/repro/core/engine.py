@@ -42,7 +42,6 @@ from ..streams import (
     MarkovianStream,
     StreamMeta,
     StreamReader,
-    encode_cpts,
     open_reader,
     write_stream,
 )
@@ -184,8 +183,7 @@ class Caldera:
                        dimensions: Dict[str, Dict]) -> StreamMeta:
         """Write the stream's trees and indexes; returns the catalog
         entry that describes them."""
-        records = encode_cpts(stream.cpts)
-        reader = write_stream(self.env, stream, layout, records=records)
+        reader = write_stream(self.env, stream, layout)
         meta = StreamMeta(stream.name, len(stream), layout, stream.space,
                           pack=reader.pack)
 
@@ -198,22 +196,20 @@ class Caldera:
                     if any(v in dimensions[table] for v in vocab.values()):
                         indexed_attrs.append(f"{attr}/{table}")
 
-        pairs = [(t, stream.marginals[t]) for t in range(len(stream))]
         for attr in indexed_attrs:
             built = build_value_indexes(self.env, stream.name, stream.space,
-                                        attr, pairs, kinds,
+                                        attr, stream.marginal_block, kinds,
                                         dimensions=dimensions,
                                         pack=reader.pack)
             for kind, index in built.items():
                 meta.indexes[f"{kind}:{attr}"] = index.stats.to_dict()
 
         if mc_alpha is not None and len(stream) > 2:
-            build_mc(self.env, stream.name, reader, alpha=mc_alpha,
-                     records=records)
+            build_mc(self.env, stream.name, stream, alpha=mc_alpha)
             meta.indexes["mc"] = {"alpha": mc_alpha}
             for predicate in conditioned_predicates:
-                build_mc(self.env, stream.name, reader, alpha=mc_alpha,
-                         predicate=predicate, records=records)
+                build_mc(self.env, stream.name, stream, alpha=mc_alpha,
+                         predicate=predicate)
                 meta.indexes[f"mcc:{predicate.signature()}"] = {
                     "alpha": mc_alpha
                 }

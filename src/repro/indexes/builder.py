@@ -4,20 +4,27 @@ These functions tie the index classes to a storage environment and the
 stream archive. The Caldera engine calls them and records the built
 indexes in the catalog; they are also usable standalone (see the tests
 and benchmarks, which build indexes directly).
+
+Builds start from arrays. :func:`build_value_indexes` aggregates a
+stream's CSR marginals (a :class:`~repro.probability.MarginalBlock`)
+with one ``np.bincount``, and :func:`build_mc` hands
+:meth:`MCIndex.build <repro.indexes.mc.MCIndex.build>` the base CPTs as
+one :class:`~repro.probability.CPTBlock`: at archive time the stream's
+own block, for an archived stream its records read and decoded once.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import CatalogError
-from ..probability import SparseDistribution
+from ..probability import MarginalBlock, decode_block
 from ..query.predicates import Predicate
 from ..storage import FixedRows, StorageEnvironment
 from ..streams.archive import StreamReader
+from ..streams.markovian import MarkovianStream
 from ..streams.schema import StateSpace
 from .base import (
     LAYOUTS,
@@ -35,13 +42,14 @@ def build_value_indexes(
     stream_name: str,
     space: StateSpace,
     indexed_attr: str,
-    marginals: Iterable[Tuple[int, SparseDistribution]],
+    marginals: MarginalBlock,
     kinds: Sequence[str],
     dimensions: Optional[Dict[str, Dict]] = None,
     pack: int = 1,
 ) -> Dict[str, ValueIndex]:
     """Build the ``kinds`` (``btc``/``btp``) indexes over one indexed
-    attribute from one aggregation pass over the marginals.
+    attribute from one aggregation pass over ``marginals``, a stream's
+    marginals at timesteps ``0, 1, ...`` as CSR arrays.
 
     Each kind encodes the same ``(code, time, prob)`` entries into its
     own fixed-width rows, sorts them by key bytes and bulk-loads them;
@@ -67,8 +75,7 @@ def build_value_indexes(
     return built
 
 
-def aggregate(state_codes: np.ndarray,
-              marginals: Iterable[Tuple[int, SparseDistribution]]
+def aggregate(state_codes: np.ndarray, marginals: MarginalBlock
               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per value code and timestep, the summed marginal probability of
     the states ``state_codes`` maps to the code (states mapped to -1 are
@@ -77,19 +84,13 @@ def aggregate(state_codes: np.ndarray,
 
     Tuples at one timestep are disjoint, so summation is exact (§3.4.1).
     ``np.bincount`` adds each sum's terms from 0.0 in each marginal's
-    own order.
+    own entry order.
     """
-    pairs = list(marginals)
-    sizes = np.fromiter((len(m) for _, m in pairs), dtype=np.int64,
-                        count=len(pairs))
-    total = int(sizes.sum())
-    codes = state_codes[np.fromiter(chain.from_iterable(m for _, m in pairs),
-                                    dtype=np.int64, count=total)]
+    offsets, states, probs = marginals
+    codes = state_codes[states]
     kept = codes >= 0
-    probs = np.fromiter(chain.from_iterable(m.values() for _, m in pairs),
-                        dtype=np.float64, count=total)[kept]
-    times = np.repeat(np.fromiter((t for t, _ in pairs), dtype=np.int64,
-                                  count=len(pairs)), sizes)[kept]
+    probs = probs[kept]
+    times = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))[kept]
     if not len(times):
         return times, times, probs
     first = int(times.min())
@@ -140,36 +141,33 @@ def open_value_index(
 def build_mc(
     env: StorageEnvironment,
     stream_name: str,
-    reader: StreamReader,
+    source: Union[MarkovianStream, StreamReader],
     alpha: int = 2,
     predicate: Optional[Predicate] = None,
-    records: Optional[Sequence[bytes]] = None,
 ) -> MCIndex:
-    """Build the MC index (or a predicate-conditioned variant) of the
-    stream ``reader`` reads.
+    """Build the MC index (or a predicate-conditioned variant) of a
+    stream, from the stream itself (as the archive does: its CPT block
+    is level 0, and nothing is read) or from a reader over its archive
+    (the base CPT records are read once and decoded as one block).
 
-    ``records`` are the stream's base CPT records (into timesteps
-    ``1 .. length - 1``) when the caller holds them, as the archive
-    does; otherwise they are read once through
-    ``reader.cpt_records``. The build runs under an ``mc.build`` span
-    on the environment's tracer (its wall time lands in the environment
-    registry); :meth:`MCIndex.build` returns the number of records
-    written.
+    The build runs under an ``mc.build`` span on the environment's
+    tracer (its wall time lands in the environment registry);
+    :meth:`MCIndex.build` returns the number of records written.
     """
     signature = predicate.signature() if predicate is not None else None
     name = mc_tree_name(stream_name, signature)
     if env.exists(name):
         raise CatalogError(f"index {name!r} already exists")
     accept = None if predicate is None else \
-        predicate.matching_states(reader.space)
-    index = MCIndex(env.open_tree(name), alpha, reader.length,
+        predicate.matching_states(source.space)
+    index = MCIndex(env.open_tree(name), alpha, source.length,
                     accept_states=accept)
-    if records is None:
-        records = reader.cpt_records(1, reader.length) \
-            if reader.length > 1 else []
+    # A one-timestep stream has no CPT: its base is the empty block.
+    base = source.scan_cpts(1, source.length) if source.length > 1 else \
+        decode_block([])
     with env.tracer().span("mc.build", tree=name, alpha=alpha,
                            conditioned=predicate is not None):
-        index.build(records, len(reader.space))
+        index.build(base, len(source.space))
     return index
 
 

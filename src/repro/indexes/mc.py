@@ -23,19 +23,20 @@ version (:func:`~repro.indexes.builder.open_mc` refuses any other).
 
 Build
 -----
-:meth:`MCIndex.build` makes every level the same way, from the encoded
-records of the level below. Level 0 is the base CPT records in
-timestep order: at archive time the very records the archive just
-encoded and wrote, so the build reads no page (an index added to an
-archived stream reads them once, through ``reader.cpt_records``). Per
-chunk of a multiple of ``alpha`` records (sized by
-:data:`~repro.probability.cpt.BLOCK_FLOATS`) it decodes them as one
-block, densifies it into a ``(chunk, n, n)`` stack, multiplies each run
-of ``alpha`` in one batched product
-``stack[0::alpha] @ stack[1::alpha] @ …``, and encodes the nonzero
-entries back into records, a chunk at a time. Every record's
-``(level, start)`` key comes from one ``encode_keys`` call, and the
-tree is bulk-loaded once.
+:meth:`MCIndex.build` makes every level the same way, from the level
+below it as a :class:`~repro.probability.CPTBlock`, and decodes no
+record. Level 0 is the base CPTs (into timesteps ``1 .. length - 1``)
+as one block: at archive time the stream's own block, so the build
+reads no page (an index added to an archived stream reads the base
+records once, through ``reader.scan_cpts``, and decodes them there).
+Per chunk of a multiple of ``alpha`` steps (sized by
+:data:`~repro.probability.cpt.BLOCK_FLOATS`) it densifies the block
+below into a ``(chunk, n, n)`` stack, multiplies each run of ``alpha``
+in one batched product ``stack[0::alpha] @ stack[1::alpha] @ …``, and
+keeps the nonzero entries; the chunks' entries make the level's block,
+which is encoded into records once and kept only until the next level
+is built from it. Every record's ``(level, start)`` key comes from one
+``encode_keys`` call, and the tree is bulk-loaded once.
 
 Gap traversal
 -------------
@@ -89,9 +90,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, islice
-from typing import (FrozenSet, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from itertools import chain
+from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -157,29 +157,29 @@ class MCIndex:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def build(self, records: Sequence[bytes], num_states: int) -> int:
-        """Bulk-load every span record from the base CPT records (into
-        timesteps ``1 .. length - 1``, in order) of a stream over
+    def build(self, base: CPTBlock, num_states: int) -> int:
+        """Bulk-load every span record from ``base``, the CPTs into
+        timesteps ``1 .. length - 1`` in order, of a stream over
         ``num_states`` states.
 
-        Each level's records are the products of ``alpha`` consecutive
-        records of the level below, and level 0 is ``records``; the
-        build reads no page. Returns the number of span records written.
+        Each level's block is the products of ``alpha`` consecutive
+        steps of the level below, and level 0 is ``base``; the build
+        reads no page and decodes no record. Returns the number of span
+        records written.
         """
-        if len(records) != self.length - 1:
+        if base.steps != self.length - 1:
             raise CatalogError(
                 f"MC index built for length {self.length} from "
-                f"{len(records)} CPT records (a stream of length "
-                f"{len(records) + 1})"
+                f"{base.steps} CPTs (a stream of length {base.steps + 1})"
             )
         keep = None if self.accept_states is None else \
             self.accept_columns(num_states)
         levels: List[List[bytes]] = []
-        below: Sequence[bytes] = records
+        below = base
         for level in range(1, self.max_level + 1):
-            below = list(_products(below, self.alpha, num_states,
-                                   keep if level == 1 else None))
-            levels.append(below)
+            below = _products(below, self.alpha, num_states,
+                              keep if level == 1 else None)
+            levels.append(encode_block(below))
         keys = encode_keys((
             np.repeat(np.arange(1, len(levels) + 1),
                       [len(level) for level in levels]),
@@ -348,22 +348,22 @@ class MCIndex:
         return records
 
 
-def _products(records: Iterable[bytes], alpha: int, n: int,
-              keep: Optional[np.ndarray]) -> Iterator[bytes]:
-    """The record of the product of each run of ``alpha`` consecutive
-    ``records``, destinations first masked by ``keep`` when given; a
-    short run at the end is read and dropped."""
+def _products(block: CPTBlock, alpha: int, n: int,
+              keep: Optional[np.ndarray]) -> CPTBlock:
+    """The product of each run of ``alpha`` consecutive steps of
+    ``block``, destinations first masked by ``keep`` when given, as one
+    block; a short run at the end is dropped."""
     chunk = max(1, BLOCK_FLOATS // (n * n) // alpha) * alpha
-    buf = np.empty(chunk * n * n)
-    records = iter(records)
-    while True:
-        batch = list(islice(records, chunk))
-        runs = len(batch) // alpha
-        if runs:
-            (stack,) = densify(decode_block(batch[:runs * alpha]), n, buf)
-            if keep is not None:
-                stack *= keep
-            stack = stack.reshape(runs, alpha, n, n).swapaxes(0, 1)
-            yield from encode_block(sparsify(reduce(np.matmul, stack)))
-        if len(batch) < chunk:
-            return
+    parts = [sparsify(np.zeros((0, n, n)))]
+    for first, stack in zip(range(0, block.steps, chunk),
+                            densify(block, n, np.empty(chunk * n * n))):
+        runs = len(stack) // alpha
+        if not runs:
+            break
+        if keep is not None:
+            stack *= keep
+        part = sparsify(reduce(np.matmul, stack[:runs * alpha].reshape(
+            runs, alpha, n, n).swapaxes(0, 1)))
+        parts.append(part._replace(step=part.step + first // alpha))
+    fields = zip(*(part[1:] for part in parts))
+    return CPTBlock(block.steps // alpha, *map(np.concatenate, fields))

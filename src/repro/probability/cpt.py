@@ -21,13 +21,17 @@ smallest of 1, 2 or 4 bytes that holds the record's largest id or row
 length, so it comes from the data. Records move in blocks: a
 :class:`CPTBlock` holds K CPTs in one set of CSR arrays.
 :func:`decode_block` turns K records into a block, :func:`encode_block`
-(its inverse) a block into K records, neither with a Python loop over
-the records, so each costs a fixed number of NumPy calls per call and
-callers batch; :meth:`CPTBlock.of` gathers dict rows into a block. The
-Reg kernel and the MC index build compute on a block as dense
-``(K, n, n)`` stacks (:func:`densify`, and :func:`sparsify` back).
-:meth:`CPT.from_bytes` and :meth:`CPT.to_bytes` are blocks of one, and
-a decoded CPT builds the dict rows that :meth:`CPT.row` and
+(its inverse) a block into K records (:data:`ENCODE_STEPS` at a pass,
+so its temporaries stay small), neither with a Python loop over the
+records but one slice each, so each costs a fixed number of NumPy calls
+per call and callers batch: pass whole blocks. The synthetic
+generators emit a stream's block as arrays already in record order;
+:meth:`CPTBlock.of` gathers dict-row :class:`CPT` objects into one (for
+the dict-row stream constructor, the tests and the oracles). The Reg kernel and the MC
+index build compute on a block as dense ``(K, n, n)`` stacks
+(:func:`densify`, and :func:`sparsify` back). :meth:`CPT.from_bytes`
+and :meth:`CPT.to_bytes` are blocks of one, and a CPT read from a
+record or a block builds the dict rows that :meth:`CPT.row` and
 :meth:`CPT.apply` walk only on first use.
 """
 
@@ -43,7 +47,7 @@ from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
 import numpy as np
 
 from ..errors import CatalogError, StorageError
-from ..storage.record import encode_uvarint
+from ..storage.record import place, uvarint_digits
 from .distribution import SparseDistribution
 
 _EMPTY_ROW = SparseDistribution()
@@ -67,6 +71,10 @@ _HEADER = np.arange(10)
 _POWERS = 128 ** np.arange(9)
 _HEAD = slice(len(_HEADER))
 _PAD = bytes(len(_HEADER))
+
+#: Steps :func:`encode_block` encodes per pass: the fixed cost of a
+#: pass is amortized, and its temporary arrays stay small.
+ENCODE_STEPS = 1024
 
 #: Float budget of one dense stack: K steps over ``n`` states densify
 #: ``K · n²`` floats, so K is at most ``BLOCK_FLOATS // n²`` (128 KiB).
@@ -104,6 +112,19 @@ class CPTBlock(namedtuple("CPTBlock", "steps step src row_len dst val")):
         return cls(len(counts), np.arange(len(counts)).repeat(counts),
                    np.array(srcs, np.int64), np.array(lens, np.int64),
                    np.array(dsts, np.int64), np.array(vals, np.float64))
+
+    def batches(self, size: int) -> Iterator["CPTBlock"]:
+        """The block as consecutive blocks of at most ``size`` steps
+        each (steps renumbered from 0), slices of this one's arrays."""
+        rows = np.searchsorted(
+            self.step, np.arange(0, self.steps + size, size)).tolist()
+        cells = np.concatenate(
+            ([0], np.cumsum(self.row_len, dtype=np.int64)))[rows].tolist()
+        for i, lo in enumerate(range(0, self.steps, size)):
+            r0, r1, e0, e1 = rows[i], rows[i + 1], cells[i], cells[i + 1]
+            yield CPTBlock(min(size, self.steps - lo), self.step[r0:r1] - lo,
+                           self.src[r0:r1], self.row_len[r0:r1],
+                           self.dst[e0:e1], self.val[e0:e1])
 
     def approx_equal(self, other: "CPT", tol: float = 1e-9) -> bool:
         """Whether the dense product of the steps, in order, equals
@@ -308,9 +329,16 @@ class CPT:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CPT":
+        return cls.from_arrays(decode_block([data])[2:])
+
+    @classmethod
+    def from_arrays(cls, arrays: CSRArrays) -> "CPT":
+        """A CPT over the CSR arrays ``(src, row_len, dst, val)`` of
+        :meth:`arrays`, adopted as they are (rows by source, each row's
+        entries by destination)."""
         cpt = cls.__new__(cls)
         cpt._rows = None
-        cpt._arrays = decode_block([data])[2:]
+        cpt._arrays = arrays
         return cpt
 
 
@@ -390,27 +418,56 @@ def _cut(views: Iterable[memoryview], lo: np.ndarray,
 def encode_block(block: CPTBlock) -> List[bytes]:
     """The record of each step of ``block``, in order: the inverse of
     :func:`decode_block`, and the only record encoder. Each record's id
-    width is the smallest that holds its largest id or row length. The
-    fixed cost is per call, so encode many CPTs at once."""
+    width is the smallest that holds its largest id or row length. Per
+    pass of up to :data:`ENCODE_STEPS` steps, every header, id and value
+    is placed in one buffer with a fixed number of NumPy calls, then cut
+    into records: pass whole blocks."""
+    return [record for part in block.batches(ENCODE_STEPS)
+            for record in _encode(part)]
+
+
+def _encode(block: CPTBlock) -> List[bytes]:
+    """:func:`encode_block` of one pass."""
     steps, step, src, lens, dst, val = block
+    cell = np.repeat(step, lens)
     top = np.zeros(steps, np.int64)
     np.maximum.at(top, step, np.maximum(src, lens))
-    np.maximum.at(top, np.repeat(step, lens), dst)
-    if steps and top.max() >= 1 << 32:
+    np.maximum.at(top, cell, dst)
+    if top.max() >= 1 << 32:
         raise StorageError(f"CPT id {int(top.max())} does not fit a record")
-    codes = (top >= 1 << 8).astype(int) + (top >= 1 << 16)
-    rows = np.concatenate(([0], np.bincount(step, minlength=steps).cumsum()))
-    ends = np.concatenate(([0], lens.cumsum(dtype=np.intp)))[rows]
-    ints = {c: [a.astype(_ID_DTYPES[c]).tobytes() for a in (src, lens, dst)]
-            for c in set(codes.tolist())}
-    vals = val.astype("<f8", copy=False).tobytes()
-    out = []
-    for c, r0, r1, e0, e1 in zip(codes.tolist(), rows.tolist(),
-                                 rows[1:].tolist(), ends.tolist(),
-                                 ends[1:].tolist()):
-        s, k, d = ints[c]
-        w = 1 << c
-        out.append(b"".join((encode_uvarint((r1 - r0) << 2 | c),
-                             s[r0 * w:r1 * w], k[r0 * w:r1 * w],
-                             d[e0 * w:e1 * w], vals[e0 * 8:e1 * 8])))
-    return out
+    code = (top >= 1 << 8).astype(np.int64) + (top >= 1 << 16)
+    width = 1 << code
+    rows = np.bincount(step, minlength=steps)
+    nnz = np.bincount(cell, minlength=steps)
+    head_len, head = uvarint_digits(rows << 2 | code)
+    size = head_len + (2 * rows + nnz) * width + 8 * nnz
+    ends = np.cumsum(size)
+    # Where each record's src, row_len, dst and val regions begin.
+    src_at = ends - size + head_len
+    dst_at = src_at + 2 * rows * width
+    val_at = dst_at + nnz * width
+    out = np.empty(int(ends[-1]), np.uint8)
+    place(out, ends - size, head_len, head)
+    # Every id as the widest record's bytes; each record keeps its own
+    # width's first bytes (little-endian). ``k``: the row (entry) of its
+    # record.
+    dtype = _ID_DTYPES[int(code.max(initial=0))]
+    k = np.arange(len(step)) - (np.cumsum(rows) - rows)[step]
+    w = width[step]
+    for ids, at in ((src, src_at[step] + k * w),
+                    (lens, src_at[step] + (rows[step] + k) * w)):
+        place(out, at, w, _id_bytes(ids, dtype))
+    k = np.arange(len(cell)) - (np.cumsum(nnz) - nnz)[cell]
+    place(out, dst_at[cell] + k * width[cell], width[cell],
+          _id_bytes(dst, dtype))
+    out[(val_at[cell] + 8 * k)[:, None] + np.arange(8)] = \
+        np.ascontiguousarray(val, "<f8").view(np.uint8).reshape(-1, 8)
+    data = out.tobytes()
+    cuts = [0] + ends.tolist()
+    return [data[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _id_bytes(ids: np.ndarray, dtype: str) -> np.ndarray:
+    """Each id's little-endian bytes in ``dtype``, one row per id."""
+    return np.asarray(ids).astype(dtype).view(np.uint8).reshape(
+        len(ids), np.dtype(dtype).itemsize)

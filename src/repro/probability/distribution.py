@@ -7,14 +7,24 @@ class doubles as a sparse nonnegative vector: evidence likelihoods and
 Reg's unnormalized per-NFA-state masses use the same type, so
 construction does *not* normalize — call :meth:`normalize` where a
 probability distribution is required.
+
+A run of marginals moves as one :class:`MarginalBlock` of CSR arrays
+(offsets, states, probabilities), the form a Markovian stream holds
+them in; :func:`encode_marginals` writes a block's records in one
+batch, and :meth:`SparseDistribution.to_bytes` is a block of one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
+from collections import namedtuple
+from itertools import chain
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    Sequence, Tuple)
+
+import numpy as np
 
 from ..errors import StreamError
-from ..storage.record import pack_pairs, unpack_pairs
+from ..storage.record import pack_records, unpack_pairs
 
 
 class SparseDistribution:
@@ -176,9 +186,46 @@ class SparseDistribution:
     # Serialization (storage record format)
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        return pack_pairs(sorted(self._probs.items()))
+        """This distribution's record (a block of one: batch many
+        through :func:`encode_marginals` instead)."""
+        return encode_marginals(MarginalBlock.of([self._probs]))[0]
 
     @classmethod
     def from_bytes(cls, data: bytes, pos: int = 0) -> "SparseDistribution":
         pairs, _ = unpack_pairs(data, pos)
         return cls(dict(pairs))
+
+
+class MarginalBlock(namedtuple("MarginalBlock", "offsets states probs")):
+    """A run of marginals as CSR arrays: marginal ``t`` gives weight
+    ``probs[i]`` to state ``states[i]`` for ``offsets[t] <= i <
+    offsets[t + 1]``, its entries in the order their producer gave
+    them (an index sum adds them in that order)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, dists: Sequence[Mapping[int, float]]) -> "MarginalBlock":
+        """The entries of ``dists`` (distributions or dicts), in order,
+        each in its own iteration order, gathered into one block."""
+        sizes = np.fromiter(map(len, dists), np.int64, len(dists))
+        offsets = np.concatenate(([0], sizes.cumsum()))
+        total = int(offsets[-1])
+        return cls(offsets,
+                   np.fromiter(chain.from_iterable(dists), np.int64, total),
+                   np.fromiter(chain.from_iterable(d.values() for d in dists),
+                               np.float64, total))
+
+
+def encode_marginals(block: MarginalBlock) -> List[bytes]:
+    """The record of each marginal of ``block``, in order, and the only
+    marginal encoder: a uvarint entry count, then per entry by state a
+    uvarint state id and its ``<f8`` weight, every record of the block
+    placed at once (:func:`~repro.storage.record.pack_records`)."""
+    offsets, states, probs = block
+    count = np.diff(offsets)
+    order = np.lexsort((states, np.repeat(np.arange(len(count)), count)))
+    return pack_records(
+        count, states[order],
+        probs[order].astype("<f8").view(np.uint8),
+        np.full(len(order), 8))

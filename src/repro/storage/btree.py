@@ -28,8 +28,6 @@ Layout and behavior:
   :meth:`BTree.range_items` entries one by one on top of it.
 - **Values above ¼ page spill** into chained overflow pages; the leaf
   keeps a fixed-size pointer, so huge CPT blobs never break fan-out.
-- **Duplicates** are allowed (duplicate-keyed loads); ``get`` returns
-  the first match and scans enumerate all of them.
 - Page 1 is the tree header (magic, root, leaf-chain ends, counters);
   corrupt or mis-opened files fail loudly.
 
@@ -279,7 +277,7 @@ class BTree:
         return node
 
     def get(self, key: bytes) -> Optional[bytes]:
-        """The value stored under ``key`` (first duplicate), or None."""
+        """The value stored under ``key``, or None."""
         self._check_key(key)
         leaf = self._descend(key)
         i = bisect_left(leaf.keys, key)
@@ -329,8 +327,8 @@ class BTree:
 
         Packs leaves full, links them, then builds each branch level
         from the one below, and commits. The tree must be empty (or
-        have no file yet). Duplicate keys are kept. Returns the number
-        of entries loaded.
+        have no file yet). Keys must be strictly increasing: an equal
+        adjacent key raises. Returns the number of entries loaded.
         """
         if self._num_entries:
             raise StorageError(
@@ -340,8 +338,8 @@ class BTree:
         return self._load(items)
 
     def rewrite(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
-        """Replace the tree's whole contents with sorted ``(key, value)``
-        pairs.
+        """Replace the tree's whole contents with ``(key, value)`` pairs
+        in strictly increasing key order.
 
         Bulk-loads ``items`` into a new file and renames it over the
         tree's, so a crash leaves either the old contents or the new
@@ -356,15 +354,15 @@ class BTree:
 
     def _check_entry(self, prev_key: Optional[bytes], key: bytes,
                      value: bytes) -> None:
-        """Fail on a bad key or value, or on ``key`` sorting before the
-        previous entry's ``prev_key`` (None for the first entry)."""
+        """Fail on a bad key or value, or on ``key`` not sorting after
+        the previous entry's ``prev_key`` (None for the first entry)."""
         self._check_key(key)
         if not isinstance(value, (bytes, bytearray)):
             raise StorageError(
                 f"values must be bytes, got {type(value).__name__}")
-        if prev_key is not None and key < prev_key:
+        if prev_key is not None and key <= prev_key:
             raise StorageError(
-                f"{self.name!r}: input is not sorted "
+                f"{self.name!r}: input is not strictly sorted "
                 f"({prev_key!r} followed by {key!r})"
             )
 
@@ -377,8 +375,8 @@ class BTree:
         error."""
         if _all_bytes(keys) and _all_bytes(values) and \
                 max(map(len, keys), default=0) <= self.max_key and \
-                not any(map(operator.lt, keys[1:], keys[:-1])) and \
-                (prev_key is None or not keys or keys[0] >= prev_key):
+                not any(map(operator.le, keys[1:], keys[:-1])) and \
+                (prev_key is None or not keys or keys[0] > prev_key):
             return
         for key, value in zip(keys, values):
             self._check_entry(prev_key, key, value)
@@ -548,7 +546,7 @@ class BTree:
             hi = min(lo + step, n)
             keys = np.ascontiguousarray(rows[max(lo - 1, 0):hi, :key_width])
             order = keys.view(f"S{key_width}").reshape(-1)
-            bad = np.flatnonzero(order[1:] < order[:-1])
+            bad = np.flatnonzero(order[1:] <= order[:-1])
             if len(bad):
                 self._check_entry(keys[bad[0]].tobytes(),
                                   keys[bad[0] + 1].tobytes(), b"")

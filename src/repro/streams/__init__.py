@@ -5,7 +5,6 @@ from .archive import (
     DEFAULT_PACK,
     Layout,
     StreamReader,
-    encode_cpts,
     open_reader,
     write_stream,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "StreamReader",
     "Vocabulary",
     "dump_stream",
-    "encode_cpts",
     "load_stream",
     "open_reader",
     "routine_stream",

@@ -25,6 +25,17 @@ Three physical layouts trade that cost off differently:
     co-clustered layout), byte for byte. Only the metadata record's
     layout name differs.
 
+:func:`write_stream` encodes from the stream's arrays, never from a
+per-timestep object: every marginal record comes from one batched
+:func:`~repro.probability.encode_marginals` call over the stream's CSR
+marginals, which sorts each marginal's entries by state (the stream
+keeps its producer's order), the CPT records from one
+:func:`~repro.probability.encode_block` call over the stream's
+:class:`~repro.probability.CPTBlock`, and the ``packed`` frames from
+one :func:`~repro.storage.record.pack_frames` call. :meth:`StreamReader.materialize`
+reads a stream back with the same point reads as a walk, then decodes
+its CPT records with one :func:`~repro.probability.decode_block`.
+
 All layouts store one metadata record under the reserved key ``(-1,)``
 (timesteps are non-negative, so it sorts before every data key) with
 the layout name, stream length, pack factor and CPT record version —
@@ -37,17 +48,17 @@ from __future__ import annotations
 import enum
 import json
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import CatalogError, StorageError, StreamError
-from ..probability import (CPT, CPTBlock, SparseDistribution, decode_block,
-                           encode_block)
+from ..probability import (CPT, CPTBlock, MarginalBlock, SparseDistribution,
+                           decode_block, encode_block, encode_marginals)
 from ..probability.cpt import RECORD_VERSION, check_record_version
 from ..storage import BTree, StorageEnvironment, encode_key
 from ..storage.keyenc import encode_keys, key_list
-from ..storage.record import pack_chunks, unpack_chunks
+from ..storage.record import pack_frames, unpack_chunks
 from ..storage.stats import IOStats
 from .markovian import MarkovianStream
 from .schema import StateSpace
@@ -59,10 +70,6 @@ DEFAULT_PACK = 8
 
 #: Reserved metadata key — sorts before key (0,).
 META_KEY = encode_key((-1,))
-
-#: CPTs :func:`encode_cpts` encodes per :func:`encode_block` call: one
-#: call's fixed cost is amortized, and one block's arrays stay small.
-ENCODE_BATCH = 1024
 
 
 class Layout(enum.Enum):
@@ -117,40 +124,31 @@ def _read_meta(tree: BTree) -> Optional[dict]:
 # ----------------------------------------------------------------------
 # Writing
 # ----------------------------------------------------------------------
-def encode_cpts(cpts: Sequence[CPT]) -> List[bytes]:
-    """The records of ``cpts``, in order, encoded in batches."""
-    return [record for lo in range(0, len(cpts), ENCODE_BATCH)
-            for record in encode_block(
-                CPTBlock.of(cpts[lo:lo + ENCODE_BATCH]))]
-
-
 def write_stream(
     env: StorageEnvironment,
     stream: MarkovianStream,
     layout: Union[Layout, str] = Layout.SEPARATED,
     pack: int = DEFAULT_PACK,
-    records: Optional[Sequence[bytes]] = None,
 ) -> "StreamReader":
     """Archive a stream under the chosen layout (bulk-loaded, committed)
     and return a reader over it.
 
-    ``records`` are :func:`encode_cpts` of the stream's CPTs when the
-    caller already holds them (the archive shares them with its MC
-    builds); otherwise they are encoded here. Every key comes from one
-    ``encode_keys`` call.
+    Every record comes from the stream's arrays, in batches: the
+    marginals' from one :func:`~repro.probability.encode_marginals`
+    call, the CPTs' from one :func:`~repro.probability.encode_block`
+    call over the stream's block (which encodes it a slice at a time),
+    and packed frames from one ``pack_frames`` call. Every key comes
+    from one ``encode_keys`` call.
     """
     layout = Layout.parse(layout)
     length = len(stream)
-    if records is None:
-        records = encode_cpts(stream.cpts)
-    if len(records) != len(stream.cpts):
-        raise StreamError(
-            f"{len(records)} CPT records for a stream of length {length}")
+    records = encode_block(stream.cpt_block)
+    marginals = encode_marginals(stream.marginal_block)
     if layout is Layout.SEPARATED:
         keys = key_list(encode_keys((np.arange(length),)))
         env.open_tree(marg_tree_name(stream.name)).bulk_load(chain(
             [(META_KEY, _meta_value(layout, length, 1))],
-            zip(keys, (m.to_bytes() for m in stream.marginals))))
+            zip(keys, marginals)))
         env.open_tree(cpt_tree_name(stream.name)).bulk_load(
             zip(keys[1:], records))
     else:
@@ -158,20 +156,15 @@ def write_stream(
             pack = 1
         if pack < 1:
             raise StreamError(f"pack factor must be >= 1, got {pack}")
-
-        def frame(start: int) -> bytes:
-            # Cell t holds marginal t and the CPT into t (none into 0).
-            chunks: List[bytes] = []
-            for t in range(start, min(start + pack, length)):
-                chunks.append(stream.marginals[t].to_bytes())
-                chunks.append(records[t - 1] if t else b"")
-            return pack_chunks(chunks)
-
+        # Cell t holds marginal t and the CPT into t (none into 0).
         starts = np.arange(0, length, pack)
+        frames = pack_frames(
+            [chunk for cell in zip(marginals, [b""] + records)
+             for chunk in cell],
+            2 * np.diff(starts, append=length))
         env.open_tree(data_tree_name(stream.name)).bulk_load(chain(
             [(META_KEY, _meta_value(layout, length, pack))],
-            zip(key_list(encode_keys((starts,))),
-                map(frame, starts.tolist()))))
+            zip(key_list(encode_keys((starts,))), frames)))
     return open_reader(env, stream.name, stream.space, length, layout,
                        pack=pack, record=RECORD_VERSION)
 
@@ -240,15 +233,18 @@ class StreamReader:
 
     # -- materialization ----------------------------------------------
     def materialize(self) -> MarkovianStream:
-        """Read the whole archive back into memory."""
+        """Read the whole archive back into memory: a point read of each
+        marginal and of the CPT into it, in time order, then one
+        :func:`decode_block` of the CPT records."""
         marginals: List[SparseDistribution] = []
-        cpts: List[CPT] = []
+        records: List[bytes] = []
         for t in range(self.length):
             marginals.append(self.marginal(t))
             if t > 0:
-                cpts.append(self.cpt_into(t))
-        return MarkovianStream(self.name, self.space, marginals, cpts,
-                               validate=False)
+                records.append(self.cpt_record(t))
+        return MarkovianStream.from_arrays(
+            self.name, self.space, MarginalBlock.of(marginals),
+            decode_block(records))
 
     def __len__(self) -> int:
         return self.length

@@ -13,7 +13,12 @@ is *real*, without needing the full RFID simulator.
 
 Streams are built forward — each marginal is the previous one pushed
 through the step's CPT — so the consistency invariant holds exactly by
-construction.
+construction. The generator builds no distribution or CPT object: rows
+are plain dicts, and each step appends its marginal (in push order) and
+its CPT in record order (sources ascending, each row's destinations
+ascending) to flat typed arrays, which the stream adopts as its
+:class:`~repro.probability.MarginalBlock` and
+:class:`~repro.probability.CPTBlock` without a copy or a sort.
 
 World model (single ``location`` attribute):
 
@@ -28,9 +33,12 @@ The benchmark query is :data:`ENTERED_ROOM_QUERY`:
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Dict, List, Optional, Tuple
 
-from ..probability import CPT, SparseDistribution
+import numpy as np
+
+from ..probability import CPTBlock, MarginalBlock
 from .markovian import MarkovianStream
 from .schema import StateSpace, single_attribute_space
 
@@ -39,6 +47,9 @@ ENTERED_ROOM_QUERY = "location=Door -> location=Room"
 
 DEFAULT_SNIPPET_LEN = 30
 DEFAULT_NUM_CELLS = 8
+
+#: A CPT row or a marginal: state id -> probability, in insertion order.
+Row = Dict[int, float]
 
 
 def synthetic_space(num_cells: int = DEFAULT_NUM_CELLS) -> StateSpace:
@@ -51,24 +62,78 @@ def synthetic_space(num_cells: int = DEFAULT_NUM_CELLS) -> StateSpace:
 # Step templates
 # ----------------------------------------------------------------------
 def _row_toward(rng: random.Random, targets: List[Tuple[int, float]],
-                jitter: float = 0.05) -> SparseDistribution:
+                jitter: float = 0.05) -> Row:
     """A stochastic row over ``targets`` with seeded probability jitter
     (so no two snippets are bit-identical)."""
     weights = [max(1e-3, w + rng.uniform(-jitter, jitter))
                for _, w in targets]
     total = sum(weights)
-    return SparseDistribution(
-        {s: w / total for (s, _), w in zip(targets, weights)}
-    )
+    return {s: w / total for (s, _), w in zip(targets, weights)}
 
 
-def _step(current: SparseDistribution,
-          row_of: Dict[int, SparseDistribution],
-          default_row: SparseDistribution) -> Tuple[CPT, SparseDistribution]:
-    """Build the CPT for one step (a row for every current support
-    state) and push the marginal through it."""
-    cpt = CPT({x: row_of.get(x, default_row) for x in current.support()})
-    return cpt, cpt.apply(current)
+def _by_destination(row: Row) -> Tuple[array, array]:
+    """A row's destinations, ascending, and their probabilities."""
+    dsts = sorted(row)
+    return array("q", dsts), array("d", map(row.__getitem__, dsts))
+
+
+class _Builder:
+    """A stream under construction as flat typed arrays already in
+    record order, keeping no Python object per entry: per step, a CPT
+    row per state of the marginal it leaves, rows by source and each
+    row's entries by destination; per timestep, its marginal's entries
+    in the order the push produced them."""
+
+    def __init__(self, start: int) -> None:
+        self.current: Row = {start: 1.0}
+        self.states, self.sizes = array("q", [start]), array("q", [1])
+        self.probs = array("d", [1.0])
+        self.srcs, self.lens, self.dsts = array("q"), array("q"), array("q")
+        self.vals = array("d")
+
+    def step(self, row_of: Dict[int, Row], default_row: Row) -> None:
+        """One step: a row for every state of the current marginal
+        (``row_of``'s, else ``default_row``), and the marginal pushed
+        through them, ``out(y) = Σ_x m(x)·C(y|x)`` summed in the
+        marginal's order."""
+        current = self.current
+        out: Row = {}
+        get = out.get
+        for x, px in current.items():
+            for y, pyx in row_of.get(x, default_row).items():
+                out[y] = get(y, 0.0) + px * pyx
+        if out and min(out.values()) <= 0.0:  # underflow: keep positive mass
+            out = {y: p for y, p in out.items() if p > 0.0}
+        self.current = out
+        self.states.extend(out)
+        self.probs.extend(out.values())
+        self.sizes.append(len(out))
+        # The step's CPT in record order: rows by source, entries by
+        # destination.
+        default = _by_destination(default_row)
+        for x in sorted(current):
+            dsts, vals = _by_destination(row_of[x]) if x in row_of \
+                else default
+            self.srcs.append(x)
+            self.lens.append(len(dsts))
+            self.dsts.extend(dsts)
+            self.vals.extend(vals)
+
+    def stream(self, name: str, space: StateSpace) -> MarkovianStream:
+        """The stream, adopting the arrays without a copy."""
+        sizes = np.frombuffer(self.sizes, np.int64)
+        steps = len(sizes) - 1
+        marginals = MarginalBlock(
+            np.concatenate(([0], np.cumsum(sizes))),
+            np.frombuffer(self.states, np.int64),
+            np.frombuffer(self.probs, np.float64))
+        # Step t has a row per state of marginal t.
+        cpts = CPTBlock(steps, np.repeat(np.arange(steps), sizes[:-1]),
+                        np.frombuffer(self.srcs, np.int64),
+                        np.frombuffer(self.lens, np.int64),
+                        np.frombuffer(self.dsts, np.int64),
+                        np.frombuffer(self.vals, np.float64))
+        return MarkovianStream.from_arrays(name, space, marginals, cpts)
 
 
 class _World:
@@ -81,7 +146,7 @@ class _World:
         self.door = space.state_id(("Door",))
         self.room = space.state_id(("Room",))
 
-    def wander_row(self, around: int) -> SparseDistribution:
+    def wander_row(self, around: int) -> Row:
         """Drift among background cells near cell-index ``around``."""
         n = len(self.cells)
         return _row_toward(self.rng, [
@@ -92,26 +157,16 @@ class _World:
 
 
 def _irrelevant_snippet(world: _World, length: int,
-                        current: SparseDistribution,
-                        cpts: List[CPT],
-                        marginals: List[SparseDistribution]) -> \
-        SparseDistribution:
+                        out: _Builder) -> None:
     """Background wandering: zero mass on Door/Room at every step."""
     here = world.rng.randrange(len(world.cells))
     for _ in range(length):
-        row = world.wander_row(here)
-        cpt, current = _step(current, {}, row)
-        cpts.append(cpt)
-        marginals.append(current)
+        out.step({}, world.wander_row(here))
         here += world.rng.choice((-1, 0, 1))
-    return current
 
 
 def _relevant_snippet(world: _World, length: int, match: bool,
-                      current: SparseDistribution,
-                      cpts: List[CPT],
-                      marginals: List[SparseDistribution]) -> \
-        SparseDistribution:
+                      out: _Builder) -> None:
     """Alternate door-approach / room steps so (nearly) every timestep
     has Door or Room mass. ``match`` controls whether the Door -> Room
     transition is strongly correlated (a true sighting) or
@@ -122,8 +177,7 @@ def _relevant_snippet(world: _World, length: int, match: bool,
     for step in range(length):
         if step % 2 == 0:
             # Move toward the door, wherever we are.
-            row = _row_toward(rng, [(door, 0.70), (near, 0.30)])
-            cpt, current = _step(current, {}, row)
+            out.step({}, _row_toward(rng, [(door, 0.70), (near, 0.30)]))
         else:
             # From the door: enter the room (match) or walk past
             # (near-miss, room mass arrives only via the uncorrelated
@@ -134,10 +188,7 @@ def _relevant_snippet(world: _World, length: int, match: bool,
             else:
                 door_row = _row_toward(rng, [(near, 0.93), (room, 0.07)])
                 other_row = _row_toward(rng, [(near, 0.80), (room, 0.20)])
-            cpt, current = _step(current, {door: door_row}, other_row)
-        cpts.append(cpt)
-        marginals.append(current)
-    return current
+            out.step({door: door_row}, other_row)
 
 
 # ----------------------------------------------------------------------
@@ -170,23 +221,16 @@ def synthetic_stream(
     match_at = set(rng.sample(sorted(relevant_at),
                               num_matches)) if num_matches else set()
 
-    start = SparseDistribution.point(world.cells[0])
-    marginals: List[SparseDistribution] = [start]
-    cpts: List[CPT] = []
-    current = start
+    out = _Builder(world.cells[0])
     first = True
     for snippet in range(num_snippets):
         length = snippet_len - 1 if first else snippet_len
         first = False
         if snippet in relevant_at:
-            current = _relevant_snippet(world, length,
-                                        snippet in match_at,
-                                        current, cpts, marginals)
+            _relevant_snippet(world, length, snippet in match_at, out)
         else:
-            current = _irrelevant_snippet(world, length, current,
-                                          cpts, marginals)
-    stream = MarkovianStream(name, space, marginals, cpts, validate=False)
-    return stream
+            _irrelevant_snippet(world, length, out)
+    return out.stream(name, space)
 
 
 def routine_stream(
@@ -213,10 +257,7 @@ def routine_stream(
     match_slot = slots[0]
     near_slots = set(slots[1:])
 
-    start = SparseDistribution.point(world.cells[0])
-    marginals: List[SparseDistribution] = [start]
-    cpts: List[CPT] = []
-    current = start
+    out = _Builder(world.cells[0])
     first = True
     for snippet in range(num_snippets):
         length = snippet_len - 1 if first else snippet_len
@@ -225,12 +266,8 @@ def routine_stream(
             # One short relevant burst inside an otherwise-background
             # snippet, so the signal stays sparse.
             burst = 4
-            current = _irrelevant_snippet(world, length - burst, current,
-                                          cpts, marginals)
-            current = _relevant_snippet(world, burst,
-                                        snippet == match_slot,
-                                        current, cpts, marginals)
+            _irrelevant_snippet(world, length - burst, out)
+            _relevant_snippet(world, burst, snippet == match_slot, out)
         else:
-            current = _irrelevant_snippet(world, length, current,
-                                          cpts, marginals)
-    return MarkovianStream(name, space, marginals, cpts, validate=False)
+            _irrelevant_snippet(world, length, out)
+    return out.stream(name, space)

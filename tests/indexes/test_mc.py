@@ -156,7 +156,7 @@ def test_wide_stream_records_match_stepwise_product(tmp_path, wide_stream,
 def test_build_rejects_length_mismatch(env, reader):
     index = MCIndex(env.open_tree("bad__mc"), alpha=2, length=LENGTH + 5)
     with pytest.raises(CatalogError, match="length"):
-        index.build(reader.cpt_records(1, LENGTH), NUM_STATES)
+        index.build(reader.scan_cpts(1, LENGTH), NUM_STATES)
 
 
 def test_meta_round_trip_and_verify(env, reader):
@@ -265,7 +265,7 @@ def test_build_returns_the_records_it_stores(env, reader):
     writes; ``build_mc`` reports nothing through the environment's
     registry (traversal costs live in :class:`MCLookupStats`)."""
     index = MCIndex(env.open_tree("s__mc"), alpha=2, length=LENGTH)
-    records = index.build(reader.cpt_records(1, LENGTH), NUM_STATES)
+    records = index.build(reader.scan_cpts(1, LENGTH), NUM_STATES)
     stored = sum(1 for key, _ in index.tree.items() if key != META_KEY)
     assert records == stored > 0
     build_mc(env, "t", reader, alpha=2)
@@ -279,7 +279,7 @@ def test_build_returns_the_records_it_stores(env, reader):
 def conditioned_index(env, reader, accept, alpha=2, name="c__mc"):
     index = MCIndex(env.open_tree(name), alpha=alpha, length=LENGTH,
                     accept_states=frozenset(accept))
-    index.build(reader.cpt_records(1, LENGTH), NUM_STATES)
+    index.build(reader.scan_cpts(1, LENGTH), NUM_STATES)
     return index
 
 

@@ -26,7 +26,7 @@ from repro.indexes import (
     open_value_index,
 )
 from repro.indexes import btc, btp, builder
-from repro.probability import SparseDistribution
+from repro.probability import MarginalBlock, SparseDistribution
 from repro.query.predicates import Equals, InSet
 from repro.storage import StorageEnvironment
 from repro.streams import StateSpace, single_attribute_space, synthetic_stream
@@ -47,7 +47,8 @@ def env(tmp_path):
 def test_trees_equal_an_independent_rebuild(env, attr):
     stream = synthetic_stream("s", num_snippets=6, density=0.5, seed=3)
     pairs = list(enumerate(stream.marginals))
-    built = build_value_indexes(env, "s", stream.space, attr, pairs, KINDS,
+    built = build_value_indexes(env, "s", stream.space, attr,
+                                stream.marginal_block, KINDS,
                                 dimensions=DIMENSIONS)
     entries = reference_entries(stream.space, attr, pairs, DIMENSIONS)
     assert entries
@@ -90,7 +91,8 @@ def test_tree_files_equal_the_per_entry_build(tmp_path, attr):
     probs = [p for _, _, p in entries]
     assert len(set(probs)) < len(probs)
     with StorageEnvironment(str(tmp_path / "array")) as env:
-        built = build_value_indexes(env, "s", TIES_SPACE, attr, marginals,
+        built = build_value_indexes(env, "s", TIES_SPACE, attr,
+                                    MarginalBlock.of([m for _, m in marginals]),
                                     KINDS, dimensions=dimensions, pack=4)
         n_codes = built["btc"].indexed.codes()
         stats = built["btc"].stats
@@ -141,10 +143,11 @@ def test_decode_refuses_bt_c_values_of_the_wrong_width():
 
 def test_building_an_existing_index_is_refused(env):
     stream = synthetic_stream("s", num_snippets=2, seed=3)
-    pairs = list(enumerate(stream.marginals))
-    build_value_indexes(env, "s", stream.space, "location", pairs, ("btc",))
+    marginals = stream.marginal_block
+    build_value_indexes(env, "s", stream.space, "location", marginals,
+                        ("btc",))
     with pytest.raises(CatalogError, match="already exists"):
-        build_value_indexes(env, "s", stream.space, "location", pairs,
+        build_value_indexes(env, "s", stream.space, "location", marginals,
                             KINDS)
 
 
@@ -172,7 +175,7 @@ MARGINALS = [
 @pytest.fixture
 def indexes(env):
     return build_value_indexes(env, "h", SPACE, "location",
-                               list(enumerate(MARGINALS)), KINDS)
+                               MarginalBlock.of(MARGINALS), KINDS)
 
 
 def _entries(index, value, *bounds):
@@ -212,7 +215,7 @@ def test_entries_read_a_leaf_at_a_time(tmp_path):
     each: the descent and the first leaf, then one read per leaf."""
     with StorageEnvironment(str(tmp_path / "db"), page_size=512) as env:
         index = build_value_indexes(env, "h", SPACE, "location",
-                                    list(enumerate(MARGINALS)),
+                                    MarginalBlock.of(MARGINALS),
                                     ("btc",))["btc"]
         assert index.tree.height > 1
         snap = env.stats.snapshot()
@@ -257,8 +260,7 @@ def test_archive_aggregates_each_marginal_once(tmp_path, monkeypatch, btp):
     real = builder.aggregate
 
     def counted(state_codes, marginals):
-        marginals = list(marginals)
-        passes.append(len(marginals))
+        passes.append(len(marginals.offsets) - 1)
         return real(state_codes, marginals)
 
     monkeypatch.setattr(builder, "aggregate", counted)

@@ -1,9 +1,17 @@
-"""SparseDistribution: sparse support, mass operations, serialization."""
+"""SparseDistribution: sparse support, mass operations, serialization;
+marginal blocks and the batch encoders under them."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import StreamError
-from repro.probability import SparseDistribution
+from reference_codec import (encode_uvarint, reference_frame,
+                             reference_marginal_record)
+from repro.errors import StorageError, StreamError
+from repro.probability import (MarginalBlock, SparseDistribution,
+                               encode_marginals)
+from repro.storage.record import pack_frames, unpack_chunks, uvarint_digits
 
 
 def test_construction_drops_zeros_and_rejects_negatives():
@@ -65,3 +73,65 @@ def test_serialization_roundtrip():
     assert SparseDistribution.from_bytes(d.to_bytes()) == d
     empty = SparseDistribution()
     assert SparseDistribution.from_bytes(empty.to_bytes()) == empty
+
+
+# ---------------------------------------------------------------------------
+# Marginal blocks and their batch encoder
+# ---------------------------------------------------------------------------
+
+_STATES = st.one_of(st.integers(0, 300), st.integers(0, 2 ** 63 - 1),
+                    st.sampled_from([0, 127, 128, 16383, 16384]))
+_DISTS = st.lists(st.dictionaries(
+    _STATES, st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    max_size=8), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dists=_DISTS)
+def test_encode_marginals_matches_the_per_pair_encoder(dists):
+    """Every record of a block, ids of one to nine uvarint bytes and
+    empty marginals among them, equals the per-pair encoder's, and a
+    record decodes back to its distribution."""
+    block = MarginalBlock.of(dists)
+    records = encode_marginals(block)
+    assert records == [reference_marginal_record(d) for d in dists]
+    assert [SparseDistribution.from_bytes(r) for r in records] == \
+        [SparseDistribution(d) for d in dists]
+
+
+def test_marginal_block_keeps_each_producers_order():
+    dists = [{3: 0.25, 1: 0.75}, {}, {0: 1.0}]
+    block = MarginalBlock.of(dists)
+    assert block.offsets.tolist() == [0, 2, 2, 3]
+    assert block.states.tolist() == [3, 1, 0]
+    assert block.probs.tolist() == [0.25, 0.75, 1.0]
+    assert SparseDistribution(dists[0]).to_bytes() == \
+        reference_marginal_record(dists[0])
+
+
+def test_encode_marginals_refuses_a_negative_state():
+    with pytest.raises(StorageError, match="negative"):
+        SparseDistribution.wrap({-1: 1.0}).to_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.integers(0, 2 ** 63 - 1), max_size=20))
+def test_uvarint_digits_match_the_scalar_encoder(values):
+    lengths, digits = uvarint_digits(np.array(values, np.int64))
+    assert [bytes(row[:k]) for row, k in zip(digits, lengths)] == \
+        [encode_uvarint(v) for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(chunks=st.lists(st.binary(max_size=300), max_size=20),
+       data=st.data())
+def test_pack_frames_matches_the_per_chunk_encoder(chunks, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(chunks)),
+                                     max_size=5)))
+    bounds = [0] + cuts + [len(chunks)]
+    counts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    frames = pack_frames(chunks, counts)
+    assert frames == [reference_frame(chunks[lo:hi])
+                      for lo, hi in zip(bounds, bounds[1:])]
+    assert [unpack_chunks(f)[0] for f in frames] == \
+        [chunks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

@@ -5,7 +5,7 @@ checked, its value spilled to an overflow chain when it is longer than
 a quarter page, and appended to a growing leaf that is written out when
 the next entry no longer fits. ``BTree._write_tree`` packs whole
 leaves from arrays instead, and must write the same file byte for byte
-and raise the same errors. Install it on a tree with
+and raise the same errors, an equal adjacent key among them. Install it on a tree with
 ``use_reference_writer(tree)``; ``bulk_load`` and ``rewrite`` then
 write through it.
 """
@@ -115,7 +115,12 @@ def write_tree(tree, pager, items):
             pending = None
 
     for key, value in items:
-        tree._check_entry(prev_key, key, value)
+        tree._check_entry(None, key, value)
+        # Keys are unique: each must sort strictly after the last.
+        if prev_key is not None and key <= prev_key:
+            raise StorageError(
+                f"{tree.name!r}: input is not strictly sorted "
+                f"({prev_key!r} followed by {key!r})")
         prev_key = key
         stored, flags = _store_value(tree, pager, value)
         entry = _LEAF_ENTRY.size + len(key) + len(stored)

@@ -1,5 +1,11 @@
 """The record codec's oracles, each an independent per-record loop.
 
+``encode_uvarint`` is the scalar varint encoder the batch encoders
+replaced; ``reference_marginal_record`` the per-pair marginal record
+encoder (``encode_marginals(MarginalBlock.of(dists))`` must equal
+``[reference_marginal_record(d) for d in dists]``), and
+``reference_frame`` the per-chunk frame encoder (``pack_frames``).
+
 ``reference_record`` is the struct-based CPT record encoder that
 ``encode_block`` replaced: ``encode_block(CPTBlock.of(cpts))`` must
 equal ``[reference_record(cpt) for cpt in cpts]`` byte for byte.
@@ -22,9 +28,25 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.probability import CPT, CPTBlock
-from repro.storage.record import decode_uvarint, encode_uvarint
+from repro.storage.record import decode_uvarint
 
 _ID_DTYPES = ("<u1", "<u2", "<u4")
+
+
+def encode_uvarint(value: int) -> bytes:
+    """Unsigned LEB128 of one value, a byte at a time: the scalar
+    oracle of ``repro.storage.record.uvarint_digits``."""
+    if value < 0:
+        raise StorageError(f"uvarint cannot encode negative value {value}")
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
 
 
 def reference_record(cpt: CPT) -> bytes:
@@ -84,3 +106,19 @@ def reference_decode(records: Sequence[bytes]) -> CPTBlock:
     return CPTBlock(steps, step, heads[at], row_len,
                     np.concatenate(dsts),
                     np.concatenate(vals))
+
+
+def reference_marginal_record(dist) -> bytes:
+    """The per-pair marginal record encoder that ``encode_marginals``
+    replaced: a uvarint count, then per entry by state a uvarint id and
+    a ``<f8`` weight."""
+    items = sorted(dist.items())
+    return encode_uvarint(len(items)) + b"".join(
+        encode_uvarint(state) + struct.pack("<d", p) for state, p in items)
+
+
+def reference_frame(chunks) -> bytes:
+    """The per-chunk frame encoder that ``pack_frames`` replaced: a
+    uvarint count, then per chunk a uvarint length and the chunk."""
+    return encode_uvarint(len(chunks)) + b"".join(
+        encode_uvarint(len(chunk)) + chunk for chunk in chunks)

@@ -4,10 +4,11 @@ overflow, I/O costs."""
 import random
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.storage import StorageEnvironment, encode_key
+from repro.storage import FixedRows, StorageEnvironment, encode_key
 
 
 @pytest.fixture
@@ -110,16 +111,16 @@ def test_scan_survives_eviction_of_its_leaf(tmp_path):
         assert env.stats.evictions > tree.num_leaves
 
 
-def test_duplicates_enumerate_in_order(env):
+def test_duplicate_keys_are_refused(env):
+    """Keys are unique: a load with an equal adjacent key raises and
+    writes no file."""
     tree = env.open_tree("t")
     key = encode_key((7,))
-    tree.bulk_load([(encode_key((6,)), b"before")]
-                   + [(key, f"dup{i}".encode()) for i in range(5)]
-                   + [(encode_key((8,)), b"after")])
-    assert len(tree) == 7
-    dups = [v for k, v in tree.items() if k == key]
-    assert dups == [f"dup{i}".encode() for i in range(5)]
-    assert tree.get(key) == b"dup0"  # first match
+    with pytest.raises(StorageError, match="not strictly sorted"):
+        tree.bulk_load([(encode_key((6,)), b"before"), (key, b"dup0"),
+                        (key, b"dup1"), (encode_key((8,)), b"after")])
+    assert len(tree) == 0
+    assert not env.exists("t")
 
 
 def test_range_items_within_bounds(env):
@@ -185,8 +186,11 @@ def test_bulk_load_empty_and_duplicate_keys(env):
     tree2 = env.open_tree("t2")
     items = [(encode_key((1,)), b"a"), (encode_key((1,)), b"b"),
              (encode_key((2,)), b"c")]
-    assert tree2.bulk_load(items) == 3
-    assert list(tree2.items()) == items
+    with pytest.raises(StorageError, match="not strictly sorted"):
+        tree2.bulk_load(items)
+    with pytest.raises(StorageError, match="not strictly sorted"):
+        tree2.bulk_load(FixedRows(np.array([[1, 0], [1, 1]], np.uint8), 1))
+    assert not env.exists("t2")
 
 
 def test_overflow_values_roundtrip_and_free(env):

@@ -47,20 +47,17 @@ def both(page_size, new_items, reference_items, batch=btree._BATCH):
 
 @st.composite
 def sorted_pairs(draw):
-    """Sorted ``(key, value)`` pairs for one page size: keys from a
-    small pool (so some repeat), values short, around the inline limit
-    (some spill), or pages long."""
+    """``(key, value)`` pairs in strictly increasing key order for one
+    page size: values short, around the inline limit (some spill), or
+    pages long."""
     page_size = draw(PAGE_SIZES)
     max_key = max(24, page_size // 16)
     inline = page_size // 4
-    pool = draw(st.lists(st.binary(max_size=max_key), min_size=1,
-                         max_size=60))
     sizes = st.one_of(st.integers(0, 40),
                       st.integers(inline - 3, inline + 3),
                       st.integers(0, 3 * page_size))
-    n = draw(st.integers(0, 300))
-    keys = sorted(draw(st.sampled_from(pool)) for _ in range(n))
-    values = [bytes([i % 251]) * draw(sizes) for i in range(n)]
+    keys = sorted(draw(st.sets(st.binary(max_size=max_key), max_size=300)))
+    values = [bytes([i % 251]) * draw(sizes) for i in range(len(keys))]
     return page_size, list(zip(keys, values))
 
 
@@ -80,10 +77,14 @@ def test_fixed_width_rows_write_the_reference_bytes(page_size, n, data,
     value_width = data.draw(st.integers(0, page_size // 4))
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
-    # Few distinct leading bytes, so keys share prefixes and repeat.
+    # Few distinct leading bytes, so keys share prefixes; one row per key.
     rows = rng.integers(0, 3, size=(n, key_width + value_width),
                         dtype=np.uint8)
     rows.view(f"S{rows.shape[1]}").reshape(-1).sort()
+    keys = rows[:, :key_width]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    rows = rows[first]
     pairs = [(row[:key_width].tobytes(), row[key_width:].tobytes())
              for row in rows]
     new, reference = both(page_size, FixedRows(rows, key_width), pairs,
@@ -107,8 +108,9 @@ def test_batch_boundaries_write_the_reference_bytes():
 
 @st.composite
 def bad_pairs(draw):
-    """Sorted pairs with one to three faults: an entry out of order, an
-    oversize key, a key or a value that is not bytes."""
+    """Sorted pairs with one to three faults: an entry out of order or
+    repeating the key before it, an oversize key, a key or a value that
+    is not bytes."""
     page_size = draw(st.sampled_from([128, 512, 4096]))
     max_key = max(24, page_size // 16)
     n = draw(st.integers(1, 200))
@@ -116,15 +118,16 @@ def bad_pairs(draw):
     sorted_items = list(items)
     for _ in range(draw(st.integers(1, 3))):
         fault = draw(st.sampled_from(
-            ["unsorted", "long key", "str key", "int key", "str value",
-             "none value"]))
+            ["unsorted", "duplicate", "long key", "str key", "int key",
+             "str value", "none value"]))
         # An empty key sorts before every other: out of order past 0.
-        at = draw(st.integers(fault == "unsorted", n))
+        at = draw(st.integers(fault in ("unsorted", "duplicate"), n))
         if at == n:
             continue
         key, value = sorted_items[at]
         items[at] = {
             "unsorted": (b"", value),
+            "duplicate": (sorted_items[at - 1][0], value),
             "long key": (key * max_key, value),
             "str key": (key.hex(), value),
             "int key": (at, value),
@@ -153,6 +156,13 @@ def test_bad_rows_raise_the_reference_error():
     rows[[3, 6]], pairs[3], pairs[6] = rows[[6, 3]], pairs[6], pairs[3]
     new, reference = both(512, FixedRows(rows, 2), pairs)
     assert new == reference and new[0] is StorageError
+    # A key equal to the one before it.
+    rows[[3, 6]], pairs[3], pairs[6] = rows[[6, 3]], pairs[6], pairs[3]
+    rows[5, :2] = rows[4, :2]
+    pairs[5] = (pairs[4][0], pairs[5][1])
+    new, reference = both(512, FixedRows(rows, 2), pairs)
+    assert new == reference and new[0] is StorageError
+    assert "not strictly sorted" in new[1]
     # A key wider than the page's key limit (24 bytes at 128).
     wide = np.zeros((3, 30), dtype=np.uint8)
     new, reference = both(128, FixedRows(wide, 25),

@@ -51,13 +51,14 @@ def test_validate_rejects_states_outside_space():
 
 
 def test_cpt_orientation():
+    """The views build a new CPT on each access: equal, not identical."""
     stream = tiny_stream()
-    assert stream.cpt_into(1) is stream.cpt(0)
+    assert stream.cpt_into(1) == stream.cpt(0)
     with pytest.raises(StreamError):
         stream.cpt_into(0)
     with pytest.raises(StreamError):
         stream.marginal(3)
-    assert stream.cpt_into(2) is stream.cpts[1]
+    assert stream.cpt_into(2) == stream.cpts[1]
 
 
 def brute_force_interval(stream, start, state_sets):
@@ -93,3 +94,47 @@ def test_interval_probability_bounds_checked():
     assert stream.interval_probability(0, []) == 0.0
     with pytest.raises(StreamError):
         stream.interval_probability(1, [{0}, {0}, {0}])
+
+
+def test_marginals_and_cpts_are_read_only_views():
+    """The views build objects on access: length, indexing (negative
+    too), slicing to lists, iteration and equality with lists; no item
+    can be assigned."""
+    stream = tiny_stream()
+    m0, m1, m2 = (stream.marginal(t) for t in range(3))
+    assert len(stream.marginals) == 3 and len(stream.cpts) == 2
+    assert stream.marginals == [m0, m1, m2]
+    assert stream.marginals[-1] == m2
+    assert stream.marginals[1:] == [m1, m2]
+    assert list(stream.cpts) == [stream.cpt(0), stream.cpt(1)]
+    assert stream.cpts[0:1] == [stream.cpt(0)]
+    assert stream.marginals != [m0, m1]
+    with pytest.raises(IndexError):
+        stream.marginals[3]
+    with pytest.raises(TypeError):
+        stream.marginals[0] = m1
+
+
+def test_marginals_keep_their_producers_entry_order():
+    m0 = SparseDistribution({2: 0.5, 0: 0.25, 1: 0.25})
+    stream = MarkovianStream("order", SPACE, [m0], [])
+    assert list(stream.marginals[0]) == [2, 0, 1]
+    assert stream.marginal_block.states.tolist() == [2, 0, 1]
+
+
+def test_from_arrays_adopts_the_blocks_and_scan_cpts_slices_them():
+    stream = tiny_stream()
+    again = MarkovianStream.from_arrays(
+        "again", SPACE, stream.marginal_block, stream.cpt_block)
+    again.validate()
+    assert again.marginals == stream.marginals
+    assert again.cpts == stream.cpts
+    block = again.scan_cpts(2, 3)
+    assert block.steps == 1 and block.step.tolist() == [0, 0, 0]
+    assert block.approx_equal(stream.cpt_into(2), tol=0.0)
+    for start, stop in ((0, 2), (2, 2), (1, 4)):
+        with pytest.raises(StreamError):
+            again.scan_cpts(start, stop)
+    with pytest.raises(StreamError, match="CPTs"):
+        MarkovianStream.from_arrays("bad", SPACE, stream.marginal_block,
+                                    stream.scan_cpts(1, 2))

@@ -89,17 +89,26 @@ perf-smoke:
 crash-sweep:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.crash_sweep
 
-# Build a small database, verify it with the CLI deep checker.
+# Build two small databases and verify each with the CLI deep checker:
+# a raw 5,000-key tree, and a synthetic stream archived in all three
+# layouts with BT_C, BT_P and MC (real stream and index trees, checked
+# for strictly increasing keys among the rest).
 fsck:
 	@PYTHONPATH=src $(PYTHON) -c "\
 	import tempfile; \
+	from repro.core import Caldera; \
 	from repro.storage import StorageEnvironment; \
+	from repro.streams import synthetic_stream; \
 	d = tempfile.mkdtemp(prefix='fsck_smoke_'); \
-	env = StorageEnvironment(d, page_size=512); \
+	env = StorageEnvironment(d + '/raw', page_size=512); \
 	env.open_tree('t').bulk_load((b'k%05d' % i, b'v' * (i % 80)) for i in range(5000)); \
 	env.close(); \
+	db = Caldera(d + '/streams', page_size=1024); \
+	[db.archive(synthetic_stream('syn_' + lo, num_snippets=8, density=0.5, seed=1), layout=lo, mc_alpha=2) for lo in ('separated', 'cell', 'packed')]; \
+	db.close(); \
 	print(d)" > .fsck_smoke_dir
-	PYTHONPATH=src $(PYTHON) -m repro fsck "$$(cat .fsck_smoke_dir)"
+	PYTHONPATH=src $(PYTHON) -m repro fsck "$$(cat .fsck_smoke_dir)/raw"
+	PYTHONPATH=src $(PYTHON) -m repro fsck "$$(cat .fsck_smoke_dir)/streams"
 	@rm -rf "$$(cat .fsck_smoke_dir)" .fsck_smoke_dir
 
 figures:

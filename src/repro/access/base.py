@@ -292,12 +292,15 @@ class RegRun:
         ``jump(prev, t)`` (a ``range`` has none) and step the CPTs into
         each run of adjacent ones.
 
-        The walk goes window by window. It reads in order — each run's
-        CPT records, each gap rule's pieces — until the window holds
-        ``reg.block_steps`` pieces (a gap's are never split; a gap
-        without records counts one), then :meth:`_apply` decodes and
-        steps the window. Reads therefore run up to one window ahead of
-        the yields."""
+        Each run's CPT records come from one run read
+        (:meth:`StreamReader.cpt_run`: one descent, then a leaf at a
+        time), whatever its length. The walk decodes and steps window
+        by window: it takes, in order, the run's records and each gap
+        rule's pieces until the window holds ``reg.block_steps`` pieces
+        (a gap's are never split; a gap without records counts one),
+        then :meth:`_apply` decodes and steps the window. The window
+        decides where decode and kernel work is split, not how pages
+        are read; reads run up to one window ahead of the yields."""
         reg, reader, cap = self.reg, self.reader, self.reg.block_steps
         records: List = []
         items: List[Tuple[Sequence[int], int, Optional[Update]]] = []
@@ -312,6 +315,7 @@ class RegRun:
                 items.append(((first,), len(pieces), update))
                 held += max(1, len(pieces))
             lo = first + 1
+            run = reader.cpt_run(lo, stop)
             while True:
                 if held >= cap:
                     yield from self._apply(records, items)
@@ -320,7 +324,7 @@ class RegRun:
                     break
                 hi = min(stop, lo + cap - held)
                 self.stats.cpts_read += hi - lo
-                records += reader.cpt_records(lo, hi)
+                records += islice(run, hi - lo)
                 items.append((range(lo, hi), hi - lo, None))
                 held += hi - lo
                 lo = hi

@@ -4,8 +4,8 @@ One :class:`Caldera` instance manages a storage environment containing
 archived Markovian streams, their secondary indexes, dimension tables,
 and the catalog — and executes Regular event queries through the access
 methods of :mod:`repro.access`, either auto-planned (the legal method
-with the fewest predicted page reads, :mod:`repro.core.planner`) or
-pinned explicitly.
+with the least predicted page reads plus timesteps walked,
+:mod:`repro.core.planner`) or pinned explicitly.
 
 Typical use::
 
@@ -33,6 +33,7 @@ from ..indexes import (
     open_value_index,
 )
 from ..indexes.base import LAYOUTS
+from ..probability import SparseDistribution
 from ..query import RegularQuery, parse_query
 from ..query.predicates import Predicate
 from ..storage import DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES, StorageEnvironment
@@ -185,7 +186,7 @@ class Caldera:
         entry that describes them."""
         reader = write_stream(self.env, stream, layout)
         meta = StreamMeta(stream.name, len(stream), layout, stream.space,
-                          pack=reader.pack)
+                          pack=reader.pack, fences=reader.fences())
 
         indexed_attrs: List[str] = []
         if kinds:
@@ -247,8 +248,15 @@ class Caldera:
 
     def reader(self, name: str) -> StreamReader:
         meta = self.catalog.stream_meta(name)
-        return open_reader(self.env, name, meta.space, meta.length,
-                           meta.layout, pack=meta.pack, record=meta.record)
+        reader = open_reader(self.env, name, meta.space, meta.length,
+                             meta.layout, pack=meta.pack, record=meta.record,
+                             fences=meta.fences)
+        if meta.fences is None:
+            # Archived before the catalog kept the leaf fences: read
+            # them once from the trees' branch pages, then record them.
+            meta.fences = reader.fences()
+            self.catalog.update_stream(meta)
+        return reader
 
     def parse(self, text: str) -> RegularQuery:
         """Parse query text against this database's dimension tables."""
@@ -420,7 +428,6 @@ class Caldera:
             query = self.parse(query)
         meta = self.catalog.stream_meta(stream_name)
         ctx = self.context(stream_name, query)
-        relevant = set()
         from ..access import collect_relevant_events
 
         try:
@@ -428,13 +435,12 @@ class Caldera:
                 ctx, query.indexable_predicates())
             relevant = set(times.tolist())
         except PlanningError:
-            reader = self.reader(stream_name)
             sets = query.relevant_state_sets(meta.space)
             union = frozenset().union(*sets) if sets else frozenset()
-            for t in range(meta.length):
-                marginal = reader.marginal(t)
-                if any(s in marginal for s in union):
-                    relevant.add(t)
+            records = ctx.reader.marginal_run(0, meta.length)
+            relevant = {t for t, data in enumerate(records)
+                        if not union.isdisjoint(
+                            SparseDistribution.from_bytes(data))}
         return len(relevant) / meta.length if meta.length else 0.0
 
     def storage_report(self) -> Dict[str, int]:

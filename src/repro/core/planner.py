@@ -1,12 +1,17 @@
-"""The access-method planner: the legal method with the fewest predicted
-page reads.
+"""The access-method planner: the legal method with the least predicted
+cost.
 
 Fig 5(b) of the paper lists the access methods that can answer each
 query class, and §4.2–4.3 show the index methods falling to scan cost
 as data density grows. So the planner does not follow a fixed rule: it
-lists every *candidate*, predicts the logical page reads of each legal
-one, and runs the one with the fewest. Ties go to the candidate that
-walks fewer timesteps.
+lists every *candidate*, predicts the logical page reads and the
+timesteps walked of each legal one, and runs the one whose sum is
+least: a page read and a timestep pushed through Reg cost one unit
+each. This is a fixed cost model. Reads alone would no longer do: a run
+of timesteps is read a leaf at a time, so a scan reads a few pages for
+thousands of steps, and would undercut index methods that walk a
+hundredth of them. Ties go to the candidate that walks fewer
+timesteps.
 
 Candidates
 ----------
@@ -31,16 +36,21 @@ fine) and BT_C-covered, and Alg 4 the MC index.
 
 Predicted reads
 ---------------
-The cost pins' read formulas: a point read costs its tree's height, a
-packed reader pays once per frame of its ``pack`` timesteps, and a scan
-is therefore ``ceil(L / pack) * height`` per tree; an MC piece is one
-MC-tree lookup. The naive scan's prediction is exact. The index methods'
-predictions start from the per-value BT_C statistics the catalog keeps
+The cost pins' read formulas: a point read costs its tree's height (a
+packed reader's cached frame costs nothing), and a run of adjacent
+timesteps costs one descent and then one read per further leaf — the
+height plus the leaf fences it crosses, which the catalog records per
+stream tree (:meth:`~repro.streams.StreamReader.fences`). An MC piece
+is one MC-tree lookup. The naive scan's prediction, one marginal and
+one run, is exact. The index methods' predictions start from the
+per-value BT_C statistics the catalog keeps
 (:class:`~repro.indexes.ValueStats`: entries, runs and frames of each
-value, recorded at archive time):
+value, recorded at archive time), and price a walk as ``runs × height
++ steps / timesteps per leaf``:
 
-- Alg 2: every entry of its rarest link may anchor a match, and those
-  intervals are walked in the frames of its busiest link;
+- Alg 2: every entry of its rarest link may anchor a match; the
+  intervals, each a marginal read and a run, merge into anywhere
+  between one run and one per anchor;
 - Alg 3: the worst case, sorted access with no early stop;
 - Algs 4 and 5: the relevant events are taken at their most (values of
   one attribute rarely share a timestep), in anywhere between one run
@@ -48,15 +58,15 @@ value, recorded at archive time):
   data (the events fill the stream) and wide on sparse data.
 
 When such a range straddles the best prediction, the statistics cannot
-separate the candidates, so the planner *probes*: it reads the query's
-relevant events from the BT_C indexes once
-(:meth:`~repro.access.QueryContext.probe`) and replays each event-based
+separate the candidates, so the planner *probes*: it reads Alg 2's
+anchors or the query's relevant events from the BT_C indexes once
+(:meth:`~repro.access.QueryContext.probe`) and replays each such
 candidate on a :class:`~repro.access.base.DryRun`, which counts the
-reads the run would make without making them. It probes, too, when the
-best candidate is event-based, since that method reads the events
-anyway. The chosen method takes the probed events from the context, so
-nothing is read twice; the probe's reads are part of every candidate's
-prediction.
+reads and the timesteps the run would make without making them. It
+probes, too, when the best candidate is one of them, since that method
+reads the same entries anyway. The chosen method takes the probed
+entries from the context, so nothing is read twice; the probe's reads
+are part of every candidate's prediction.
 
 Choosing the naive scan on cost is not a fallback. A fallback — counted
 in ``planner.fallbacks{reason=...}`` with a ``planner.fallback`` warning
@@ -94,14 +104,25 @@ class Candidate:
     #: Predicted logical page reads: a range, a point when low == high.
     low: int = 0
     high: int = 0
-    #: Predicted timesteps walked (the tie-break).
+    #: Predicted timesteps walked.
     steps: int = 0
     #: The reads come from a probe and a dry run, not the statistics.
     probed: bool = False
     #: Exact methods of the query class (a fallback when none is legal).
     exact_index: bool = False
-    #: Predicted from the probed relevant events when statistics cannot.
-    uses_events: bool = False
+    #: Predicted exactly by a probe and a dry run when the statistics
+    #: cannot separate it: Alg 2 (its anchors), Algs 4 and 5 (the
+    #: relevant events).
+    probeable: bool = False
+
+    @property
+    def cost(self) -> int:
+        """What the planner minimises: predicted reads (the high end)
+        plus predicted timesteps walked."""
+        return self.high + self.steps
+
+    def rank(self) -> Tuple[int, int]:
+        return self.cost, self.steps
 
     def row(self) -> str:
         if self.illegal is not None:
@@ -109,7 +130,8 @@ class Candidate:
         reads = f"{self.high:,}" if self.low == self.high else \
             f"{self.low:,}..{self.high:,}"
         source = "probed" if self.probed else "statistics"
-        return f"{self.label:<22} {reads:>16} reads ({source})"
+        return (f"{self.label:<22} {reads:>16} reads "
+                f"{self.steps:>8,} steps ({source})")
 
 
 @dataclass
@@ -147,7 +169,8 @@ def plan(
     registry=None,
     tracer=None,
 ) -> PlanDecision:
-    """Choose the legal access method with the fewest predicted reads.
+    """Choose the legal access method with the least predicted cost:
+    reads plus timesteps walked.
 
     A fallback bumps ``planner.fallbacks{reason=...}`` on ``registry``
     and emits a ``planner.fallback`` warning span on ``tracer`` (the
@@ -163,15 +186,17 @@ def plan(
             continue
         c.low, c.high, c.steps = model.predict(c)
     legal = [c for c in candidates if c.illegal is None]
-    best = min(legal, key=lambda c: (c.high, c.steps))
+    best = min(legal, key=Candidate.rank)
     # Probe when the statistics cannot separate the candidates, or when
-    # the winner reads the events anyway (its prediction becomes exact).
-    if any(c.uses_events and c.low < best.high for c in legal):
+    # the winner reads the probed entries anyway (its prediction becomes
+    # exact).
+    if any(c.probeable and c.low + c.steps < best.cost for c in legal):
         best = _probe(ctx, legal)
 
-    reason = f"fewest predicted page reads ({best.high:,})"
+    reason = (f"least predicted cost: {best.high:,} page reads + "
+              f"{best.steps:,} timesteps walked")
     if best.probed:
-        reason += ", after probing the relevant events"
+        reason += ", after probing the BT_C indexes"
     if not any(c.exact_index and c.illegal is None for c in candidates):
         label = "no_btc_coverage"
         if not ctx.query.is_fixed_length:
@@ -190,29 +215,31 @@ def _candidates(ctx: QueryContext, k, threshold, approximate: bool,
     sort = "" if k is None and threshold is None else " + Sort"
     out = [Candidate("naive" + sort, NaiveScan())]
     if ctx.query.is_fixed_length:
-        out.append(Candidate("btree" + sort, FixedBTree(), exact_index=True))
+        out.append(Candidate("btree" + sort, FixedBTree(), exact_index=True,
+                             probeable=True))
         if sort:
             out.append(Candidate(
                 "topk", FixedTopK(k=k if k is not None else 1,
                                   threshold=threshold), exact_index=True))
         return out
     out.append(Candidate("mc" + sort, VariableMC(), exact_index=True,
-                         uses_events=True))
+                         probeable=True))
     if use_conditioned and ctx.query.has_positive_loops:
         out.append(Candidate("mc conditioned" + sort,
                              VariableMC(use_conditioned=True),
-                             exact_index=True, uses_events=True))
+                             exact_index=True, probeable=True))
     if approximate:
         out.append(Candidate("semi" + sort, SemiIndependent(),
-                             uses_events=True))
+                             probeable=True))
     return out
 
 
 def _probe(ctx: QueryContext, legal: List[Candidate]) -> Candidate:
-    """Make every event-based prediction exact by a dry run (the first
-    reads the relevant events), and choose again."""
+    """Make every probeable prediction exact by a dry run (the first to
+    need them reads the anchors or the relevant events), and choose
+    again."""
     for c in legal:
-        if c.uses_events:
+        if c.probeable:
             run = c.method.dry_run(ctx)
             c.low = c.high = run.reads
             c.steps = run.steps
@@ -220,7 +247,7 @@ def _probe(ctx: QueryContext, legal: List[Candidate]) -> Candidate:
     for c in legal:  # the probe's reads are spent whichever runs
         c.low += ctx.probe_reads
         c.high += ctx.probe_reads
-    return min(legal, key=lambda c: (c.high, c.steps))
+    return min(legal, key=Candidate.rank)
 
 
 def method_by_name(
@@ -277,6 +304,8 @@ class _Model:
         self.pack = dry.pack
         self.marginal_cost = dry.marginal_cost
         self.cpt_cost = dry.cpt_cost
+        #: Timesteps a run read takes per leaf of the CPT (or data) tree.
+        self.per_leaf = dry.length / (len(dry.cpt_fences) + 1)
         self.width = ctx.stop - ctx.start
         self.scale = self.width / ctx.reader.length
         self.frames = (ctx.stop - 1) // self.pack - ctx.start // self.pack + 1
@@ -287,15 +316,14 @@ class _Model:
         if isinstance(method, NaiveScan):
             dry = self.ctx.reader.dry()
             dry.marginal(self.ctx.start)
-            dry.cpt_records(self.ctx.start + 1, self.ctx.stop)
+            dry.cpt_run(self.ctx.start + 1, self.ctx.stop)
             return dry.reads, dry.reads, self.width
         if isinstance(method, FixedBTree):
-            reads, steps = self._btree()
-        elif isinstance(method, FixedTopK):
+            return self._btree()
+        if isinstance(method, FixedTopK):
             reads, steps = self._topk()
-        else:
-            return self._events(method)
-        return math.ceil(reads), math.ceil(reads), math.ceil(steps)
+            return math.ceil(reads), math.ceil(reads), math.ceil(steps)
+        return self._events(method)
 
     # -- statistics -------------------------------------------------------
     def counts(self, kind: str, predicate) -> _Counts:
@@ -315,20 +343,27 @@ class _Model:
         out.frames = min(out.frames, self.frames)
         return out
 
-    def walk(self, steps: float, frames: float, heads: float) -> float:
-        """Reads of walking ``steps`` timesteps on ``frames`` frames,
-        ``heads`` of them read as marginals."""
-        if self.pack > 1:
-            return frames * self.cpt_cost
-        return heads * self.marginal_cost + (steps - heads) * self.cpt_cost
+    def walk(self, steps: float, runs: float, frames: float,
+             heads: float) -> float:
+        """Reads of walking ``steps`` timesteps in ``runs`` runs on
+        ``frames`` frames, ``heads`` runs started by a marginal read: a
+        descent per run (a packed run that starts in the cached frame
+        needs none, so at most one per frame), then a leaf per
+        ``per_leaf`` steps."""
+        descents = min(runs, frames) if self.pack > 1 else runs
+        return heads * self.marginal_cost + descents * self.cpt_cost + \
+            steps / self.per_leaf
 
     # -- candidates ---------------------------------------------------------
-    def _btree(self) -> Tuple[float, float]:
-        """Every entry of the rarest indexed link anchors a match. The
-        cursor term, every covered link's window range read whole, is
-        an upper bound (up to leaf alignment) on what Alg 2 reads: it
-        reads the rarest link's range, then each other link's narrowed
-        to the candidates left."""
+    def _btree(self) -> Tuple[int, int, int]:
+        """Every entry of the rarest indexed link anchors a match, and
+        the intervals are walked in anywhere between one merged run
+        (low) and one run per anchor (high), each a marginal read and,
+        past one link, a run read. The cursor term, every covered
+        link's window range read whole, is an upper bound (up to leaf
+        alignment) on what Alg 2 reads: it reads the rarest link's
+        range, then each other link's narrowed to the candidates
+        left."""
         predicates = self.ctx.query.predicates()
         n = len(predicates)
         links = [self.counts("btc", p) for p in predicates
@@ -338,9 +373,10 @@ class _Model:
         frames = min(self.frames, anchors * ((n - 1) // self.pack + 2))
         if len(links) == n:  # every walked step is some link's entry
             frames = min(frames, max(c.frames for c in links))
-        walk = frames * self.cpt_cost if self.pack > 1 else \
-            steps * max(self.marginal_cost, self.cpt_cost)
-        return sum(c.cursor for c in links) + walk, steps
+        cursor = sum(c.cursor for c in links)
+        low = cursor + (self.walk(steps, n > 1, 1, 1) if anchors else 0)
+        high = cursor + self.walk(steps, anchors * (n > 1), frames, anchors)
+        return math.ceil(low), math.ceil(high), math.ceil(steps)
 
     def _topk(self) -> Tuple[float, float]:
         """The worst case: every entry popped, none pruned, each
@@ -350,8 +386,9 @@ class _Model:
         candidates = min(self.width, sum(c.entries for c in links))
         if self.pack > 1:
             each = 2 * ((n - 1) // self.pack + 1) * self.cpt_cost
-        else:
-            each = (n + 1) * self.marginal_cost + (n - 1) * self.cpt_cost
+        else:  # n line-9 marginals, then the interval's marginal and run
+            each = (n + 1) * self.marginal_cost + (n > 1) * self.cpt_cost \
+                + (n - 1) / self.per_leaf
         return sum(c.cursor for c in links) + candidates * each, \
             candidates * n
 
@@ -363,7 +400,7 @@ class _Model:
         counts = [self.counts("btc", p) for p in predicates]
         cursor = sum(c.cursor for c in counts)
         events, runs, fewest, most = self._union(counts)
-        high = cursor + self.walk(events, most, 1)
+        high = cursor + self.walk(events, runs, most, 1)
         if runs > 1:
             high += (runs - 1) * self._gap(method, events, runs)
         loop = ctx.conditioned_loop() if getattr(
@@ -377,7 +414,7 @@ class _Model:
                                    + self.cpt_cost)
             events, _, fewest, _ = self._union(
                 [c for c in counts if c is not looped])
-        low = cursor + (self.walk(events, fewest, 1) if events else 0)
+        low = cursor + (self.walk(events, 1, fewest, 1) if events else 0)
         return math.ceil(low), math.ceil(high), math.ceil(events)
 
     def _union(self, counts: List[_Counts]

@@ -24,17 +24,24 @@ Layout and behavior:
   the entry header as leading columns, with no ``bytes`` per entry.
 - **Leaves are doubly linked**, so a range scan descends once and then
   walks the sibling links: :meth:`BTree.leaves` hands out whole leaves
-  (the value indexes decode a leaf's share of a range as arrays), and
+  (the value indexes decode a leaf's share of a range as arrays),
+  :meth:`BTree.run_values` a run's values a leaf's slice at a time
+  (the stream archive's runs of timesteps), and
   :meth:`BTree.range_items` entries one by one on top of it.
+- **Leaf fences** (:meth:`BTree.fences`): the first key of every leaf
+  but the first, kept from the load that wrote them, so a run's reads
+  can be predicted without reading a page.
 - **Values above ¼ page spill** into chained overflow pages; the leaf
   keeps a fixed-size pointer, so huge CPT blobs never break fan-out.
 - Page 1 is the tree header (magic, root, leaf-chain ends, counters);
   corrupt or mis-opened files fail loudly.
 
 Cost model: a point lookup reads exactly ``height`` pages logically
-(one per level); a full scan reads each leaf once after the initial
-descent. Every page read goes through the shared buffer pool, so all
-costs land in the environment's :class:`~repro.storage.stats.IOStats`.
+(one per level); a range or run read costs the descent to its first
+key and then one read per further leaf it spans, i.e. ``height`` plus
+the fences it crosses (overflow chains aside). Every page read goes
+through the shared buffer pool, so all costs land in the
+environment's :class:`~repro.storage.stats.IOStats`.
 """
 
 from __future__ import annotations
@@ -176,6 +183,8 @@ class BTree:
             raise StorageError(f"tree {self.name!r} does not exist")
         else:
             self._set_header(0, 0, 0, leaves=0, height=0, entries=0)
+        #: :meth:`fences` once known: from the load, or read once.
+        self._fences: Optional[List[bytes]] = None if self.pager else []
         self.page_size = page_size or DEFAULT_PAGE_SIZE
         self.max_key = max(24, self.page_size // 16)
         self.max_inline = self.page_size // 4
@@ -254,6 +263,22 @@ class BTree:
 
     def __len__(self) -> int:
         return self._num_entries
+
+    def fences(self) -> List[bytes]:
+        """The first key of every leaf after the first, in key order:
+        the keys at which a scan reads its next leaf. A load keeps them
+        as it writes the leaves; a tree opened from its file reads them
+        once from its branch pages (every separator is a leaf's first
+        key, and each is stored once), never from a leaf."""
+        if self._fences is None:
+            keys: List[bytes] = []
+            level = [self._root]
+            for _ in range(self._height - 1):
+                nodes = [self.pool.get(self, page) for page in level]
+                keys += [key for node in nodes for key in node.keys]
+                level = [child for node in nodes for child in node.children]
+            self._fences = sorted(keys)
+        return self._fences
 
     # ------------------------------------------------------------------
     # Point operations
@@ -394,7 +419,7 @@ class BTree:
         pager = Pager(self.path + _SIBLING_SUFFIX, page_size=self.page_size,
                       stats=self.stats, create=True, faults=self.faults)
         try:
-            header = self._write_tree(pager, items)
+            header, fences = self._write_tree(pager, items)
             pager.sync()
             pager.rename(self.path)
         except BaseException:
@@ -403,15 +428,18 @@ class BTree:
         old, self.pager = self.pager, pager
         self.pool.discard(self)
         self._set_header(*header)
+        self._fences = fences
         if old is not None:
             old.close()
         pager.sync_directory()
         return self._num_entries
 
     def _write_tree(self, pager: Pager, items: Entries
-                    ) -> Tuple[int, int, int, int, int, int]:
+                    ) -> Tuple[Tuple[int, int, int, int, int, int],
+                               List[bytes]]:
         """Write header, leaves, overflow chains and branch levels of a
-        tree holding ``items`` to a new file; returns the header.
+        tree holding ``items`` to a new file; returns the header and the
+        tree's :meth:`fences`.
 
         Each leaf is written once the next one's page id is known, so
         that it can link to it."""
@@ -434,6 +462,7 @@ class BTree:
         self._write_leaf(pager, pending, 0)
 
         first_leaf, last_leaf, num_leaves = seps[0][1], seps[-1][1], len(seps)
+        fences = [key for key, _ in seps[1:]]
         height = 1
         while len(seps) > 1:
             seps = self._build_branch_level(pager, seps)
@@ -441,7 +470,7 @@ class BTree:
         header = (seps[0][1], first_leaf, last_leaf, num_leaves, height,
                   count)
         pager.write(_HEADER_PAGE, _HDR.pack(_HDR_MAGIC, *header))
-        return header
+        return header, fences
 
     @staticmethod
     def _write_leaf(pager: Pager, leaf: Tuple[int, int, int, bytes],
@@ -630,6 +659,29 @@ class BTree:
                 yield leaf, i, j
             if j < len(keys):
                 return
+
+    def run_values(self, lo: bytes, hi: bytes,
+                   count: int) -> Iterator[List[bytes]]:
+        """The values of the ``count`` entries with ``lo <= key < hi``,
+        a leaf's slice at a time: one descent to ``lo``, then one read
+        per further leaf. It stops once it has ``count`` values, so a run
+        that ends on a leaf's last key reads no further. Keys are
+        unique, so a range holding fewer entries has lost some, and
+        raises :class:`StorageError`."""
+        if count <= 0:
+            return
+        for leaf, i, j in self.range_slices(lo, hi):
+            j = min(j, i + count)
+            if any(leaf.flags[i:j]):  # spilled is the only flag
+                yield [self._load_value(leaf, slot) for slot in range(i, j)]
+            else:
+                yield leaf.values[i:j]
+            count -= j - i
+            if not count:
+                return
+        raise StorageError(
+            f"{self.name!r}: {count} entries missing from the range "
+            f"[{lo!r}, {hi!r})")
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         return self.range_items(None, None)

@@ -5,8 +5,9 @@ simulated crash: *is what's on disk actually a B+ tree, and does every
 page belong to somebody?* Two layers:
 
 - :func:`check_tree` walks one tree from its header — structure (page
-  types where the descent expects them, uniform leaf depth), key order
-  (within nodes, across separators, along the whole leaf chain),
+  types where the descent expects them, uniform leaf depth), strict
+  key order (within nodes, across separators, along the whole leaf
+  chain: keys are unique),
   sibling links (``prev``/``next`` mutually consistent, chain endpoints
   match the header, chain membership equals descent membership),
   overflow chains (length, no sharing), and header counters
@@ -164,8 +165,10 @@ def _walk(tree: BTree, page_id: int, depth: int, lo: Optional[bytes],
           leaves_seen: List[Tuple[int, int]]) -> None:
     """Recursive descent: structure, separator bounds, depth uniformity.
 
-    ``lo``/``hi`` bound every key in this subtree (inclusive both ends —
-    duplicates may straddle separators).
+    Keys are unique, so every order is strict: within a page, and
+    against the separators, which bound every key in this subtree from
+    ``lo`` (inclusive: a separator is its right child's first key) up to
+    ``hi`` (exclusive).
     """
     if page_id in report.reachable:
         report.errors.append(f"page {page_id} reachable twice")
@@ -181,9 +184,9 @@ def _walk(tree: BTree, page_id: int, depth: int, lo: Optional[bytes],
         return
     keys = node.keys
     for i in range(1, len(keys)):
-        if keys[i] < keys[i - 1]:
+        if keys[i] <= keys[i - 1]:
             report.errors.append(
-                f"page {page_id}: keys out of order at slot {i}"
+                f"page {page_id}: keys not strictly increasing at slot {i}"
             )
             break
     if keys:
@@ -191,7 +194,7 @@ def _walk(tree: BTree, page_id: int, depth: int, lo: Optional[bytes],
             report.errors.append(
                 f"page {page_id}: key below its separator bound"
             )
-        if hi is not None and keys[-1] > hi:
+        if hi is not None and keys[-1] >= hi:
             report.errors.append(
                 f"page {page_id}: key above its separator bound"
             )
@@ -251,9 +254,9 @@ def _check_leaf_chain(tree: BTree, descent_leaves: Set[int],
                 f"leaf {page_id}: prev link {node.prev}, expected {prev_id}"
             )
         if node.keys and prev_last_key is not None \
-                and node.keys[0] < prev_last_key:
+                and node.keys[0] <= prev_last_key:
             report.errors.append(
-                f"leaf {page_id}: first key sorts before its left "
+                f"leaf {page_id}: first key does not sort after its left "
                 "sibling's last key"
             )
         if node.keys:

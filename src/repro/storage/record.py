@@ -127,7 +127,8 @@ def pack_frames(chunks: Sequence[bytes], counts: Sequence[int]
 
 
 def unpack_chunks(data: bytes, pos: int = 0) -> Tuple[List[bytes], int]:
-    """Invert :func:`pack_chunks`; returns ``(chunks, next_pos)``."""
+    """Read one frame that :func:`pack_frames` wrote: its chunks, and
+    the position after it, as ``(chunks, next_pos)``."""
     count, pos = decode_uvarint(data, pos)
     chunks: List[bytes] = []
     for _ in range(count):

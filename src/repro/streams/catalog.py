@@ -2,7 +2,7 @@
 
 One reserved tree (``__catalog``) per database maps stream names to
 their :class:`StreamMeta` (length, layout, pack factor, state space,
-built indexes) and dimension-table names to their value mappings
+leaf fences, built indexes) and dimension-table names to their value mappings
 (§3.4.1). Every value is JSON, keyed through the order-preserving key
 codec. The :class:`Catalog` holds the entries in memory and commits
 each change by rewriting the whole tree.
@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 from ..errors import CatalogError
 from ..probability.cpt import RECORD_VERSION
 from ..storage import StorageEnvironment, decode_key, encode_key
-from .archive import Layout
+from .archive import Fences, Layout
 from .schema import StateSpace
 
 CATALOG_TREE = "__catalog"
@@ -39,6 +39,9 @@ class StreamMeta:
     #: Timesteps per stored frame; None in entries written before the
     #: catalog kept it (the reader then takes it from the archive).
     pack: Optional[int] = None
+    #: The archive's leaf fences (:meth:`StreamReader.fences`); None in
+    #: entries written before the catalog kept them.
+    fences: Optional[Fences] = None
 
     def to_json(self) -> bytes:
         return json.dumps({
@@ -49,6 +52,7 @@ class StreamMeta:
             "indexes": self.indexes,
             "record": self.record,
             "pack": self.pack,
+            "fences": self.fences,
         }).encode("utf-8")
 
     def joins(self, table: str) -> bool:
@@ -67,6 +71,7 @@ class StreamMeta:
             indexes=obj.get("indexes", {}),
             record=obj.get("record", 1),
             pack=obj.get("pack"),
+            fences=obj.get("fences"),
         )
 
 

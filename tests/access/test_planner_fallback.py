@@ -6,7 +6,7 @@ bug waiting to be missed. Choosing the scan because it reads fewer
 pages is not a fallback."""
 
 import pytest
-from candidates import assert_fewest
+from candidates import assert_cheapest
 
 from repro.core import Caldera
 from repro.streams import synthetic_stream
@@ -69,25 +69,25 @@ def test_missing_btc_coverage_counts_fallback(db):
 
 def test_planned_queries_do_not_count_fallbacks(db):
     """With every index built, the index methods are legal, so nothing
-    is a fallback; on this sparse-enough stream they also read the
-    fewest pages, so the planner runs them."""
+    is a fallback; on this sparse-enough stream they also cost the
+    least (reads plus timesteps walked), so the planner runs them."""
     archive(db, "s", 5, mc_alpha=2)
-    assert assert_fewest(db, "s", KLEENE)[0] == "mc"
-    assert assert_fewest(db, "s", FIXED)[0] == "btree"
+    assert assert_cheapest(db, "s", KLEENE)[0] == "mc"
+    assert assert_cheapest(db, "s", FIXED)[0] == "btree"
     db.query("s", KLEENE, method="auto")
     db.query("s", FIXED, method="auto")
     assert fallback_counters(db) == {}
 
 
 def test_choosing_naive_on_cost_is_not_a_fallback(db):
-    """On a density-1.0 stream the index methods read more pages than
-    the scan: the planner picks naive, and counts no fallback because
-    the indexes are there."""
+    """On a density-1.0 stream the index methods walk every timestep
+    and read more pages than the scan: the planner picks naive, and
+    counts no fallback because the indexes are there."""
     stream = synthetic_stream("dense", num_snippets=4, density=1.0,
                               match_rate=0.5, seed=5)
     db.archive(stream, layout="separated", mc_alpha=2)
     for text, kwargs in ((KLEENE, {}), (FIXED, {}), (FIXED, {"k": 3})):
-        chosen, reads = assert_fewest(db, "dense", text, **kwargs)
+        chosen, reads = assert_cheapest(db, "dense", text, **kwargs)
         assert chosen.startswith("naive"), reads
         assert db.query("dense", text, **kwargs).method == "naive"
     assert fallback_counters(db) == {}

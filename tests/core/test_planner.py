@@ -1,9 +1,10 @@
-"""The cost-based planner: it runs the legal candidate with the fewest
-predicted page reads, predicts from statistics the catalog records at
-archive time, and reports its candidate table and prediction error."""
+"""The cost-based planner: it runs the legal candidate with the least
+predicted cost (page reads plus timesteps walked), predicts from
+statistics the catalog records at archive time, and reports its
+candidate table and prediction error."""
 
 import pytest
-from candidates import forced_reads
+from candidates import forced_costs, forced_reads
 
 from repro.core import Caldera
 from repro.indexes import ValueStats
@@ -35,24 +36,26 @@ def grid(tmp_path_factory):
 @pytest.mark.parametrize("density", DENSITIES)
 def test_auto_reads_near_the_fewest_on_the_density_grid(grid, density):
     """§4.2–4.3's crossover: the index methods win on sparse data and
-    fall to scan cost on dense data. On every cell, auto's reads (its
-    probe included) are within 10% of the fewest any legal candidate
-    reads when pinned."""
+    fall to scan cost on dense data. On every cell, auto's cost (reads,
+    its probe's included, plus timesteps walked) is within 10% of the
+    least any legal candidate costs when pinned."""
     db = grid[density]
     for layout in LAYOUTS:
         stream = f"syn_{layout}"
         for text, kwargs in ((ENTERED_ROOM_QUERY, {}),
                              (ENTERED_ROOM_QUERY, {"k": 3}), (KLEENE, {})):
-            _, reads = forced_reads(db, stream, text, **kwargs)
-            auto = db.query(stream, text, **kwargs).stats.io.logical_reads
-            assert auto <= 1.10 * min(reads.values()), \
-                (layout, text, kwargs, auto, reads)
+            _, _, costs = forced_costs(db, stream, text, **kwargs)
+            stats = db.query(stream, text, **kwargs).stats
+            auto = stats.io.logical_reads + stats.reg_initializations + \
+                stats.reg_updates
+            assert auto <= 1.10 * min(costs.values()), \
+                (layout, text, kwargs, auto, costs)
 
 
 def test_dense_data_plans_the_scan_without_probing(grid):
     """At density 1.0 the statistics alone show every index method
-    reading at least a scan's pages: naive (plus Sort) is chosen and no
-    cursor is read."""
+    reading at least a scan's pages and walking every timestep: naive
+    (plus Sort) is chosen and no cursor is read."""
     db = grid[1.0]
     for layout in LAYOUTS:
         for text, kwargs in ((ENTERED_ROOM_QUERY, {}),
@@ -140,3 +143,35 @@ def test_older_archives_derive_statistics_once(tmp_path):
     with Caldera(path) as db:
         assert db.explain("syn", KLEENE).table() == want
         assert db.stream_meta("syn").indexes == recorded
+
+
+@pytest.mark.parametrize("layout", ["separated", "cell", "packed"])
+def test_older_archives_derive_fences_once(tmp_path, layout):
+    """A catalog entry written without the leaf fences opens: they are
+    read once from the trees' branch pages and recorded, the naive
+    prediction stays exact, and every method agrees with the scan."""
+    path = str(tmp_path / "db")
+    stream = synthetic_stream("syn", num_snippets=40, density=0.3, seed=3)
+    with Caldera(path) as db:
+        db.archive(stream, layout=layout, mc_alpha=2)
+        fences = db.stream_meta("syn").fences
+        assert all(len(f) > 1 for f in fences.values())
+        want = {text: db.query("syn", text, method="naive").signal
+                for text in (ENTERED_ROOM_QUERY, KLEENE)}
+        meta = db.stream_meta("syn")
+        meta.fences = None
+        db.catalog.update_stream(meta)
+    with Caldera(path) as db:
+        assert db.stream_meta("syn").fences is None
+        for text, signal in want.items():
+            decision = db.explain("syn", text)
+            assert db.stream_meta("syn").fences == fences
+            naive = db.query("syn", text, method="naive")
+            assert naive.signal == signal
+            assert decision.candidates[0].high == \
+                naive.stats.io.logical_reads + decision.probe_reads
+            method = "mc" if text == KLEENE else "btree"
+            got = db.query("syn", text, method=method).signal
+            for t, p in got:
+                assert p == pytest.approx(dict(signal).get(t, 0.0),
+                                          abs=1e-9)

@@ -350,32 +350,42 @@ def test_wide_gap_longer_than_a_block_matches_reference(wide_stream, text):
 @pytest.mark.parametrize("layout", [Layout.SEPARATED, Layout.CELL,
                                     Layout.PACKED], ids=lambda lo: lo.value)
 def test_walk_splits_long_runs_into_capped_blocks(wide_stream, tmp_path,
-                                                  layout):
+                                                  layout, monkeypatch):
     """A scan of the 42-state stream walks one run of 199 adjacent steps:
-    blocks of at most ``block_steps`` (9 at 42 states), then the lone
-    tail step as a block of one. Walks of 4 and 5 adjacent steps are one
-    block each. Every signal is the reference's."""
+    it reads them as one run, and decodes them in blocks of at most
+    ``block_steps`` (9 at 42 states), then the lone tail step as a block
+    of one. Walks of 4 and 5 adjacent steps are one run and one block
+    each. Every signal is the reference's."""
+    import repro.access.base as base
+
     query = parse_query(PATROL_QUERY)
     ref = ReferenceReg(query, wide_stream.space)
     want = [ref.initialize(wide_stream.marginal(0))] + [
         ref.update(wide_stream.cpt_into(t)) for t in range(1, len(wide_stream))]
     with StorageEnvironment(str(tmp_path)) as env:
         reader = write_stream(env, wide_stream, layout=layout)
-        blocks = []
-        real_read = reader.cpt_records
+        runs, blocks = [], []
+        real_run = reader.cpt_run
 
-        def read(start, stop):
-            blocks.append(stop - start)
-            return real_read(start, stop)
+        def run(start, stop):
+            runs.append(stop - start)
+            return real_run(start, stop)
 
-        reader.cpt_records = read
+        def decode(records):
+            blocks.append(len(records))
+            return decode_block(records)
+
+        reader.cpt_run = run
+        monkeypatch.setattr(base, "decode_block", decode)
         ctx = QueryContext(reader, query)
         result = NaiveScan().run(ctx)
         cap = Reg(query, wide_stream.space).block_steps
         assert cap == 9
+        assert runs == [199]
         assert blocks == [cap] * 22 + [1]
         short = [list(RegRun(ctx, AccessStats()).walk(range(0, stop)))
                  for stop in (5, 6)]
+        assert runs == [199, 4, 5]
         assert blocks == [cap] * 22 + [1, 4, 5]
     assert result.stats.cpts_read == result.stats.reg_updates == 199
     assert [t for t, _ in result.signal] == list(range(len(wide_stream)))

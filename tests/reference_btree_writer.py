@@ -7,7 +7,9 @@ the next entry no longer fits. ``BTree._write_tree`` packs whole
 leaves from arrays instead, and must write the same file byte for byte
 and raise the same errors, an equal adjacent key among them. Install it on a tree with
 ``use_reference_writer(tree)``; ``bulk_load`` and ``rewrite`` then
-write through it.
+write through it. ``use_reference_writer(tree, strict=False)`` skips
+the key-order check, so a test can write a tree that holds an equal
+adjacent key and see ``fsck`` report it.
 """
 
 import struct
@@ -94,9 +96,10 @@ def _build_branch_level(tree, pager, children):
     return out
 
 
-def write_tree(tree, pager, items):
+def write_tree(tree, pager, items, strict=True):
     """Write header, leaves, overflow chains and branch levels of a
-    tree holding ``items`` to a new file; returns the header."""
+    tree holding ``items`` to a new file; returns the header and the
+    first key of every leaf after the first."""
     if pager.allocate() != _HEADER_PAGE:
         raise StorageError("tree header must be the first page")
     target = tree.page_size - _LEAF_HDR.size
@@ -117,7 +120,7 @@ def write_tree(tree, pager, items):
     for key, value in items:
         tree._check_entry(None, key, value)
         # Keys are unique: each must sort strictly after the last.
-        if prev_key is not None and key <= prev_key:
+        if strict and prev_key is not None and key <= prev_key:
             raise StorageError(
                 f"{tree.name!r}: input is not strictly sorted "
                 f"({prev_key!r} followed by {key!r})")
@@ -145,16 +148,20 @@ def write_tree(tree, pager, items):
     emit(0)
 
     num_leaves = len(seps)
+    fences = [key for key, _ in seps[1:]]
     height = 1
     while len(seps) > 1:
         seps = _build_branch_level(tree, pager, seps)
         height += 1
     header = (seps[0][1], first_leaf, last_leaf, num_leaves, height, count)
     pager.write(_HEADER_PAGE, _HDR.pack(_HDR_MAGIC, *header))
-    return header
+    return header, fences
 
 
-def use_reference_writer(tree):
-    """Make ``tree`` write every later load through :func:`write_tree`."""
-    tree._write_tree = types.MethodType(write_tree, tree)
+def use_reference_writer(tree, strict=True):
+    """Make ``tree`` write every later load through :func:`write_tree`;
+    ``strict=False`` lets equal adjacent keys through."""
+    tree._write_tree = types.MethodType(
+        lambda self, pager, items: write_tree(self, pager, items, strict),
+        tree)
     return tree

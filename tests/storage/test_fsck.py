@@ -180,3 +180,25 @@ def test_check_detects_entry_count_drift(tmp_path):
     report = reopened_report(str(tmp_path / "db"))
     assert not report.clean
     assert any("entries" in e for e in report.all_errors())
+
+
+def test_check_refuses_equal_adjacent_keys(env):
+    """Keys are unique, and the checker holds a tree to it: 200 entries
+    over 100 keys, written with the reference writer's order check
+    turned off, fail within a page, along the leaf chain and against a
+    separator, while the same keys once each check clean."""
+    from reference_btree_writer import use_reference_writer
+
+    keys = [f"k{i:04d}".encode() for i in range(100)]
+    doubled = use_reference_writer(env.open_tree("doubled"), strict=False)
+    doubled.bulk_load([(key, b"v" * 20) for key in keys for _ in range(2)])
+    assert doubled.num_leaves > 1
+    errors = doubled.check().errors
+    assert any("not strictly increasing" in e for e in errors)
+    assert any("does not sort after its left sibling" in e for e in errors)
+    assert any("above its separator bound" in e for e in errors)
+    assert not env.fsck().clean
+
+    single = use_reference_writer(env.open_tree("single"))
+    single.bulk_load([(key, b"v" * 20) for key in keys])
+    assert single.check().clean

@@ -1,7 +1,9 @@
 """Page-read accounting over the archive layouts (satellite of the
 layout experiment, Fig 8): the logical-read counts of scans and point
-accesses are exact functions of tree height and pack factor, so the
-tests pin them exactly rather than approximately."""
+accesses are exact functions of tree height, leaf count and pack
+factor, so the tests pin them exactly rather than approximately. A
+point read costs a descent; a run of timesteps costs one descent, then
+one read per further leaf."""
 
 import pytest
 
@@ -43,32 +45,33 @@ def _cold_scan_reads(env, reader):
     return env.stats.logical_reads
 
 
-def test_packed_scan_costs_one_kth_of_cell(env):
-    """A packed(K) sequential scan descends once per K-step frame, so
-    its logical reads are exactly ceil(L/K)/L of the cell layout's
-    (when both trees have equal height)."""
-    cell_reader = _reader(env, Layout.CELL)
-    packed_reader = _reader(env, Layout.PACKED)
-    cell_height = env.open_tree(data_tree_name("s_cell")).height
-    packed_height = env.open_tree(data_tree_name("s_packed")).height
-
-    cell_reads = _cold_scan_reads(env, cell_reader)
-    packed_reads = _cold_scan_reads(env, packed_reader)
-
-    assert cell_reads == LENGTH * cell_height
-    assert packed_reads == -(-LENGTH // PACK) * packed_height
-    # The headline ratio: ~1/K fewer logical reads, modulo one level of
-    # height difference between the two trees.
-    assert packed_reads * (PACK // 2) <= cell_reads
+def _tree_run(env, name):
+    """A run over a whole tree: its descent, then its other leaves."""
+    tree = env.open_tree(name)
+    return tree.height + tree.num_leaves - 1
 
 
 @pytest.mark.parametrize("layout", [Layout.SEPARATED, Layout.CELL,
                                     Layout.PACKED], ids=lambda lo: lo.value)
-def test_block_read_costs_the_point_reads_it_replaces(env, layout):
-    """``scan_cpts`` over the whole stream makes the lookups of one
-    ``cpt_into`` per step, so it costs exactly their logical reads:
-    L - 1 descents of the CPT tree for ``separated`` and ``cell``, one
-    per frame for ``packed`` (fig8a's L·height metric)."""
+def test_scan_reads_each_leaf_once(env, layout):
+    """``materialize`` reads each tree of the archive as one run: a
+    descent, then every further leaf once, whatever the pack factor."""
+    name = f"s_{layout.value}"
+    reads = _cold_scan_reads(env, _reader(env, layout))
+    if layout is Layout.SEPARATED:
+        assert reads == _tree_run(env, marg_tree_name(name)) + \
+            _tree_run(env, cpt_tree_name(name))
+    else:
+        assert reads == _tree_run(env, data_tree_name(name))
+
+
+@pytest.mark.parametrize("layout", [Layout.SEPARATED, Layout.CELL,
+                                    Layout.PACKED], ids=lambda lo: lo.value)
+def test_block_read_costs_a_descent_and_a_read_per_leaf(env, layout):
+    """``scan_cpts`` over the whole stream is one run read: the CPT (or
+    data) tree's height plus one read per further leaf, as the dry
+    reader predicts, where a ``cpt_into`` per step costs a descent per
+    step (one per frame on ``packed``, fig8a's old L·height metric)."""
     def cold(read):
         reader = _reader(env, layout)
         env.pool.evict_all()
@@ -78,10 +81,15 @@ def test_block_read_costs_the_point_reads_it_replaces(env, layout):
 
     per_step = cold(lambda r: [r.cpt_into(t) for t in range(1, LENGTH)])
     block = cold(lambda r: r.scan_cpts(1, LENGTH))
-    tree = cpt_tree_name if layout is Layout.SEPARATED else data_tree_name
-    height = env.open_tree(tree(f"s_{layout.value}")).height
+    name = (cpt_tree_name if layout is Layout.SEPARATED
+            else data_tree_name)(f"s_{layout.value}")
+    tree = env.open_tree(name)
     steps = -(-LENGTH // PACK) if layout is Layout.PACKED else LENGTH - 1
-    assert block == per_step == steps * height
+    assert per_step == steps * tree.height
+    assert block == _tree_run(env, name) < per_step
+    dry = _reader(env, layout).dry()
+    list(dry.cpt_run(1, LENGTH))
+    assert dry.reads == block
 
 
 def test_marginal_point_access_costs_height(env):

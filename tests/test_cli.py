@@ -99,7 +99,7 @@ def test_plan_prints_the_candidate_table(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     first, *rows = out.splitlines()
-    assert "fewest predicted page reads" in first
+    assert "least predicted cost" in first
     labels = [row[2:].split()[0] for row in rows]
     assert labels == ["naive", "btree", "topk"]
     assert sum(row.startswith("* ") for row in rows) == 1
